@@ -1,6 +1,6 @@
 """Exact quantum and multispecies weighted Hurwitz numbers.
 
-Three independently implemented pipelines compute the same numbers:
+Three pipelines compute the same numbers (tau and combinatorial share spectral_sum):
 
 * geometric: symmetrized branch-point weights times character-sum covering
   counts over branch configurations;

@@ -3,13 +3,16 @@
 Character values are computed by the signed border-strip (Murnaghan-Nakayama)
 recursion, memoized on (shape, remaining cycle lengths); naive recursion
 repeats subproblems exponentially.  Complete tables are cached per n for the
-process lifetime.  Everything here is exact integer arithmetic.
+process lifetime.  Everything here is exact integer arithmetic, including
+spectral_sum, the character-sum kernel the tau and combinatorial pipelines share.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from .errors import CapacityError
 from .partitions import (
@@ -19,6 +22,7 @@ from .partitions import (
     enumerate_partitions,
     hook_product,
 )
+from .series import TruncatedSeries
 
 #: Largest n for which character_table builds a full table.
 TABLE_LIMIT = 12
@@ -112,3 +116,36 @@ def character_table(n: int) -> CharacterTable:
     if n > TABLE_LIMIT:
         raise CapacityError(f"character tables are limited to n <= {TABLE_LIMIT}")
     return CharacterTable(n)
+
+
+def spectral_sum(table: CharacterTable, coeffs, divide_by_z_nu: bool = True):
+    """Matrix over (mu, nu) of sum_lam coeffs[lam] chi_lam(mu) chi_lam(nu) / (z_mu [z_nu]).
+
+    coeffs: one per shape in table order, all rational or TruncatedSeries
+    (zeros may be plain 0).  [z_nu] is dropped when divide_by_z_nu is False
+    (transfer-matrix rows).  Per monomial the coeffs go over their lcm
+    denominator D, character columns are dotted in integers for j >= i, and
+    each entry is one Fraction S / (D z_mu [z_nu]).
+    """
+    series = next((c for c in coeffs if isinstance(c, TruncatedSeries)), None)
+    monomials: dict[tuple, dict[int, Fraction]] = {}
+    for k, c in enumerate(coeffs):
+        for expo, value in c.coeffs.items() if isinstance(c, TruncatedSeries) else [((), c)]:
+            if value:
+                monomials.setdefault(expo, {})[k] = Fraction(value)
+    z = table.centralizer_orders
+    terms = [[{} for _ in z] for _ in z]
+    for expo, column in monomials.items():
+        scale = lcm(*(value.denominator for value in column.values()))
+        weights = [value.numerator * (scale // value.denominator) for value in column.values()]
+        chars = [[table.values[k][i] for k in column] for i in range(len(z))]
+        for i, row in enumerate(chars):
+            weighted = list(map(mul, weights, row))
+            for j in range(i, len(z)):
+                total = sum(map(mul, weighted, chars[j]))
+                value = Fraction(total, scale * z[i] * (z[j] if divide_by_z_nu else 1))
+                terms[i][j][expo] = value
+                terms[j][i][expo] = value if divide_by_z_nu or i == j else Fraction(total, scale * z[j])
+    if series is None:
+        return tuple(tuple(t.get((), Fraction(0)) for t in row) for row in terms)
+    return tuple(tuple(TruncatedSeries(series.vars, series.cap, t) for t in row) for row in terms)

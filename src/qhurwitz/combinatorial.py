@@ -24,24 +24,23 @@ central element, its matrix on the class-sum basis is
     F^c(mu, nu) = sum_lam [u^c] r_lam * chi_lam(mu) chi_lam(nu) / z_mu
 
 with r_lam the content product, and the Hurwitz-normalized entry F^c/z_nu is
-the pipeline-comparison value.  Matrices for different species and degrees
-commute exactly, and multispecies counts are their matrix products.
+the pipeline-comparison value, summed by ``characters.spectral_sum`` as in the
+tau pipeline.  The matrices commute; multispecies counts multiply eigenvalues.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .characters import character_table
+from .characters import character_table, spectral_sum
 from .errors import CapacityError
 from .partitions import (
     Partition,
-    centralizer_order,
     check_partition,
     contents,
     enumerate_partitions,
@@ -49,7 +48,7 @@ from .partitions import (
 from .qweights import FAMILIES, Species, WeightConfig, weight_coefficient
 from .series import TruncatedSeries
 from .sn import algebra_mul, symmetric_group
-from .tau import species_content_coeffs
+from .tau import content_product_coeffs
 
 #: Brute-force path enumeration bounds ((n choose 2)^d sequences).
 PATH_LIMIT_N = 5
@@ -142,17 +141,13 @@ class TransferMatrix:
     label: str
     rows: tuple[tuple[object, ...], ...]
 
-    def _index(self, mu: Partition) -> int:
-        try:
-            return self.partitions.index(tuple(mu))
-        except ValueError:
-            raise ValueError(f"{tuple(mu)} is not a partition of {self.n}") from None
-
     def entry(self, mu: Partition, nu: Partition):
-        return self.rows[self._index(mu)][self._index(nu)]
+        table = character_table(self.n)
+        return self.rows[table.index(mu)][table.index(nu)]
 
     def hurwitz_entry(self, mu: Partition, nu: Partition):
-        return self.entry(mu, nu) * Fraction(1, centralizer_order(tuple(nu)))
+        table = character_table(self.n)
+        return self.entry(mu, nu) * Fraction(1, table.centralizer_orders[table.index(nu)])
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
         if self.n != other.n or self.partitions != other.partitions:
@@ -183,46 +178,30 @@ def transfer_matrix(species: Species, degree: int, n: int) -> TransferMatrix:
     Entries are sum_lam [u^degree] r_lam * chi_lam(mu) chi_lam(nu) / z_mu;
     degree 0 is the identity matrix.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    parts = tuple(enumerate_partitions(n))
-    tbl = character_table(n)
-    coeffs = [species_content_coeffs(species, lam, degree)[degree] for lam in parts]
-    rows = []
-    for i in range(len(parts)):
-        z_mu = tbl.centralizer_orders[i]
-        row = []
-        for j in range(len(parts)):
-            value = 0
-            for k in range(len(parts)):
-                if not coeffs[k]:
-                    continue
-                value = value + coeffs[k] * Fraction(tbl.values[k][i] * tbl.values[k][j], z_mu)
-            row.append(value)
-        rows.append(tuple(row))
-    return TransferMatrix(
-        n=n,
-        partitions=parts,
-        degrees=(degree,),
-        label=f"{species.describe()}^{degree}",
-        rows=tuple(rows),
-    )
+    return multispecies_transfer_matrix(WeightConfig((replace(species, slot=1),), n), (degree,))
 
 
 def multispecies_transfer_matrix(config: WeightConfig, degrees: tuple[int, ...]) -> TransferMatrix:
     """Product of the per-species transfer matrices at the given degrees.
 
-    The factors commute, so the slot order used here is a convention, not a
-    choice.
+    One spectral_sum over the products of the per-species eigenvalues equals
+    the left-to-right ``@`` chain exactly; the factors commute.
     """
     degrees = tuple(int(c) for c in degrees)
     if len(degrees) != len(config.species):
         raise ValueError("one degree per species is required")
-    product = None
-    for species, degree in zip(config.species, degrees):
-        factor = transfer_matrix(species, degree, config.n)
-        product = factor if product is None else product @ factor
-    return product
+    if any(d < 0 for d in degrees):
+        raise ValueError("degree must be nonnegative")
+    parts = tuple(enumerate_partitions(config.n))
+    tbl = character_table(config.n)
+    eigenvalues = [content_product_coeffs(config, lam, degrees)[degrees] for lam in parts]
+    return TransferMatrix(
+        n=config.n,
+        partitions=parts,
+        degrees=degrees,
+        label=" ".join(f"{s.describe()}^{d}" for s, d in zip(config.species, degrees)),
+        rows=spectral_sum(tbl, eigenvalues, divide_by_z_nu=False),
+    )
 
 
 def combinatorial_hurwitz_number(

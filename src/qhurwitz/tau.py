@@ -8,8 +8,8 @@ product
 
 where G is the species' weight generating function and each species tracks
 its own expansion variable.  No symmetric function indeterminates are ever
-materialized: the tau function "is" its coefficient table in the power sum
-basis, assembled from content product coefficients and characters:
+materialized: the tau function "is" its power sum coefficient table, which
+``characters.spectral_sum``, shared with the combinatorial pipeline, assembles:
 
     entry(degrees, mu, nu) =
         sum_lam [u^degrees] r_lam * chi_lam(mu) chi_lam(nu) / (z_mu z_nu).
@@ -25,8 +25,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .characters import character_table
+from .characters import character_table, spectral_sum
 from .partitions import (
     Partition,
     check_partition,
@@ -72,17 +73,11 @@ def content_product_coeffs(
         raise ValueError(f"lam must be a partition of {config.n}")
     if len(maxdeg) != len(config.species):
         raise ValueError("maxdeg must have one bound per species")
-    per_species = [
-        species_content_coeffs(s, lam, maxdeg[i], shift)
-        for i, s in enumerate(config.species)
-    ]
-    table = {}
-    for degrees in itertools.product(*(range(m + 1) for m in maxdeg)):
-        value = 1
-        for s, d in enumerate(degrees):
-            value = value * per_species[s][d]
-        table[degrees] = value
-    return table
+    per_species = [species_content_coeffs(s, lam, m, shift) for s, m in zip(config.species, maxdeg)]
+    return {
+        degrees: prod(per_species[s][d] for s, d in enumerate(degrees))
+        for degrees in itertools.product(*(range(m + 1) for m in maxdeg))
+    }
 
 
 def schur_to_powersum(lam: Partition) -> dict[Partition, Fraction]:
@@ -101,7 +96,7 @@ def schur_to_powersum(lam: Partition) -> dict[Partition, Fraction]:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class HurwitzTable:
     """Dense table of Hurwitz numbers indexed by (multidegree, mu, nu).
 
@@ -135,31 +130,18 @@ def tau_coefficients(
     maxdeg = tuple(int(m) for m in maxdeg)
     if any(m < 0 for m in maxdeg):
         raise ValueError("maxdeg bounds must be nonnegative")
-    n = config.n
-    parts = enumerate_partitions(n)
-    tbl = character_table(n)
+    parts = enumerate_partitions(config.n)
+    tbl = character_table(config.n)
     coeff_tables = [content_product_coeffs(config, lam, maxdeg, shift) for lam in parts]
     entries = {}
     for degrees in itertools.product(*(range(m + 1) for m in maxdeg)):
-        for i, mu in enumerate(parts):
-            for j, nu in enumerate(parts):
-                if j < i:
-                    entries[(degrees, mu, nu)] = entries[(degrees, nu, mu)]
-                    continue
-                value = 0
-                for k in range(len(parts)):
-                    c = coeff_tables[k][degrees]
-                    if not c:
-                        continue
-                    value = value + c * Fraction(
-                        tbl.values[k][i] * tbl.values[k][j],
-                        tbl.centralizer_orders[i] * tbl.centralizer_orders[j],
-                    )
+        for mu, row in zip(parts, spectral_sum(tbl, [c[degrees] for c in coeff_tables])):
+            for nu, value in zip(parts, row):
                 entries[(degrees, mu, nu)] = value
-    return HurwitzTable(n=n, species=config.species, maxdeg=maxdeg, shift=shift, entries=entries)
+    return HurwitzTable(n=config.n, species=config.species, maxdeg=maxdeg, shift=shift, entries=entries)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriangleReport:
     """Result of the three-pipeline comparison over a full table.
 
@@ -171,7 +153,7 @@ class TriangleReport:
     maxdeg: tuple[int, ...]
     species: tuple[str, ...]
     checked: int
-    discrepancies: list
+    discrepancies: tuple
 
     @property
     def ok(self) -> bool:
@@ -184,7 +166,7 @@ class TriangleReport:
             "species": list(self.species),
             "checked": self.checked,
             "status": "ok" if self.ok else "fail",
-            "discrepancies": self.discrepancies,
+            "discrepancies": list(self.discrepancies),
         }
 
 
@@ -238,5 +220,5 @@ def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleRe
         maxdeg=maxdeg,
         species=tuple(s.describe() for s in config.species),
         checked=checked,
-        discrepancies=discrepancies,
+        discrepancies=tuple(discrepancies),
     )

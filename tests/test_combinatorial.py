@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import factorial, prod
 
@@ -152,6 +153,18 @@ class TestTransferMatrix:
         )
         backward = multispecies_transfer_matrix(swapped_config, (2, 1))
         assert forward.rows == backward.rows
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_multispecies_equals_chained_product(self, n):
+        species = (Species("E", HALF, 1), Species("H", FIFTH, 2), Species("E'", THIRD, 3))
+        for count, top in ((2, 3), (3, 2)):
+            config = WeightConfig(species=species[:count], n=n)
+            for degrees in itertools.product(range(top), repeat=count):
+                chained = transfer_matrix(species[0], degrees[0], n)
+                for s, d in zip(species[1:count], degrees[1:]):
+                    chained = chained @ transfer_matrix(s, d, n)
+                # Dataclass equality: n, partitions, degrees, label and rows.
+                assert multispecies_transfer_matrix(config, degrees) == chained
 
     def test_all_zero_degrees_is_identity(self):
         config = WeightConfig(species=(Species("E", HALF, 1), Species("H", FIFTH, 2)), n=3)

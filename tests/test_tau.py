@@ -1,3 +1,5 @@
+import itertools
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from qhurwitz import (
     TruncatedSeries,
     WeightConfig,
     centralizer_order,
+    character_table,
     colength,
     content_product_coeffs,
     enumerate_partitions,
@@ -25,6 +28,32 @@ FIFTH = Fraction(1, 5)
 
 def single_species(family, q, n):
     return WeightConfig(species=(Species(family, q, 1),), n=n)
+
+
+def reference_tau_entries(config, maxdeg, shift=0):
+    """The spectral sum term by term, one Fraction per (lam, mu, nu) term.
+
+    Reference for the integer kernel behind tau_coefficients: no common
+    denominator, no symmetric half, every entry summed on its own.
+    """
+    parts = enumerate_partitions(config.n)
+    tbl = character_table(config.n)
+    coeff_tables = [content_product_coeffs(config, lam, maxdeg, shift) for lam in parts]
+    entries = {}
+    for degrees in itertools.product(*(range(m + 1) for m in maxdeg)):
+        for i, mu in enumerate(parts):
+            for j, nu in enumerate(parts):
+                value = 0
+                for k in range(len(parts)):
+                    c = coeff_tables[k][degrees]
+                    if not c:
+                        continue
+                    value = value + c * Fraction(
+                        tbl.values[k][i] * tbl.values[k][j],
+                        tbl.centralizer_orders[i] * tbl.centralizer_orders[j],
+                    )
+                entries[(degrees, mu, nu)] = value
+    return entries
 
 
 class TestContentProducts:
@@ -129,6 +158,56 @@ class TestTauCoefficients:
                         assert table.entry((d,), mu, nu) == quantum_hurwitz_number(
                             "E'", THIRD, d, mu, nu
                         )
+
+
+class TestSpectralKernel:
+    @pytest.mark.parametrize("family, q", [("E", HALF), ("E'", THIRD), ("H", -THIRD)])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_single_species_matches_reference(self, family, q, n):
+        config = single_species(family, q, n)
+        assert tau_coefficients(config, (3,)).entries == reference_tau_entries(config, (3,))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_shift_two_matches_reference(self, n):
+        config = single_species("E", HALF, n)
+        table = tau_coefficients(config, (2,), shift=2)
+        assert table.entries == reference_tau_entries(config, (2,), shift=2)
+
+    def test_two_species_matches_reference(self):
+        config = WeightConfig(
+            species=(Species("E", HALF, 1), Species("H", FIFTH, 2)), n=5
+        )
+        assert tau_coefficients(config, (2, 2)).entries == reference_tau_entries(config, (2, 2))
+
+    def test_series_mode_matches_reference(self):
+        config = single_species("E", TruncatedSeries.variable("q", 6), 4)
+        table = tau_coefficients(config, (2,))
+        assert table.entries == reference_tau_entries(config, (2,))
+        assert all(isinstance(value, TruncatedSeries) for value in table.entries.values())
+
+    def test_vanishing_h_coefficients(self):
+        # n = 1: the single cell has content 0, so every positive-degree
+        # coefficient vanishes and the kernel sums an all-zero column.
+        config = single_species("H", HALF, 1)
+        table = tau_coefficients(config, (3,))
+        assert table.entries == reference_tau_entries(config, (3,))
+        assert [table.entry((d,), (1,), (1,)) for d in range(4)] == [1, 0, 0, 0]
+        # n = 2: nonzero coefficients whose terms cancel in the sum.
+        config = single_species("H", HALF, 2)
+        table = tau_coefficients(config, (3,))
+        assert table.entries == reference_tau_entries(config, (3,))
+        assert table.entry((1,), (2,), (2,)) == 0
+
+
+class TestImmutability:
+    def test_table_and_report_fields_are_frozen(self):
+        config = single_species("E", HALF, 2)
+        table = tau_coefficients(config, (1,))
+        with pytest.raises(FrozenInstanceError):
+            table.entries = {}
+        report = verify_triangle(config, (1,))
+        with pytest.raises(FrozenInstanceError):
+            report.discrepancies = ()
 
 
 class TestModeConsistency:
