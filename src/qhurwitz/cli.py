@@ -16,8 +16,7 @@ only one family is present.  Every rational in the output is an exact
 "numerator/denominator" string in lowest terms with positive denominator.
 
 Exit codes: 0 success, 1 verification discrepancy, 2 usage error, 3 capacity
-or pole error.  Output is deterministic for identical requests regardless of
-the --threads bound.
+or pole error.  Output is deterministic for identical requests.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -219,13 +217,6 @@ def _cmd_chartable(args) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="upper bound on worker parallelism (output is identical for any value)")
-    parser.add_argument("--K", type=int, default=12,
-                        help="series-mode truncation order (accepted for request completeness)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qhurwitz",
@@ -242,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--nu", required=True)
         sub.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
         sub.add_argument("--degrees", required=True)
-        _add_common_flags(sub)
         sub.set_defaults(func=_cmd_compute)
     tau_sub = compute_sub.add_parser("tau", help="tau coefficient table")
     tau_sub.add_argument("--n", type=int, required=True)
@@ -252,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     tau_sub.add_argument("--maxdeg", required=True)
     tau_sub.add_argument("--N", type=int, default=0, help="content shift (0 for Hurwitz numbers)")
     tau_sub.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common_flags(tau_sub)
     tau_sub.set_defaults(func=_cmd_compute)
 
     verify = subparsers.add_parser("verify", help="run cross-pipeline verification")
@@ -261,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     triangle.add_argument("--n-max", type=int, required=True, dest="n_max")
     triangle.add_argument("--deg-max", type=int, required=True, dest="deg_max")
     triangle.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
-    _add_common_flags(triangle)
     triangle.set_defaults(func=_cmd_verify)
 
     oracle = subparsers.add_parser("oracle", help="brute-force oracles")
@@ -271,13 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     paths.add_argument("--d", type=int, required=True)
     paths.add_argument("--mu", required=True)
     paths.add_argument("--nu", required=True)
-    _add_common_flags(paths)
     paths.set_defaults(func=_cmd_oracle)
 
     chartable = subparsers.add_parser("chartable", help="exact character table")
     chartable.add_argument("--n", type=int, required=True)
     chartable.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common_flags(chartable)
     chartable.set_defaults(func=_cmd_chartable)
 
     return parser
@@ -289,12 +275,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
-    if getattr(args, "K", 1) < 1:
-        print("error: --K must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ValueError as exc:

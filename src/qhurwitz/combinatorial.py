@@ -84,6 +84,8 @@ def path_counts(
     count and m~ the unrestricted count, both 1/n!-normalized as in the
     module docstring.
     """
+    if d < 0:
+        raise ValueError("d must be nonnegative")
     return dict(_path_counts(n, d, check_partition(mu), check_partition(nu)))
 
 

@@ -18,7 +18,10 @@ weight is the convention forced by exact agreement with the tau-coefficient
 pipeline.  The H family carries the sign (-1)^(k+d); E and E' are unsigned.
 Multispecies sums run the same tuple enumeration independently per species,
 including the empty collection (k_i = 0), which carries weight 1 and is what
-makes zero multidegrees consistent.
+makes zero multidegrees consistent.  A single species is the one-species
+multispecies sum: quantum_hurwitz_number is that call.  The symmetrized
+weight does not depend on the order of the colengths, so each species'
+signed weight is computed once per sorted colength multiset per call.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .partitions import (
     colength,
     partitions_with_colength,
 )
-from .qweights import FAMILIES, WeightConfig, symmetrized_weight
+from .qweights import Species, WeightConfig, symmetrized_weight
 from .sn import GROUP_LIMIT, symmetric_group
 
 #: Largest cover degree for the exhaustive factorization count.
@@ -152,31 +155,12 @@ def _compositions(total: int, k: int):
 def quantum_hurwitz_number(family: str, q, d: int, mu: Partition, nu: Partition):
     """Weighted count of coverings with total extra colength d, single species.
 
-    Sums symmetrized_weight(colengths) * frobenius_hurwitz over all ordered
-    tuples of nontrivial profiles with colength sum d; the H family weights
-    each tuple by the extra sign (-1)^(k+d).  d = 0 gives delta_{mu,nu}/z_mu.
+    The one-species case of multispecies_hurwitz_number; q is validated by
+    Species.  d = 0 gives delta_{mu,nu}/z_mu.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
     mu = check_partition(mu)
-    nu = check_partition(nu)
-    if sum(mu) != sum(nu):
-        raise ValueError("mu and nu must have equal weight")
-    n = sum(mu)
-    weight_cache: dict[tuple[int, ...], object] = {}
-    total = 0
-    for profiles in _profile_tuples(n, d):
-        key = tuple(colength(p) for p in profiles)
-        if key not in weight_cache:
-            weight_cache[key] = symmetrized_weight(family, q, key)
-        weight = weight_cache[key]
-        if family == "H" and (len(profiles) + d) % 2:
-            weight = -weight
-        config = BranchConfiguration(n, tuple(sorted(profiles, reverse=True)), mu, nu)
-        total = total + weight * frobenius_hurwitz(config)
-    return total
+    config = WeightConfig((Species(family, q, 1),), sum(mu))
+    return multispecies_hurwitz_number(config, (d,), mu, nu)
 
 
 def multispecies_hurwitz_number(
@@ -188,7 +172,8 @@ def multispecies_hurwitz_number(
     profiles (possibly empty when its degree is 0) with colength sum equal to
     its degree; the combined configuration is counted once and weighted by
     the product of the per-species symmetrized weights, H-type species
-    carrying their (-1)^(k+degree) signs.
+    carrying their (-1)^(k+degree) signs.  Each species' signed weight is
+    computed once per sorted colength multiset.
     """
     mu = check_partition(mu)
     nu = check_partition(nu)
@@ -200,16 +185,22 @@ def multispecies_hurwitz_number(
         raise ValueError("one degree per species is required")
     if any(c < 0 for c in degrees):
         raise ValueError("degrees must be nonnegative")
-    options = [_profile_tuples(n, c) for c in degrees]
+    legs = []
+    for species, c in zip(config.species, degrees):
+        weights: dict[tuple[int, ...], object] = {}
+        leg = []
+        for profiles in _profile_tuples(n, c):
+            key = tuple(sorted(colength(p) for p in profiles))
+            if key not in weights:
+                w = symmetrized_weight(species.family, species.parameter, key)
+                weights[key] = -w if species.family == "H" and (len(key) + c) % 2 else w
+            leg.append((profiles, weights[key]))
+        legs.append(leg)
     total = 0
-    for combo in itertools.product(*options):
+    for combo in itertools.product(*legs):
         weight = 1
         all_profiles: list[Partition] = []
-        for species, c, profiles in zip(config.species, degrees, combo):
-            w = symmetrized_weight(species.family, species.parameter,
-                                   tuple(colength(p) for p in profiles))
-            if species.family == "H" and (len(profiles) + c) % 2:
-                w = -w
+        for profiles, w in combo:
             weight = weight * w
             all_profiles.extend(profiles)
         branch = BranchConfiguration(n, tuple(sorted(all_profiles, reverse=True)), mu, nu)

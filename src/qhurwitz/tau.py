@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import prod
 
 from .characters import character_table, spectral_sum
+from .errors import CapacityError
 from .partitions import (
     Partition,
     check_partition,
@@ -180,16 +181,16 @@ def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleRe
 
     Exact rational equality is demanded; any discrepancy is reported, not
     raised.  Bounds: n at most 5 and every slot degree at most 3, which keeps
-    the branch-configuration sums at desk scale.
+    the branch-configuration sums at desk scale; past them CapacityError.
     """
     from .combinatorial import multispecies_transfer_matrix
     from .geometric import multispecies_hurwitz_number
 
     maxdeg = tuple(int(m) for m in maxdeg)
     if config.n > TRIANGLE_N_LIMIT:
-        raise ValueError(f"triangle verification is limited to n <= {TRIANGLE_N_LIMIT}")
+        raise CapacityError(f"triangle verification is limited to n <= {TRIANGLE_N_LIMIT}")
     if any(m > TRIANGLE_DEGREE_LIMIT for m in maxdeg):
-        raise ValueError(
+        raise CapacityError(
             f"triangle verification is limited to slot degrees <= {TRIANGLE_DEGREE_LIMIT}"
         )
     table = tau_coefficients(config, maxdeg)

@@ -111,8 +111,13 @@ class TestCompute:
             "--maxdeg", "1;1",
         ]
         _, first = run_cli(capsys, *argv)
-        _, second = run_cli(capsys, *argv, "--threads", "1")
+        _, second = run_cli(capsys, *argv)
         assert first == second
+
+    def test_deleted_flags_are_unknown(self, capsys):
+        argv = ["compute", "tau", "--n", "2", "--species", "E:q=1/2", "--maxdeg", "1"]
+        assert main(argv + ["--threads", "1"]) == 2
+        assert main(argv + ["--K", "3"]) == 2
 
 
 class TestVerify:
@@ -128,6 +133,13 @@ class TestVerify:
         assert document["status"] == "ok"
         assert all(r["discrepancies"] == [] for r in document["reports"])
 
+    def test_triangle_past_bound_is_capacity_error(self, capsys):
+        for n_max, deg_max in (("6", "1"), ("2", "4")):
+            code = main(["verify", "triangle", "--n-max", n_max, "--deg-max", deg_max,
+                         "--species", "E:q=1/2"])
+            assert code == 3
+            assert "triangle verification is limited" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_paths_two_sheets(self, capsys):
@@ -141,6 +153,11 @@ class TestOracle:
     def test_capacity_exit_code(self, capsys):
         code = main(["oracle", "paths", "--n", "2", "--d", "9", "--mu", "2", "--nu", "2"])
         assert code == 3
+
+    def test_negative_degree_is_usage_error(self, capsys):
+        code = main(["oracle", "paths", "--n", "3", "--d", "-1", "--mu", "3", "--nu", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: d must be nonnegative\n"
 
 
 class TestEntryPoint:

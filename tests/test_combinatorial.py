@@ -95,6 +95,10 @@ class TestPathCounts:
         with pytest.raises(CapacityError):
             path_counts(2, 5, (2,), (2,))
 
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="d must be nonnegative"):
+            path_counts(3, -1, (3,), (3,))
+
 
 class TestTransferMatrix:
     def test_degree_zero_is_identity(self):

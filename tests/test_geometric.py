@@ -1,24 +1,53 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+import qhurwitz.geometric
 from qhurwitz import (
     BranchConfiguration,
     CapacityError,
     Species,
+    TruncatedSeries,
     WeightConfig,
     centralizer_order,
+    colength,
     enumerate_factorizations,
     enumerate_partitions,
     frobenius_hurwitz,
     multispecies_hurwitz_number,
     quantum_hurwitz_number,
+    symmetrized_weight,
 )
 from qhurwitz.geometric import _profile_tuples
 
 HALF = Fraction(1, 2)
+THIRD = Fraction(1, 3)
 FIFTH = Fraction(1, 5)
+
+
+def reference_hurwitz_number(config, degrees, mu, nu):
+    """Per-ordered-tuple reference sum: one weight per species and combination.
+
+    Each species weighs its own tuple by symmetrized_weight of the colengths
+    in tuple order, H-type species with the sign (-1)^(k+degree); nothing is
+    shared between combinations.
+    """
+    n = config.n
+    total = 0
+    for combo in itertools.product(*(_profile_tuples(n, c) for c in degrees)):
+        weight = 1
+        for species, c, profiles in zip(config.species, degrees, combo):
+            w = symmetrized_weight(
+                species.family, species.parameter, tuple(colength(p) for p in profiles)
+            )
+            if species.family == "H" and (len(profiles) + c) % 2:
+                w = -w
+            weight = weight * w
+        extra = tuple(sorted(itertools.chain(*combo), reverse=True))
+        total = total + weight * frobenius_hurwitz(BranchConfiguration(n, extra, mu, nu))
+    return total
 
 
 class TestBranchConfiguration:
@@ -127,6 +156,15 @@ class TestQuantumHurwitzNumber:
         with pytest.raises(ValueError):
             quantum_hurwitz_number("E", HALF, 1, (2,), (3,))
 
+    def test_parameter_and_family_validated_by_species(self):
+        for q in (Fraction(1), Fraction(-3, 2), 2):
+            with pytest.raises(ValueError, match="must lie in"):
+                quantum_hurwitz_number("E", q, 1, (2,), (2,))
+        with pytest.raises(ValueError, match="unknown species family"):
+            quantum_hurwitz_number("Q", HALF, 1, (2,), (2,))
+        with pytest.raises(ValueError):
+            quantum_hurwitz_number("E", HALF, -1, (2,), (2,))
+
 
 class TestMultispecies:
     def config(self, n):
@@ -174,3 +212,53 @@ class TestMultispecies:
     def test_degree_count_mismatch(self):
         with pytest.raises(ValueError):
             multispecies_hurwitz_number(self.config(2), (1,), (1, 1), (1, 1))
+
+
+class TestSingleEvaluator:
+    """The per-call weight table against the per-ordered-tuple reference sum."""
+
+    def check(self, species, n, degree_list):
+        config = WeightConfig(species=species, n=n)
+        parts = enumerate_partitions(n)
+        for degrees in degree_list:
+            for mu in parts:
+                for nu in parts:
+                    assert multispecies_hurwitz_number(
+                        config, degrees, mu, nu
+                    ) == reference_hurwitz_number(config, degrees, mu, nu)
+
+    @pytest.mark.parametrize("family, q", [("E", HALF), ("E'", THIRD), ("H", FIFTH)])
+    def test_one_species(self, family, q):
+        for n in range(2, 6):
+            self.check((Species(family, q, 1),), n, [(d,) for d in range(4)])
+
+    def test_two_species(self):
+        species = (Species("E", HALF, 1), Species("H", FIFTH, 2))
+        self.check(species, 4, list(itertools.product(range(3), repeat=2)))
+        species = (Species("E'", THIRD, 1), Species("H", HALF, 2))
+        self.check(species, 5, [(0, 2), (1, 2), (2, 1), (1, 0)])
+
+    def test_three_species(self):
+        species = (Species("E", HALF, 1), Species("E'", THIRD, 2), Species("H", FIFTH, 3))
+        self.check(species, 4, [(0, 0, 0), (1, 0, 1), (0, 2, 1), (1, 1, 1), (2, 1, 0)])
+        self.check(species, 5, [(1, 1, 1), (0, 0, 2)])
+
+    def test_series_parameter(self):
+        species = (Species("E", HALF, 1), Species("H", TruncatedSeries.variable("q", 6), 2))
+        self.check(species, 4, [(0, 0), (0, 2), (1, 2), (2, 1)])
+
+    def test_one_weight_per_colength_multiset(self, monkeypatch):
+        calls = []
+        original = qhurwitz.geometric.symmetrized_weight
+
+        def counting(family, q, colengths):
+            calls.append(tuple(colengths))
+            return original(family, q, colengths)
+
+        monkeypatch.setattr(qhurwitz.geometric, "symmetrized_weight", counting)
+        config = WeightConfig(species=(Species("H", HALF, 1),), n=8)
+        value = multispecies_hurwitz_number(config, (7,), (4, 4), (8,))
+        assert value == Fraction(784217975468992, 78129765)
+        # One call per partition of 7, each colength multiset seen once.
+        assert len(calls) <= 15
+        assert len(set(calls)) == len(calls)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qhurwitz import (
+    CapacityError,
     Species,
     TruncatedSeries,
     WeightConfig,
@@ -260,7 +261,7 @@ class TestVerifyTriangle:
         assert payload["checked"] == report.checked
 
     def test_desk_scale_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):
             verify_triangle(single_species("E", HALF, 6), (1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):
             verify_triangle(single_species("E", HALF, 2), (4,))
