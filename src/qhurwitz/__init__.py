@@ -28,6 +28,7 @@ from .geometric import (
     BranchConfiguration,
     enumerate_factorizations,
     frobenius_hurwitz,
+    multispecies_hurwitz_matrix,
     multispecies_hurwitz_number,
     quantum_hurwitz_number,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "genus_from_branch_data",
     "hook_product",
     "jucys_murphy_eigenvalue_check",
+    "multispecies_hurwitz_matrix",
     "multispecies_hurwitz_number",
     "multispecies_transfer_matrix",
     "parse_partition",

@@ -34,7 +34,7 @@ from .errors import CapacityError, PoleError
 from .geometric import multispecies_hurwitz_number
 from .partitions import enumerate_partitions, format_partition, parse_partition
 from .qweights import Species, WeightConfig, parse_species_flag
-from .tau import tau_coefficients, verify_triangle
+from .tau import check_triangle_bounds, tau_coefficients, verify_triangle
 
 
 def format_rational(value) -> str:
@@ -163,6 +163,7 @@ def _cmd_verify(args) -> int:
     if args.deg_max < 0:
         raise ValueError("--deg-max must be nonnegative")
     maxdeg = (args.deg_max,) * len(species)
+    check_triangle_bounds(args.n_max, maxdeg)
     reports = []
     for n in range(2, args.n_max + 1):
         config = WeightConfig(species=species, n=n)

@@ -25,6 +25,21 @@ The symmetrized branch-point weight of an ordered list of colengths
 with P_s = c_sigma(1) + ... + c_sigma(s) the running partial sums.  These are
 the level sums of the corresponding products: strictly increasing levels from
 0 for E, from 1 for E', weakly increasing levels from 0 for H.
+
+Every summand is a product over the prefixes of the ordering of a factor
+that depends only on the prefix sum P and on whether the prefix is the whole
+list: the E exponent sum_t (k-t) c_sigma(t) is the sum of all prefix sums but
+the last, the E' exponent the sum of all of them.  So the k!-term sum is a
+dynamic program over the sub-multisets S of the colengths, one state per
+prefix content instead of one term per ordering:
+
+    A[{}] = 1,   A[S] = g(sum S, S is everything) * sum_v m_S(v) A[S - v],
+    W = A[all] / k!
+
+where m_S(v) counts the colength v in S (it counts the orderings of equal
+colengths separately) and g(P, last) is 1/(1 - q^P), times q^P for E' always
+and for E except at the last prefix.  The states number prod_v (m_v + 1), so
+seven colengths 1 take 8 states instead of 5040 orderings.
 """
 
 from __future__ import annotations
@@ -170,6 +185,10 @@ def symmetrized_weight(family: str, q, colengths) -> object:
     result is invariant under permutations of ``colengths``.  The empty list
     has weight 1.  Signs are not included here: the H-family geometric sum
     carries its (-1)^(k+d) prefactor separately.
+
+    Evaluated by the sub-multiset dynamic program of the module docstring:
+    each summand depends on the ordering only through its prefix sums, so the
+    sum over orderings is built up one prefix content at a time.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -179,21 +198,23 @@ def symmetrized_weight(family: str, q, colengths) -> object:
     k = len(colengths)
     if k == 0:
         return q**0
-    total = 0
-    for order in itertools.permutations(range(k)):
-        partial = 0
-        denominator = q**0
-        numerator_exp = 0
-        for s, idx in enumerate(order):
-            c = colengths[idx]
-            partial += c
-            denominator = denominator * (1 - q**partial)
-            if family == "E":
-                numerator_exp += (k - 1 - s) * c
-            elif family == "E'":
-                numerator_exp += (k - s) * c
-        total = total + q**numerator_exp * reciprocal(denominator)
-    return total * Fraction(1, factorial(k))
+    values = sorted(set(colengths))
+    full = tuple(colengths.count(v) for v in values)
+    # Lexicographic order lists S - v before S, so every state's
+    # predecessors are filled in when it is reached.
+    states = itertools.product(*(range(m + 1) for m in full))
+    table = {next(states): q**0}
+    for counts in states:
+        inner = 0
+        for i, m in enumerate(counts):
+            if m:
+                inner = inner + m * table[counts[:i] + (m - 1,) + counts[i + 1:]]
+        partial = sum(m * v for m, v in zip(counts, values))
+        factor = reciprocal(1 - q**partial)
+        if family == "E'" or (family == "E" and counts != full):
+            factor = q**partial * factor
+        table[counts] = inner * factor
+    return table[full] * Fraction(1, factorial(k))
 
 
 def bose_factor(q, c: int):

@@ -176,6 +176,20 @@ TRIANGLE_N_LIMIT = 5
 TRIANGLE_DEGREE_LIMIT = 3
 
 
+def check_triangle_bounds(n: int, maxdeg: tuple[int, ...]) -> None:
+    """Raise CapacityError past the desk-scale bounds of verify_triangle.
+
+    The degree bound is checked first: a suite over n = 2..n_max meets it at
+    its first n.
+    """
+    if any(m > TRIANGLE_DEGREE_LIMIT for m in maxdeg):
+        raise CapacityError(
+            f"triangle verification is limited to slot degrees <= {TRIANGLE_DEGREE_LIMIT}"
+        )
+    if n > TRIANGLE_N_LIMIT:
+        raise CapacityError(f"triangle verification is limited to n <= {TRIANGLE_N_LIMIT}")
+
+
 def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleReport:
     """Compare the geometric, combinatorial and tau pipelines entrywise.
 
@@ -184,26 +198,22 @@ def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleRe
     the branch-configuration sums at desk scale; past them CapacityError.
     """
     from .combinatorial import multispecies_transfer_matrix
-    from .geometric import multispecies_hurwitz_number
+    from .geometric import multispecies_hurwitz_matrix
 
     maxdeg = tuple(int(m) for m in maxdeg)
-    if config.n > TRIANGLE_N_LIMIT:
-        raise CapacityError(f"triangle verification is limited to n <= {TRIANGLE_N_LIMIT}")
-    if any(m > TRIANGLE_DEGREE_LIMIT for m in maxdeg):
-        raise CapacityError(
-            f"triangle verification is limited to slot degrees <= {TRIANGLE_DEGREE_LIMIT}"
-        )
+    check_triangle_bounds(config.n, maxdeg)
     table = tau_coefficients(config, maxdeg)
     parts = enumerate_partitions(config.n)
     checked = 0
     discrepancies = []
     for degrees in itertools.product(*(range(m + 1) for m in maxdeg)):
         matrix = multispecies_transfer_matrix(config, degrees)
+        geometric = multispecies_hurwitz_matrix(config, degrees)
         for mu in parts:
             for nu in parts:
                 tau_value = table.entry(degrees, mu, nu)
                 comb_value = matrix.hurwitz_entry(mu, nu)
-                geom_value = multispecies_hurwitz_number(config, degrees, mu, nu)
+                geom_value = geometric[(mu, nu)]
                 checked += 1
                 if not (tau_value == comb_value == geom_value):
                     discrepancies.append(

@@ -1,8 +1,10 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import qhurwitz.tau
 from qhurwitz.cli import main
 
 
@@ -39,6 +41,27 @@ class TestCompute:
         assert code == 0
         record = json.loads(out)
         assert record == {"n": 2, "mu": "1,1", "nu": "2", "degrees": [1], "value": "1/1"}
+
+    def test_one_sheet_at_large_degree_is_zero(self, capsys):
+        start = time.perf_counter()
+        code, out = run_cli(
+            capsys,
+            "compute", "geometric", "--n", "1", "--mu", "1", "--nu", "1",
+            "--species", "E:q=1/2", "--degrees", "60",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert json.loads(out)["value"] == "0/1"
+
+    def test_huge_geometric_degree_is_capacity_error(self, capsys):
+        start = time.perf_counter()
+        code = main(["compute", "geometric", "--n", "2", "--mu", "2", "--nu", "2",
+                     "--species", "E:q=1/2", "--degrees", "99999999999"])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "geometric sum costs about" in captured.err
 
     def test_combinatorial_agrees_with_geometric(self, capsys):
         args = [
@@ -139,6 +162,24 @@ class TestVerify:
                          "--species", "E:q=1/2"])
             assert code == 3
             assert "triangle verification is limited" in capsys.readouterr().err
+
+    def test_triangle_bound_checked_before_any_work(self, capsys, monkeypatch):
+        calls = []
+        original = qhurwitz.tau.tau_coefficients
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qhurwitz.tau, "tau_coefficients", counting)
+        code, out = run_cli(
+            capsys,
+            "verify", "triangle", "--n-max", "6", "--deg-max", "3",
+            "--species", "E:q=1/2", "--species", "H:p=1/5",
+        )
+        assert code == 3
+        assert out == ""
+        assert calls == []
 
 
 class TestOracle:

@@ -15,12 +15,20 @@ from qhurwitz import (
     colength,
     enumerate_factorizations,
     enumerate_partitions,
+    character_table,
     frobenius_hurwitz,
+    multispecies_hurwitz_matrix,
     multispecies_hurwitz_number,
     quantum_hurwitz_number,
     symmetrized_weight,
+    verify_triangle,
 )
-from qhurwitz.geometric import _profile_tuples
+from qhurwitz.geometric import (
+    GEOMETRIC_COST_LIMIT,
+    _geometric_cost,
+    _profile_tuples,
+    _tuple_count,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -47,6 +55,23 @@ def reference_hurwitz_number(config, degrees, mu, nu):
             weight = weight * w
         extra = tuple(sorted(itertools.chain(*combo), reverse=True))
         total = total + weight * frobenius_hurwitz(BranchConfiguration(n, extra, mu, nu))
+    return total
+
+
+def reference_frobenius(config):
+    """Covering count by the character sum with one Fraction per factor."""
+    tbl = character_table(config.n)
+    i_mu = tbl.index(config.mu)
+    i_nu = tbl.index(config.nu)
+    extra = [tbl.index(p) for p in config.extra_profiles]
+    k = len(extra)
+    total = Fraction(0)
+    for row, hook in zip(tbl.values, tbl.hook_products):
+        term = Fraction(hook**k * row[i_mu] * row[i_nu],
+                        tbl.centralizer_orders[i_mu] * tbl.centralizer_orders[i_nu])
+        for idx in extra:
+            term *= Fraction(row[idx], tbl.centralizer_orders[idx])
+        total += term
     return total
 
 
@@ -102,6 +127,17 @@ class TestFrobeniusHurwitz:
         with pytest.raises(CapacityError):
             enumerate_factorizations(BranchConfiguration(7, (), (7,), (7,)))
 
+    def test_integer_sum_matches_fraction_per_term(self):
+        for n in range(1, 7):
+            parts = enumerate_partitions(n)
+            profiles = [p for p in parts if colength(p)]
+            for k in range(3):
+                for extra in itertools.combinations_with_replacement(profiles, k):
+                    for mu in parts:
+                        for nu in parts:
+                            config = BranchConfiguration(n, extra, mu, nu)
+                            assert frobenius_hurwitz(config) == reference_frobenius(config)
+
 
 class TestProfileTuples:
     def test_degree_zero_is_empty_tuple(self):
@@ -110,6 +146,53 @@ class TestProfileTuples:
     def test_small_scan(self):
         assert set(_profile_tuples(3, 1)) == {((2, 1),)}
         assert set(_profile_tuples(3, 2)) == {((3,),), ((2, 1), (2, 1))}
+
+    def test_one_sheet_has_no_profiles(self):
+        assert _profile_tuples(1, 0) == ((),)
+        assert _profile_tuples(1, 60) == ()
+        assert _tuple_count(1, 10**12) == 0
+
+    def test_count_matches_enumeration(self):
+        for n in range(1, 7):
+            for total in range(7):
+                tuples = _profile_tuples(n, total)
+                assert _tuple_count(n, total) == len(tuples) == len(set(tuples))
+                for profiles in tuples:
+                    assert sum(colength(p) for p in profiles) == total
+                    assert all(sum(p) == n and colength(p) for p in profiles)
+
+
+class TestGeometricCost:
+    def config(self, n, *species):
+        return WeightConfig(species=species, n=n)
+
+    def test_estimates(self):
+        h = Species("H", HALF, 1)
+        # Ordered profile tuples times the degree: 389 tuples for n=8, d=7.
+        assert _geometric_cost(self.config(8, h), (7,)) == 389 * 7
+        assert _geometric_cost(self.config(12, h), (12,)) == 59959 * 12
+        # n = 2 has one tuple at every degree; the weight bits bound it.
+        assert _geometric_cost(self.config(2, h), (300,)) == 2 * 300**2
+        assert _geometric_cost(
+            self.config(2, Species("H", Fraction(999, 1000), 1)), (300,)
+        ) == 10 * 300**2
+        assert _geometric_cost(self.config(1, h), (10**12,)) == 0
+        assert _geometric_cost(self.config(1, h), (0,)) == 1
+
+    def test_over_the_limit_is_capacity_error(self):
+        h = Species("H", HALF, 1)
+        for n, d in ((2, 99999999999), (2, 10**6), (12, 13), (3, 40)):
+            config = self.config(n, h)
+            assert _geometric_cost(config, (d,)) > GEOMETRIC_COST_LIMIT
+            with pytest.raises(CapacityError, match="geometric sum costs about"):
+                multispecies_hurwitz_number(config, (d,), (n,), (n,))
+            with pytest.raises(CapacityError, match="geometric sum costs about"):
+                multispecies_hurwitz_matrix(config, (d,))
+
+    def test_one_sheet_is_zero_at_any_positive_degree(self):
+        config = self.config(1, Species("E", HALF, 1))
+        assert multispecies_hurwitz_number(config, (60,), (1,), (1,)) == 0
+        assert multispecies_hurwitz_number(config, (0,), (1,), (1,)) == 1
 
 
 class TestQuantumHurwitzNumber:
@@ -262,3 +345,48 @@ class TestSingleEvaluator:
         # One call per partition of 7, each colength multiset seen once.
         assert len(calls) <= 15
         assert len(set(calls)) == len(calls)
+
+
+class TestMatrix:
+    """One branch-weight pass per multidegree against the single entries."""
+
+    def check(self, species, n, degree_list):
+        config = WeightConfig(species=species, n=n)
+        parts = enumerate_partitions(n)
+        for degrees in degree_list:
+            matrix = multispecies_hurwitz_matrix(config, degrees)
+            assert set(matrix) == {(mu, nu) for mu in parts for nu in parts}
+            for (mu, nu), value in matrix.items():
+                assert value == multispecies_hurwitz_number(config, degrees, mu, nu)
+
+    def test_one_species(self):
+        for family, q in (("E", HALF), ("E'", THIRD), ("H", FIFTH)):
+            for n in range(1, 6):
+                self.check((Species(family, q, 1),), n, [(d,) for d in range(4)])
+
+    def test_two_species(self):
+        species = (Species("E", HALF, 1), Species("H", FIFTH, 2))
+        for n in range(1, 6):
+            self.check(species, n, list(itertools.product(range(3), repeat=2)))
+
+    def test_validation(self):
+        config = WeightConfig(species=(Species("E", HALF, 1),), n=3)
+        with pytest.raises(ValueError):
+            multispecies_hurwitz_matrix(config, (1, 1))
+        with pytest.raises(ValueError):
+            multispecies_hurwitz_matrix(config, (-1,))
+
+    def test_triangle_weighs_each_colength_multiset_once_per_multidegree(self, monkeypatch):
+        calls = []
+        original = qhurwitz.geometric.symmetrized_weight
+
+        def counting(family, q, colengths):
+            calls.append(tuple(colengths))
+            return original(family, q, colengths)
+
+        monkeypatch.setattr(qhurwitz.geometric, "symmetrized_weight", counting)
+        species = (Species("E", HALF, 1), Species("H", FIFTH, 2))
+        for n in range(2, 6):
+            assert verify_triangle(WeightConfig(species=species, n=n), (3, 3)).ok
+        # One pass per multidegree and species; per (mu, nu) it was 4,704.
+        assert len(calls) <= 192

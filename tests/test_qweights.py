@@ -24,6 +24,28 @@ THIRD = Fraction(1, 3)
 FIFTH = Fraction(1, 5)
 
 
+def reference_symmetrized_weight(family, q, colengths):
+    """The k!-term sum over orderings, term by term, as the weights are defined."""
+    k = len(colengths)
+    if k == 0:
+        return q**0
+    total = 0
+    for order in itertools.permutations(range(k)):
+        partial = 0
+        denominator = q**0
+        numerator_exp = 0
+        for s, idx in enumerate(order):
+            c = colengths[idx]
+            partial += c
+            denominator = denominator * (1 - q**partial)
+            if family == "E":
+                numerator_exp += (k - 1 - s) * c
+            elif family == "E'":
+                numerator_exp += (k - s) * c
+        total = total + q**numerator_exp * reciprocal(denominator)
+    return total * Fraction(1, factorial(k))
+
+
 class TestWeightCoefficient:
     def test_degree_zero_is_one(self):
         for family in ("E", "E'", "H"):
@@ -143,6 +165,31 @@ class TestSymmetrizedWeight:
     def test_rejects_zero_colength(self):
         with pytest.raises(ValueError):
             symmetrized_weight("E", HALF, (0,))
+
+    @pytest.mark.parametrize("q", [HALF, Fraction(-1, 3), Fraction(2, 5)])
+    @pytest.mark.parametrize("family", ["E", "E'", "H"])
+    def test_dynamic_program_matches_permutation_sum(self, family, q):
+        for k in range(6):
+            for colengths in itertools.combinations_with_replacement(range(1, 5), k):
+                assert symmetrized_weight(family, q, colengths) == reference_symmetrized_weight(
+                    family, q, colengths
+                )
+
+    def test_dynamic_program_matches_permutation_sum_in_series_mode(self):
+        q = TruncatedSeries.variable("q", 6)
+        for family in ("E", "E'", "H"):
+            for k in range(5):
+                for colengths in itertools.combinations_with_replacement(range(1, 4), k):
+                    assert symmetrized_weight(
+                        family, q, colengths
+                    ) == reference_symmetrized_weight(family, q, colengths)
+
+    def test_seven_equal_colengths(self):
+        # 5040 orderings, 8 states; all-ones weights are the coefficients.
+        for family in ("E", "E'", "H"):
+            value = symmetrized_weight(family, HALF, (1,) * 7)
+            assert value == reference_symmetrized_weight(family, HALF, (1,) * 7)
+            assert value == weight_coefficient(family, HALF, 7)
 
 
 class TestBoseFactor:
