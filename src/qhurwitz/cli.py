@@ -37,9 +37,22 @@ from .qweights import Species, WeightConfig, parse_species_flag
 from .tau import check_triangle_bounds, tau_coefficients, verify_triangle
 
 
+def _fraction_text(value: Fraction) -> str:
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        # sys.int_max_str_digits guards int() on outside text.  A computed
+        # value is bounded by the cost models instead, so it always prints.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return f"{value.numerator}/{value.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def format_rational(value) -> str:
-    value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    return _fraction_text(Fraction(value))
 
 
 def _parse_species_list(texts: list[str]) -> tuple[Species, ...]:
@@ -107,6 +120,40 @@ def _records_to_csv(records: list[dict], columns: list[str]) -> str:
     return buffer.getvalue()
 
 
+def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
+    """Write the table's records to stdout in the order of table.entries.
+
+    That order is multidegree, then mu, then nu, each in canonical order.  The
+    JSON text is json.dumps(records, indent=2, sort_keys=True) of the scalar
+    records, built from a fixed template: the keys are fixed, and every
+    string is a partition label or "a/b" text, which JSON never escapes.
+    """
+    labels = {p: format_partition(p) for p in enumerate_partitions(table.n)}
+    rows = (
+        (degrees, labels[mu], labels[nu], _fraction_text(value))
+        for (degrees, mu, nu), value in table.entries.items()
+        if (mu_filter is None or mu == mu_filter) and (nu_filter is None or nu == nu_filter)
+    )
+    if fmt == "csv":
+        degree_text = {degrees: ",".join(map(str, degrees)) for degrees in table.multidegrees()}
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("degrees", "mu", "nu", "value"))
+        writer.writerows((degree_text[degrees], mu, nu, value) for degrees, mu, nu, value in rows)
+        return
+    opening = {
+        degrees: '  {\n    "degrees": [\n      ' + ",\n      ".join(map(str, degrees))
+        + '\n    ],\n    "mu": "'
+        for degrees in table.multidegrees()
+    }
+    n_text = f'",\n    "n": {table.n},\n    "nu": "'
+    sys.stdout.write("[\n")
+    sys.stdout.write(",\n".join(
+        f'{opening[degrees]}{mu}{n_text}{nu}",\n    "value": "{value}"\n  }}'
+        for degrees, mu, nu, value in rows
+    ))
+    sys.stdout.write("\n]\n")
+
+
 def _scalar_record(n, mu, nu, degrees, value) -> dict:
     return {
         "n": n,
@@ -125,25 +172,7 @@ def _cmd_compute(args) -> int:
         table = tau_coefficients(config, maxdeg, shift=args.N)
         mu_filter = _partition_arg(args.mu, args.n, "mu") if args.mu is not None else None
         nu_filter = _partition_arg(args.nu, args.n, "nu") if args.nu is not None else None
-        parts = enumerate_partitions(args.n)
-        records = []
-        for degrees in table.multidegrees():
-            for mu in parts:
-                if mu_filter is not None and mu != mu_filter:
-                    continue
-                for nu in parts:
-                    if nu_filter is not None and nu != nu_filter:
-                        continue
-                    records.append(
-                        _scalar_record(args.n, mu, nu, degrees, table.entry(degrees, mu, nu))
-                    )
-        if args.format == "csv":
-            rows = [
-                {**r, "degrees": ",".join(str(d) for d in r["degrees"])} for r in records
-            ]
-            _emit(_records_to_csv(rows, ["degrees", "mu", "nu", "value"]))
-        else:
-            _emit_json(records)
+        _write_tau_table(table, mu_filter, nu_filter, args.format)
         return 0
     mu = _partition_arg(args.mu, args.n, "mu")
     nu = _partition_arg(args.nu, args.n, "nu")

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .characters import character_table, spectral_sum
 from .errors import CapacityError
@@ -48,7 +48,7 @@ from .partitions import (
 from .qweights import FAMILIES, Species, WeightConfig, weight_coefficient
 from .series import TruncatedSeries
 from .sn import algebra_mul, symmetric_group
-from .tau import content_product_coeffs
+from .tau import check_spectral_cost, species_content_coeffs
 
 #: Brute-force path enumeration bounds ((n choose 2)^d sequences).
 PATH_LIMIT_N = 5
@@ -196,7 +196,11 @@ def multispecies_transfer_matrix(config: WeightConfig, degrees: tuple[int, ...])
         raise ValueError("degree must be nonnegative")
     parts = tuple(enumerate_partitions(config.n))
     tbl = character_table(config.n)
-    eigenvalues = [content_product_coeffs(config, lam, degrees)[degrees] for lam in parts]
+    check_spectral_cost(config, degrees, 1)
+    eigenvalues = [
+        prod(species_content_coeffs(s, lam, d)[d] for s, d in zip(config.species, degrees))
+        for lam in parts
+    ]
     return TransferMatrix(
         n=config.n,
         partitions=parts,

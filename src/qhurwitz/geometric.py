@@ -185,13 +185,7 @@ def _geometric_cost(config: WeightConfig, degrees: tuple[int, ...]) -> int:
     no profile tuple at all (n = 1, a positive degree) costs nothing.
     """
     n = config.n
-    bits = 0
-    for species, c in zip(config.species, degrees):
-        q = species.parameter
-        size = 1
-        if isinstance(q, Fraction):
-            size = max(q.numerator.bit_length(), q.denominator.bit_length())
-        bits += size * c * c
+    bits = sum(species.bits * c * c for species, c in zip(config.species, degrees))
     if n >= 2 and bits > GEOMETRIC_COST_LIMIT:
         return bits
     terms = prod(_tuple_count(n, c) for c in degrees)

@@ -96,6 +96,18 @@ class Species:
     def describe(self) -> str:
         return f"{self.family}:{self.label}={self.parameter}"
 
+    @property
+    def bits(self) -> int:
+        """Bit length of the larger term of a rational parameter, 1 for a series.
+
+        The exact weights up to degree d grow to about bits * d^2 bits, which
+        the cost models of the pipelines bound.
+        """
+        q = self.parameter
+        if isinstance(q, Fraction):
+            return max(q.numerator.bit_length(), q.denominator.bit_length())
+        return 1
+
 
 @dataclass(frozen=True)
 class WeightConfig:

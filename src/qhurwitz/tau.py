@@ -18,6 +18,11 @@ Multidegree truncation is a hard rectangular bound per slot.  The shift
 defaults to 0, which is the value at which the coefficients are Hurwitz
 numbers; nonzero shifts are supported for the content products and tables
 only, with no enumerative meaning claimed.
+
+A table or transfer matrix whose estimated cost (kernel products, or the
+Fraction products of its content coefficients scaled by their bit size)
+exceeds SPECTRAL_COST_LIMIT raises CapacityError before any content
+coefficient is computed.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .partitions import (
     contents,
     enumerate_partitions,
     format_partition,
+    partition_count,
 )
 from .qweights import Species, WeightConfig, weight_coefficient
 from .series import poly_mul
@@ -79,6 +85,49 @@ def content_product_coeffs(
         degrees: prod(per_species[s][d] for s, d in enumerate(degrees))
         for degrees in itertools.product(*(range(m + 1) for m in maxdeg))
     }
+
+
+#: Largest spectral_cost a tau table or transfer matrix may have.
+SPECTRAL_COST_LIMIT = 10**7
+
+
+def spectral_cost(
+    config: WeightConfig, maxdeg: tuple[int, ...], blocks: int, shift: int = 0
+) -> int:
+    """Work estimate, in kernel products, of blocks spectral_sum calls up to maxdeg.
+
+    products * (1 + bits / 2^13)^2, where products counts
+      * blocks * p(n)^3 integer products of the kernel, and
+      * p(n) * (16 (n - 2)^+ + 1) * sum_s (d_s + 1)^2 Fraction products that
+        build the content coefficients: per shape and species, about d^2
+        for the weights and, past the first nonzero content, d^2 per cell
+        for the polynomial products, each about 16 kernel products;
+    and bits = sum_s d_s * (b_s * d_s + bit length of |shift| + n) is about
+    the size of the largest coefficient: b_s * d_s^2 from the weights
+    (Species.bits) and d_s factors of a shifted content.  Arithmetic on
+    such numbers grows with the square of their size (the gcds of Fraction).
+    The constants are fitted to measured times of tau_coefficients.
+    """
+    n = config.n
+    parts = partition_count(n)
+    content_bits = (abs(shift) + n).bit_length()
+    bits = sum(s.bits * d * d + d * content_bits for s, d in zip(config.species, maxdeg))
+    products = blocks * parts**3 + parts * (16 * max(0, n - 2) + 1) * sum(
+        (d + 1) ** 2 for d in maxdeg
+    )
+    return products * (2**13 + bits) ** 2 // 2**26
+
+
+def check_spectral_cost(
+    config: WeightConfig, maxdeg: tuple[int, ...], blocks: int, shift: int = 0
+) -> None:
+    """Raise CapacityError when spectral_cost exceeds SPECTRAL_COST_LIMIT."""
+    cost = spectral_cost(config, maxdeg, blocks, shift)
+    if cost > SPECTRAL_COST_LIMIT:
+        raise CapacityError(
+            f"spectral sum costs about {cost} (kernel products), "
+            f"over the limit of {SPECTRAL_COST_LIMIT}"
+        )
 
 
 def schur_to_powersum(lam: Partition) -> dict[Partition, Fraction]:
@@ -131,8 +180,11 @@ def tau_coefficients(
     maxdeg = tuple(int(m) for m in maxdeg)
     if any(m < 0 for m in maxdeg):
         raise ValueError("maxdeg bounds must be nonnegative")
+    if len(maxdeg) != len(config.species):
+        raise ValueError("maxdeg must have one bound per species")
     parts = enumerate_partitions(config.n)
     tbl = character_table(config.n)
+    check_spectral_cost(config, maxdeg, prod(m + 1 for m in maxdeg), shift)
     coeff_tables = [content_product_coeffs(config, lam, maxdeg, shift) for lam in parts]
     entries = {}
     for degrees in itertools.product(*(range(m + 1) for m in maxdeg)):

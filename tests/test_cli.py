@@ -1,17 +1,69 @@
+import csv
+import hashlib
+import io
 import json
+import shlex
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import qhurwitz.tau
-from qhurwitz.cli import main
+from qhurwitz import WeightConfig, enumerate_partitions, format_partition, tau_coefficients
+from qhurwitz.cli import _parse_degree_blocks, _parse_species_list, format_rational, main
+
+ROOT = Path(__file__).resolve().parent.parent
+PINS = json.loads((ROOT / "bench" / "pins.json").read_text())
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def reference_tau_output(table, mu_filter, nu_filter, fmt):
+    """The record-dict path the table writer replaced, kept as its reference.
+
+    One scalar record per entry through json.dumps(indent=2, sort_keys=True),
+    or the records rebuilt into CSV rows with the degrees joined by commas.
+    """
+    parts = enumerate_partitions(table.n)
+    records = []
+    for degrees in table.multidegrees():
+        for mu in parts:
+            if mu_filter is not None and mu != mu_filter:
+                continue
+            for nu in parts:
+                if nu_filter is not None and nu != nu_filter:
+                    continue
+                records.append({
+                    "n": table.n,
+                    "mu": format_partition(mu),
+                    "nu": format_partition(nu),
+                    "degrees": list(degrees),
+                    "value": format_rational(table.entry(degrees, mu, nu)),
+                })
+    if fmt == "json":
+        return json.dumps(records, indent=2, sort_keys=True) + "\n"
+    columns = ["degrees", "mu", "nu", "value"]
+    rows = [{**r, "degrees": ",".join(str(d) for d in r["degrees"])} for r in records]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([row[c] for c in columns])
+    return buffer.getvalue()
+
+
+#: Species flags and the --maxdeg string of one, two and three species.
+TAU_SPECIES = (
+    (("E:q=1/2",), "2"),
+    (("E':q=-1/3", "H:p=1/5"), "1;2"),
+    (("E:q=2/5", "E':p=1/3", "H:r=-1/2"), "1,1;1"),
+)
 
 
 class TestChartable:
@@ -143,6 +195,78 @@ class TestCompute:
         assert main(argv + ["--K", "3"]) == 2
 
 
+class TestTauWriter:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("flags,maxdeg", TAU_SPECIES)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_record_path(self, capsys, n, flags, maxdeg, fmt):
+        species = _parse_species_list(list(flags))
+        degrees = _parse_degree_blocks(maxdeg, species)
+        parts = enumerate_partitions(n)
+        middle = parts[len(parts) // 2]
+        filters = [(None, None), (parts[-1], None), (None, parts[0]), (middle, middle)]
+        base = ["compute", "tau", "--n", str(n), "--maxdeg", maxdeg, "--format", fmt]
+        for flag in flags:
+            base += ["--species", flag]
+        for shift in (0, 2):
+            table = tau_coefficients(WeightConfig(species, n), degrees, shift)
+            for mu, nu in filters:
+                argv = base + ["--N", str(shift)]
+                argv += ["--mu", format_partition(mu)] if mu is not None else []
+                argv += ["--nu", format_partition(nu)] if nu is not None else []
+                code, out = run_cli(capsys, *argv)
+                assert code == 0
+                assert out == reference_tau_output(table, mu, nu, fmt)
+
+    @pytest.mark.parametrize("flags,maxdeg", TAU_SPECIES)
+    def test_entries_are_in_output_order(self, flags, maxdeg):
+        species = _parse_species_list(list(flags))
+        table = tau_coefficients(WeightConfig(species, 4), _parse_degree_blocks(maxdeg, species))
+        parts = enumerate_partitions(4)
+        assert list(table.entries) == [
+            (degrees, mu, nu) for degrees in table.multidegrees() for mu in parts for nu in parts
+        ]
+
+    @pytest.mark.parametrize("key", sorted(k for k in PINS if k.startswith("compute tau ")))
+    def test_pinned_bytes(self, capsys, key):
+        code, out = run_cli(capsys, *shlex.split(key))
+        assert [code, hashlib.sha256(out.encode()).hexdigest()] == PINS[key]
+
+
+class TestLargeValues:
+    def test_value_past_int_string_limit_prints(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        args = ["--n", "2", "--mu", "2", "--nu", "2", "--species", "E:q=1/2", "--degrees", "200"]
+        code_geom, out_geom = run_cli(capsys, "compute", "geometric", *args)
+        code_comb, out_comb = run_cli(capsys, "compute", "combinatorial", *args)
+        assert code_geom == code_comb == 0
+        assert out_geom == out_comb
+        assert len(json.loads(out_geom)["value"].split("/")[1]) > 4300
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_huge_integer_argument_is_usage_error(self, capsys):
+        code = main(["compute", "tau", "--n", "9" * 5000, "--species", "E:q=1/2", "--maxdeg", "1"])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestSpectralAdmission:
+    @pytest.mark.parametrize("argv", [
+        ["compute", "tau", "--n", "12", "--species", "H:q=1/2", "--maxdeg", "40"],
+        ["compute", "tau", "--n", "2", "--species", "H:q=1/2", "--maxdeg", "100000"],
+        ["compute", "combinatorial", "--n", "2", "--mu", "2", "--nu", "2",
+         "--species", "E:q=1/2", "--degrees", "5000"],
+    ])
+    def test_refused_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spectral sum costs about" in captured.err
+
+
 class TestVerify:
     def test_triangle_passes_at_desk_scale(self, capsys):
         code, out = run_cli(
@@ -207,7 +331,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "qhurwitz", "chartable", "--n", "3"],
             capture_output=True,
             text=True,
-            cwd=Path(__file__).resolve().parent.parent,
+            cwd=ROOT,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"},
         )
         assert result.returncode == 0

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import qhurwitz.combinatorial as combinatorial_module
+import qhurwitz.tau as tau_module
 from qhurwitz import (
     CapacityError,
     Species,
@@ -14,6 +16,7 @@ from qhurwitz import (
     colength,
     content_product_coeffs,
     enumerate_partitions,
+    multispecies_transfer_matrix,
     quantum_hurwitz_number,
     schur_to_powersum,
     species_content_coeffs,
@@ -265,3 +268,58 @@ class TestVerifyTriangle:
             verify_triangle(single_species("E", HALF, 6), (1,))
         with pytest.raises(CapacityError):
             verify_triangle(single_species("E", HALF, 2), (4,))
+
+
+class TestSpectralCost:
+    #: Largest parameter bit size the benchmark draws (2/5).
+    WIDEST = Fraction(2, 5)
+
+    def config(self, n, count):
+        families = ("E", "H", "E'")
+        species = tuple(Species(families[s], self.WIDEST, s + 1) for s in range(count))
+        return WeightConfig(species, n)
+
+    @pytest.mark.parametrize("n,maxdeg", [
+        (12, (3,)), (10, (2, 2)), (4, (1, 2)), (6, (2,)), (8, (1,)), (10, (2,)), (5, (3, 3)),
+    ])
+    def test_benchmark_tables_admitted(self, n, maxdeg):
+        blocks = 1
+        for m in maxdeg:
+            blocks *= m + 1
+        cost = tau_module.spectral_cost(self.config(n, len(maxdeg)), maxdeg, blocks)
+        assert cost <= tau_module.SPECTRAL_COST_LIMIT
+
+    @pytest.mark.parametrize("n,degrees", [
+        (4, (1, 1)), (6, (2, 1)), (8, (2, 2)), (9, (3,)), (10, (3,)), (11, (4,)), (8, (7,)),
+    ])
+    def test_benchmark_matrices_admitted(self, n, degrees):
+        cost = tau_module.spectral_cost(self.config(n, len(degrees)), degrees, 1)
+        assert cost <= tau_module.SPECTRAL_COST_LIMIT
+
+    def test_estimate_grows_with_shift_and_parameter_size(self):
+        config = single_species("H", HALF, 4)
+        base = tau_module.spectral_cost(config, (20,), 21)
+        assert tau_module.spectral_cost(config, (20,), 21, shift=10**30) > base
+        wide = single_species("H", Fraction(999, 1000), 4)
+        assert tau_module.spectral_cost(wide, (20,), 21) > base
+
+    def test_refused_before_any_content_coefficient(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("content coefficients computed")
+
+        monkeypatch.setattr(tau_module, "content_product_coeffs", counting)
+        monkeypatch.setattr(combinatorial_module, "species_content_coeffs", counting)
+        with pytest.raises(CapacityError, match="spectral sum costs about"):
+            tau_coefficients(single_species("H", HALF, 12), (40,))
+        with pytest.raises(CapacityError, match="spectral sum costs about"):
+            tau_coefficients(single_species("H", HALF, 2), (10**11,))
+        with pytest.raises(CapacityError, match="spectral sum costs about"):
+            multispecies_transfer_matrix(single_species("E", HALF, 2), (5000,))
+        assert calls == []
+
+    def test_one_bound_per_species(self):
+        with pytest.raises(ValueError, match="one bound per species"):
+            tau_coefficients(single_species("H", HALF, 3), (1, 1))
