@@ -56,6 +56,7 @@ from .qweights import (
     quantum_dilog_coeffs,
     symmetrized_weight,
     weight_coefficient,
+    weight_coefficients,
 )
 from .series import TruncatedSeries, poly_exp, poly_inverse, poly_mul, reciprocal
 from .tau import (
@@ -123,4 +124,5 @@ __all__ = [
     "transfer_matrix",
     "verify_triangle",
     "weight_coefficient",
+    "weight_coefficients",
 ]

@@ -118,14 +118,13 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n)
 
 
-def spectral_sum(table: CharacterTable, coeffs, divide_by_z_nu: bool = True):
-    """Matrix over (mu, nu) of sum_lam coeffs[lam] chi_lam(mu) chi_lam(nu) / (z_mu [z_nu]).
+def spectral_sum(table: CharacterTable, coeffs):
+    """Symmetric matrix over (mu, nu) of sum_lam coeffs[lam] chi_lam(mu) chi_lam(nu) / (z_mu z_nu).
 
     coeffs: one per shape in table order, all rational or TruncatedSeries
-    (zeros may be plain 0).  [z_nu] is dropped when divide_by_z_nu is False
-    (transfer-matrix rows).  Per monomial the coeffs go over their lcm
+    (zeros may be plain 0).  Per monomial the coeffs go over their lcm
     denominator D, character columns are dotted in integers for j >= i, and
-    each entry is one Fraction S / (D z_mu [z_nu]).
+    each entry is one Fraction S / (D z_mu z_nu), mirrored to (j, i).
     """
     series = next((c for c in coeffs if isinstance(c, TruncatedSeries)), None)
     monomials: dict[tuple, dict[int, Fraction]] = {}
@@ -142,10 +141,8 @@ def spectral_sum(table: CharacterTable, coeffs, divide_by_z_nu: bool = True):
         for i, row in enumerate(chars):
             weighted = list(map(mul, weights, row))
             for j in range(i, len(z)):
-                total = sum(map(mul, weighted, chars[j]))
-                value = Fraction(total, scale * z[i] * (z[j] if divide_by_z_nu else 1))
-                terms[i][j][expo] = value
-                terms[j][i][expo] = value if divide_by_z_nu or i == j else Fraction(total, scale * z[j])
+                value = Fraction(sum(map(mul, weighted, chars[j])), scale * z[i] * z[j])
+                terms[i][j][expo] = terms[j][i][expo] = value
     if series is None:
         return tuple(tuple(t.get((), Fraction(0)) for t in row) for row in terms)
     return tuple(tuple(TruncatedSeries(series.vars, series.cap, t) for t in row) for row in terms)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -109,15 +108,6 @@ def _emit(text: str) -> None:
 
 def _emit_json(document) -> None:
     _emit(json.dumps(document, indent=2, sort_keys=True))
-
-
-def _records_to_csv(records: list[dict], columns: list[str]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for record in records:
-        writer.writerow([record[c] for c in columns])
-    return buffer.getvalue()
 
 
 def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
@@ -237,11 +227,9 @@ def _cmd_chartable(args) -> int:
     table = character_table(args.n)
     labels = [format_partition(p) for p in table.partitions]
     if args.format == "csv":
-        records = [
-            {"lambda": labels[i], **{labels[j]: table.values[i][j] for j in range(len(labels))}}
-            for i in range(len(labels))
-        ]
-        _emit(_records_to_csv(records, ["lambda"] + labels))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["lambda"] + labels)
+        writer.writerows([label, *row] for label, row in zip(labels, table.values))
     else:
         _emit_json({"n": args.n, "labels": labels, "matrix": [list(row) for row in table.values]})
     return 0

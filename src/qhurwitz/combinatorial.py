@@ -24,8 +24,9 @@ central element, its matrix on the class-sum basis is
     F^c(mu, nu) = sum_lam [u^c] r_lam * chi_lam(mu) chi_lam(nu) / z_mu
 
 with r_lam the content product, and the Hurwitz-normalized entry F^c/z_nu is
-the pipeline-comparison value, summed by ``characters.spectral_sum`` as in the
-tau pipeline.  The matrices commute; multispecies counts multiply eigenvalues.
+the pipeline-comparison value.  ``characters.spectral_sum`` sums that
+symmetric matrix, as in the tau pipeline, and the rows store it times z_nu.
+The matrices commute; multispecies counts multiply eigenvalues.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
 from .characters import character_table, spectral_sum
 from .errors import CapacityError
@@ -45,10 +46,10 @@ from .partitions import (
     contents,
     enumerate_partitions,
 )
-from .qweights import FAMILIES, Species, WeightConfig, weight_coefficient
+from .qweights import FAMILIES, Species, WeightConfig, weight_coefficients
 from .series import TruncatedSeries
 from .sn import algebra_mul, symmetric_group
-from .tau import check_spectral_cost, species_content_coeffs
+from .tau import check_spectral_cost, content_eigenvalues, species_content_coeffs
 
 #: Brute-force path enumeration bounds ((n choose 2)^d sequences).
 PATH_LIMIT_N = 5
@@ -187,7 +188,8 @@ def multispecies_transfer_matrix(config: WeightConfig, degrees: tuple[int, ...])
     """Product of the per-species transfer matrices at the given degrees.
 
     One spectral_sum over the products of the per-species eigenvalues equals
-    the left-to-right ``@`` chain exactly; the factors commute.
+    the left-to-right ``@`` chain exactly; the factors commute.  The rows are
+    the symmetric Hurwitz matrix spectral_sum returns, times z_nu.
     """
     degrees = tuple(int(c) for c in degrees)
     if len(degrees) != len(config.species):
@@ -197,16 +199,17 @@ def multispecies_transfer_matrix(config: WeightConfig, degrees: tuple[int, ...])
     parts = tuple(enumerate_partitions(config.n))
     tbl = character_table(config.n)
     check_spectral_cost(config, degrees, 1)
-    eigenvalues = [
-        prod(species_content_coeffs(s, lam, d)[d] for s, d in zip(config.species, degrees))
-        for lam in parts
-    ]
+    lists = [species_content_coeffs(s, parts, d) for s, d in zip(config.species, degrees)]
+    z = tbl.centralizer_orders
     return TransferMatrix(
         n=config.n,
         partitions=parts,
         degrees=degrees,
         label=" ".join(f"{s.describe()}^{d}" for s, d in zip(config.species, degrees)),
-        rows=spectral_sum(tbl, eigenvalues, divide_by_z_nu=False),
+        rows=tuple(
+            tuple(value * z_nu for value, z_nu in zip(row, z))
+            for row in spectral_sum(tbl, content_eigenvalues(lists, degrees))
+        ),
     )
 
 
@@ -233,13 +236,14 @@ def combinatorial_hurwitz_number(
     if via != "paths":
         raise ValueError(f"unknown route {via!r}")
     counts = path_counts(n, d, mu, nu)
+    weights = weight_coefficients(family, q, d)
     total = 0
     for lam, (_, unrestricted) in counts.items():
         if not unrestricted:
             continue
         weight = 1
         for part in lam:
-            weight = weight * (factorial(part) * weight_coefficient(family, q, part))
+            weight = weight * (factorial(part) * weights[part])
         total = total + weight * unrestricted
     return total * Fraction(1, factorial(d))
 
@@ -270,10 +274,7 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
         expo = tuple(power if i == var_index else 0 for i in range(len(variables)))
         return TruncatedSeries(variables, cap, {expo: 1})
 
-    coeff_lists = [
-        [weight_coefficient(s.family, s.parameter, m) for m in range(cap + 1)]
-        for s in config.species
-    ]
+    coeff_lists = [weight_coefficients(s.family, s.parameter, cap) for s in config.species]
 
     one = TruncatedSeries.one(variables, cap)
     product: dict[int, object] = {group.identity: one}

@@ -49,12 +49,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .series import TruncatedSeries, reciprocal
+from .series import TruncatedSeries, poly_mul, reciprocal
 
 #: Weight generating function families usable as branch-point species.
 FAMILIES = ("E", "E'", "H")
 
-#: Families accepted by weight_coefficient (Q is the single-variable hybrid).
+#: Families accepted by weight_coefficients (Q is the single-variable hybrid).
 COEFFICIENT_FAMILIES = ("E", "E'", "H", "Q")
 
 
@@ -145,42 +145,38 @@ def parse_species_flag(text: str, slot: int) -> Species:
     return Species(family=family, parameter=parse_rational(value), slot=slot, label=label)
 
 
-def _euler_factor(q, m: int):
-    """prod_{j=1}^{m} (1 - q^j)."""
-    acc = q**0
-    for j in range(1, m + 1):
-        acc = acc * (1 - q**j)
-    return acc
-
-
-def weight_coefficient(family: str, params, i: int):
-    """Coefficient of z^i of the named weight generating function.
+def weight_coefficients(family: str, params, maxdeg: int) -> list:
+    """Coefficients of z^0, ..., z^maxdeg of the named weight generating function.
 
     ``params`` is a single scalar for families E, E', H and a (q, p) pair for
-    the hybrid Q.  Works in both scalar modes; a vanishing rational
-    denominator raises PoleError.
+    the hybrid Q.  The Euler product prod_{j<=i} (1 - q^j) grows by one factor
+    per degree; Q is the product of the E series in q and the H series in p.
+    Works in both scalar modes; a vanishing rational denominator raises
+    PoleError.
     """
     if family not in COEFFICIENT_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if i < 0:
+    if maxdeg < 0:
         raise ValueError("coefficient index must be nonnegative")
     if family == "Q":
         q, p = params
-        total = 0
-        for m in range(i + 1):
-            term = (
-                q ** (m * (m - 1) // 2)
-                * reciprocal(_euler_factor(q, m))
-                * reciprocal(_euler_factor(p, i - m))
-            )
-            total = total + term
-        return total
+        return poly_mul(weight_coefficients("E", q, maxdeg), weight_coefficients("H", p, maxdeg), maxdeg)
     q = params[0] if isinstance(params, (tuple, list)) else params
+    euler = q**0
+    coefficients = [reciprocal(euler)]
+    for i in range(1, maxdeg + 1):
+        euler = euler * (1 - q**i)
+        coefficients.append(reciprocal(euler))
     if family == "E":
-        return q ** (i * (i - 1) // 2) * reciprocal(_euler_factor(q, i))
+        return [q ** (i * (i - 1) // 2) * c for i, c in enumerate(coefficients)]
     if family == "E'":
-        return q ** (i * (i + 1) // 2) * reciprocal(_euler_factor(q, i))
-    return reciprocal(_euler_factor(q, i))
+        return [q ** (i * (i + 1) // 2) * c for i, c in enumerate(coefficients)]
+    return coefficients
+
+
+def weight_coefficient(family: str, params, i: int):
+    """Coefficient of z^i of the named weight generating function (see weight_coefficients)."""
+    return weight_coefficients(family, params, i)[i]
 
 
 def quantum_dilog_coeffs(q, degree: int) -> tuple:

@@ -51,10 +51,6 @@ class TruncatedSeries:
         self.coeffs = clean
 
     @classmethod
-    def zero(cls, variables, cap: int) -> "TruncatedSeries":
-        return cls(variables, cap)
-
-    @classmethod
     def one(cls, variables, cap: int) -> "TruncatedSeries":
         variables = tuple(variables)
         return cls(variables, cap, {(0,) * len(variables): 1})
@@ -174,11 +170,6 @@ class TruncatedSeries:
                 break
             acc = acc + power * Fraction(1, factorial(m))
         return acc
-
-    def coefficient(self, exponents) -> Fraction:
-        """Coefficient of a monomial given as {variable: exponent} (others 0)."""
-        expo = tuple(int(exponents.get(v, 0)) for v in self.vars)
-        return self.coeffs.get(expo, Fraction(0))
 
     def evaluate(self, assignments) -> Fraction:
         """Evaluate at rational values for every variable."""

@@ -42,28 +42,43 @@ from .partitions import (
     format_partition,
     partition_count,
 )
-from .qweights import Species, WeightConfig, weight_coefficient
+from .qweights import Species, WeightConfig, weight_coefficients
 from .series import poly_mul
 
 
 def species_content_coeffs(
-    species: Species, lam: Partition, maxdeg: int, shift: int = 0
-) -> list:
-    """Coefficients, up to degree maxdeg, of the single-species content product.
+    species: Species, shapes, maxdeg: int, shift: int = 0
+) -> list[list]:
+    """Coefficients, up to degree maxdeg, of the species' content product of each shape.
 
-    This is the product over cells of G(param, (shift + content) * u) as a
-    univariate polynomial in the species' expansion variable u.  The degree 0
+    One list per shape, in the order of ``shapes``: the product over cells of
+    G(param, (shift + content) * u) as a univariate polynomial in the
+    species' expansion variable u.  The weights are computed once, and each
+    cell factor G(m u) once per distinct shifted content m.  The degree 0
     coefficient is always 1; cells of content -shift contribute nothing.
     """
-    weights = [weight_coefficient(species.family, species.parameter, j) for j in range(maxdeg + 1)]
-    poly = [1] + [0] * maxdeg
-    for c in contents(lam):
-        m = shift + c
-        if m == 0:
-            continue
-        factor = [weights[j] * m**j for j in range(maxdeg + 1)]
-        poly = poly_mul(poly, factor, maxdeg)
-    return poly
+    weights = weight_coefficients(species.family, species.parameter, maxdeg)
+    factors: dict[int, list] = {}
+    lists = []
+    for lam in shapes:
+        poly = [1] + [0] * maxdeg
+        for c in contents(lam):
+            m = shift + c
+            if m == 0:
+                continue
+            if m not in factors:
+                factors[m] = [weights[j] * m**j for j in range(maxdeg + 1)]
+            poly = poly_mul(poly, factors[m], maxdeg)
+        lists.append(poly)
+    return lists
+
+
+def content_eigenvalues(lists: list, degrees: tuple[int, ...]) -> list:
+    """Per shape, the product over species s of lists[s][shape][degrees[s]].
+
+    ``lists`` holds one species_content_coeffs result per species.
+    """
+    return [prod(coeffs[d] for coeffs, d in zip(shape, degrees)) for shape in zip(*lists)]
 
 
 def content_product_coeffs(
@@ -73,14 +88,17 @@ def content_product_coeffs(
 
     Keys run over the whole rectangle of multidegrees componentwise at most
     maxdeg; each species contributes only powers of its own slot variable, so
-    the table is the outer product of the per-species coefficient lists.
+    the table is the outer product of the per-species coefficient lists.  It
+    is the one-shape reference the tests compare the pipelines against.
     """
     lam = check_partition(lam)
     if sum(lam) != config.n:
         raise ValueError(f"lam must be a partition of {config.n}")
     if len(maxdeg) != len(config.species):
         raise ValueError("maxdeg must have one bound per species")
-    per_species = [species_content_coeffs(s, lam, m, shift) for s, m in zip(config.species, maxdeg)]
+    per_species = [
+        species_content_coeffs(s, [lam], m, shift)[0] for s, m in zip(config.species, maxdeg)
+    ]
     return {
         degrees: prod(per_species[s][d] for s, d in enumerate(degrees))
         for degrees in itertools.product(*(range(m + 1) for m in maxdeg))
@@ -101,7 +119,10 @@ def spectral_cost(
       * p(n) * (16 (n - 2)^+ + 1) * sum_s (d_s + 1)^2 Fraction products that
         build the content coefficients: per shape and species, about d^2
         for the weights and, past the first nonzero content, d^2 per cell
-        for the polynomial products, each about 16 kernel products;
+        for the polynomial products, each about 16 kernel products.  The
+        weights are computed once per species, so the per-shape weight term
+        over-estimates; it stays as fitted, which keeps every request's
+        admission, and its refit is an open ROADMAP.md item;
     and bits = sum_s d_s * (b_s * d_s + bit length of |shift| + n) is about
     the size of the largest coefficient: b_s * d_s^2 from the weights
     (Species.bits) and d_s factors of a shifted content.  Arithmetic on
@@ -185,10 +206,10 @@ def tau_coefficients(
     parts = enumerate_partitions(config.n)
     tbl = character_table(config.n)
     check_spectral_cost(config, maxdeg, prod(m + 1 for m in maxdeg), shift)
-    coeff_tables = [content_product_coeffs(config, lam, maxdeg, shift) for lam in parts]
+    lists = [species_content_coeffs(s, parts, m, shift) for s, m in zip(config.species, maxdeg)]
     entries = {}
     for degrees in itertools.product(*(range(m + 1) for m in maxdeg)):
-        for mu, row in zip(parts, spectral_sum(tbl, [c[degrees] for c in coeff_tables])):
+        for mu, row in zip(parts, spectral_sum(tbl, content_eigenvalues(lists, degrees))):
             for nu, value in zip(parts, row):
                 entries[(degrees, mu, nu)] = value
     return HurwitzTable(n=config.n, species=config.species, maxdeg=maxdeg, shift=shift, entries=entries)

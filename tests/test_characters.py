@@ -6,13 +6,14 @@ import pytest
 
 from qhurwitz import (
     CapacityError,
+    TruncatedSeries,
     character_table,
     character_value,
     colength,
     dimension,
     enumerate_partitions,
 )
-from qhurwitz.characters import TABLE_LIMIT
+from qhurwitz.characters import TABLE_LIMIT, spectral_sum
 
 
 class TestCharacterValue:
@@ -117,3 +118,42 @@ class TestDimension:
         assert dimension((2, 1)) == 2
         assert dimension((2, 2)) == 2
         assert dimension((2, 2)) == character_value((2, 2), (1, 1, 1, 1))
+
+
+def reference_transfer_rows(table, coeffs):
+    """Class-basis rows sum_lam c_lam chi_lam(mu) chi_lam(nu) / z_mu, term by term."""
+    size = len(table.partitions)
+    return [
+        [
+            sum(
+                (
+                    coeffs[k] * Fraction(table.values[k][i] * table.values[k][j], table.centralizer_orders[i])
+                    for k in range(size)
+                    if coeffs[k]
+                ),
+                Fraction(0),
+            )
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+
+
+def rational_coeffs(size):
+    return [0 if k % 4 == 3 else Fraction((-1) ** k * (k + 1), 2 * k + 3) for k in range(size)]
+
+
+def series_coeffs(size):
+    q = TruncatedSeries.variable("q", 4)
+    return [Fraction(k + 1, 3) + (-1) ** k * q ** (k % 3 + 1) * Fraction(1, k + 2) for k in range(size)]
+
+
+class TestSpectralSum:
+    @pytest.mark.parametrize("make", [rational_coeffs, series_coeffs])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_times_z_nu_is_the_class_basis_matrix(self, n, make):
+        table = character_table(n)
+        coeffs = make(len(table.partitions))
+        z = table.centralizer_orders
+        scaled = [[value * z[j] for j, value in enumerate(row)] for row in spectral_sum(table, coeffs)]
+        assert scaled == reference_transfer_rows(table, coeffs)

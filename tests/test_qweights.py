@@ -17,6 +17,7 @@ from qhurwitz import (
     reciprocal,
     symmetrized_weight,
     weight_coefficient,
+    weight_coefficients,
 )
 
 HALF = Fraction(1, 2)
@@ -44,6 +45,71 @@ def reference_symmetrized_weight(family, q, colengths):
                 numerator_exp += (k - s) * c
         total = total + q**numerator_exp * reciprocal(denominator)
     return total * Fraction(1, factorial(k))
+
+
+def _euler_factor(q, m):
+    """prod_{j=1}^{m} (1 - q^j), multiplied out from nothing."""
+    acc = q**0
+    for j in range(1, m + 1):
+        acc = acc * (1 - q**j)
+    return acc
+
+
+def reference_weight_coefficient(family, params, i):
+    """The closed form of one coefficient, each Euler product built on its own."""
+    if family == "Q":
+        q, p = params
+        total = 0
+        for m in range(i + 1):
+            total = total + (
+                q ** (m * (m - 1) // 2)
+                * reciprocal(_euler_factor(q, m))
+                * reciprocal(_euler_factor(p, i - m))
+            )
+        return total
+    if family == "E":
+        return params ** (i * (i - 1) // 2) * reciprocal(_euler_factor(params, i))
+    if family == "E'":
+        return params ** (i * (i + 1) // 2) * reciprocal(_euler_factor(params, i))
+    return reciprocal(_euler_factor(params, i))
+
+
+WEIGHT_PARAMETERS = (HALF, Fraction(-1, 3), Fraction(2, 5), Fraction(3, 4))
+
+
+class TestWeightCoefficients:
+    @pytest.mark.parametrize("q", WEIGHT_PARAMETERS)
+    @pytest.mark.parametrize("family", ["E", "E'", "H"])
+    def test_matches_closed_forms(self, family, q):
+        expected = [reference_weight_coefficient(family, q, i) for i in range(16)]
+        assert weight_coefficients(family, q, 15) == expected
+
+    @pytest.mark.parametrize("q", WEIGHT_PARAMETERS)
+    def test_q_hybrid_matches_closed_forms(self, q):
+        for p in WEIGHT_PARAMETERS:
+            expected = [reference_weight_coefficient("Q", (q, p), i) for i in range(16)]
+            assert weight_coefficients("Q", (q, p), 15) == expected
+
+    def test_series_mode_matches_closed_forms(self):
+        q = TruncatedSeries.variable("q", 8)
+        for family in ("E", "E'", "H"):
+            expected = [reference_weight_coefficient(family, q, i) for i in range(16)]
+            assert weight_coefficients(family, q, 15) == expected
+        variables = ("q", "p")
+        pair = (TruncatedSeries.variable("q", 8, variables), TruncatedSeries.variable("p", 8, variables))
+        expected = [reference_weight_coefficient("Q", pair, i) for i in range(16)]
+        assert weight_coefficients("Q", pair, 15) == expected
+
+    def test_validation(self):
+        assert weight_coefficients("H", HALF, 0) == [1]
+        with pytest.raises(ValueError, match="nonnegative"):
+            weight_coefficients("H", HALF, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            weight_coefficient("H", HALF, -1)
+        with pytest.raises(ValueError, match="unknown family"):
+            weight_coefficients("X", HALF, 2)
+        with pytest.raises(PoleError):
+            weight_coefficients("E", Fraction(-1), 3)
 
 
 class TestWeightCoefficient:

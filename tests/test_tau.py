@@ -15,8 +15,10 @@ from qhurwitz import (
     character_table,
     colength,
     content_product_coeffs,
+    contents,
     enumerate_partitions,
     multispecies_transfer_matrix,
+    poly_mul,
     quantum_hurwitz_number,
     schur_to_powersum,
     species_content_coeffs,
@@ -60,30 +62,51 @@ def reference_tau_entries(config, maxdeg, shift=0):
     return entries
 
 
+def reference_species_content_coeffs(species, lam, maxdeg, shift=0):
+    """One shape's content product, cell by cell, with its own weights."""
+    weights = [weight_coefficient(species.family, species.parameter, j) for j in range(maxdeg + 1)]
+    poly = [1] + [0] * maxdeg
+    for c in contents(lam):
+        m = shift + c
+        if m == 0:
+            continue
+        poly = poly_mul(poly, [weights[j] * m**j for j in range(maxdeg + 1)], maxdeg)
+    return poly
+
+
 class TestContentProducts:
     def test_single_cell_vanishes_at_zero_shift(self):
-        coeffs = species_content_coeffs(Species("E", HALF, 1), (1,), 3)
-        assert coeffs == [1, 0, 0, 0]
+        coeffs = species_content_coeffs(Species("E", HALF, 1), [(1,)], 3)
+        assert coeffs == [[1, 0, 0, 0]]
 
     def test_row_two_first_coefficient(self):
-        coeffs = species_content_coeffs(Species("E", HALF, 1), (2,), 2)
+        [coeffs] = species_content_coeffs(Species("E", HALF, 1), [(2,)], 2)
         assert coeffs[1] == weight_coefficient("E", HALF, 1)
 
     def test_column_two_first_coefficient_is_negated(self):
-        coeffs = species_content_coeffs(Species("E", HALF, 1), (1, 1), 2)
+        [coeffs] = species_content_coeffs(Species("E", HALF, 1), [(1, 1)], 2)
         assert coeffs[1] == -weight_coefficient("E", HALF, 1)
 
     def test_nonzero_shift_moves_the_cell(self):
-        coeffs = species_content_coeffs(Species("E", HALF, 1), (1,), 2, shift=1)
+        [coeffs] = species_content_coeffs(Species("E", HALF, 1), [(1,)], 2, shift=1)
         assert coeffs[1] == weight_coefficient("E", HALF, 1)
+
+    @pytest.mark.parametrize("family, q", [("E", HALF), ("E'", Fraction(2, 5)), ("H", -THIRD)])
+    @pytest.mark.parametrize("shift", range(-2, 3))
+    def test_all_shapes_match_reference(self, family, q, shift):
+        species = Species(family, q, 1)
+        for n in range(1, 8):
+            parts = enumerate_partitions(n)
+            expected = [reference_species_content_coeffs(species, lam, 4, shift) for lam in parts]
+            assert species_content_coeffs(species, parts, 4, shift) == expected
 
     def test_multispecies_table_is_outer_product(self):
         config = WeightConfig(
             species=(Species("E", HALF, 1), Species("H", FIFTH, 2)), n=2
         )
         table = content_product_coeffs(config, (2,), (2, 2))
-        left = species_content_coeffs(Species("E", HALF, 1), (2,), 2)
-        right = species_content_coeffs(Species("H", FIFTH, 1), (2,), 2)
+        [left] = species_content_coeffs(Species("E", HALF, 1), [(2,)], 2)
+        [right] = species_content_coeffs(Species("H", FIFTH, 1), [(2,)], 2)
         for i in range(3):
             for j in range(3):
                 assert table[(i, j)] == left[i] * right[j]
@@ -311,6 +334,7 @@ class TestSpectralCost:
             raise AssertionError("content coefficients computed")
 
         monkeypatch.setattr(tau_module, "content_product_coeffs", counting)
+        monkeypatch.setattr(tau_module, "species_content_coeffs", counting)
         monkeypatch.setattr(combinatorial_module, "species_content_coeffs", counting)
         with pytest.raises(CapacityError, match="spectral sum costs about"):
             tau_coefficients(single_species("H", HALF, 12), (40,))
@@ -323,3 +347,36 @@ class TestSpectralCost:
     def test_one_bound_per_species(self):
         with pytest.raises(ValueError, match="one bound per species"):
             tau_coefficients(single_species("H", HALF, 3), (1, 1))
+
+
+class TestOneContentPassPerSpecies:
+    def counted(self, monkeypatch):
+        calls = {"weight_coefficients": 0, "species_content_coeffs": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        weights = counting("weight_coefficients", tau_module.weight_coefficients)
+        content = counting("species_content_coeffs", tau_module.species_content_coeffs)
+        monkeypatch.setattr(tau_module, "weight_coefficients", weights)
+        monkeypatch.setattr(tau_module, "species_content_coeffs", content)
+        monkeypatch.setattr(combinatorial_module, "species_content_coeffs", content)
+        return calls
+
+    CONFIG = WeightConfig(
+        species=(Species("E", HALF, 1), Species("H", FIFTH, 2), Species("E'", THIRD, 3)), n=5
+    )
+
+    def test_tau_coefficients(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        tau_coefficients(self.CONFIG, (2, 1, 1))
+        assert calls == {"weight_coefficients": 3, "species_content_coeffs": 3}
+
+    def test_multispecies_transfer_matrix(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        multispecies_transfer_matrix(self.CONFIG, (2, 1, 1))
+        assert calls == {"weight_coefficients": 3, "species_content_coeffs": 3}
