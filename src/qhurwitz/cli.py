@@ -182,7 +182,7 @@ def _cmd_verify(args) -> int:
     if args.deg_max < 0:
         raise ValueError("--deg-max must be nonnegative")
     maxdeg = (args.deg_max,) * len(species)
-    check_triangle_bounds(args.n_max, maxdeg)
+    check_triangle_bounds(WeightConfig(species=species, n=args.n_max), maxdeg, first_n=2)
     reports = []
     for n in range(2, args.n_max + 1):
         config = WeightConfig(species=species, n=n)

@@ -46,7 +46,7 @@ from .partitions import (
     contents,
     enumerate_partitions,
 )
-from .qweights import FAMILIES, Species, WeightConfig, weight_coefficients
+from .qweights import Species, WeightConfig, weight_coefficients
 from .series import TruncatedSeries
 from .sn import algebra_mul, symmetric_group
 from .tau import check_spectral_cost, content_eigenvalues, species_content_coeffs
@@ -221,22 +221,21 @@ def combinatorial_hurwitz_number(
     via="spectral" reads the Hurwitz-normalized transfer matrix entry (the
     production route); via="paths" runs the brute-force enumeration and
     applies the per-signature weights prod(lam_i! g_{lam_i}) / d! to the
-    unrestricted counts, where g is the family coefficient sequence.
+    unrestricted counts, where g is the family coefficient sequence.  Both
+    routes validate the family and q through the same Species.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    species = Species(family=family, parameter=q, slot=1)
     mu = check_partition(mu)
     nu = check_partition(nu)
     if sum(mu) != sum(nu):
         raise ValueError("mu and nu must have equal weight")
     n = sum(mu)
     if via == "spectral":
-        species = Species(family=family, parameter=q, slot=1)
         return transfer_matrix(species, d, n).hurwitz_entry(mu, nu)
     if via != "paths":
         raise ValueError(f"unknown route {via!r}")
     counts = path_counts(n, d, mu, nu)
-    weights = weight_coefficients(family, q, d)
+    weights = weight_coefficients(species.family, species.parameter, d)
     total = 0
     for lam, (_, unrestricted) in counts.items():
         if not unrestricted:

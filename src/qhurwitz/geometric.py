@@ -17,34 +17,43 @@ Quantum weighted Hurwitz numbers sum this over ORDERED k-tuples of nontrivial
 profiles with fixed total colength d, each tuple carrying the symmetrized
 weight of its colengths; ordered tuples paired with the 1/k!-symmetrized
 weight is the convention forced by exact agreement with the tau-coefficient
-pipeline.  The H family carries the sign (-1)^(k+d); E and E' are unsigned.
-Multispecies sums run the same tuple enumeration independently per species,
+pipeline.  Every ordering of a multiset of profiles has the same weight and
+the same covering count, so the sum runs over multisets, each enumerated
+once and weighed by its number of orderings k!/prod m_P!.  The H family
+carries the sign (-1)^(k+d); E and E' are unsigned.  Multispecies sums run
+the same multiset enumeration independently per species,
 including the empty collection (k_i = 0), which carries weight 1 and is what
 makes zero multidegrees consistent.  A single species is the one-species
 multispecies sum: quantum_hurwitz_number is that call.
 
 The branch weights are summed once per multidegree, not once per (mu, nu):
-the symmetrized weight does not depend on the order of the colengths, so
 each species' signed weight is computed once per sorted colength multiset,
-and the weights of all tuples with the same sorted extra profiles are added
-up before any covering is counted.  multispecies_hurwitz_matrix reuses that
-one table for every (mu, nu).  The leg still counts coverings through
-frobenius_hurwitz, one configuration at a time, and uses neither the
+and the species' profile multisets are merged into one weight per multiset
+of all extra profiles before any covering is counted.  _covering_sums is the
+one evaluator of the character sum: per multiset and call it forms the
+integer vector h_lam^k prod_i chi_lam(mu^i) over shapes and the denominator
+prod_i z_{mu^i} once, and per (mu, nu) one integer dot product with
+chi_lam(mu) chi_lam(nu).  frobenius_hurwitz is its one-multiset, one-pair
+call, multispecies_hurwitz_number its one-pair call and
+multispecies_hurwitz_matrix its all-pairs call.  The leg uses neither the
 spectral kernel characters.spectral_sum nor the content coefficients of the
 tau pipeline, so its agreement with the other two legs stays a check.
 
 A sum whose estimated cost (ordered profile tuples times the degree, or the
 bit size of the exact weights) exceeds GEOMETRIC_COST_LIMIT raises
-CapacityError before any enumeration.
+CapacityError before any enumeration; the ordered tuples are counted, not
+enumerated.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
+from operator import mul
 
 from .characters import character_table
 from .errors import CapacityError
@@ -93,25 +102,45 @@ class BranchConfiguration:
                 raise ValueError("extra profiles must be nontrivial")
 
 
+def _covering_sums(n: int, branch_weights: dict, pairs) -> dict:
+    """{(mu, nu): sum over multisets of weight * covering count of (multiset, mu, nu)}.
+
+    branch_weights maps each multiset of extra profiles to its weight.  Per
+    multiset the integers h_lam^k prod_i chi_lam(mu^i) and the denominator
+    prod_i z_{mu^i} are formed once; per (mu, nu) each multiset adds one
+    Fraction, the integer dot product with chi_lam(mu) chi_lam(nu) over the
+    whole denominator.
+    """
+    tbl = character_table(n)
+    z = tbl.centralizer_orders
+    columns = list(zip(*tbl.values))
+    terms = []
+    for profiles, weight in branch_weights.items():
+        vector = [hook ** len(profiles) for hook in tbl.hook_products]
+        for p in profiles:
+            vector = list(map(mul, vector, columns[tbl.index(p)]))
+        terms.append((weight, vector, prod(z[tbl.index(p)] for p in profiles)))
+    sums = {}
+    for mu, nu in pairs:
+        i, j = tbl.index(mu), tbl.index(nu)
+        chars = list(map(mul, columns[i], columns[j]))
+        total = 0
+        for weight, vector, scale in terms:
+            total = total + weight * Fraction(sum(map(mul, vector, chars)), scale * z[i] * z[j])
+        sums[(mu, nu)] = total
+    return sums
+
+
 @lru_cache(maxsize=None)
 def frobenius_hurwitz(config: BranchConfiguration) -> Fraction:
     """Covering count of the configuration, as a character sum.
 
     Symmetric under permuting the extra profiles and under swapping mu and
     nu.  With no extra profiles this collapses to delta_{mu,nu} / z_mu.  The
-    denominator z_mu z_nu prod_i z_{mu^i} does not depend on lam, so the
-    integer numerators are summed and divided once.
+    one-multiset, one-pair call of _covering_sums.
     """
-    tbl = character_table(config.n)
-    classes = [tbl.index(p) for p in (config.mu, config.nu, *config.extra_profiles)]
-    k = len(classes) - 2
-    numerator = 0
-    for row, hook in zip(tbl.values, tbl.hook_products):
-        term = hook**k
-        for idx in classes:
-            term *= row[idx]
-        numerator += term
-    return Fraction(numerator, prod(tbl.centralizer_orders[idx] for idx in classes))
+    pair = (config.mu, config.nu)
+    return _covering_sums(config.n, {config.extra_profiles: 1}, [pair])[pair]
 
 
 def enumerate_factorizations(config: BranchConfiguration) -> int:
@@ -142,28 +171,36 @@ def enumerate_factorizations(config: BranchConfiguration) -> int:
 
 
 @lru_cache(maxsize=None)
-def _profile_tuples(n: int, total: int) -> tuple[tuple[Partition, ...], ...]:
-    """Ordered tuples of nontrivial profiles of n with colengths summing to total.
+def _profile_tuples(n: int, total: int) -> tuple[tuple[tuple[Partition, ...], int], ...]:
+    """Multisets of nontrivial profiles of n with colengths summing to total.
 
-    Only colengths 1..n-1 have profiles, so no other part is tried; a
-    one-sheeted cover has none at all.
+    Each multiset appears once, as a descending tuple of profiles paired
+    with its number of orderings k!/prod m_P!, m_P the multiplicity of
+    profile P.  Only colengths 1..n-1 have profiles, so no other part is
+    tried; a one-sheeted cover has none at all.
     """
-    if n == 1:
-        return ((),) if total == 0 else ()
-    pools = [partitions_with_colength(n, c) for c in range(1, min(n - 1, total) + 1)]
-    tuples: list[list[tuple[Partition, ...]]] = [[()]]
-    for t in range(1, total + 1):
-        tuples.append([
-            rest + (p,)
-            for c, pool in enumerate(pools[:t], start=1)
-            for rest in tuples[t - c]
-            for p in pool
-        ])
-    return tuple(tuples[total])
+    pool = sorted(
+        ((p, c) for c in range(1, min(n - 1, total) + 1) for p in partitions_with_colength(n, c)),
+        reverse=True,
+    )
+    multisets = []
+    stack = [((), 0, total)]
+    while stack:
+        profiles, start, rest = stack.pop()
+        if rest == 0:
+            orderings = factorial(len(profiles)) // prod(map(factorial, Counter(profiles).values()))
+            multisets.append((profiles, orderings))
+        stack.extend((profiles + (p,), i, rest - c)
+                     for i, (p, c) in enumerate(pool[start:], start) if c <= rest)
+    return tuple(multisets)
 
 
 def _tuple_count(n: int, total: int) -> int:
-    """len(_profile_tuples(n, total)), counted by the same recursion over colengths."""
+    """Ordered profile tuples of n with colength sum total: the orderings of _profile_tuples.
+
+    Counted by a recursion over the colength of the last profile, without
+    enumerating anything.
+    """
     if n == 1:
         return int(total == 0)
     sizes = [len(partitions_with_colength(n, c)) for c in range(1, min(n - 1, total) + 1)]
@@ -193,28 +230,27 @@ def _geometric_cost(config: WeightConfig, degrees: tuple[int, ...]) -> int:
 
 
 def _branch_weights(config: WeightConfig, degrees: tuple[int, ...]) -> dict:
-    """Summed signed weight of every sorted extra-profile tuple.
+    """Summed signed weight of every multiset of extra profiles.
 
-    Every species contributes an independent ordered tuple of nontrivial
-    profiles (possibly empty when its degree is 0) with colength sum equal to
-    its degree, weighted by its symmetrized weight, H-type species carrying
-    their (-1)^(k+degree) signs; the weight depends only on the sorted
-    colengths, so it is computed once per colength multiset.  Ordered tuples
-    with the same profiles are summed per species, and the species are then
-    combined into one weight per sorted multiset of all extra profiles.
+    Every species contributes an independent multiset of nontrivial profiles
+    (empty when its degree is 0) with colength sum equal to its degree,
+    weighted by its number of orderings times its symmetrized weight, H-type
+    species carrying their (-1)^(k+degree) signs; the weight depends only on
+    the sorted colengths, so it is computed once per colength multiset.  The
+    species are then combined into one weight per descending multiset of all
+    extra profiles.
     """
     n = config.n
     combined: dict[tuple[Partition, ...], object] = {(): 1}
     for species, c in zip(config.species, degrees):
         weights: dict[tuple[int, ...], object] = {}
         leg: dict[tuple[Partition, ...], object] = {}
-        for profiles in _profile_tuples(n, c):
+        for profiles, orderings in _profile_tuples(n, c):
             key = tuple(sorted(colength(p) for p in profiles))
             if key not in weights:
                 w = symmetrized_weight(species.family, species.parameter, key)
                 weights[key] = -w if species.family == "H" and (len(key) + c) % 2 else w
-            profiles = tuple(sorted(profiles, reverse=True))
-            leg[profiles] = leg.get(profiles, 0) + weights[key]
+            leg[profiles] = orderings * weights[key]
         merged: dict[tuple[Partition, ...], object] = {}
         for before, w_before in combined.items():
             for profiles, w in leg.items():
@@ -240,14 +276,6 @@ def _admitted_degrees(config: WeightConfig, degrees) -> tuple[int, ...]:
     return degrees
 
 
-def _weighted_count(n: int, branch_weights: dict, mu: Partition, nu: Partition):
-    """Sum of covering counts times branch weights, one configuration each."""
-    total = 0
-    for profiles, weight in branch_weights.items():
-        total = total + weight * frobenius_hurwitz(BranchConfiguration(n, profiles, mu, nu))
-    return total
-
-
 def quantum_hurwitz_number(family: str, q, d: int, mu: Partition, nu: Partition):
     """Weighted count of coverings with total extra colength d, single species.
 
@@ -265,28 +293,26 @@ def multispecies_hurwitz_number(
     """Weighted covering count with per-species colength totals fixed by degrees.
 
     Sums the covering count of every extra-profile multiset times its
-    branch weight (see _branch_weights).  A sum whose _geometric_cost exceeds
-    GEOMETRIC_COST_LIMIT raises CapacityError before any enumeration.
+    branch weight (see _branch_weights), the one-pair call of
+    _covering_sums.  A sum whose _geometric_cost exceeds GEOMETRIC_COST_LIMIT
+    raises CapacityError before any enumeration.
     """
     mu = check_partition(mu)
     nu = check_partition(nu)
     n = config.n
     if sum(mu) != n or sum(nu) != n:
         raise ValueError("mu and nu must be partitions of the configuration degree")
-    degrees = _admitted_degrees(config, degrees)
-    return _weighted_count(n, _branch_weights(config, degrees), mu, nu)
+    branch_weights = _branch_weights(config, _admitted_degrees(config, degrees))
+    return _covering_sums(n, branch_weights, [(mu, nu)])[(mu, nu)]
 
 
 def multispecies_hurwitz_matrix(config: WeightConfig, degrees: tuple[int, ...]) -> dict:
     """multispecies_hurwitz_number for every pair (mu, nu) of partitions of n.
 
-    Returns {(mu, nu): value}; the branch weights are summed once for all
-    pairs.  Same cost limit as the single entry.
+    Returns {(mu, nu): value}; the branch weights are summed, and each
+    multiset's character vector formed, once for all pairs.  Same cost limit
+    as the single entry.
     """
     branch_weights = _branch_weights(config, _admitted_degrees(config, degrees))
     parts = enumerate_partitions(config.n)
-    return {
-        (mu, nu): _weighted_count(config.n, branch_weights, mu, nu)
-        for mu in parts
-        for nu in parts
-    }
+    return _covering_sums(config.n, branch_weights, itertools.product(parts, repeat=2))

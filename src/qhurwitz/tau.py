@@ -28,7 +28,7 @@ coefficient is computed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
 
@@ -249,32 +249,62 @@ TRIANGLE_N_LIMIT = 5
 TRIANGLE_DEGREE_LIMIT = 3
 
 
-def check_triangle_bounds(n: int, maxdeg: tuple[int, ...]) -> None:
-    """Raise CapacityError past the desk-scale bounds of verify_triangle.
+def check_triangle_bounds(
+    config: WeightConfig, maxdeg: tuple[int, ...], first_n: int | None = None
+) -> None:
+    """Raise CapacityError past the bounds of a triangle suite over n = first_n..config.n.
 
-    The degree bound is checked first: a suite over n = 2..n_max meets it at
-    its first n.
+    first_n defaults to config.n, the one n of a verify_triangle call.  The
+    degree bound is checked first, so a suite meets it at its first n; then
+    n; then the legs' own estimates summed over the suite: _geometric_cost
+    of every multidegree against GEOMETRIC_COST_LIMIT, and spectral_cost of
+    every tau table and transfer matrix against SPECTRAL_COST_LIMIT.  The
+    tables are counted first and the sums checked as they grow, so a suite
+    of many species is refused without walking its multidegrees.
     """
+    from .geometric import GEOMETRIC_COST_LIMIT, _geometric_cost
+
     if any(m > TRIANGLE_DEGREE_LIMIT for m in maxdeg):
         raise CapacityError(
             f"triangle verification is limited to slot degrees <= {TRIANGLE_DEGREE_LIMIT}"
         )
-    if n > TRIANGLE_N_LIMIT:
+    if config.n > TRIANGLE_N_LIMIT:
         raise CapacityError(f"triangle verification is limited to n <= {TRIANGLE_N_LIMIT}")
+    first_n = config.n if first_n is None else first_n
+    suite = [replace(config, n=n) for n in range(first_n, config.n + 1)]
+    estimates = itertools.chain(
+        ((0, spectral_cost(c, maxdeg, prod(m + 1 for m in maxdeg))) for c in suite),
+        (
+            (_geometric_cost(c, degrees), spectral_cost(c, degrees, 1))
+            for c in suite
+            for degrees in itertools.product(*(range(m + 1) for m in maxdeg))
+        ),
+    )
+    geometric = spectral = 0
+    for geometric_term, spectral_term in estimates:
+        geometric += geometric_term
+        spectral += spectral_term
+        if geometric > GEOMETRIC_COST_LIMIT or spectral > SPECTRAL_COST_LIMIT:
+            raise CapacityError(
+                f"triangle suite costs at least {geometric} (profile-tuple terms or weight "
+                f"bits) and {spectral} (kernel products), over the limit of "
+                f"{GEOMETRIC_COST_LIMIT} or {SPECTRAL_COST_LIMIT}"
+            )
 
 
 def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleReport:
     """Compare the geometric, combinatorial and tau pipelines entrywise.
 
     Exact rational equality is demanded; any discrepancy is reported, not
-    raised.  Bounds: n at most 5 and every slot degree at most 3, which keeps
-    the branch-configuration sums at desk scale; past them CapacityError.
+    raised.  Bounds: n at most 5, every slot degree at most 3 and the summed
+    cost estimates of check_triangle_bounds, which keep the three legs at
+    desk scale; past them CapacityError.
     """
     from .combinatorial import multispecies_transfer_matrix
     from .geometric import multispecies_hurwitz_matrix
 
     maxdeg = tuple(int(m) for m in maxdeg)
-    check_triangle_bounds(config.n, maxdeg)
+    check_triangle_bounds(config, maxdeg)
     table = tau_coefficients(config, maxdeg)
     parts = enumerate_partitions(config.n)
     checked = 0

@@ -32,7 +32,7 @@ from qhurwitz import (
     verify_triangle,
     weight_coefficient,
 )
-from qhurwitz.geometric import _profile_tuples
+from test_geometric import reference_profile_tuples
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -74,7 +74,7 @@ def test_criterion_2_frobenius_vs_brute_force():
         tuples = [
             extra
             for total in range(0, 4)
-            for extra in _profile_tuples(n, total)
+            for extra in reference_profile_tuples(n, total)
             if len(extra) <= 3
         ]
         for extra in tuples:

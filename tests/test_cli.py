@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import qhurwitz.cli
 import qhurwitz.tau
 from qhurwitz import WeightConfig, enumerate_partitions, format_partition, tau_coefficients
 from qhurwitz.cli import _parse_degree_blocks, _parse_species_list, format_rational, main
@@ -304,6 +305,25 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert calls == []
+
+    @pytest.mark.parametrize("species, deg_max", [
+        # The fifth species puts n = 4 and n = 5 each past the geometric limit.
+        (("E:q=1/2", "E:q=1/3", "H:q=1/5", "H:q=1/7", "H:q=1/11"), "3"),
+        # Each n alone is admitted; n = 2..5 together pass the spectral limit.
+        (("E:q=1/2", "E:q=1/3", "H:q=1/5", "H:q=1/7", "H:q=1/11", "E:q=1/13"), "2"),
+    ])
+    def test_suite_cost_checked_before_any_work(self, capsys, monkeypatch, species, deg_max):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_triangle called for a refused suite")
+
+        monkeypatch.setattr(qhurwitz.cli, "verify_triangle", refuse)
+        argv = ["verify", "triangle", "--n-max", "5", "--deg-max", deg_max]
+        for text in species:
+            argv += ["--species", text]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: triangle suite costs at least")
 
 
 class TestOracle:

@@ -224,6 +224,15 @@ class TestCombinatorialHurwitzNumber:
                         family, q, d, mu, nu, via="paths"
                     )
 
+    def test_both_routes_validate_family_and_parameter(self):
+        for family, q in (("H", Fraction(2)), ("E", Fraction(-1)), ("E'", 1), ("Q", HALF)):
+            messages = []
+            for via in ("paths", "spectral"):
+                with pytest.raises(ValueError) as caught:
+                    combinatorial_hurwitz_number(family, q, 2, (2, 1), (2, 1), via=via)
+                messages.append(str(caught.value))
+            assert messages[0] == messages[1]
+
     def test_unknown_route(self):
         with pytest.raises(ValueError):
             combinatorial_hurwitz_number("E", HALF, 1, (2,), (2,), via="guess")

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -19,12 +20,14 @@ from qhurwitz import (
     frobenius_hurwitz,
     multispecies_hurwitz_matrix,
     multispecies_hurwitz_number,
+    partitions_with_colength,
     quantum_hurwitz_number,
     symmetrized_weight,
     verify_triangle,
 )
 from qhurwitz.geometric import (
     GEOMETRIC_COST_LIMIT,
+    _branch_weights,
     _geometric_cost,
     _profile_tuples,
     _tuple_count,
@@ -33,6 +36,26 @@ from qhurwitz.geometric import (
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 FIFTH = Fraction(1, 5)
+
+
+def reference_profile_tuples(n, total):
+    """Ordered tuples of nontrivial profiles of n with colengths summing to total.
+
+    Built by appending one profile at a time over the colength of the last
+    one; every ordering of a multiset appears separately.
+    """
+    if n == 1:
+        return [()] if total == 0 else []
+    pools = [partitions_with_colength(n, c) for c in range(1, min(n - 1, total) + 1)]
+    tuples = [[()]]
+    for t in range(1, total + 1):
+        tuples.append([
+            rest + (p,)
+            for c, pool in enumerate(pools[:t], start=1)
+            for rest in tuples[t - c]
+            for p in pool
+        ])
+    return tuples[total]
 
 
 def reference_hurwitz_number(config, degrees, mu, nu):
@@ -44,7 +67,7 @@ def reference_hurwitz_number(config, degrees, mu, nu):
     """
     n = config.n
     total = 0
-    for combo in itertools.product(*(_profile_tuples(n, c) for c in degrees)):
+    for combo in itertools.product(*(reference_profile_tuples(n, c) for c in degrees)):
         weight = 1
         for species, c, profiles in zip(config.species, degrees, combo):
             w = symmetrized_weight(
@@ -72,6 +95,14 @@ def reference_frobenius(config):
         for idx in extra:
             term *= Fraction(row[idx], tbl.centralizer_orders[idx])
         total += term
+    return total
+
+
+def reference_weighted_count(n, branch_weights, mu, nu):
+    """Branch weights times reference_frobenius covering counts, one configuration each."""
+    total = 0
+    for profiles, weight in branch_weights.items():
+        total = total + weight * reference_frobenius(BranchConfiguration(n, profiles, mu, nu))
     return total
 
 
@@ -110,7 +141,7 @@ class TestFrobeniusHurwitz:
         for n in (2, 3, 4):
             parts = enumerate_partitions(n)
             for total in range(0, 3):
-                for extra in _profile_tuples(n, total):
+                for extra in reference_profile_tuples(n, total):
                     for mu in parts:
                         for nu in parts:
                             config = BranchConfiguration(n, extra, mu, nu)
@@ -140,26 +171,45 @@ class TestFrobeniusHurwitz:
 
 
 class TestProfileTuples:
+    """Profile multisets with ordering counts against the ordered-tuple reference."""
+
     def test_degree_zero_is_empty_tuple(self):
-        assert _profile_tuples(3, 0) == ((),)
+        assert _profile_tuples(3, 0) == (((), 1),)
 
     def test_small_scan(self):
-        assert set(_profile_tuples(3, 1)) == {((2, 1),)}
-        assert set(_profile_tuples(3, 2)) == {((3,),), ((2, 1), (2, 1))}
+        assert set(_profile_tuples(3, 1)) == {(((2, 1),), 1)}
+        assert set(_profile_tuples(3, 2)) == {(((3,),), 1), (((2, 1), (2, 1)), 1)}
+        assert set(_profile_tuples(4, 3)) == {
+            (((4,),), 1),
+            (((3, 1), (2, 1, 1)), 2),
+            (((2, 2), (2, 1, 1)), 2),
+            (((2, 1, 1),) * 3, 1),
+        }
 
     def test_one_sheet_has_no_profiles(self):
-        assert _profile_tuples(1, 0) == ((),)
+        assert _profile_tuples(1, 0) == (((), 1),)
         assert _profile_tuples(1, 60) == ()
         assert _tuple_count(1, 10**12) == 0
 
     def test_count_matches_enumeration(self):
         for n in range(1, 7):
             for total in range(7):
-                tuples = _profile_tuples(n, total)
-                assert _tuple_count(n, total) == len(tuples) == len(set(tuples))
-                for profiles in tuples:
+                reference = reference_profile_tuples(n, total)
+                multisets = _profile_tuples(n, total)
+                counted = Counter(tuple(sorted(t, reverse=True)) for t in reference)
+                assert dict(multisets) == counted
+                assert len(dict(multisets)) == len(multisets)
+                assert sum(orderings for _, orderings in multisets) == _tuple_count(
+                    n, total
+                ) == len(reference)
+                for profiles, _ in multisets:
+                    assert list(profiles) == sorted(profiles, reverse=True)
                     assert sum(colength(p) for p in profiles) == total
                     assert all(sum(p) == n and colength(p) for p in profiles)
+
+    def test_deep_sum_is_not_recursive(self):
+        # n = 2 has one profile, so d = 1000 is one multiset of 1000 profiles.
+        assert _profile_tuples(2, 1000) == ((((2,),) * 1000, 1),)
 
 
 class TestGeometricCost:
@@ -390,3 +440,47 @@ class TestMatrix:
             assert verify_triangle(WeightConfig(species=species, n=n), (3, 3)).ok
         # One pass per multidegree and species; per (mu, nu) it was 4,704.
         assert len(calls) <= 192
+
+
+class TestCoveringSums:
+    """The one Frobenius core against per-configuration reference counts."""
+
+    def check(self, species, n, degree_list):
+        config = WeightConfig(species=species, n=n)
+        parts = enumerate_partitions(n)
+        for degrees in degree_list:
+            branch_weights = _branch_weights(config, degrees)
+            matrix = multispecies_hurwitz_matrix(config, degrees)
+            for mu in parts:
+                for nu in parts:
+                    expected = reference_weighted_count(n, branch_weights, mu, nu)
+                    assert matrix[(mu, nu)] == expected
+                    assert multispecies_hurwitz_number(config, degrees, mu, nu) == expected
+
+    @pytest.mark.parametrize("family, q", [("E", HALF), ("E'", THIRD), ("H", FIFTH)])
+    def test_one_species(self, family, q):
+        for n in range(1, 6):
+            self.check((Species(family, q, 1),), n, [(d,) for d in range(4)])
+
+    def test_two_species(self):
+        species = (Species("E'", THIRD, 1), Species("H", HALF, 2))
+        for n in range(2, 6):
+            self.check(species, n, [(0, 0), (0, 2), (1, 1), (2, 1), (1, 3)])
+
+    def test_three_species(self):
+        species = (Species("E", HALF, 1), Species("E'", THIRD, 2), Species("H", FIFTH, 3))
+        for n in (3, 5):
+            self.check(species, n, [(0, 0, 0), (1, 0, 1), (0, 2, 1), (1, 1, 1)])
+
+    def test_series_parameter(self):
+        species = (Species("H", TruncatedSeries.variable("q", 6), 1), Species("E", HALF, 2))
+        self.check(species, 4, [(0, 0), (2, 0), (2, 1), (3, 2)])
+
+    def test_pipeline_makes_no_frobenius_hurwitz_call(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("frobenius_hurwitz called on the pipeline path")
+
+        monkeypatch.setattr(qhurwitz.geometric, "frobenius_hurwitz", refuse)
+        config = WeightConfig(species=(Species("E", HALF, 1), Species("H", FIFTH, 2)), n=4)
+        matrix = multispecies_hurwitz_matrix(config, (2, 1))
+        assert multispecies_hurwitz_number(config, (2, 1), (2, 2), (4,)) == matrix[((2, 2), (4,))]

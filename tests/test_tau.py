@@ -18,6 +18,7 @@ from qhurwitz import (
     contents,
     enumerate_partitions,
     multispecies_transfer_matrix,
+    parse_species_flag,
     poly_mul,
     quantum_hurwitz_number,
     schur_to_powersum,
@@ -26,6 +27,7 @@ from qhurwitz import (
     verify_triangle,
     weight_coefficient,
 )
+from qhurwitz.tau import check_triangle_bounds
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -291,6 +293,62 @@ class TestVerifyTriangle:
             verify_triangle(single_species("E", HALF, 6), (1,))
         with pytest.raises(CapacityError):
             verify_triangle(single_species("E", HALF, 2), (4,))
+
+
+def suite_config(texts, n):
+    return WeightConfig(tuple(parse_species_flag(t, i) for i, t in enumerate(texts, 1)), n)
+
+
+FOUR_SPECIES = ("E:q=1/2", "E:q=1/3", "H:q=1/5", "H:q=1/7")
+
+
+class TestTriangleSuiteCost:
+    """Summed geometric and spectral estimates admit or refuse a whole suite."""
+
+    def test_admitted_suites(self):
+        for texts in (("E:q=1/2", "H:p=1/5"), ("H:q=1/2",), FOUR_SPECIES):
+            config = suite_config(texts, 5)
+            check_triangle_bounds(config, (3,) * len(texts), first_n=2)
+            check_triangle_bounds(config, (3,) * len(texts))
+
+    def test_five_species_refused_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tau table built for a refused suite")
+
+        monkeypatch.setattr(tau_module, "tau_coefficients", refuse)
+        config = suite_config(FOUR_SPECIES + ("H:q=1/11",), 5)
+        with pytest.raises(CapacityError, match="triangle suite costs at least"):
+            check_triangle_bounds(config, (3,) * 5, first_n=2)
+        with pytest.raises(CapacityError, match="triangle suite costs at least"):
+            verify_triangle(config, (3,) * 5)
+
+    def test_suite_sums_over_n(self):
+        texts = FOUR_SPECIES + ("H:q=1/11", "E:q=1/13")
+        for n in range(2, 6):
+            check_triangle_bounds(suite_config(texts, n), (2,) * 6)
+        with pytest.raises(CapacityError, match="triangle suite costs at least"):
+            check_triangle_bounds(suite_config(texts, 5), (2,) * 6, first_n=2)
+
+    def test_many_species_refused_at_the_tables(self, monkeypatch):
+        calls = []
+        original = tau_module.spectral_cost
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(tau_module, "spectral_cost", counting)
+        config = suite_config(("E:q=1/2",) * 12, 5)
+        with pytest.raises(CapacityError, match="triangle suite costs at least"):
+            check_triangle_bounds(config, (3,) * 12, first_n=2)
+        assert len(calls) <= 4
+
+    def test_degree_bound_checked_first(self):
+        config = suite_config(FOUR_SPECIES + ("H:q=1/11",), 6)
+        with pytest.raises(CapacityError, match="slot degrees <= 3"):
+            check_triangle_bounds(config, (4,) * 5, first_n=2)
+        with pytest.raises(CapacityError, match="n <= 5"):
+            check_triangle_bounds(config, (3,) * 5, first_n=2)
 
 
 class TestSpectralCost:
