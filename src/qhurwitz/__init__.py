@@ -22,6 +22,7 @@ from .combinatorial import (
     path_counts,
     signature_of,
     transfer_matrix,
+    weighted_path_count,
 )
 from .errors import CapacityError, PoleError
 from .geometric import (
@@ -125,4 +126,5 @@ __all__ = [
     "verify_triangle",
     "weight_coefficient",
     "weight_coefficients",
+    "weighted_path_count",
 ]

@@ -25,33 +25,15 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from .characters import character_table
 from .combinatorial import multispecies_transfer_matrix, path_counts
 from .errors import CapacityError, PoleError
 from .geometric import multispecies_hurwitz_number
-from .partitions import enumerate_partitions, format_partition, parse_partition
+from .partitions import format_partition, parse_partition
 from .qweights import Species, WeightConfig, parse_species_flag
+from .series import _fraction_text, format_rational
 from .tau import check_triangle_bounds, tau_coefficients, verify_triangle
-
-
-def _fraction_text(value: Fraction) -> str:
-    try:
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError:
-        # sys.int_max_str_digits guards int() on outside text.  A computed
-        # value is bounded by the cost models instead, so it always prints.
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return f"{value.numerator}/{value.denominator}"
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-
-def format_rational(value) -> str:
-    return _fraction_text(Fraction(value))
 
 
 def _parse_species_list(texts: list[str]) -> tuple[Species, ...]:
@@ -87,10 +69,7 @@ def _parse_degree_blocks(text: str, species: tuple[Species, ...]) -> tuple[int, 
     if len(h_values) != len(h_slots):
         raise ValueError(f"expected {len(h_slots)} H-type degrees, got {len(h_values)}")
     by_slot = dict(zip(e_slots, e_values)) | dict(zip(h_slots, h_values))
-    degrees = tuple(by_slot[s.slot] for s in species)
-    if any(d < 0 for d in degrees):
-        raise ValueError("degrees must be nonnegative")
-    return degrees
+    return tuple(by_slot[s.slot] for s in species)
 
 
 def _partition_arg(text: str, n: int, name: str):
@@ -118,7 +97,7 @@ def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
     records, built from a fixed template: the keys are fixed, and every
     string is a partition label or "a/b" text, which JSON never escapes.
     """
-    labels = {p: format_partition(p) for p in enumerate_partitions(table.n)}
+    labels = {p: format_partition(p) for p in character_table(table.n).partitions}
     rows = (
         (degrees, labels[mu], labels[nu], _fraction_text(value))
         for (degrees, mu, nu), value in table.entries.items()

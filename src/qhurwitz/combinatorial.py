@@ -46,7 +46,7 @@ from .partitions import (
     contents,
     enumerate_partitions,
 )
-from .qweights import Species, WeightConfig, weight_coefficients
+from .qweights import Species, WeightConfig, multidegrees, weight_coefficients
 from .series import TruncatedSeries
 from .sn import algebra_mul, symmetric_group
 from .tau import check_spectral_cost, content_eigenvalues, species_content_coeffs
@@ -134,12 +134,12 @@ class TransferMatrix:
     """Matrix of a central element on the class-sum basis, canonical order.
 
     rows[i][j] is the coefficient of the class nu = partitions[j] in the
-    image of the class mu = partitions[i]; the Hurwitz-normalized entry
-    divides by z_nu.  Matrices over a fixed n commute with each other.
+    image of the class mu = partitions[i], partitions those of
+    character_table(n); the Hurwitz-normalized entry divides by z_nu.
+    Matrices over a fixed n commute with each other.
     """
 
     n: int
-    partitions: tuple[Partition, ...]
     degrees: tuple[int, ...]
     label: str
     rows: tuple[tuple[object, ...], ...]
@@ -153,9 +153,9 @@ class TransferMatrix:
         return self.entry(mu, nu) * Fraction(1, table.centralizer_orders[table.index(nu)])
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        if self.n != other.n or self.partitions != other.partitions:
+        if self.n != other.n:
             raise ValueError("matrices must share the same class basis")
-        size = len(self.partitions)
+        size = len(self.rows)
         rows = tuple(
             tuple(
                 sum((self.rows[i][k] * other.rows[k][j] for k in range(size)), 0)
@@ -165,7 +165,6 @@ class TransferMatrix:
         )
         return TransferMatrix(
             n=self.n,
-            partitions=self.partitions,
             degrees=self.degrees + other.degrees,
             label=f"{self.label} {other.label}".strip(),
             rows=rows,
@@ -191,19 +190,13 @@ def multispecies_transfer_matrix(config: WeightConfig, degrees: tuple[int, ...])
     the left-to-right ``@`` chain exactly; the factors commute.  The rows are
     the symmetric Hurwitz matrix spectral_sum returns, times z_nu.
     """
-    degrees = tuple(int(c) for c in degrees)
-    if len(degrees) != len(config.species):
-        raise ValueError("one degree per species is required")
-    if any(d < 0 for d in degrees):
-        raise ValueError("degree must be nonnegative")
-    parts = tuple(enumerate_partitions(config.n))
+    degrees = config.degrees(degrees)
     tbl = character_table(config.n)
     check_spectral_cost(config, degrees, 1)
-    lists = [species_content_coeffs(s, parts, d) for s, d in zip(config.species, degrees)]
+    lists = [species_content_coeffs(s, tbl.partitions, d) for s, d in zip(config.species, degrees)]
     z = tbl.centralizer_orders
     return TransferMatrix(
         n=config.n,
-        partitions=parts,
         degrees=degrees,
         label=" ".join(f"{s.describe()}^{d}" for s, d in zip(config.species, degrees)),
         rows=tuple(
@@ -213,28 +206,35 @@ def multispecies_transfer_matrix(config: WeightConfig, degrees: tuple[int, ...])
     )
 
 
-def combinatorial_hurwitz_number(
-    family: str, q, d: int, mu: Partition, nu: Partition, via: str = "spectral"
-):
-    """Weighted path count from class mu to class nu with d steps.
-
-    via="spectral" reads the Hurwitz-normalized transfer matrix entry (the
-    production route); via="paths" runs the brute-force enumeration and
-    applies the per-signature weights prod(lam_i! g_{lam_i}) / d! to the
-    unrestricted counts, where g is the family coefficient sequence.  Both
-    routes validate the family and q through the same Species.
-    """
+def _single_species_request(family: str, q, mu: Partition, nu: Partition):
+    """(species, mu, nu) of a one-species path count, validated the same for both counts."""
     species = Species(family=family, parameter=q, slot=1)
     mu = check_partition(mu)
     nu = check_partition(nu)
     if sum(mu) != sum(nu):
         raise ValueError("mu and nu must have equal weight")
-    n = sum(mu)
-    if via == "spectral":
-        return transfer_matrix(species, d, n).hurwitz_entry(mu, nu)
-    if via != "paths":
-        raise ValueError(f"unknown route {via!r}")
-    counts = path_counts(n, d, mu, nu)
+    return species, mu, nu
+
+
+def combinatorial_hurwitz_number(family: str, q, d: int, mu: Partition, nu: Partition):
+    """Weighted path count from class mu to class nu with d steps.
+
+    The Hurwitz-normalized transfer matrix entry; weighted_path_count is its
+    brute-force oracle.
+    """
+    species, mu, nu = _single_species_request(family, q, mu, nu)
+    return transfer_matrix(species, d, sum(mu)).hurwitz_entry(mu, nu)
+
+
+def weighted_path_count(family: str, q, d: int, mu: Partition, nu: Partition):
+    """combinatorial_hurwitz_number by brute-force path enumeration.
+
+    Applies the per-signature weights prod(lam_i! g_{lam_i}) / d! to the
+    unrestricted counts of path_counts, where g is the family coefficient
+    sequence.  The family and q are validated through the same Species.
+    """
+    species, mu, nu = _single_species_request(family, q, mu, nu)
+    counts = path_counts(sum(mu), d, mu, nu)
     weights = weight_coefficients(species.family, species.parameter, d)
     total = 0
     for lam, (_, unrestricted) in counts.items():
@@ -284,7 +284,7 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
             jm_powers.append(algebra_mul(jm_powers[-1], jm, group))
         # Coefficient of J_a^t, summed over per-species degree splits of t.
         factor: dict[int, object] = {}
-        for split in itertools.product(*(range(cap + 1) for _ in variables)):
+        for split in multidegrees((cap,) * len(variables)):
             t = sum(split)
             if t > cap:
                 continue

@@ -61,8 +61,6 @@ from .partitions import (
     Partition,
     check_partition,
     colength,
-    enumerate_partitions,
-    partitions_with_colength,
 )
 from .qweights import Species, WeightConfig, symmetrized_weight
 from .sn import GROUP_LIMIT, symmetric_group
@@ -176,13 +174,10 @@ def _profile_tuples(n: int, total: int) -> tuple[tuple[tuple[Partition, ...], in
 
     Each multiset appears once, as a descending tuple of profiles paired
     with its number of orderings k!/prod m_P!, m_P the multiplicity of
-    profile P.  Only colengths 1..n-1 have profiles, so no other part is
-    tried; a one-sheeted cover has none at all.
+    profile P.  The profiles are those of character_table(n), in its
+    descending order, with colength 1..total; a one-sheeted cover has none.
     """
-    pool = sorted(
-        ((p, c) for c in range(1, min(n - 1, total) + 1) for p in partitions_with_colength(n, c)),
-        reverse=True,
-    )
+    pool = [(p, colength(p)) for p in character_table(n).partitions if 0 < colength(p) <= total]
     multisets = []
     stack = [((), 0, total)]
     while stack:
@@ -198,15 +193,16 @@ def _profile_tuples(n: int, total: int) -> tuple[tuple[tuple[Partition, ...], in
 def _tuple_count(n: int, total: int) -> int:
     """Ordered profile tuples of n with colength sum total: the orderings of _profile_tuples.
 
-    Counted by a recursion over the colength of the last profile, without
+    Counted by a recursion over the colength of the last profile, from the
+    number of profiles of each colength in character_table(n), without
     enumerating anything.
     """
     if n == 1:
         return int(total == 0)
-    sizes = [len(partitions_with_colength(n, c)) for c in range(1, min(n - 1, total) + 1)]
+    sizes = Counter(colength(p) for p in character_table(n).partitions)
     counts = [1]
     for t in range(1, total + 1):
-        counts.append(sum(size * counts[t - c] for c, size in enumerate(sizes[:t], start=1)))
+        counts.append(sum(sizes[c] * counts[t - c] for c in range(1, min(n - 1, t) + 1)))
     return counts[total]
 
 
@@ -262,11 +258,7 @@ def _branch_weights(config: WeightConfig, degrees: tuple[int, ...]) -> dict:
 
 def _admitted_degrees(config: WeightConfig, degrees) -> tuple[int, ...]:
     """Validated degrees of a geometric sum whose cost is within the limit."""
-    degrees = tuple(int(c) for c in degrees)
-    if len(degrees) != len(config.species):
-        raise ValueError("one degree per species is required")
-    if any(c < 0 for c in degrees):
-        raise ValueError("degrees must be nonnegative")
+    degrees = config.degrees(degrees)
     cost = _geometric_cost(config, degrees)
     if cost > GEOMETRIC_COST_LIMIT:
         raise CapacityError(
@@ -314,5 +306,5 @@ def multispecies_hurwitz_matrix(config: WeightConfig, degrees: tuple[int, ...]) 
     as the single entry.
     """
     branch_weights = _branch_weights(config, _admitted_degrees(config, degrees))
-    parts = enumerate_partitions(config.n)
+    parts = character_table(config.n).partitions
     return _covering_sums(config.n, branch_weights, itertools.product(parts, repeat=2))

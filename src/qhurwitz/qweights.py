@@ -129,6 +129,20 @@ class WeightConfig:
     def describe(self) -> str:
         return " ".join(s.describe() for s in self.species)
 
+    def degrees(self, values) -> tuple[int, ...]:
+        """values as one nonnegative int per species: a multidegree or a bound on one."""
+        degrees = tuple(int(v) for v in values)
+        if len(degrees) != len(self.species):
+            raise ValueError("one degree per species is required")
+        if any(d < 0 for d in degrees):
+            raise ValueError("degrees must be nonnegative")
+        return degrees
+
+
+def multidegrees(maxdeg: tuple[int, ...]):
+    """Every multidegree componentwise at most maxdeg, in lexicographic order."""
+    return itertools.product(*(range(m + 1) for m in maxdeg))
+
 
 def parse_species_flag(text: str, slot: int) -> Species:
     """Parse a CLI species flag like "E:q=1/2" into a Species at the given slot."""

@@ -18,6 +18,7 @@ Fractions coerce into either mode as constants.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -211,6 +212,25 @@ class TruncatedSeries:
         return "TruncatedSeries(" + " + ".join(terms) + ")"
 
 
+def _fraction_text(value: Fraction) -> str:
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        # sys.int_max_str_digits guards int() on outside text.  A computed
+        # value is bounded by the cost models instead, so it always prints.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return f"{value.numerator}/{value.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def format_rational(value) -> str:
+    """Exact "numerator/denominator" text of a rational, in lowest terms, at any size."""
+    return _fraction_text(Fraction(value))
+
+
 def reciprocal(x):
     """1/x for either scalar mode; a vanishing rational denominator is a pole."""
     if isinstance(x, TruncatedSeries):
@@ -252,15 +272,15 @@ def poly_inverse(a: list, maxdeg: int) -> list:
 
 
 def poly_exp(a: list, maxdeg: int) -> list:
-    """Exponential of a coefficient list with zero constant term."""
+    """Exponential of a coefficient list with zero constant term.
+
+    b = exp(a) satisfies b' = a' b, that is m b_m = sum_{k=1..m} k a_k b_{m-k},
+    which gives each coefficient from the earlier ones in O(maxdeg^2) in all.
+    """
     if a and a[0]:
         raise ValueError("exp requires a zero constant term")
-    acc = [1] + [0] * maxdeg
-    power = acc
+    out = [1] + [0] * maxdeg
     for m in range(1, maxdeg + 1):
-        power = poly_mul(power, a, maxdeg)
-        if not any(power):
-            break
-        scale = Fraction(1, factorial(m))
-        acc = [x + y * scale for x, y in zip(acc, power)]
-    return acc
+        total = sum((k * a[k] * out[m - k] for k in range(1, min(m, len(a) - 1) + 1)), 0)
+        out[m] = total * Fraction(1, m)
+    return out

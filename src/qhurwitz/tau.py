@@ -38,12 +38,11 @@ from .partitions import (
     Partition,
     check_partition,
     contents,
-    enumerate_partitions,
     format_partition,
     partition_count,
 )
-from .qweights import Species, WeightConfig, weight_coefficients
-from .series import poly_mul
+from .qweights import Species, WeightConfig, multidegrees, weight_coefficients
+from .series import TruncatedSeries, format_rational, poly_mul
 
 
 def species_content_coeffs(
@@ -94,14 +93,13 @@ def content_product_coeffs(
     lam = check_partition(lam)
     if sum(lam) != config.n:
         raise ValueError(f"lam must be a partition of {config.n}")
-    if len(maxdeg) != len(config.species):
-        raise ValueError("maxdeg must have one bound per species")
+    maxdeg = config.degrees(maxdeg)
     per_species = [
         species_content_coeffs(s, [lam], m, shift)[0] for s, m in zip(config.species, maxdeg)
     ]
     return {
         degrees: prod(per_species[s][d] for s, d in enumerate(degrees))
-        for degrees in itertools.product(*(range(m + 1) for m in maxdeg))
+        for degrees in multidegrees(maxdeg)
     }
 
 
@@ -186,7 +184,7 @@ class HurwitzTable:
         return self.entries[(tuple(degrees), tuple(mu), tuple(nu))]
 
     def multidegrees(self):
-        return itertools.product(*(range(m + 1) for m in self.maxdeg))
+        return multidegrees(self.maxdeg)
 
 
 def tau_coefficients(
@@ -198,17 +196,13 @@ def tau_coefficients(
     coefficient of the content product of lam times
     chi_lam(mu) chi_lam(nu) / (z_mu z_nu).
     """
-    maxdeg = tuple(int(m) for m in maxdeg)
-    if any(m < 0 for m in maxdeg):
-        raise ValueError("maxdeg bounds must be nonnegative")
-    if len(maxdeg) != len(config.species):
-        raise ValueError("maxdeg must have one bound per species")
-    parts = enumerate_partitions(config.n)
+    maxdeg = config.degrees(maxdeg)
     tbl = character_table(config.n)
     check_spectral_cost(config, maxdeg, prod(m + 1 for m in maxdeg), shift)
+    parts = tbl.partitions
     lists = [species_content_coeffs(s, parts, m, shift) for s, m in zip(config.species, maxdeg)]
     entries = {}
-    for degrees in itertools.product(*(range(m + 1) for m in maxdeg)):
+    for degrees in multidegrees(maxdeg):
         for mu, row in zip(parts, spectral_sum(tbl, content_eigenvalues(lists, degrees))):
             for nu, value in zip(parts, row):
                 entries[(degrees, mu, nu)] = value
@@ -277,7 +271,7 @@ def check_triangle_bounds(
         (
             (_geometric_cost(c, degrees), spectral_cost(c, degrees, 1))
             for c in suite
-            for degrees in itertools.product(*(range(m + 1) for m in maxdeg))
+            for degrees in multidegrees(maxdeg)
         ),
     )
     geometric = spectral = 0
@@ -292,6 +286,11 @@ def check_triangle_bounds(
             )
 
 
+def _value_text(value) -> str:
+    """A discrepancy value: "numerator/denominator" for a rational, str of a series."""
+    return str(value) if isinstance(value, TruncatedSeries) else format_rational(value)
+
+
 def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleReport:
     """Compare the geometric, combinatorial and tau pipelines entrywise.
 
@@ -303,13 +302,13 @@ def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleRe
     from .combinatorial import multispecies_transfer_matrix
     from .geometric import multispecies_hurwitz_matrix
 
-    maxdeg = tuple(int(m) for m in maxdeg)
+    maxdeg = config.degrees(maxdeg)
     check_triangle_bounds(config, maxdeg)
     table = tau_coefficients(config, maxdeg)
-    parts = enumerate_partitions(config.n)
+    parts = character_table(config.n).partitions
     checked = 0
     discrepancies = []
-    for degrees in itertools.product(*(range(m + 1) for m in maxdeg)):
+    for degrees in table.multidegrees():
         matrix = multispecies_transfer_matrix(config, degrees)
         geometric = multispecies_hurwitz_matrix(config, degrees)
         for mu in parts:
@@ -324,9 +323,9 @@ def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleRe
                             "degrees": list(degrees),
                             "mu": format_partition(mu),
                             "nu": format_partition(nu),
-                            "geometric": str(geom_value),
-                            "combinatorial": str(comb_value),
-                            "tau": str(tau_value),
+                            "geometric": _value_text(geom_value),
+                            "combinatorial": _value_text(comb_value),
+                            "tau": _value_text(tau_value),
                         }
                     )
     return TriangleReport(

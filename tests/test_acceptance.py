@@ -31,6 +31,7 @@ from qhurwitz import (
     transfer_matrix,
     verify_triangle,
     weight_coefficient,
+    weighted_path_count,
 )
 from test_geometric import reference_profile_tuples
 
@@ -183,12 +184,8 @@ def test_criterion_5_path_count_oracle():
                         if unrestricted != expected:
                             failures.append(("multinomial", n, d, mu, nu, lam))
                     for family in ("E", "H"):
-                        via_paths = combinatorial_hurwitz_number(
-                            family, HALF, d, mu, nu, via="paths"
-                        )
-                        via_matrix = combinatorial_hurwitz_number(
-                            family, HALF, d, mu, nu, via="spectral"
-                        )
+                        via_paths = weighted_path_count(family, HALF, d, mu, nu)
+                        via_matrix = combinatorial_hurwitz_number(family, HALF, d, mu, nu)
                         if via_paths != via_matrix:
                             failures.append((family, n, d, mu, nu))
     report("criterion 5: path count oracle vs spectral", failures)

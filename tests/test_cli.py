@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import qhurwitz.cli
+import qhurwitz.geometric
+import qhurwitz.partitions
 import qhurwitz.tau
 from qhurwitz import WeightConfig, enumerate_partitions, format_partition, tau_coefficients
 from qhurwitz.cli import _parse_degree_blocks, _parse_species_list, format_rational, main
@@ -268,7 +271,60 @@ class TestSpectralAdmission:
         assert "spectral sum costs about" in captured.err
 
 
+class TestCharacterTableRefusal:
+    """Past the character table's n every leg exits 3 before it lists a partition of n."""
+
+    @pytest.mark.parametrize("argv", [
+        "compute tau --n 50 --species H:q=1/2 --maxdeg 1",
+        "compute tau --n 1000 --species H:q=1/2 --maxdeg 1",
+        "compute tau --n 13 --species H:q=1/2 --maxdeg 0 --format csv",
+        "compute combinatorial --n 50 --mu 50 --nu 50 --species H:q=1/2 --degrees 5",
+        "compute geometric --n 50 --mu 50 --nu 50 --species H:q=1/2 --degrees 5",
+        "compute geometric --n 50 --mu 50 --nu 50 --species H:q=1/2 --degrees 30",
+        "compute geometric --n 45 --mu 45 --nu 45 --species H:q=1/2 --species H:p=1/3"
+        " --degrees 20,20",
+        "compute geometric --n 13 --mu 13 --nu 13 --species H:q=1/2 --degrees 0",
+    ])
+    def test_refused_before_any_partition_of_n(self, capsys, monkeypatch, argv):
+        listed = []
+        original = qhurwitz.partitions._partitions_desc
+
+        def listing(n):
+            listed.append(n)
+            return original(n)
+
+        monkeypatch.setattr(qhurwitz.partitions, "_partitions_desc", listing)
+        start = time.perf_counter()
+        code = main(argv.split())
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: character tables are limited to n <= 12\n"
+        assert all(n <= 12 for n in listed)
+
+
 class TestVerify:
+    def test_discrepancy_values_are_exact_fractions(self, capsys, monkeypatch):
+        # A geometric leg that returns the integer 3 everywhere disagrees
+        # with the other two legs on every entry.
+        def threes(config, degrees):
+            parts = enumerate_partitions(config.n)
+            return {(mu, nu): 3 for mu in parts for nu in parts}
+
+        monkeypatch.setattr(qhurwitz.geometric, "multispecies_hurwitz_matrix", threes)
+        code, out = run_cli(
+            capsys, "verify", "triangle", "--n-max", "3", "--deg-max", "1",
+            "--species", "H:q=1/2",
+        )
+        assert code == 1
+        discrepancies = [d for r in json.loads(out)["reports"] for d in r["discrepancies"]]
+        assert len(discrepancies) == (2 * 2 + 3 * 3) * 2
+        assert {d["geometric"] for d in discrepancies} == {"3/1"}
+        for d in discrepancies:
+            for leg in ("combinatorial", "tau"):
+                assert re.fullmatch(r"-?\d+/[1-9]\d*", d[leg]), d[leg]
+
     def test_triangle_passes_at_desk_scale(self, capsys):
         code, out = run_cli(
             capsys,

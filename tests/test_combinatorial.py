@@ -10,6 +10,7 @@ from qhurwitz import (
     Species,
     WeightConfig,
     centralizer_order,
+    character_table,
     colength,
     combinatorial_hurwitz_number,
     enumerate_partitions,
@@ -20,6 +21,7 @@ from qhurwitz import (
     signature_of,
     transfer_matrix,
     weight_coefficient,
+    weighted_path_count,
 )
 
 HALF = Fraction(1, 2)
@@ -104,7 +106,7 @@ class TestTransferMatrix:
     def test_degree_zero_is_identity(self):
         for n in (2, 3, 4):
             matrix = transfer_matrix(Species("E", HALF, 1), 0, n)
-            size = len(matrix.partitions)
+            size = len(character_table(n).partitions)
             assert matrix.rows == tuple(
                 tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
             )
@@ -167,13 +169,13 @@ class TestTransferMatrix:
                 chained = transfer_matrix(species[0], degrees[0], n)
                 for s, d in zip(species[1:count], degrees[1:]):
                     chained = chained @ transfer_matrix(s, d, n)
-                # Dataclass equality: n, partitions, degrees, label and rows.
+                # Dataclass equality: n, degrees, label and rows.
                 assert multispecies_transfer_matrix(config, degrees) == chained
 
     def test_all_zero_degrees_is_identity(self):
         config = WeightConfig(species=(Species("E", HALF, 1), Species("H", FIFTH, 2)), n=3)
         matrix = multispecies_transfer_matrix(config, (0, 0))
-        size = len(matrix.partitions)
+        size = len(character_table(3).partitions)
         assert matrix.rows == tuple(
             tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
         )
@@ -181,20 +183,18 @@ class TestTransferMatrix:
 
 class TestCombinatorialHurwitzNumber:
     def test_degree_zero(self):
-        for via in ("spectral", "paths"):
-            value = combinatorial_hurwitz_number("E", HALF, 0, (2, 1), (2, 1), via=via)
+        for count in (combinatorial_hurwitz_number, weighted_path_count):
+            value = count("E", HALF, 0, (2, 1), (2, 1))
             assert value == Fraction(1, centralizer_order((2, 1)))
 
     def test_first_degree_simple_cover(self):
-        for via in ("spectral", "paths"):
-            value = combinatorial_hurwitz_number("E", HALF, 1, (1, 1), (2,), via=via)
+        for count in (combinatorial_hurwitz_number, weighted_path_count):
+            value = count("E", HALF, 1, (1, 1), (2,))
             assert value == 1 / (2 * (1 - HALF))
 
     def test_frozen_value_h_family(self):
-        for via in ("spectral", "paths"):
-            assert combinatorial_hurwitz_number(
-                "H", HALF, 2, (3,), (3,), via=via
-            ) == Fraction(44, 9)
+        for count in (combinatorial_hurwitz_number, weighted_path_count):
+            assert count("H", HALF, 2, (3,), (3,)) == Fraction(44, 9)
 
     def test_paths_agree_with_spectral(self):
         for family in ("E", "H"):
@@ -202,11 +202,9 @@ class TestCombinatorialHurwitzNumber:
                 for d in range(0, 4):
                     for mu in enumerate_partitions(n):
                         for nu in enumerate_partitions(n):
-                            assert combinatorial_hurwitz_number(
-                                family, HALF, d, mu, nu, via="paths"
-                            ) == combinatorial_hurwitz_number(
-                                family, HALF, d, mu, nu, via="spectral"
-                            )
+                            assert weighted_path_count(
+                                family, HALF, d, mu, nu
+                            ) == combinatorial_hurwitz_number(family, HALF, d, mu, nu)
 
     def test_ordered_count_form_agrees(self):
         # Same number via ordered counts with plain coefficient products,
@@ -220,22 +218,16 @@ class TestCombinatorialHurwitzNumber:
                         prod(weight_coefficient(family, q, part) for part in lam) * ordered
                         for lam, (ordered, _) in counts.items()
                     )
-                    assert ordered_form == combinatorial_hurwitz_number(
-                        family, q, d, mu, nu, via="paths"
-                    )
+                    assert ordered_form == weighted_path_count(family, q, d, mu, nu)
 
     def test_both_routes_validate_family_and_parameter(self):
         for family, q in (("H", Fraction(2)), ("E", Fraction(-1)), ("E'", 1), ("Q", HALF)):
             messages = []
-            for via in ("paths", "spectral"):
+            for count in (weighted_path_count, combinatorial_hurwitz_number):
                 with pytest.raises(ValueError) as caught:
-                    combinatorial_hurwitz_number(family, q, 2, (2, 1), (2, 1), via=via)
+                    count(family, q, 2, (2, 1), (2, 1))
                 messages.append(str(caught.value))
             assert messages[0] == messages[1]
-
-    def test_unknown_route(self):
-        with pytest.raises(ValueError):
-            combinatorial_hurwitz_number("E", HALF, 1, (2,), (2,), via="guess")
 
 
 class TestJucysMurphyEigenvalue:

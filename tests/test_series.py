@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qhurwitz import TruncatedSeries, poly_exp, poly_inverse, poly_mul
 
@@ -14,6 +15,16 @@ def random_series(cap=6, variables=("q",)):
     return st.dictionaries(exponent, coefficient, max_size=5).map(
         lambda coeffs: TruncatedSeries(variables, cap, coeffs)
     )
+
+
+def reference_poly_exp(a, maxdeg):
+    """exp(a) as the sum of a^m / m! over the powers of a, one poly_mul each."""
+    acc = [1] + [0] * maxdeg
+    power = acc
+    for m in range(1, maxdeg + 1):
+        power = poly_mul(power, a, maxdeg)
+        acc = [x + y * Fraction(1, factorial(m)) for x, y in zip(acc, power)]
+    return acc
 
 
 class TestArithmetic:
@@ -95,10 +106,17 @@ class TestPolyHelpers:
         assert poly_mul([2, 1, 3], inv, 3) == [1, 0, 0, 0]
 
     def test_poly_exp_matches_series(self):
-        from math import factorial
-
         coeffs = poly_exp([0, 1], 5)
         assert coeffs == [Fraction(1, factorial(k)) for k in range(6)]
+
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), max_size=9),
+        st.integers(0, 8),
+    )
+    def test_poly_exp_equals_power_sum(self, tail, maxdeg):
+        exponent = [0] + tail
+        assert poly_exp(exponent, maxdeg) == reference_poly_exp(exponent, maxdeg)
 
     def test_poly_helpers_accept_series_coefficients(self):
         q = TruncatedSeries.variable("q", 4)

@@ -403,7 +403,7 @@ class TestSpectralCost:
         assert calls == []
 
     def test_one_bound_per_species(self):
-        with pytest.raises(ValueError, match="one bound per species"):
+        with pytest.raises(ValueError, match="one degree per species"):
             tau_coefficients(single_species("H", HALF, 3), (1, 1))
 
 
