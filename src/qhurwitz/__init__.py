@@ -45,7 +45,6 @@ from .partitions import (
     hook_product,
     parse_partition,
     partition_count,
-    partitions_with_colength,
 )
 from .qweights import (
     FAMILIES,
@@ -59,7 +58,7 @@ from .qweights import (
     weight_coefficient,
     weight_coefficients,
 )
-from .series import TruncatedSeries, poly_exp, poly_inverse, poly_mul, reciprocal
+from .series import TruncatedSeries, poly_exp, poly_mul, reciprocal
 from .tau import (
     HurwitzTable,
     TriangleReport,
@@ -109,10 +108,8 @@ __all__ = [
     "parse_rational",
     "parse_species_flag",
     "partition_count",
-    "partitions_with_colength",
     "path_counts",
     "poly_exp",
-    "poly_inverse",
     "poly_mul",
     "quantum_dilog_coeffs",
     "quantum_hurwitz_number",

@@ -39,20 +39,21 @@ from .tau import check_triangle_bounds, tau_coefficients, verify_triangle
 def _parse_species_list(texts: list[str]) -> tuple[Species, ...]:
     if not texts:
         raise ValueError("at least one --species flag is required")
-    return tuple(parse_species_flag(text, slot) for slot, text in enumerate(texts, start=1))
+    return tuple(parse_species_flag(text) for text in texts)
 
 
 def _parse_degree_blocks(text: str, species: tuple[Species, ...]) -> tuple[int, ...]:
-    """Map an "e1,e2;h1" degree string onto species slots."""
-    e_slots = [s.slot for s in species if s.family in ("E", "E'")]
-    h_slots = [s.slot for s in species if s.family == "H"]
+    """Map an "e1,e2;h1" degree string onto the species: each block in species order."""
+    is_h = [s.family == "H" for s in species]
+    h_count = sum(is_h)
+    e_count = len(species) - h_count
     blocks = text.split(";")
     if len(blocks) > 2:
         raise ValueError(f"at most two ;-separated degree blocks allowed: {text!r}")
     if len(blocks) == 1:
-        if e_slots and h_slots:
+        if e_count and h_count:
             raise ValueError("mixed-family species need an E-block and an H-block separated by ';'")
-        blocks = [blocks[0], ""] if e_slots else ["", blocks[0]]
+        blocks = [blocks[0], ""] if e_count else ["", blocks[0]]
     parsed = []
     for block in blocks:
         block = block.strip()
@@ -64,12 +65,12 @@ def _parse_degree_blocks(text: str, species: tuple[Species, ...]) -> tuple[int, 
         except ValueError as exc:
             raise ValueError(f"invalid degree block {block!r}") from exc
     e_values, h_values = parsed
-    if len(e_values) != len(e_slots):
-        raise ValueError(f"expected {len(e_slots)} E-type degrees, got {len(e_values)}")
-    if len(h_values) != len(h_slots):
-        raise ValueError(f"expected {len(h_slots)} H-type degrees, got {len(h_values)}")
-    by_slot = dict(zip(e_slots, e_values)) | dict(zip(h_slots, h_values))
-    return tuple(by_slot[s.slot] for s in species)
+    if len(e_values) != e_count:
+        raise ValueError(f"expected {e_count} E-type degrees, got {len(e_values)}")
+    if len(h_values) != h_count:
+        raise ValueError(f"expected {h_count} H-type degrees, got {len(h_values)}")
+    e_values, h_values = iter(e_values), iter(h_values)
+    return tuple(next(h_values if h else e_values) for h in is_h)
 
 
 def _partition_arg(text: str, n: int, name: str):

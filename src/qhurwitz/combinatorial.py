@@ -25,27 +25,23 @@ central element, its matrix on the class-sum basis is
 
 with r_lam the content product, and the Hurwitz-normalized entry F^c/z_nu is
 the pipeline-comparison value.  ``characters.spectral_sum`` sums that
-symmetric matrix, as in the tau pipeline, and the rows store it times z_nu.
-The matrices commute; multispecies counts multiply eigenvalues.
+symmetric matrix, as in the tau pipeline, and a TransferMatrix holds it as
+returned; its class-basis entry multiplies by z_nu.  The matrices commute;
+multispecies counts multiply eigenvalues.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .characters import character_table, spectral_sum
 from .errors import CapacityError
-from .partitions import (
-    Partition,
-    check_partition,
-    contents,
-    enumerate_partitions,
-)
+from .partitions import Partition, check_partition, enumerate_partitions
 from .qweights import Species, WeightConfig, multidegrees, weight_coefficients
 from .series import TruncatedSeries
 from .sn import algebra_mul, symmetric_group
@@ -131,44 +127,41 @@ def _path_counts(
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Matrix of a central element on the class-sum basis, canonical order.
+    """Symmetric Hurwitz matrix of a central element, canonical order.
 
-    rows[i][j] is the coefficient of the class nu = partitions[j] in the
-    image of the class mu = partitions[i], partitions those of
-    character_table(n); the Hurwitz-normalized entry divides by z_nu.
-    Matrices over a fixed n commute with each other.
+    rows[i][j] is the Hurwitz-normalized entry of mu = partitions[i] and
+    nu = partitions[j], partitions those of character_table(n): the matrix
+    spectral_sum returns.  On the class-sum basis the element's matrix is
+    that times z_nu (entry).  Matrices over a fixed n commute with each other.
     """
 
     n: int
-    degrees: tuple[int, ...]
-    label: str
     rows: tuple[tuple[object, ...], ...]
 
     def entry(self, mu: Partition, nu: Partition):
+        """Coefficient of the class nu in the image of the class mu."""
         table = character_table(self.n)
-        return self.rows[table.index(mu)][table.index(nu)]
+        j = table.index(nu)
+        return self.rows[table.index(mu)][j] * table.centralizer_orders[j]
 
     def hurwitz_entry(self, mu: Partition, nu: Partition):
         table = character_table(self.n)
-        return self.entry(mu, nu) * Fraction(1, table.centralizer_orders[table.index(nu)])
+        return self.rows[table.index(mu)][table.index(nu)]
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
+        """Hurwitz form of the class-basis product: H_a Z H_b, Z = diag(z_nu)."""
         if self.n != other.n:
             raise ValueError("matrices must share the same class basis")
+        z = character_table(self.n).centralizer_orders
         size = len(self.rows)
         rows = tuple(
             tuple(
-                sum((self.rows[i][k] * other.rows[k][j] for k in range(size)), 0)
+                sum((self.rows[i][k] * z[k] * other.rows[k][j] for k in range(size)), 0)
                 for j in range(size)
             )
             for i in range(size)
         )
-        return TransferMatrix(
-            n=self.n,
-            degrees=self.degrees + other.degrees,
-            label=f"{self.label} {other.label}".strip(),
-            rows=rows,
-        )
+        return TransferMatrix(n=self.n, rows=rows)
 
     def commutes_with(self, other: "TransferMatrix") -> bool:
         return (self @ other).rows == (other @ self).rows
@@ -180,35 +173,25 @@ def transfer_matrix(species: Species, degree: int, n: int) -> TransferMatrix:
     Entries are sum_lam [u^degree] r_lam * chi_lam(mu) chi_lam(nu) / z_mu;
     degree 0 is the identity matrix.
     """
-    return multispecies_transfer_matrix(WeightConfig((replace(species, slot=1),), n), (degree,))
+    return multispecies_transfer_matrix(WeightConfig((species,), n), (degree,))
 
 
 def multispecies_transfer_matrix(config: WeightConfig, degrees: tuple[int, ...]) -> TransferMatrix:
     """Product of the per-species transfer matrices at the given degrees.
 
     One spectral_sum over the products of the per-species eigenvalues equals
-    the left-to-right ``@`` chain exactly; the factors commute.  The rows are
-    the symmetric Hurwitz matrix spectral_sum returns, times z_nu.
+    the left-to-right ``@`` chain exactly; the factors commute.
     """
     degrees = config.degrees(degrees)
     tbl = character_table(config.n)
     check_spectral_cost(config, degrees, 1)
     lists = [species_content_coeffs(s, tbl.partitions, d) for s, d in zip(config.species, degrees)]
-    z = tbl.centralizer_orders
-    return TransferMatrix(
-        n=config.n,
-        degrees=degrees,
-        label=" ".join(f"{s.describe()}^{d}" for s, d in zip(config.species, degrees)),
-        rows=tuple(
-            tuple(value * z_nu for value, z_nu in zip(row, z))
-            for row in spectral_sum(tbl, content_eigenvalues(lists, degrees))
-        ),
-    )
+    return TransferMatrix(n=config.n, rows=spectral_sum(tbl, content_eigenvalues(lists, degrees)))
 
 
 def _single_species_request(family: str, q, mu: Partition, nu: Partition):
     """(species, mu, nu) of a one-species path count, validated the same for both counts."""
-    species = Species(family=family, parameter=q, slot=1)
+    species = Species(family=family, parameter=q)
     mu = check_partition(mu)
     nu = check_partition(nu)
     if sum(mu) != sum(nu):
@@ -256,6 +239,8 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
     compares with the content product eigenvalue times F_lam.  The expansion
     is pure group-algebra arithmetic, with no character theory on the product
     side, so the diagonalization statement is tested rather than assumed.
+    The eigenvalue is the species_content_coeffs lists the tau and
+    combinatorial pipelines use, so the check guards them too.
     """
     lam = check_partition(lam)
     n = config.n
@@ -265,13 +250,14 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
         raise CapacityError(f"the eigenvalue check is limited to n <= {JM_LIMIT}")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    variables = tuple(f"u{s.slot}" for s in config.species)
+    variables = tuple(f"u{i}" for i in range(1, len(config.species) + 1))
     cap = max_degree
     group = symmetric_group(n)
 
-    def monomial(var_index: int, power: int) -> TruncatedSeries:
+    def term(var_index: int, power: int, coeff) -> TruncatedSeries:
+        """coeff * u^power in the variable of species var_index."""
         expo = tuple(power if i == var_index else 0 for i in range(len(variables)))
-        return TruncatedSeries(variables, cap, {expo: 1})
+        return TruncatedSeries(variables, cap, {expo: coeff})
 
     coeff_lists = [weight_coefficients(s.family, s.parameter, cap) for s in config.species]
 
@@ -290,7 +276,7 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
                 continue
             scalar = one
             for var_index, power in enumerate(split):
-                scalar = scalar * (coeff_lists[var_index][power] * monomial(var_index, power))
+                scalar = scalar * term(var_index, power, coeff_lists[var_index][power])
             for g, c in jm_powers[t].items():
                 factor[g] = factor.get(g, 0) + scalar * c
         product = algebra_mul(product, factor, group)
@@ -305,16 +291,9 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
             idempotent[i] = value
 
     eigenvalue = one
-    for var_index in range(len(config.species)):
-        for c in contents(lam):
-            if c == 0:
-                continue
-            cell_factor = one * 0
-            for m in range(cap + 1):
-                cell_factor = cell_factor + (
-                    coeff_lists[var_index][m] * c**m
-                ) * monomial(var_index, m)
-            eigenvalue = eigenvalue * cell_factor
+    for var_index, species in enumerate(config.species):
+        [coeffs] = species_content_coeffs(species, [lam], cap)
+        eigenvalue = eigenvalue * sum(term(var_index, m, c) for m, c in enumerate(coeffs))
 
     left = algebra_mul(product, idempotent, group)
     right = {g: eigenvalue * c for g, c in idempotent.items()}

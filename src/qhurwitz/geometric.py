@@ -63,10 +63,7 @@ from .partitions import (
     colength,
 )
 from .qweights import Species, WeightConfig, symmetrized_weight
-from .sn import GROUP_LIMIT, symmetric_group
-
-#: Largest cover degree for the exhaustive factorization count.
-FACTORIZATION_LIMIT = GROUP_LIMIT
+from .sn import symmetric_group
 
 #: Largest _geometric_cost a geometric sum may have.
 GEOMETRIC_COST_LIMIT = 10**6
@@ -76,11 +73,10 @@ GEOMETRIC_COST_LIMIT = 10**6
 class BranchConfiguration:
     """Branch data of a covering: extra profiles plus the two marked profiles.
 
-    All profiles are partitions of n; the extra profiles must be nontrivial
-    (different from the identity class).
+    All profiles are partitions of the same n = sum(mu); the extra profiles
+    must be nontrivial (different from the identity class).
     """
 
-    n: int
     extra_profiles: tuple[Partition, ...]
     mu: Partition
     nu: Partition
@@ -91,10 +87,11 @@ class BranchConfiguration:
         ))
         object.__setattr__(self, "mu", check_partition(self.mu))
         object.__setattr__(self, "nu", check_partition(self.nu))
-        if sum(self.mu) != self.n or sum(self.nu) != self.n:
-            raise ValueError("mu and nu must be partitions of n")
+        n = sum(self.mu)
+        if sum(self.nu) != n:
+            raise ValueError("mu and nu must have equal weight")
         for profile in self.extra_profiles:
-            if sum(profile) != self.n:
+            if sum(profile) != n:
                 raise ValueError("every extra profile must be a partition of n")
             if colength(profile) == 0:
                 raise ValueError("extra profiles must be nontrivial")
@@ -138,7 +135,7 @@ def frobenius_hurwitz(config: BranchConfiguration) -> Fraction:
     one-multiset, one-pair call of _covering_sums.
     """
     pair = (config.mu, config.nu)
-    return _covering_sums(config.n, {config.extra_profiles: 1}, [pair])[pair]
+    return _covering_sums(sum(config.mu), {config.extra_profiles: 1}, [pair])[pair]
 
 
 def enumerate_factorizations(config: BranchConfiguration) -> int:
@@ -147,10 +144,9 @@ def enumerate_factorizations(config: BranchConfiguration) -> int:
     g_i runs over the class of extra profile i, a over the class of mu and b
     over the class of nu.  Exactly n! times frobenius_hurwitz; the last factor
     b is determined by the rest, so only (g_1, ..., g_k, a) is enumerated.
+    symmetric_group refuses n past GROUP_LIMIT with CapacityError.
     """
-    if config.n > FACTORIZATION_LIMIT:
-        raise CapacityError(f"factorization counts are limited to n <= {FACTORIZATION_LIMIT}")
-    group = symmetric_group(config.n)
+    group = symmetric_group(sum(config.mu))
     table = group.table
     type_of = group.type_of
     nu = config.nu
@@ -275,7 +271,7 @@ def quantum_hurwitz_number(family: str, q, d: int, mu: Partition, nu: Partition)
     Species.  d = 0 gives delta_{mu,nu}/z_mu.
     """
     mu = check_partition(mu)
-    config = WeightConfig((Species(family, q, 1),), sum(mu))
+    config = WeightConfig((Species(family, q),), sum(mu))
     return multispecies_hurwitz_number(config, (d,), mu, nu)
 
 

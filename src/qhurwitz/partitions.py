@@ -99,19 +99,6 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return list(_partitions_desc(n))
 
 
-def partitions_with_colength(n: int, c: int) -> list[Partition]:
-    """Nontrivial partitions of n with the given colength, canonical order.
-
-    The trivial profile (1,)*n has colength 0 and is never returned; the
-    result is empty whenever c exceeds n - 1.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if c < 1:
-        raise ValueError("colength must be positive")
-    return [mu for mu in enumerate_partitions(n) if colength(mu) == c]
-
-
 def centralizer_order(mu: Partition) -> int:
     """Order of the centralizer of a permutation of cycle type mu.
 

@@ -45,7 +45,7 @@ seven colengths 1 take 8 states instead of 5040 orderings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -71,20 +71,19 @@ class Species:
     """One weight-generating-function factor of a multispecies configuration.
 
     ``parameter`` is a Fraction in (-1, 1) in rational mode or a
-    TruncatedSeries variable in series mode.  ``slot`` is the 1-based index of
-    the expansion variable this species' degree is graded by.
+    TruncatedSeries variable in series mode.  The expansion variable that
+    grades this species' degree is the one of its 1-based position in
+    WeightConfig.species.
     """
 
     family: str
     parameter: object
-    slot: int
+    _: KW_ONLY
     label: str = "q"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown species family {self.family!r}")
-        if self.slot < 1:
-            raise ValueError("slot indices are 1-based")
         if isinstance(self.parameter, (int, Fraction)):
             value = Fraction(self.parameter)
             if not -1 < value < 1:
@@ -122,12 +121,6 @@ class WeightConfig:
             raise ValueError("at least one species is required")
         if self.n < 1:
             raise ValueError("n must be positive")
-        slots = [s.slot for s in self.species]
-        if slots != list(range(1, len(slots) + 1)):
-            raise ValueError("species slots must be distinct and contiguous from 1")
-
-    def describe(self) -> str:
-        return " ".join(s.describe() for s in self.species)
 
     def degrees(self, values) -> tuple[int, ...]:
         """values as one nonnegative int per species: a multidegree or a bound on one."""
@@ -144,8 +137,8 @@ def multidegrees(maxdeg: tuple[int, ...]):
     return itertools.product(*(range(m + 1) for m in maxdeg))
 
 
-def parse_species_flag(text: str, slot: int) -> Species:
-    """Parse a CLI species flag like "E:q=1/2" into a Species at the given slot."""
+def parse_species_flag(text: str) -> Species:
+    """Parse a CLI species flag like "E:q=1/2" into a Species."""
     if ":" not in text:
         raise ValueError(f"species must look like FAMILY:name=value, got {text!r}")
     family, rest = text.split(":", 1)
@@ -156,7 +149,7 @@ def parse_species_flag(text: str, slot: int) -> Species:
     label = label.strip()
     if not label:
         raise ValueError(f"species parameter needs a name: {text!r}")
-    return Species(family=family, parameter=parse_rational(value), slot=slot, label=label)
+    return Species(family=family, parameter=parse_rational(value), label=label)
 
 
 def weight_coefficients(family: str, params, maxdeg: int) -> list:

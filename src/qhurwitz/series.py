@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import factorial
 
 from .errors import PoleError
 
@@ -159,19 +158,6 @@ class TruncatedSeries:
             acc = acc + power
         return acc * (Fraction(1) / c0)
 
-    def exp(self) -> "TruncatedSeries":
-        """Exponential, defined when the constant term is zero."""
-        if self.constant_term() != 0:
-            raise ValueError("exp requires a zero constant term")
-        acc = TruncatedSeries.one(self.vars, self.cap)
-        power = acc
-        for m in range(1, self.cap + 1):
-            power = power * self
-            if not power.coeffs:
-                break
-            acc = acc + power * Fraction(1, factorial(m))
-        return acc
-
     def evaluate(self, assignments) -> Fraction:
         """Evaluate at rational values for every variable."""
         values = []
@@ -251,23 +237,6 @@ def poly_mul(a: list, b: list, maxdeg: int) -> list:
             if not cb:
                 continue
             out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def poly_inverse(a: list, maxdeg: int) -> list:
-    """Inverse of a coefficient list with invertible constant term."""
-    if not a:
-        raise ValueError("empty coefficient list")
-    lead = reciprocal(a[0])
-    out = [lead] + [0] * maxdeg
-    for k in range(1, maxdeg + 1):
-        acc = 0
-        for j in range(1, k + 1):
-            aj = a[j] if j < len(a) else 0
-            if not aj:
-                continue
-            acc = acc + aj * out[k - j]
-        out[k] = -(lead * acc) if acc else 0
     return out
 
 

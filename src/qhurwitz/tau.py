@@ -175,9 +175,7 @@ class HurwitzTable:
     """
 
     n: int
-    species: tuple[Species, ...]
     maxdeg: tuple[int, ...]
-    shift: int
     entries: dict
 
     def entry(self, degrees: tuple[int, ...], mu: Partition, nu: Partition):
@@ -206,7 +204,7 @@ def tau_coefficients(
         for mu, row in zip(parts, spectral_sum(tbl, content_eigenvalues(lists, degrees))):
             for nu, value in zip(parts, row):
                 entries[(degrees, mu, nu)] = value
-    return HurwitzTable(n=config.n, species=config.species, maxdeg=maxdeg, shift=shift, entries=entries)
+    return HurwitzTable(n=config.n, maxdeg=maxdeg, entries=entries)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ def report(name: str, failures: list) -> None:
 
 
 def two_species_config(n: int) -> WeightConfig:
-    return WeightConfig(species=(Species("E", HALF, 1), Species("H", FIFTH, 2)), n=n)
+    return WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=n)
 
 
 def test_criterion_1_triangle_equality():
@@ -56,7 +56,7 @@ def test_criterion_1_triangle_equality():
     for family in ("E", "H"):
         for q in (HALF, THIRD):
             for n in (2, 3, 4):
-                config = WeightConfig(species=(Species(family, q, 1),), n=n)
+                config = WeightConfig(species=(Species(family, q),), n=n)
                 result = verify_triangle(config, (3,))
                 if not result.ok:
                     failures.append((family, str(q), n, result.discrepancies[:2]))
@@ -81,7 +81,7 @@ def test_criterion_2_frobenius_vs_brute_force():
         for extra in tuples:
             for mu in parts:
                 for nu in parts:
-                    config = BranchConfiguration(n, extra, mu, nu)
+                    config = BranchConfiguration(extra, mu, nu)
                     lhs = factorial(n) * frobenius_hurwitz(config)
                     rhs = enumerate_factorizations(config)
                     if lhs != rhs:
@@ -194,16 +194,16 @@ def test_criterion_5_path_count_oracle():
 def test_criterion_6_transfer_matrix_commutativity():
     """Zero commutators among all species/degree matrices, n <= 5."""
     failures = []
-    species = (Species("E", HALF, 1), Species("E", THIRD, 1), Species("H", FIFTH, 1))
+    species = (Species("E", HALF), Species("E", THIRD), Species("H", FIFTH))
     for n in range(2, 6):
-        matrices = [
-            transfer_matrix(s, degree, n)
+        matrices = {
+            f"{s.describe()}^{degree}": transfer_matrix(s, degree, n)
             for s in species
             for degree in range(0, 4)
-        ]
-        for a, b in itertools.combinations(matrices, 2):
+        }
+        for (a_name, a), (b_name, b) in itertools.combinations(matrices.items(), 2):
             if not a.commutes_with(b):
-                failures.append((n, a.label, b.label))
+                failures.append((n, a_name, b_name))
     report("criterion 6: transfer matrix commutativity", failures)
 
 
@@ -212,7 +212,7 @@ def test_criterion_7_jucys_murphy_eigenvalues():
     failures = []
     for n in range(1, 5):
         config = WeightConfig(
-            species=(Species("E", HALF, 1), Species("H", FIFTH, 2)), n=n
+            species=(Species("E", HALF), Species("H", FIFTH)), n=n
         )
         for lam in enumerate_partitions(n):
             if not jucys_murphy_eigenvalue_check(config, lam, 2):
@@ -225,7 +225,7 @@ def test_criterion_8_degree_zero_and_parity():
     failures = []
     tables = []
     for family, q, n in (("E", HALF, 2), ("E", THIRD, 3), ("H", HALF, 4)):
-        config = WeightConfig(species=(Species(family, q, 1),), n=n)
+        config = WeightConfig(species=(Species(family, q),), n=n)
         tables.append(tau_coefficients(config, (3,)))
     for n in (2, 3):
         tables.append(tau_coefficients(two_species_config(n), (2, 2)))

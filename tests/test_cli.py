@@ -231,8 +231,9 @@ class TestTauWriter:
             (degrees, mu, nu) for degrees in table.multidegrees() for mu in parts for nu in parts
         ]
 
-    @pytest.mark.parametrize("key", sorted(k for k in PINS if k.startswith("compute tau ")))
+    @pytest.mark.parametrize("key", sorted(PINS))
     def test_pinned_bytes(self, capsys, key):
+        """Every request pinned in bench/pins.json: exit code and stdout SHA-256."""
         code, out = run_cli(capsys, *shlex.split(key))
         assert [code, hashlib.sha256(out.encode()).hexdigest()] == PINS[key]
 

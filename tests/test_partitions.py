@@ -16,7 +16,6 @@ from qhurwitz import (
     hook_product,
     parse_partition,
     partition_count,
-    partitions_with_colength,
 )
 from qhurwitz.partitions import ENUMERATION_LIMIT
 
@@ -118,20 +117,6 @@ class TestEnumeration:
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             enumerate_partitions(ENUMERATION_LIMIT + 1)
-
-
-class TestColengthFilter:
-    def test_examples(self):
-        assert partitions_with_colength(3, 1) == [(2, 1)]
-        assert partitions_with_colength(3, 2) == [(3,)]
-        assert partitions_with_colength(2, 5) == []
-
-    def test_never_contains_trivial_profile(self):
-        for n in range(2, 7):
-            for c in range(1, n):
-                for mu in partitions_with_colength(n, c):
-                    assert mu != (1,) * n
-                    assert colength(mu) == c
 
 
 class TestCentralizerOrder:

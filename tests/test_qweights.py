@@ -9,7 +9,6 @@ from qhurwitz import (
     PoleError,
     Species,
     TruncatedSeries,
-    WeightConfig,
     bose_factor,
     parse_rational,
     parse_species_flag,
@@ -288,21 +287,20 @@ class TestSpeciesParsing:
             parse_rational("x")
 
     def test_parse_species_flag(self):
-        species = parse_species_flag("E:q=1/2", 1)
+        species = parse_species_flag("E:q=1/2")
         assert species.family == "E"
         assert species.parameter == HALF
-        assert species.slot == 1
         assert species.describe() == "E:q=1/2"
 
     def test_species_validation(self):
         with pytest.raises(ValueError):
-            Species(family="E", parameter=Fraction(3, 2), slot=1)
+            Species(family="E", parameter=Fraction(3, 2))
         with pytest.raises(ValueError):
-            Species(family="X", parameter=HALF, slot=1)
+            Species(family="X", parameter=HALF)
 
-    def test_config_requires_contiguous_slots(self):
-        a = Species(family="E", parameter=HALF, slot=1)
-        b = Species(family="H", parameter=FIFTH, slot=3)
-        with pytest.raises(ValueError):
-            WeightConfig(species=(a, b), n=2)
-        WeightConfig(species=(a, Species(family="H", parameter=FIFTH, slot=2)), n=2)
+    def test_label_is_keyword_only(self):
+        # A species' slot is its position in WeightConfig.species, so a
+        # leftover positional slot argument is refused.
+        with pytest.raises(TypeError):
+            Species("H", FIFTH, 1)
+        assert Species("H", FIFTH, label="p").describe() == "H:p=1/5"

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from qhurwitz.characters import TABLE_LIMIT
 from qhurwitz.combinatorial import JM_LIMIT, PATH_LIMIT_D, PATH_LIMIT_N
-from qhurwitz.geometric import FACTORIZATION_LIMIT, GEOMETRIC_COST_LIMIT
+from qhurwitz.geometric import GEOMETRIC_COST_LIMIT
 from qhurwitz.partitions import ENUMERATION_LIMIT
 from qhurwitz.sn import GROUP_LIMIT
 from qhurwitz.tau import SPECTRAL_COST_LIMIT, TRIANGLE_DEGREE_LIMIT, TRIANGLE_N_LIMIT
@@ -46,10 +46,6 @@ def limits_rows() -> list[tuple[str, str]]:
 def stated_value(text: str) -> int:
     base, _, exponent = text.partition("^")
     return int(base) ** int(exponent) if exponent else int(base)
-
-
-def test_factorization_limit_is_the_group_limit():
-    assert FACTORIZATION_LIMIT == GROUP_LIMIT
 
 
 def test_every_row_states_its_constants():

@@ -35,7 +35,7 @@ FIFTH = Fraction(1, 5)
 
 
 def single_species(family, q, n):
-    return WeightConfig(species=(Species(family, q, 1),), n=n)
+    return WeightConfig(species=(Species(family, q),), n=n)
 
 
 def reference_tau_entries(config, maxdeg, shift=0):
@@ -78,25 +78,25 @@ def reference_species_content_coeffs(species, lam, maxdeg, shift=0):
 
 class TestContentProducts:
     def test_single_cell_vanishes_at_zero_shift(self):
-        coeffs = species_content_coeffs(Species("E", HALF, 1), [(1,)], 3)
+        coeffs = species_content_coeffs(Species("E", HALF), [(1,)], 3)
         assert coeffs == [[1, 0, 0, 0]]
 
     def test_row_two_first_coefficient(self):
-        [coeffs] = species_content_coeffs(Species("E", HALF, 1), [(2,)], 2)
+        [coeffs] = species_content_coeffs(Species("E", HALF), [(2,)], 2)
         assert coeffs[1] == weight_coefficient("E", HALF, 1)
 
     def test_column_two_first_coefficient_is_negated(self):
-        [coeffs] = species_content_coeffs(Species("E", HALF, 1), [(1, 1)], 2)
+        [coeffs] = species_content_coeffs(Species("E", HALF), [(1, 1)], 2)
         assert coeffs[1] == -weight_coefficient("E", HALF, 1)
 
     def test_nonzero_shift_moves_the_cell(self):
-        [coeffs] = species_content_coeffs(Species("E", HALF, 1), [(1,)], 2, shift=1)
+        [coeffs] = species_content_coeffs(Species("E", HALF), [(1,)], 2, shift=1)
         assert coeffs[1] == weight_coefficient("E", HALF, 1)
 
     @pytest.mark.parametrize("family, q", [("E", HALF), ("E'", Fraction(2, 5)), ("H", -THIRD)])
     @pytest.mark.parametrize("shift", range(-2, 3))
     def test_all_shapes_match_reference(self, family, q, shift):
-        species = Species(family, q, 1)
+        species = Species(family, q)
         for n in range(1, 8):
             parts = enumerate_partitions(n)
             expected = [reference_species_content_coeffs(species, lam, 4, shift) for lam in parts]
@@ -104,11 +104,11 @@ class TestContentProducts:
 
     def test_multispecies_table_is_outer_product(self):
         config = WeightConfig(
-            species=(Species("E", HALF, 1), Species("H", FIFTH, 2)), n=2
+            species=(Species("E", HALF), Species("H", FIFTH)), n=2
         )
         table = content_product_coeffs(config, (2,), (2, 2))
-        [left] = species_content_coeffs(Species("E", HALF, 1), [(2,)], 2)
-        [right] = species_content_coeffs(Species("H", FIFTH, 1), [(2,)], 2)
+        [left] = species_content_coeffs(Species("E", HALF), [(2,)], 2)
+        [right] = species_content_coeffs(Species("H", FIFTH), [(2,)], 2)
         for i in range(3):
             for j in range(3):
                 assert table[(i, j)] == left[i] * right[j]
@@ -161,7 +161,7 @@ class TestTauCoefficients:
 
     def test_symmetry_in_mu_nu(self):
         config = WeightConfig(
-            species=(Species("E", HALF, 1), Species("H", FIFTH, 2)), n=3
+            species=(Species("E", HALF), Species("H", FIFTH)), n=3
         )
         table = tau_coefficients(config, (2, 2))
         for degrees in table.multidegrees():
@@ -204,7 +204,7 @@ class TestSpectralKernel:
 
     def test_two_species_matches_reference(self):
         config = WeightConfig(
-            species=(Species("E", HALF, 1), Species("H", FIFTH, 2)), n=5
+            species=(Species("E", HALF), Species("H", FIFTH)), n=5
         )
         assert tau_coefficients(config, (2, 2)).entries == reference_tau_entries(config, (2, 2))
 
@@ -279,7 +279,7 @@ class TestVerifyTriangle:
 
     def test_two_species_joint(self):
         config = WeightConfig(
-            species=(Species("E", HALF, 1), Species("H", FIFTH, 2)), n=2
+            species=(Species("E", HALF), Species("H", FIFTH)), n=2
         )
         report = verify_triangle(config, (1, 1))
         assert report.ok
@@ -296,7 +296,7 @@ class TestVerifyTriangle:
 
 
 def suite_config(texts, n):
-    return WeightConfig(tuple(parse_species_flag(t, i) for i, t in enumerate(texts, 1)), n)
+    return WeightConfig(tuple(parse_species_flag(t) for t in texts), n)
 
 
 FOUR_SPECIES = ("E:q=1/2", "E:q=1/3", "H:q=1/5", "H:q=1/7")
@@ -357,7 +357,7 @@ class TestSpectralCost:
 
     def config(self, n, count):
         families = ("E", "H", "E'")
-        species = tuple(Species(families[s], self.WIDEST, s + 1) for s in range(count))
+        species = tuple(Species(families[s], self.WIDEST) for s in range(count))
         return WeightConfig(species, n)
 
     @pytest.mark.parametrize("n,maxdeg", [
@@ -426,7 +426,7 @@ class TestOneContentPassPerSpecies:
         return calls
 
     CONFIG = WeightConfig(
-        species=(Species("E", HALF, 1), Species("H", FIFTH, 2), Species("E'", THIRD, 3)), n=5
+        species=(Species("E", HALF), Species("H", FIFTH), Species("E'", THIRD)), n=5
     )
 
     def test_tau_coefficients(self, monkeypatch):
