@@ -1,6 +1,8 @@
 """Exact quantum and multispecies weighted Hurwitz numbers.
 
-Three pipelines compute the same numbers (tau and combinatorial share spectral_sum):
+Three pipelines compute the same numbers.  The tau and combinatorial pipelines
+share the spectral layer of ``characters`` (content lists, kernel, cost); the
+geometric pipeline reads only its character tables.
 
 * geometric: symmetrized branch-point weights times character-sum covering
   counts over branch configurations;

@@ -1,17 +1,33 @@
-"""Exact irreducible characters of the symmetric group.
+"""Exact irreducible characters of the symmetric group, and the spectral layer.
 
 Character values are computed by the signed border-strip (Murnaghan-Nakayama)
 recursion, memoized on (shape, remaining cycle lengths); naive recursion
 repeats subproblems exponentially.  Complete tables are cached per n for the
-process lifetime.  Everything here is exact integer arithmetic, including
-spectral_sum, the character-sum kernel the tau and combinatorial pipelines share.
+process lifetime.  Character values and tables are exact integer arithmetic.
+
+The spectral layer below is what the tau and combinatorial pipelines share
+beyond the scalar, weight and partition helpers: the content-product
+eigenvalues of the central element prod_a G(u J_a) of the Jucys-Murphy
+elements J_a, and the character sum over them.
+
+* species_content_coeffs: per species and shape lam, the coefficients of
+  prod_{cells of lam} G(param, (shift + content) * u), exact rationals or
+  series;
+* content_eigenvalues: per shape, their product over species at one
+  multidegree;
+* spectral_sum: the kernel, sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu)
+  as integer dot products over one common denominator per monomial;
+* spectral_cost and check_spectral_cost: the work estimate that refuses a
+  request past SPECTRAL_COST_LIMIT before any content coefficient.
+
+The geometric pipeline reads only character_table here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import mul
 
 from .errors import CapacityError
@@ -19,10 +35,13 @@ from .partitions import (
     Partition,
     centralizer_order,
     check_partition,
+    contents,
     enumerate_partitions,
     hook_product,
+    partition_count,
 )
-from .series import TruncatedSeries
+from .qweights import Species, WeightConfig, weight_coefficients
+from .series import TruncatedSeries, poly_mul
 
 #: Largest n for which character_table builds a full table.
 TABLE_LIMIT = 12
@@ -104,9 +123,6 @@ class CharacterTable:
     def value(self, lam: Partition, mu: Partition) -> int:
         return self.values[self.index(lam)][self.index(mu)]
 
-    def dimension(self, lam: Partition) -> int:
-        return factorial(self.n) // self.hook_products[self.index(lam)]
-
 
 @lru_cache(maxsize=None)
 def character_table(n: int) -> CharacterTable:
@@ -146,3 +162,84 @@ def spectral_sum(table: CharacterTable, coeffs):
     if series is None:
         return tuple(tuple(t.get((), Fraction(0)) for t in row) for row in terms)
     return tuple(tuple(TruncatedSeries(series.vars, series.cap, t) for t in row) for row in terms)
+
+
+def species_content_coeffs(
+    species: Species, shapes, maxdeg: int, shift: int = 0
+) -> list[list]:
+    """Coefficients, up to degree maxdeg, of the species' content product of each shape.
+
+    One list per shape, in the order of ``shapes``: the product over cells of
+    G(param, (shift + content) * u) as a univariate polynomial in the
+    species' expansion variable u.  The weights are computed once, and each
+    cell factor G(m u) once per distinct shifted content m.  The degree 0
+    coefficient is always 1; cells of content -shift contribute nothing.
+    """
+    weights = weight_coefficients(species.family, species.parameter, maxdeg)
+    factors: dict[int, list] = {}
+    lists = []
+    for lam in shapes:
+        poly = [1] + [0] * maxdeg
+        for c in contents(lam):
+            m = shift + c
+            if m == 0:
+                continue
+            if m not in factors:
+                factors[m] = [weights[j] * m**j for j in range(maxdeg + 1)]
+            poly = poly_mul(poly, factors[m], maxdeg)
+        lists.append(poly)
+    return lists
+
+
+def content_eigenvalues(lists: list, degrees: tuple[int, ...]) -> list:
+    """Per shape, the product over species s of lists[s][shape][degrees[s]].
+
+    ``lists`` holds one species_content_coeffs result per species.
+    """
+    return [prod(coeffs[d] for coeffs, d in zip(shape, degrees)) for shape in zip(*lists)]
+
+
+#: Largest spectral_cost a tau table or transfer matrix may have.
+SPECTRAL_COST_LIMIT = 10**7
+
+
+def spectral_cost(
+    config: WeightConfig, maxdeg: tuple[int, ...], blocks: int, shift: int = 0
+) -> int:
+    """Work estimate, in kernel products, of blocks spectral_sum calls up to maxdeg.
+
+    products * (1 + bits / 2^13)^2, where products counts
+      * blocks * p(n)^3 integer products of the kernel, and
+      * p(n) * (16 (n - 2)^+ + 1) * sum_s (d_s + 1)^2 Fraction products that
+        build the content coefficients: per shape and species, about d^2
+        for the weights and, past the first nonzero content, d^2 per cell
+        for the polynomial products, each about 16 kernel products.  The
+        weights are computed once per species, so the per-shape weight term
+        over-estimates; it stays as fitted, which keeps every request's
+        admission, and its refit is an open ROADMAP.md item;
+    and bits = sum_s d_s * (b_s * d_s + bit length of |shift| + n) is about
+    the size of the largest coefficient: b_s * d_s^2 from the weights
+    (Species.bits) and d_s factors of a shifted content.  Arithmetic on
+    such numbers grows with the square of their size (the gcds of Fraction).
+    The constants are fitted to measured times of tau_coefficients.
+    """
+    n = config.n
+    parts = partition_count(n)
+    content_bits = (abs(shift) + n).bit_length()
+    bits = sum(s.bits * d * d + d * content_bits for s, d in zip(config.species, maxdeg))
+    products = blocks * parts**3 + parts * (16 * max(0, n - 2) + 1) * sum(
+        (d + 1) ** 2 for d in maxdeg
+    )
+    return products * (2**13 + bits) ** 2 // 2**26
+
+
+def check_spectral_cost(
+    config: WeightConfig, maxdeg: tuple[int, ...], blocks: int, shift: int = 0
+) -> None:
+    """Raise CapacityError when spectral_cost exceeds SPECTRAL_COST_LIMIT."""
+    cost = spectral_cost(config, maxdeg, blocks, shift)
+    if cost > SPECTRAL_COST_LIMIT:
+        raise CapacityError(
+            f"spectral sum costs about {cost} (kernel products), "
+            f"over the limit of {SPECTRAL_COST_LIMIT}"
+        )

@@ -32,7 +32,7 @@ from .errors import CapacityError, PoleError
 from .geometric import multispecies_hurwitz_number
 from .partitions import format_partition, parse_partition
 from .qweights import Species, WeightConfig, parse_species_flag
-from .series import _fraction_text, format_rational
+from .series import format_rational
 from .tau import check_triangle_bounds, tau_coefficients, verify_triangle
 
 
@@ -80,14 +80,8 @@ def _partition_arg(text: str, n: int, name: str):
     return mu
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 def _emit_json(document) -> None:
-    _emit(json.dumps(document, indent=2, sort_keys=True))
+    sys.stdout.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
@@ -100,7 +94,7 @@ def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
     """
     labels = {p: format_partition(p) for p in character_table(table.n).partitions}
     rows = (
-        (degrees, labels[mu], labels[nu], _fraction_text(value))
+        (degrees, labels[mu], labels[nu], format_rational(value))
         for (degrees, mu, nu), value in table.entries.items()
         if (mu_filter is None or mu == mu_filter) and (nu_filter is None or nu == nu_filter)
     )
@@ -124,16 +118,6 @@ def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
     sys.stdout.write("\n]\n")
 
 
-def _scalar_record(n, mu, nu, degrees, value) -> dict:
-    return {
-        "n": n,
-        "mu": format_partition(mu),
-        "nu": format_partition(nu),
-        "degrees": list(degrees),
-        "value": format_rational(value),
-    }
-
-
 def _cmd_compute(args) -> int:
     species = _parse_species_list(args.species)
     config = WeightConfig(species=species, n=args.n)
@@ -151,7 +135,15 @@ def _cmd_compute(args) -> int:
         value = multispecies_hurwitz_number(config, degrees, mu, nu)
     else:
         value = multispecies_transfer_matrix(config, degrees).hurwitz_entry(mu, nu)
-    _emit_json(_scalar_record(args.n, mu, nu, degrees, value))
+    _emit_json(
+        {
+            "n": args.n,
+            "mu": format_partition(mu),
+            "nu": format_partition(nu),
+            "degrees": list(degrees),
+            "value": format_rational(value),
+        }
+    )
     return 0
 
 

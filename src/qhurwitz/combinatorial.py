@@ -39,13 +39,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .characters import character_table, spectral_sum
+from .characters import (
+    character_table,
+    check_spectral_cost,
+    content_eigenvalues,
+    spectral_sum,
+    species_content_coeffs,
+)
 from .errors import CapacityError
 from .partitions import Partition, check_partition, enumerate_partitions
 from .qweights import Species, WeightConfig, multidegrees, weight_coefficients
 from .series import TruncatedSeries
 from .sn import algebra_mul, symmetric_group
-from .tau import check_spectral_cost, content_eigenvalues, species_content_coeffs
 
 #: Brute-force path enumeration bounds ((n choose 2)^d sequences).
 PATH_LIMIT_N = 5

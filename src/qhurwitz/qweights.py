@@ -155,11 +155,11 @@ def parse_species_flag(text: str) -> Species:
 def weight_coefficients(family: str, params, maxdeg: int) -> list:
     """Coefficients of z^0, ..., z^maxdeg of the named weight generating function.
 
-    ``params`` is a single scalar for families E, E', H and a (q, p) pair for
-    the hybrid Q.  The Euler product prod_{j<=i} (1 - q^j) grows by one factor
-    per degree; Q is the product of the E series in q and the H series in p.
-    Works in both scalar modes; a vanishing rational denominator raises
-    PoleError.
+    ``params`` is a single scalar for families E, E', H (a tuple or list
+    raises ValueError) and a (q, p) pair for the hybrid Q.  The Euler product
+    prod_{j<=i} (1 - q^j) grows by one factor per degree; Q is the product of
+    the E series in q and the H series in p.  Works in both scalar modes; a
+    vanishing rational denominator raises PoleError.
     """
     if family not in COEFFICIENT_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -168,7 +168,9 @@ def weight_coefficients(family: str, params, maxdeg: int) -> list:
     if family == "Q":
         q, p = params
         return poly_mul(weight_coefficients("E", q, maxdeg), weight_coefficients("H", p, maxdeg), maxdeg)
-    q = params[0] if isinstance(params, (tuple, list)) else params
+    if isinstance(params, (tuple, list)):
+        raise ValueError(f"family {family} takes one parameter, got {params!r}")
+    q = params
     euler = q**0
     coefficients = [reciprocal(euler)]
     for i in range(1, maxdeg + 1):

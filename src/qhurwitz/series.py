@@ -18,7 +18,7 @@ Fractions coerce into either mode as constants.
 
 from __future__ import annotations
 
-import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import PoleError
@@ -198,23 +198,17 @@ class TruncatedSeries:
         return "TruncatedSeries(" + " + ".join(terms) + ")"
 
 
-def _fraction_text(value: Fraction) -> str:
+def format_rational(value) -> str:
+    """Exact "numerator/denominator" text of an int or Fraction, in lowest terms, at any size.
+
+    Python's int_max_str_digits limit guards int() on outside text.  A value
+    past it prints through decimal.Decimal, which converts an int exactly
+    without that limit, so the process-wide limit is never touched.
+    """
     try:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:
-        # sys.int_max_str_digits guards int() on outside text.  A computed
-        # value is bounded by the cost models instead, so it always prints.
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return f"{value.numerator}/{value.denominator}"
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-
-def format_rational(value) -> str:
-    """Exact "numerator/denominator" text of a rational, in lowest terms, at any size."""
-    return _fraction_text(Fraction(value))
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def reciprocal(x):

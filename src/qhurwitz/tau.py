@@ -1,28 +1,29 @@
-"""Content products and the hypergeometric tau-function coefficient pipeline.
+"""The hypergeometric tau-function coefficient table and the three-pipeline triangle.
 
 A weight configuration determines, for every shape lam of n, the content
 product
 
-    r_lam(u_1, ..., u_S) = prod_species prod_{cells (i,j) of lam}
-                           G_species(param, (shift + j - i) * u_slot)
+    r_lam(u_1, ..., u_S) = prod_s prod_{cells (i,j) of lam}
+                           G_s(param_s, (shift + j - i) * u_s)
 
-where G is the species' weight generating function and each species tracks
-its own expansion variable.  No symmetric function indeterminates are ever
+where G_s is the weight generating function of the s-th species and u_s its
+expansion variable.  No symmetric function indeterminates are ever
 materialized: the tau function "is" its power sum coefficient table, which
-``characters.spectral_sum``, shared with the combinatorial pipeline, assembles:
+the spectral layer of ``characters``, shared with the combinatorial
+pipeline, assembles from the per-species content lists:
 
     entry(degrees, mu, nu) =
         sum_lam [u^degrees] r_lam * chi_lam(mu) chi_lam(nu) / (z_mu z_nu).
 
-Multidegree truncation is a hard rectangular bound per slot.  The shift
+A table holds every multidegree componentwise at most maxdeg.  The shift
 defaults to 0, which is the value at which the coefficients are Hurwitz
 numbers; nonzero shifts are supported for the content products and tables
-only, with no enumerative meaning claimed.
-
-A table or transfer matrix whose estimated cost (kernel products, or the
-Fraction products of its content coefficients scaled by their bit size)
+only, with no enumerative meaning claimed.  A table whose spectral_cost
 exceeds SPECTRAL_COST_LIMIT raises CapacityError before any content
 coefficient is computed.
+
+verify_triangle compares the table entrywise with the geometric and
+combinatorial pipelines, after check_triangle_bounds has admitted the suite.
 """
 
 from __future__ import annotations
@@ -32,52 +33,21 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
 
-from .characters import character_table, spectral_sum
-from .errors import CapacityError
-from .partitions import (
-    Partition,
-    check_partition,
-    contents,
-    format_partition,
-    partition_count,
+from .characters import (
+    SPECTRAL_COST_LIMIT,
+    character_table,
+    check_spectral_cost,
+    content_eigenvalues,
+    spectral_cost,
+    spectral_sum,
+    species_content_coeffs,
 )
-from .qweights import Species, WeightConfig, multidegrees, weight_coefficients
-from .series import TruncatedSeries, format_rational, poly_mul
-
-
-def species_content_coeffs(
-    species: Species, shapes, maxdeg: int, shift: int = 0
-) -> list[list]:
-    """Coefficients, up to degree maxdeg, of the species' content product of each shape.
-
-    One list per shape, in the order of ``shapes``: the product over cells of
-    G(param, (shift + content) * u) as a univariate polynomial in the
-    species' expansion variable u.  The weights are computed once, and each
-    cell factor G(m u) once per distinct shifted content m.  The degree 0
-    coefficient is always 1; cells of content -shift contribute nothing.
-    """
-    weights = weight_coefficients(species.family, species.parameter, maxdeg)
-    factors: dict[int, list] = {}
-    lists = []
-    for lam in shapes:
-        poly = [1] + [0] * maxdeg
-        for c in contents(lam):
-            m = shift + c
-            if m == 0:
-                continue
-            if m not in factors:
-                factors[m] = [weights[j] * m**j for j in range(maxdeg + 1)]
-            poly = poly_mul(poly, factors[m], maxdeg)
-        lists.append(poly)
-    return lists
-
-
-def content_eigenvalues(lists: list, degrees: tuple[int, ...]) -> list:
-    """Per shape, the product over species s of lists[s][shape][degrees[s]].
-
-    ``lists`` holds one species_content_coeffs result per species.
-    """
-    return [prod(coeffs[d] for coeffs, d in zip(shape, degrees)) for shape in zip(*lists)]
+from .combinatorial import multispecies_transfer_matrix
+from .errors import CapacityError
+from .geometric import GEOMETRIC_COST_LIMIT, _geometric_cost, multispecies_hurwitz_matrix
+from .partitions import Partition, check_partition, format_partition
+from .qweights import WeightConfig, multidegrees
+from .series import TruncatedSeries, format_rational
 
 
 def content_product_coeffs(
@@ -101,52 +71,6 @@ def content_product_coeffs(
         degrees: prod(per_species[s][d] for s, d in enumerate(degrees))
         for degrees in multidegrees(maxdeg)
     }
-
-
-#: Largest spectral_cost a tau table or transfer matrix may have.
-SPECTRAL_COST_LIMIT = 10**7
-
-
-def spectral_cost(
-    config: WeightConfig, maxdeg: tuple[int, ...], blocks: int, shift: int = 0
-) -> int:
-    """Work estimate, in kernel products, of blocks spectral_sum calls up to maxdeg.
-
-    products * (1 + bits / 2^13)^2, where products counts
-      * blocks * p(n)^3 integer products of the kernel, and
-      * p(n) * (16 (n - 2)^+ + 1) * sum_s (d_s + 1)^2 Fraction products that
-        build the content coefficients: per shape and species, about d^2
-        for the weights and, past the first nonzero content, d^2 per cell
-        for the polynomial products, each about 16 kernel products.  The
-        weights are computed once per species, so the per-shape weight term
-        over-estimates; it stays as fitted, which keeps every request's
-        admission, and its refit is an open ROADMAP.md item;
-    and bits = sum_s d_s * (b_s * d_s + bit length of |shift| + n) is about
-    the size of the largest coefficient: b_s * d_s^2 from the weights
-    (Species.bits) and d_s factors of a shifted content.  Arithmetic on
-    such numbers grows with the square of their size (the gcds of Fraction).
-    The constants are fitted to measured times of tau_coefficients.
-    """
-    n = config.n
-    parts = partition_count(n)
-    content_bits = (abs(shift) + n).bit_length()
-    bits = sum(s.bits * d * d + d * content_bits for s, d in zip(config.species, maxdeg))
-    products = blocks * parts**3 + parts * (16 * max(0, n - 2) + 1) * sum(
-        (d + 1) ** 2 for d in maxdeg
-    )
-    return products * (2**13 + bits) ** 2 // 2**26
-
-
-def check_spectral_cost(
-    config: WeightConfig, maxdeg: tuple[int, ...], blocks: int, shift: int = 0
-) -> None:
-    """Raise CapacityError when spectral_cost exceeds SPECTRAL_COST_LIMIT."""
-    cost = spectral_cost(config, maxdeg, blocks, shift)
-    if cost > SPECTRAL_COST_LIMIT:
-        raise CapacityError(
-            f"spectral sum costs about {cost} (kernel products), "
-            f"over the limit of {SPECTRAL_COST_LIMIT}"
-        )
 
 
 def schur_to_powersum(lam: Partition) -> dict[Partition, Fraction]:
@@ -254,8 +178,6 @@ def check_triangle_bounds(
     tables are counted first and the sums checked as they grow, so a suite
     of many species is refused without walking its multidegrees.
     """
-    from .geometric import GEOMETRIC_COST_LIMIT, _geometric_cost
-
     if any(m > TRIANGLE_DEGREE_LIMIT for m in maxdeg):
         raise CapacityError(
             f"triangle verification is limited to slot degrees <= {TRIANGLE_DEGREE_LIMIT}"
@@ -297,9 +219,6 @@ def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleRe
     cost estimates of check_triangle_bounds, which keep the three legs at
     desk scale; past them CapacityError.
     """
-    from .combinatorial import multispecies_transfer_matrix
-    from .geometric import multispecies_hurwitz_matrix
-
     maxdeg = config.degrees(maxdeg)
     check_triangle_bounds(config, maxdeg)
     table = tau_coefficients(config, maxdeg)

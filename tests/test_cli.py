@@ -313,7 +313,7 @@ class TestVerify:
             parts = enumerate_partitions(config.n)
             return {(mu, nu): 3 for mu in parts for nu in parts}
 
-        monkeypatch.setattr(qhurwitz.geometric, "multispecies_hurwitz_matrix", threes)
+        monkeypatch.setattr(qhurwitz.tau, "multispecies_hurwitz_matrix", threes)
         code, out = run_cli(
             capsys, "verify", "triangle", "--n-max", "3", "--deg-max", "1",
             "--species", "H:q=1/2",

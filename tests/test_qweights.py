@@ -110,6 +110,14 @@ class TestWeightCoefficients:
         with pytest.raises(PoleError):
             weight_coefficients("E", Fraction(-1), 3)
 
+    @pytest.mark.parametrize("family", ["E", "E'", "H"])
+    def test_one_parameter_families_refuse_a_pair(self, family):
+        for params in ((HALF, FIFTH), [HALF, FIFTH], (HALF,)):
+            with pytest.raises(ValueError, match="takes one parameter"):
+                weight_coefficients(family, params, 2)
+            with pytest.raises(ValueError, match="takes one parameter"):
+                weight_coefficient(family, params, 2)
+
 
 class TestWeightCoefficient:
     def test_degree_zero_is_one(self):

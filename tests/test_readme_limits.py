@@ -1,9 +1,16 @@
-"""The README "Limits" table states the bounds the code enforces."""
+"""The README's "Limits" table states the bounds the code enforces, and its examples run."""
 
+import ast
+import io
 import re
+import shlex
+import tokenize
 from pathlib import Path
 
+import pytest
+
 from qhurwitz.characters import TABLE_LIMIT
+from qhurwitz.cli import main
 from qhurwitz.combinatorial import JM_LIMIT, PATH_LIMIT_D, PATH_LIMIT_N
 from qhurwitz.geometric import GEOMETRIC_COST_LIMIT
 from qhurwitz.partitions import ENUMERATION_LIMIT
@@ -60,3 +67,45 @@ def test_every_row_states_its_constants():
             assert stated, f"{operation}: no bound on {quantity}"
             assert {stated_value(text) for text in stated} == {constant}, (operation, quantity)
     assert seen == set(LIMITS)
+
+
+def code_block(heading: str) -> str:
+    """The first fenced block after the heading, without its fences."""
+    section = README.read_text().split(heading + "\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_library_sketch_runs_and_its_values_hold():
+    source = code_block("## Library sketch")
+    comments = {
+        token.start[0]: token.string.lstrip("# ")
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    checked = 0
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.Expr) and statement.end_lineno in comments:
+            value = eval(compile(ast.Expression(statement.value), "README", "eval"), namespace)
+            # The comment is the value's repr, maybe followed by ", prose".
+            stated = comments[statement.end_lineno]
+            assert stated == repr(value) or stated.startswith(repr(value) + ", "), stated
+            checked += 1
+        else:
+            exec(compile(ast.Module([statement], type_ignores=[]), "README", "exec"), namespace)
+    assert checked == len(comments) > 0
+
+
+CLI_LINES = [
+    line.removeprefix("qhurwitz ")
+    for line in code_block("## CLI").splitlines()
+    if line.startswith("qhurwitz ")
+]
+
+
+@pytest.mark.parametrize("line", CLI_LINES)
+@pytest.mark.parametrize("options", ["with", "without"])
+def test_cli_example_exits_0(capsys, line, options):
+    text = re.sub(r"\[([^\]]*)\]", r"\1" if options == "with" else "", line)
+    assert main(shlex.split(text)) == 0, text
+    assert capsys.readouterr().err == ""

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhurwitz import TruncatedSeries, poly_exp, poly_mul
+from qhurwitz.series import format_rational
 
 
 def random_series(cap=6, variables=("q",)):
@@ -118,3 +120,24 @@ class TestPolyHelpers:
         q = TruncatedSeries.variable("q", 4)
         product = poly_mul([1, q], [1, -q], 2)
         assert product == [1, 0, -(q * q)]
+
+
+class TestFormatRational:
+    def test_small_values(self):
+        assert format_rational(3) == "3/1"
+        assert format_rational(0) == "0/1"
+        assert format_rational(Fraction(-6, 8)) == "-3/4"
+
+    def test_past_the_digit_limit_without_touching_it(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the process-wide digit limit was changed")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        # 5,000-digit parts, coprime: 2 (10^4999 + 7) - (2 10^4999 + 1) = 13,
+        # which does not divide 10^4999 + 7.
+        numerator = -(10**4999 + 7)
+        denominator = 2 * 10**4999 + 1
+        assert format_rational(Fraction(numerator, denominator)) == (
+            "-1" + "0" * 4998 + "7/2" + "0" * 4998 + "1"
+        )
+        assert format_rational(10**4999) == "1" + "0" * 4999 + "/1"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qhurwitz.characters as characters_module
 import qhurwitz.combinatorial as combinatorial_module
 import qhurwitz.tau as tau_module
 from qhurwitz import (
@@ -418,9 +419,9 @@ class TestOneContentPassPerSpecies:
 
             return wrapper
 
-        weights = counting("weight_coefficients", tau_module.weight_coefficients)
+        weights = counting("weight_coefficients", characters_module.weight_coefficients)
         content = counting("species_content_coeffs", tau_module.species_content_coeffs)
-        monkeypatch.setattr(tau_module, "weight_coefficients", weights)
+        monkeypatch.setattr(characters_module, "weight_coefficients", weights)
         monkeypatch.setattr(tau_module, "species_content_coeffs", content)
         monkeypatch.setattr(combinatorial_module, "species_content_coeffs", content)
         return calls
