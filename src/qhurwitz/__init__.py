@@ -4,8 +4,8 @@ Three pipelines compute the same numbers.  The tau and combinatorial pipelines
 share the spectral layer of ``characters`` (content lists, kernel, cost); the
 geometric pipeline reads only its character tables.
 
-* geometric: symmetrized branch-point weights times character-sum covering
-  counts over branch configurations;
+* geometric: symmetrized branch-point weights times covering counts, summed
+  over colength classes through their central characters;
 * combinatorial: weighted transposition paths, at production scale through
   central-element transfer matrices on the class-sum basis;
 * tau: coefficient extraction from content products, the power sum

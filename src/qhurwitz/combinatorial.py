@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .characters import (
     character_table,
@@ -188,10 +188,32 @@ def multispecies_transfer_matrix(config: WeightConfig, degrees: tuple[int, ...])
     the left-to-right ``@`` chain exactly; the factors commute.
     """
     degrees = config.degrees(degrees)
+    return _transfer_matrices(config, degrees, [degrees], 1)[degrees]
+
+
+def multispecies_transfer_matrices(config: WeightConfig, maxdeg: tuple[int, ...]) -> dict:
+    """{degrees: multispecies_transfer_matrix(config, degrees)} for every multidegree up to maxdeg.
+
+    Each species' content lists are built once, at its maxdeg: the list of a
+    lower degree is a prefix of that one.
+    """
+    maxdeg = config.degrees(maxdeg)
+    return _transfer_matrices(config, maxdeg, multidegrees(maxdeg), prod(m + 1 for m in maxdeg))
+
+
+def _transfer_matrices(config: WeightConfig, maxdeg: tuple[int, ...], degree_list, blocks: int) -> dict:
+    """One TransferMatrix per multidegree of degree_list, from content lists built at maxdeg.
+
+    The table of n is fetched, and the blocks matrices admitted by one
+    spectral_cost, before any content list.
+    """
     tbl = character_table(config.n)
-    check_spectral_cost(config, degrees, 1)
-    lists = [species_content_coeffs(s, tbl.partitions, d) for s, d in zip(config.species, degrees)]
-    return TransferMatrix(n=config.n, rows=spectral_sum(tbl, content_eigenvalues(lists, degrees)))
+    check_spectral_cost(config, maxdeg, blocks)
+    lists = [species_content_coeffs(s, tbl.partitions, m) for s, m in zip(config.species, maxdeg)]
+    return {
+        degrees: TransferMatrix(n=config.n, rows=spectral_sum(tbl, content_eigenvalues(lists, degrees)))
+        for degrees in degree_list
+    }
 
 
 def _single_species_request(family: str, q, mu: Partition, nu: Partition):

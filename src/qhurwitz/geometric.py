@@ -1,48 +1,60 @@
 """Geometric pipeline: weighted counts of branched coverings.
 
 The unweighted count of n-sheeted branched coverings with profiles
-(mu^1, ..., mu^k, mu, nu) is computed by the character sum
+(mu^1, ..., mu^k, mu, nu) is the Frobenius character sum
 
     sum over shapes lam of n of
-        h_lam^k * (chi_lam(mu)/z_mu) (chi_lam(nu)/z_nu)
-        * prod_i chi_lam(mu^i)/z_{mu^i}
+        prod_i E_lam(mu^i) * chi_lam(mu) chi_lam(nu) / (z_mu z_nu),
+    E_lam(rho) = h_lam chi_lam(rho) / z_rho,
 
 which equals 1/n! times the number of tuples (g_1, ..., g_k, a, b) with g_i,
-a, b in the respective conjugacy classes and g_1 ... g_k a b = identity.  The
-denominator z_mu z_nu prod_i z_{mu^i} does not depend on lam, so the sum is
-taken over integers and divided once.  The exhaustive tuple count is kept
-alongside as the binding brute-force oracle.
+a, b in the respective conjugacy classes and g_1 ... g_k a b = identity.
+E_lam(rho) is a central character: the integer by which the sum of the
+class rho acts on the irreducible module lam.  frobenius_hurwitz evaluates
+one configuration in integers and divides once; the exhaustive tuple count
+enumerate_factorizations is kept alongside as the binding brute-force oracle.
 
 Quantum weighted Hurwitz numbers sum this over ORDERED k-tuples of nontrivial
 profiles with fixed total colength d, each tuple carrying the symmetrized
 weight of its colengths; ordered tuples paired with the 1/k!-symmetrized
 weight is the convention forced by exact agreement with the tau-coefficient
-pipeline.  Every ordering of a multiset of profiles has the same weight and
-the same covering count, so the sum runs over multisets, each enumerated
-once and weighed by its number of orderings k!/prod m_P!.  The H family
-carries the sign (-1)^(k+d); E and E' are unsigned.  Multispecies sums run
-the same multiset enumeration independently per species,
-including the empty collection (k_i = 0), which carries weight 1 and is what
-makes zero multidegrees consistent.  A single species is the one-species
-multispecies sum: quantum_hurwitz_number is that call.
+pipeline.  The H family carries the sign (-1)^(k+d); E and E' are unsigned.
 
-The branch weights are summed once per multidegree, not once per (mu, nu):
-each species' signed weight is computed once per sorted colength multiset,
-and the species' profile multisets are merged into one weight per multiset
-of all extra profiles before any covering is counted.  _covering_sums is the
-one evaluator of the character sum: per multiset and call it forms the
-integer vector h_lam^k prod_i chi_lam(mu^i) over shapes and the denominator
-prod_i z_{mu^i} once, and per (mu, nu) one integer dot product with
-chi_lam(mu) chi_lam(nu).  frobenius_hurwitz is its one-multiset, one-pair
-call, multispecies_hurwitz_number its one-pair call and
-multispecies_hurwitz_matrix its all-pairs call.  The leg uses neither the
-spectral kernel characters.spectral_sum nor the content coefficients of the
-tau pipeline, so its agreement with the other two legs stays a check.
+The weight sees a profile only through its colength, so the sum runs over
+colength classes, not profiles.  The profiles of colength c sum to
+
+    E_lam(c) = sum over rho of colength c of E_lam(rho),
+
+the central character of the sum of all classes of colength c; by Jucys it
+is the elementary symmetric function e_c of the contents of lam.  Per species
+s of degree d and per shape lam,
+
+    G_s(lam) = sum over multisets K of colengths 1..n-1 with sum d of
+               orderings(K) * sign * symmetrized_weight(K) * prod_{c in K} E_lam(c),
+
+orderings(K) = k!/prod m_c! counting the ordered colength tuples of K.  The
+empty multiset (d = 0) carries weight 1, and a one-sheeted cover has no
+nontrivial profile, so its G_s is 0 at every positive degree.  Species add
+independent tuples, so a multispecies value is
+
+    sum_lam prod_s G_s(lam) chi_lam(mu) chi_lam(nu) / (z_mu z_nu),
+
+taken per monomial (one for rationals) as one integer dot product over a
+common denominator.  multispecies_hurwitz_number is its one-pair call,
+multispecies_hurwitz_matrix sums the symmetric half of the pairs,
+multispecies_hurwitz_matrices does that for every multidegree up to maxdeg
+with each species' G_s formed once per degree, and quantum_hurwitz_number is
+the one-species call.  The leg reads only character_table and
+symmetrized_weight: it uses neither the contents, the content coefficients
+nor the spectral kernel characters.spectral_sum of the other two legs.  Its agreement with the tau leg is then the theorem that the
+symmetrized colength weights are the e-expansion of the content product.
 
 A sum whose estimated cost (ordered profile tuples times the degree, or the
 bit size of the exact weights) exceeds GEOMETRIC_COST_LIMIT raises
 CapacityError before any enumeration; the ordered tuples are counted, not
-enumerated.
+enumerated.  The estimate was fitted to a sum over profile tuples, so it
+over-estimates the colength-class sum; it is kept as fitted, which keeps
+every request's admission.
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import mul
 
 from .characters import character_table
@@ -62,7 +74,8 @@ from .partitions import (
     check_partition,
     colength,
 )
-from .qweights import Species, WeightConfig, symmetrized_weight
+from .qweights import Species, WeightConfig, multidegrees, symmetrized_weight
+from .series import TruncatedSeries
 from .sn import symmetric_group
 
 #: Largest _geometric_cost a geometric sum may have.
@@ -97,45 +110,23 @@ class BranchConfiguration:
                 raise ValueError("extra profiles must be nontrivial")
 
 
-def _covering_sums(n: int, branch_weights: dict, pairs) -> dict:
-    """{(mu, nu): sum over multisets of weight * covering count of (multiset, mu, nu)}.
-
-    branch_weights maps each multiset of extra profiles to its weight.  Per
-    multiset the integers h_lam^k prod_i chi_lam(mu^i) and the denominator
-    prod_i z_{mu^i} are formed once; per (mu, nu) each multiset adds one
-    Fraction, the integer dot product with chi_lam(mu) chi_lam(nu) over the
-    whole denominator.
-    """
-    tbl = character_table(n)
-    z = tbl.centralizer_orders
-    columns = list(zip(*tbl.values))
-    terms = []
-    for profiles, weight in branch_weights.items():
-        vector = [hook ** len(profiles) for hook in tbl.hook_products]
-        for p in profiles:
-            vector = list(map(mul, vector, columns[tbl.index(p)]))
-        terms.append((weight, vector, prod(z[tbl.index(p)] for p in profiles)))
-    sums = {}
-    for mu, nu in pairs:
-        i, j = tbl.index(mu), tbl.index(nu)
-        chars = list(map(mul, columns[i], columns[j]))
-        total = 0
-        for weight, vector, scale in terms:
-            total = total + weight * Fraction(sum(map(mul, vector, chars)), scale * z[i] * z[j])
-        sums[(mu, nu)] = total
-    return sums
-
-
 @lru_cache(maxsize=None)
 def frobenius_hurwitz(config: BranchConfiguration) -> Fraction:
     """Covering count of the configuration, as a character sum.
 
     Symmetric under permuting the extra profiles and under swapping mu and
     nu.  With no extra profiles this collapses to delta_{mu,nu} / z_mu.  The
-    one-multiset, one-pair call of _covering_sums.
+    k extra profiles give sum_lam h_lam^k prod chi_lam over all k + 2
+    profiles in integers, divided once by the product of their z.
     """
-    pair = (config.mu, config.nu)
-    return _covering_sums(sum(config.mu), {config.extra_profiles: 1}, [pair])[pair]
+    tbl = character_table(sum(config.mu))
+    classes = [tbl.index(p) for p in (*config.extra_profiles, config.mu, config.nu)]
+    k = len(config.extra_profiles)
+    total = sum(
+        hook**k * prod(row[j] for j in classes)
+        for row, hook in zip(tbl.values, tbl.hook_products)
+    )
+    return Fraction(total, prod(tbl.centralizer_orders[j] for j in classes))
 
 
 def enumerate_factorizations(config: BranchConfiguration) -> int:
@@ -172,6 +163,9 @@ def _profile_tuples(n: int, total: int) -> tuple[tuple[tuple[Partition, ...], in
     with its number of orderings k!/prod m_P!, m_P the multiplicity of
     profile P.  The profiles are those of character_table(n), in its
     descending order, with colength 1..total; a one-sheeted cover has none.
+    The sums run over colength classes and never list profile multisets:
+    this is the enumeration whose orderings _tuple_count counts for the
+    cost model, and the tests check that count against it.
     """
     pool = [(p, colength(p)) for p in character_table(n).partitions if 0 < colength(p) <= total]
     multisets = []
@@ -221,47 +215,115 @@ def _geometric_cost(config: WeightConfig, degrees: tuple[int, ...]) -> int:
     return max(terms * max(1, sum(degrees)), bits) if terms else 0
 
 
-def _branch_weights(config: WeightConfig, degrees: tuple[int, ...]) -> dict:
-    """Summed signed weight of every multiset of extra profiles.
+def _colength_characters(tbl) -> list[list[int]]:
+    """E[c][i]: the central character of the colength-c class sum on shape i, c < n.
 
-    Every species contributes an independent multiset of nontrivial profiles
-    (empty when its degree is 0) with colength sum equal to its degree,
-    weighted by its number of orderings times its symmetrized weight, H-type
-    species carrying their (-1)^(k+degree) signs; the weight depends only on
-    the sorted colengths, so it is computed once per colength multiset.  The
-    species are then combined into one weight per descending multiset of all
-    extra profiles.
+    The sum over the classes rho of colength c of h_lam chi_lam(rho) / z_rho,
+    each term the integer by which one class sum acts on the module lam.
     """
-    n = config.n
-    combined: dict[tuple[Partition, ...], object] = {(): 1}
-    for species, c in zip(config.species, degrees):
-        weights: dict[tuple[int, ...], object] = {}
-        leg: dict[tuple[Partition, ...], object] = {}
-        for profiles, orderings in _profile_tuples(n, c):
-            key = tuple(sorted(colength(p) for p in profiles))
-            if key not in weights:
-                w = symmetrized_weight(species.family, species.parameter, key)
-                weights[key] = -w if species.family == "H" and (len(key) + c) % 2 else w
-            leg[profiles] = orderings * weights[key]
-        merged: dict[tuple[Partition, ...], object] = {}
-        for before, w_before in combined.items():
-            for profiles, w in leg.items():
-                key = tuple(sorted(before + profiles, reverse=True))
-                merged[key] = merged.get(key, 0) + w_before * w
-        combined = merged
-    return combined
+    n = tbl.n
+    sums = [[0] * len(tbl.partitions) for _ in range(n)]
+    for j, (rho, z) in enumerate(zip(tbl.partitions, tbl.centralizer_orders)):
+        row = sums[n - len(rho)]
+        for i, (chars, hook) in enumerate(zip(tbl.values, tbl.hook_products)):
+            row[i] += hook * chars[j] // z
+    return sums
 
 
-def _admitted_degrees(config: WeightConfig, degrees) -> tuple[int, ...]:
-    """Validated degrees of a geometric sum whose cost is within the limit."""
-    degrees = config.degrees(degrees)
-    cost = _geometric_cost(config, degrees)
+def _species_eigenvalues(species: Species, degree: int, classes: list[list[int]]) -> list:
+    """G_s(lam) per shape: the species' signed weights over the colength multisets of degree.
+
+    classes is _colength_characters(n).  Each multiset K of colengths
+    1..n-1 summing to degree is enumerated once, descending, carrying the
+    vector prod_{c in K} E_lam(c), and adds its number of orderings times
+    its symmetrized weight times that vector; H carries (-1)^(k+degree).
+    """
+    sums = [0] * len(classes[0])
+    stack = [((), [1] * len(sums), degree)]
+    while stack:
+        key, vector, rest = stack.pop()
+        if rest == 0:
+            orderings = factorial(len(key)) // prod(map(factorial, Counter(key).values()))
+            w = orderings * symmetrized_weight(species.family, species.parameter, key)
+            if species.family == "H" and (len(key) + degree) % 2:
+                w = -w
+            sums = [s + w * v for s, v in zip(sums, vector)]
+            continue
+        top = min(key[-1] if key else len(classes) - 1, rest)
+        stack.extend((key + (c,), list(map(mul, vector, classes[c])), rest - c)
+                     for c in range(1, top + 1))
+    return sums
+
+
+def _character_sums(tbl, eigenvalues: list, pairs) -> dict:
+    """{(i, j): sum_lam eigenvalues[lam] chi_lam(i) chi_lam(j) / (z_i z_j)} over index pairs.
+
+    Per monomial of the eigenvalues (one for rationals) they go over their
+    lcm denominator D, each character column is weighted by them once, and
+    each pair is one integer dot product over D z_i z_j.
+    """
+    series = next((g for g in eigenvalues if isinstance(g, TruncatedSeries)), None)
+    monomials: dict[tuple, list] = {}
+    for k, g in enumerate(eigenvalues):
+        for expo, value in g.coeffs.items() if isinstance(g, TruncatedSeries) else [((), g)]:
+            monomials.setdefault(expo, [Fraction(0)] * len(eigenvalues))[k] = Fraction(value)
+    columns = list(zip(*tbl.values))
+    z = tbl.centralizer_orders
+    sums = {pair: {} for pair in pairs}
+    for expo, values in monomials.items():
+        scale = lcm(*(v.denominator for v in values))
+        weights = [v.numerator * (scale // v.denominator) for v in values]
+        weighted = [list(map(mul, weights, column)) for column in columns]
+        for (i, j), terms in sums.items():
+            terms[expo] = Fraction(sum(map(mul, weighted[i], columns[j])), scale * z[i] * z[j])
+    if series is None:
+        return {pair: terms.get((), Fraction(0)) for pair, terms in sums.items()}
+    return {pair: TruncatedSeries(series.vars, series.cap, terms) for pair, terms in sums.items()}
+
+
+def _check_cost(cost: int) -> None:
+    """Raise CapacityError when a geometric cost exceeds GEOMETRIC_COST_LIMIT."""
     if cost > GEOMETRIC_COST_LIMIT:
         raise CapacityError(
             f"geometric sum costs about {cost} (profile-tuple terms or weight bits), "
             f"over the limit of {GEOMETRIC_COST_LIMIT}"
         )
-    return degrees
+
+
+def _eigenvalues(config: WeightConfig, degree_list) -> tuple:
+    """character_table(n) and {degrees: prod_s G_s(lam) per shape} over degree_list.
+
+    Admitted before any work: the _geometric_cost of each multidegree,
+    counted at least 1, summed as the list is walked (as
+    check_triangle_bounds sums it).  Each species' G_s is formed once per
+    degree.
+    """
+    walked, total = [], 0
+    for degrees in degree_list:
+        total += max(1, _geometric_cost(config, degrees))
+        _check_cost(total)
+        walked.append(degrees)
+    tbl = character_table(config.n)
+    classes = _colength_characters(tbl)
+    values: dict[tuple[int, int], list] = {}
+    for degrees in walked:
+        for s, d in enumerate(degrees):
+            if (s, d) not in values:
+                values[s, d] = _species_eigenvalues(config.species[s], d, classes)
+    return tbl, {
+        degrees: [prod(v) for v in zip(*(values[s, d] for s, d in enumerate(degrees)))]
+        for degrees in walked
+    }
+
+
+def _matrix(tbl, eigenvalues: list) -> dict:
+    """{(mu, nu): value} over all pairs: the symmetric half summed, then mirrored."""
+    size = len(tbl.partitions)
+    sums = _character_sums(tbl, eigenvalues, [(i, j) for i in range(size) for j in range(i, size)])
+    return {
+        (tbl.partitions[i], tbl.partitions[j]): sums[min(i, j), max(i, j)]
+        for i, j in itertools.product(range(size), repeat=2)
+    }
 
 
 def quantum_hurwitz_number(family: str, q, d: int, mu: Partition, nu: Partition):
@@ -280,9 +342,8 @@ def multispecies_hurwitz_number(
 ):
     """Weighted covering count with per-species colength totals fixed by degrees.
 
-    Sums the covering count of every extra-profile multiset times its
-    branch weight (see _branch_weights), the one-pair call of
-    _covering_sums.  A sum whose _geometric_cost exceeds GEOMETRIC_COST_LIMIT
+    The one-pair call of _character_sums over the colength-class
+    eigenvalues.  A sum whose _geometric_cost exceeds GEOMETRIC_COST_LIMIT
     raises CapacityError before any enumeration.
     """
     mu = check_partition(mu)
@@ -290,17 +351,31 @@ def multispecies_hurwitz_number(
     n = config.n
     if sum(mu) != n or sum(nu) != n:
         raise ValueError("mu and nu must be partitions of the configuration degree")
-    branch_weights = _branch_weights(config, _admitted_degrees(config, degrees))
-    return _covering_sums(n, branch_weights, [(mu, nu)])[(mu, nu)]
+    degrees = config.degrees(degrees)
+    tbl, eigenvalues = _eigenvalues(config, [degrees])
+    pair = (tbl.index(mu), tbl.index(nu))
+    return _character_sums(tbl, eigenvalues[degrees], [pair])[pair]
 
 
 def multispecies_hurwitz_matrix(config: WeightConfig, degrees: tuple[int, ...]) -> dict:
     """multispecies_hurwitz_number for every pair (mu, nu) of partitions of n.
 
-    Returns {(mu, nu): value}; the branch weights are summed, and each
-    multiset's character vector formed, once for all pairs.  Same cost limit
-    as the single entry.
+    Returns {(mu, nu): value}; the eigenvalues are formed once, and the
+    symmetric half of the pairs is summed and mirrored.  Same cost limit as
+    the single entry.
     """
-    branch_weights = _branch_weights(config, _admitted_degrees(config, degrees))
-    parts = character_table(config.n).partitions
-    return _covering_sums(config.n, branch_weights, itertools.product(parts, repeat=2))
+    degrees = config.degrees(degrees)
+    tbl, eigenvalues = _eigenvalues(config, [degrees])
+    return _matrix(tbl, eigenvalues[degrees])
+
+
+def multispecies_hurwitz_matrices(config: WeightConfig, maxdeg: tuple[int, ...]) -> dict:
+    """{degrees: multispecies_hurwitz_matrix(config, degrees)} for every multidegree up to maxdeg.
+
+    Admitted by the summed cost of the multidegrees, each counted at least
+    1, so their number alone can refuse the request before any is walked.
+    """
+    maxdeg = config.degrees(maxdeg)
+    _check_cost(prod(m + 1 for m in maxdeg))
+    tbl, eigenvalues = _eigenvalues(config, multidegrees(maxdeg))
+    return {degrees: _matrix(tbl, values) for degrees, values in eigenvalues.items()}

@@ -156,7 +156,8 @@ def weight_coefficients(family: str, params, maxdeg: int) -> list:
     """Coefficients of z^0, ..., z^maxdeg of the named weight generating function.
 
     ``params`` is a single scalar for families E, E', H (a tuple or list
-    raises ValueError) and a (q, p) pair for the hybrid Q.  The Euler product
+    raises ValueError) and a (q, p) tuple or list for the hybrid Q (anything
+    else raises ValueError).  The Euler product
     prod_{j<=i} (1 - q^j) grows by one factor per degree; Q is the product of
     the E series in q and the H series in p.  Works in both scalar modes; a
     vanishing rational denominator raises PoleError.
@@ -166,6 +167,8 @@ def weight_coefficients(family: str, params, maxdeg: int) -> list:
     if maxdeg < 0:
         raise ValueError("coefficient index must be nonnegative")
     if family == "Q":
+        if not isinstance(params, (tuple, list)) or len(params) != 2:
+            raise ValueError(f"family Q takes a (q, p) pair, got {params!r}")
         q, p = params
         return poly_mul(weight_coefficients("E", q, maxdeg), weight_coefficients("H", p, maxdeg), maxdeg)
     if isinstance(params, (tuple, list)):

@@ -42,9 +42,9 @@ from .characters import (
     spectral_sum,
     species_content_coeffs,
 )
-from .combinatorial import multispecies_transfer_matrix
+from .combinatorial import multispecies_transfer_matrices
 from .errors import CapacityError
-from .geometric import GEOMETRIC_COST_LIMIT, _geometric_cost, multispecies_hurwitz_matrix
+from .geometric import GEOMETRIC_COST_LIMIT, _geometric_cost, multispecies_hurwitz_matrices
 from .partitions import Partition, check_partition, format_partition
 from .qweights import WeightConfig, multidegrees
 from .series import TruncatedSeries, format_rational
@@ -223,16 +223,16 @@ def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleRe
     check_triangle_bounds(config, maxdeg)
     table = tau_coefficients(config, maxdeg)
     parts = character_table(config.n).partitions
+    combinatorial = multispecies_transfer_matrices(config, maxdeg)
+    geometric = multispecies_hurwitz_matrices(config, maxdeg)
     checked = 0
     discrepancies = []
     for degrees in table.multidegrees():
-        matrix = multispecies_transfer_matrix(config, degrees)
-        geometric = multispecies_hurwitz_matrix(config, degrees)
         for mu in parts:
             for nu in parts:
                 tau_value = table.entry(degrees, mu, nu)
-                comb_value = matrix.hurwitz_entry(mu, nu)
-                geom_value = geometric[(mu, nu)]
+                comb_value = combinatorial[degrees].hurwitz_entry(mu, nu)
+                geom_value = geometric[degrees][(mu, nu)]
                 checked += 1
                 if not (tau_value == comb_value == geom_value):
                     discrepancies.append(

@@ -17,6 +17,7 @@ import qhurwitz.partitions
 import qhurwitz.tau
 from qhurwitz import WeightConfig, enumerate_partitions, format_partition, tau_coefficients
 from qhurwitz.cli import _parse_degree_blocks, _parse_species_list, format_rational, main
+from qhurwitz.qweights import multidegrees
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = json.loads((ROOT / "bench" / "pins.json").read_text())
@@ -309,11 +310,12 @@ class TestVerify:
     def test_discrepancy_values_are_exact_fractions(self, capsys, monkeypatch):
         # A geometric leg that returns the integer 3 everywhere disagrees
         # with the other two legs on every entry.
-        def threes(config, degrees):
+        def threes(config, maxdeg):
             parts = enumerate_partitions(config.n)
-            return {(mu, nu): 3 for mu in parts for nu in parts}
+            matrix = {(mu, nu): 3 for mu in parts for nu in parts}
+            return {degrees: matrix for degrees in multidegrees(maxdeg)}
 
-        monkeypatch.setattr(qhurwitz.tau, "multispecies_hurwitz_matrix", threes)
+        monkeypatch.setattr(qhurwitz.tau, "multispecies_hurwitz_matrices", threes)
         code, out = run_cli(
             capsys, "verify", "triangle", "--n-max", "3", "--deg-max", "1",
             "--species", "H:q=1/2",

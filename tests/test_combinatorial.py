@@ -23,6 +23,7 @@ from qhurwitz import (
     weight_coefficient,
     weighted_path_count,
 )
+from qhurwitz.combinatorial import multispecies_transfer_matrices
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -171,6 +172,14 @@ class TestTransferMatrix:
                     chained = chained @ transfer_matrix(s, d, n)
                 # Dataclass equality: n and rows.
                 assert multispecies_transfer_matrix(config, degrees) == chained
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matrices_up_to_maxdeg_equal_the_single_matrices(self, n):
+        config = WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=n)
+        matrices = multispecies_transfer_matrices(config, (3, 2))
+        assert list(matrices) == list(itertools.product(range(4), range(3)))
+        for degrees, matrix in matrices.items():
+            assert matrix == multispecies_transfer_matrix(config, degrees)
 
     def test_all_zero_degrees_is_identity(self):
         config = WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=3)

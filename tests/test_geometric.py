@@ -1,7 +1,7 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -14,6 +14,7 @@ from qhurwitz import (
     WeightConfig,
     centralizer_order,
     colength,
+    contents,
     enumerate_factorizations,
     enumerate_partitions,
     character_table,
@@ -22,14 +23,17 @@ from qhurwitz import (
     multispecies_hurwitz_number,
     quantum_hurwitz_number,
     symmetrized_weight,
+    tau_coefficients,
     verify_triangle,
 )
 from qhurwitz.geometric import (
     GEOMETRIC_COST_LIMIT,
-    _branch_weights,
+    _character_sums,
+    _colength_characters,
     _geometric_cost,
     _profile_tuples,
     _tuple_count,
+    multispecies_hurwitz_matrices,
 )
 
 HALF = Fraction(1, 2)
@@ -58,12 +62,13 @@ def reference_profile_tuples(n, total):
     return tuples[total]
 
 
-def reference_hurwitz_number(config, degrees, mu, nu):
+def reference_hurwitz_number(config, degrees, mu, nu, count=frobenius_hurwitz):
     """Per-ordered-tuple reference sum: one weight per species and combination.
 
     Each species weighs its own tuple by symmetrized_weight of the colengths
     in tuple order, H-type species with the sign (-1)^(k+degree); nothing is
-    shared between combinations.
+    shared between combinations.  count gives each configuration's covering
+    count.
     """
     n = config.n
     total = 0
@@ -77,7 +82,7 @@ def reference_hurwitz_number(config, degrees, mu, nu):
                 w = -w
             weight = weight * w
         extra = tuple(sorted(itertools.chain(*combo), reverse=True))
-        total = total + weight * frobenius_hurwitz(BranchConfiguration(extra, mu, nu))
+        total = total + weight * count(BranchConfiguration(extra, mu, nu))
     return total
 
 
@@ -95,14 +100,6 @@ def reference_frobenius(config):
         for idx in extra:
             term *= Fraction(row[idx], tbl.centralizer_orders[idx])
         total += term
-    return total
-
-
-def reference_weighted_count(branch_weights, mu, nu):
-    """Branch weights times reference_frobenius covering counts, one configuration each."""
-    total = 0
-    for profiles, weight in branch_weights.items():
-        total = total + weight * reference_frobenius(BranchConfiguration(profiles, mu, nu))
     return total
 
 
@@ -442,18 +439,63 @@ class TestMatrix:
         assert len(calls) <= 192
 
 
+class TestMatrices:
+    """Every multidegree up to maxdeg at once, against one matrix per multidegree."""
+
+    @pytest.mark.parametrize("species, maxdeg", [
+        ((Species("E", HALF), Species("H", FIFTH)), (3, 2)),
+        ((Species("E'", THIRD),), (4,)),
+        ((Species("H", TruncatedSeries.variable("q", 4)), Species("E", HALF)), (2, 1)),
+    ])
+    def test_equal_the_single_matrices(self, species, maxdeg):
+        for n in range(1, 6):
+            config = WeightConfig(species=species, n=n)
+            matrices = multispecies_hurwitz_matrices(config, maxdeg)
+            assert list(matrices) == list(itertools.product(*(range(m + 1) for m in maxdeg)))
+            for degrees, matrix in matrices.items():
+                assert matrix == multispecies_hurwitz_matrix(config, degrees)
+
+    def test_one_weight_per_species_degree_and_colength_multiset(self, monkeypatch):
+        calls = []
+        original = qhurwitz.geometric.symmetrized_weight
+
+        def counting(family, q, colengths):
+            calls.append((family, tuple(colengths)))
+            return original(family, q, colengths)
+
+        monkeypatch.setattr(qhurwitz.geometric, "symmetrized_weight", counting)
+        config = WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=5)
+        multispecies_hurwitz_matrices(config, (3, 3))
+        # Colength multisets of 0..3 with parts <= 4: 1 + 1 + 2 + 3, per species.
+        assert len(calls) == len(set(calls)) == 14
+
+    def test_refused_by_the_summed_cost_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eigenvalues formed for a refused request")
+
+        monkeypatch.setattr(qhurwitz.geometric, "_species_eigenvalues", refuse)
+        h = Species("H", HALF)
+        config = WeightConfig(species=(h,), n=12)
+        assert _geometric_cost(config, (12,)) <= GEOMETRIC_COST_LIMIT
+        assert sum(_geometric_cost(config, (d,)) for d in range(13)) > GEOMETRIC_COST_LIMIT
+        for n, maxdeg in ((12, (12,)), (1, (10**7,)), (2, (10**12,))):
+            with pytest.raises(CapacityError, match="geometric sum costs about"):
+                multispecies_hurwitz_matrices(WeightConfig(species=(h,), n=n), maxdeg)
+
+
 class TestCoveringSums:
-    """The one Frobenius core against per-configuration reference counts."""
+    """The colength-class core against the ordered-tuple sum of reference_frobenius counts."""
 
     def check(self, species, n, degree_list):
         config = WeightConfig(species=species, n=n)
         parts = enumerate_partitions(n)
         for degrees in degree_list:
-            branch_weights = _branch_weights(config, degrees)
             matrix = multispecies_hurwitz_matrix(config, degrees)
             for mu in parts:
                 for nu in parts:
-                    expected = reference_weighted_count(branch_weights, mu, nu)
+                    expected = reference_hurwitz_number(
+                        config, degrees, mu, nu, count=reference_frobenius
+                    )
                     assert matrix[(mu, nu)] == expected
                     assert multispecies_hurwitz_number(config, degrees, mu, nu) == expected
 
@@ -484,3 +526,68 @@ class TestCoveringSums:
         config = WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=4)
         matrix = multispecies_hurwitz_matrix(config, (2, 1))
         assert multispecies_hurwitz_number(config, (2, 1), (2, 2), (4,)) == matrix[((2, 2), (4,))]
+
+
+def colength_multisets(n, most):
+    """Descending tuples of colengths 1..n-1 with sum at most most."""
+    found = [()]
+    for key in found:
+        top = key[-1] if key else n - 1
+        found.extend(key + (c,) for c in range(1, top + 1) if sum(key) + c <= most)
+    return found
+
+
+class TestColengthClasses:
+    """The colength-class core the pipeline runs, against brute force and the tau leg."""
+
+    def test_central_characters_are_elementary_symmetric_in_the_contents(self):
+        for n in range(1, 10):
+            tbl = character_table(n)
+            classes = _colength_characters(tbl)
+            for i, lam in enumerate(tbl.partitions):
+                elementary = [1]
+                for content in contents(lam):
+                    elementary = [
+                        a + content * b for a, b in zip(elementary + [0], [0] + elementary)
+                    ]
+                for c in range(n):
+                    exact = sum(
+                        Fraction(tbl.hook_products[i] * tbl.values[i][j], z)
+                        for j, (rho, z) in enumerate(zip(tbl.partitions, tbl.centralizer_orders))
+                        if colength(rho) == c
+                    )
+                    assert exact.denominator == 1
+                    assert classes[c][i] == exact == elementary[c]
+
+    def test_covering_count_matches_factorizations(self):
+        # n = 6 keeps mu to its three classes of 15 elements or fewer: the
+        # brute force walks every tuple of extra class elements times the
+        # class of mu (all pairs at n = 6 take about 5 s).
+        for n in range(1, 7):
+            tbl = character_table(n)
+            classes = _colength_characters(tbl)
+            parts = tbl.partitions
+            mus = parts if n <= 5 else [(1,) * 6, (2, 1, 1, 1, 1), (2, 2, 2)]
+            pairs = [(tbl.index(mu), j) for mu in mus for j in range(len(parts))]
+            for key in colength_multisets(n, 3):
+                vector = [prod(classes[c][i] for c in key) for i in range(len(parts))]
+                counts = _character_sums(tbl, vector, pairs)
+                pools = [[p for p in parts if colength(p) == c] for c in key]
+                for i, j in pairs:
+                    total = sum(
+                        enumerate_factorizations(BranchConfiguration(extra, parts[i], parts[j]))
+                        for extra in itertools.product(*pools)
+                    )
+                    assert counts[i, j] == Fraction(total, factorial(n)), (key, i, j)
+
+    @pytest.mark.parametrize("species, n, degrees", [
+        ((Species("H", HALF),), 12, (12,)),
+        ((Species("E", HALF), Species("H", FIFTH)), 10, (2, 2)),
+    ])
+    def test_matrix_equals_the_tau_block(self, species, n, degrees):
+        config = WeightConfig(species=species, n=n)
+        table = tau_coefficients(config, degrees)
+        matrix = multispecies_hurwitz_matrix(config, degrees)
+        assert len(matrix) == len(character_table(n).partitions) ** 2
+        for (mu, nu), value in matrix.items():
+            assert value == table.entry(degrees, mu, nu), (mu, nu)

@@ -118,6 +118,12 @@ class TestWeightCoefficients:
             with pytest.raises(ValueError, match="takes one parameter"):
                 weight_coefficient(family, params, 2)
 
+    def test_hybrid_refuses_anything_but_a_pair(self):
+        for params in (HALF, (HALF,), [HALF], (HALF, FIFTH, THIRD)):
+            with pytest.raises(ValueError, match="takes a \\(q, p\\) pair"):
+                weight_coefficients("Q", params, 2)
+        assert weight_coefficients("Q", [HALF, FIFTH], 2) == weight_coefficients("Q", (HALF, FIFTH), 2)
+
 
 class TestWeightCoefficient:
     def test_degree_zero_is_one(self):

@@ -439,3 +439,9 @@ class TestOneContentPassPerSpecies:
         calls = self.counted(monkeypatch)
         multispecies_transfer_matrix(self.CONFIG, (2, 1, 1))
         assert calls == {"weight_coefficients": 3, "species_content_coeffs": 3}
+
+    def test_verify_triangle(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        assert verify_triangle(self.CONFIG, (2, 1, 1)).ok
+        # Once for the tau table and once for all twelve transfer matrices.
+        assert calls == {"weight_coefficients": 6, "species_content_coeffs": 6}
