@@ -12,11 +12,16 @@ elements J_a, and the character sum over them.
 
 * species_content_coeffs: per species and shape lam, the coefficients of
   prod_{cells of lam} G(param, (shift + content) * u), exact rationals or
-  series;
+  series, each shape's product grown from that of the shape with its last
+  cell removed (one poly_mul per shape);
 * content_eigenvalues: per shape, their product over species at one
   multidegree;
-* spectral_sum: the kernel, sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu)
-  as integer dot products over one common denominator per monomial;
+* spectral_sum: the one kernel, sum_lam c_lam chi_lam(mu) chi_lam(nu) /
+  (z_mu z_nu) for a whole list of blocks (multidegrees) in one pass: each
+  (block, monomial) slot goes over its common denominator, is biased into
+  whole bytes by the column-orthogonality bound, and rides in one packed
+  integer per shape, so one integer dot product per (mu, nu) serves every
+  block;
 * spectral_cost and check_spectral_cost: the work estimate that refuses a
   request past SPECTRAL_COST_LIMIT before any content coefficient.
 
@@ -35,7 +40,6 @@ from .partitions import (
     Partition,
     centralizer_order,
     check_partition,
-    contents,
     enumerate_partitions,
     hook_product,
     partition_count,
@@ -134,34 +138,73 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n)
 
 
-def spectral_sum(table: CharacterTable, coeffs):
-    """Symmetric matrix over (mu, nu) of sum_lam coeffs[lam] chi_lam(mu) chi_lam(nu) / (z_mu z_nu).
+def spectral_sum(table: CharacterTable, blocks) -> list:
+    """Per block, the symmetric matrix over (mu, nu) of sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu).
 
-    coeffs: one per shape in table order, all rational or TruncatedSeries
-    (zeros may be plain 0).  Per monomial the coeffs go over their lcm
-    denominator D, character columns are dotted in integers for j >= i, and
-    each entry is one Fraction S / (D z_mu z_nu), mirrored to (j, i).
+    blocks: coefficient vectors, one coefficient per shape in table order,
+    each all rational or all TruncatedSeries (zeros may be plain 0).  Each
+    (block, monomial) pair is a slot: its coefficients go over their lcm
+    denominator D as integer weights w.  Column orthogonality bounds every
+    S = sum_lam w_lam chi_lam(mu) chi_lam(nu) by |S| <= max|w| * n!, so the
+    slot takes that bound as its bias and the whole bytes that hold S + bias.
+    One packed integer per shape carries every slot, one integer dot product
+    per (mu, nu), j >= i, covers every block, one to_bytes cuts the slots
+    apart, and each slot's entry is one Fraction S / (D z_mu z_nu), mirrored
+    to (j, i); entries with S = 0 share one Fraction(0).
     """
-    series = next((c for c in coeffs if isinstance(c, TruncatedSeries)), None)
-    monomials: dict[tuple, dict[int, Fraction]] = {}
-    for k, c in enumerate(coeffs):
-        for expo, value in c.coeffs.items() if isinstance(c, TruncatedSeries) else [((), c)]:
-            if value:
-                monomials.setdefault(expo, {})[k] = Fraction(value)
     z = table.centralizer_orders
-    terms = [[{} for _ in z] for _ in z]
-    for expo, column in monomials.items():
-        scale = lcm(*(value.denominator for value in column.values()))
-        weights = [value.numerator * (scale // value.denominator) for value in column.values()]
-        chars = [[table.values[k][i] for k in column] for i in range(len(z))]
-        for i, row in enumerate(chars):
-            weighted = list(map(mul, weights, row))
-            for j in range(i, len(z)):
-                value = Fraction(sum(map(mul, weighted, chars[j])), scale * z[i] * z[j])
-                terms[i][j][expo] = terms[j][i][expo] = value
-    if series is None:
-        return tuple(tuple(t.get((), Fraction(0)) for t in row) for row in terms)
-    return tuple(tuple(TruncatedSeries(series.vars, series.cap, t) for t in row) for row in terms)
+    size = len(z)
+    bound = factorial(table.n)
+    zero = Fraction(0)
+    slots = []  # (values, D, weights, bias, first byte, end byte) over all blocks
+    layout = []  # per block: its first series coefficient (None if rational), [(monomial, values)]
+    length = 0
+    for coeffs in blocks:
+        monomials: dict[tuple, dict[int, Fraction | int]] = {}
+        for k, c in enumerate(coeffs):
+            for expo, value in c.coeffs.items() if isinstance(c, TruncatedSeries) else [((), c)]:
+                if value:
+                    monomials.setdefault(expo, {})[k] = value
+        own = []
+        for expo, column in monomials.items():
+            scale = lcm(*(value.denominator for value in column.values()))
+            weights = {k: value.numerator * (scale // value.denominator) for k, value in column.items()}
+            bias = max(map(abs, weights.values())) * bound
+            start, length = length, length + ((2 * bias).bit_length() + 7) // 8
+            values = [[zero] * size for _ in z]
+            own.append((expo, values))
+            slots.append((values, scale, weights, bias, start, length))
+        layout.append((next((c for c in coeffs if isinstance(c, TruncatedSeries)), None), own))
+    # Signed weights pack as the difference of two nonnegative byte strings.
+    positive = [bytearray(length) for _ in z]
+    negative = [bytearray(length) for _ in z]
+    biases = bytearray(length)
+    for _, _, weights, bias, start, stop in slots:
+        for k, w in weights.items():
+            (positive if w > 0 else negative)[k][start:stop] = abs(w).to_bytes(stop - start, "little")
+        biases[start:stop] = bias.to_bytes(stop - start, "little")
+    packed = [int.from_bytes(p, "little") - int.from_bytes(m, "little") for p, m in zip(positive, negative)]
+    offset = int.from_bytes(biases, "little")
+    columns = list(zip(*table.values))
+    for i in range(size):
+        weighted = list(map(mul, packed, columns[i]))
+        for j in range(i, size):
+            raw = memoryview((sum(map(mul, weighted, columns[j])) + offset).to_bytes(length, "little"))
+            pair = z[i] * z[j]
+            for values, scale, _, bias, start, stop in slots:
+                total = int.from_bytes(raw[start:stop], "little") - bias
+                if total:
+                    values[i][j] = values[j][i] = Fraction(total, scale * pair)
+    matrices = []
+    for series, own in layout:
+        if series is None:
+            matrices.append(tuple(map(tuple, own[0][1] if own else [[zero] * size for _ in z])))
+        else:
+            matrices.append(tuple(
+                tuple(TruncatedSeries(series.vars, series.cap, {e: v[i][j] for e, v in own}) for j in range(size))
+                for i in range(size)
+            ))
+    return matrices
 
 
 def species_content_coeffs(
@@ -171,23 +214,35 @@ def species_content_coeffs(
 
     One list per shape, in the order of ``shapes``: the product over cells of
     G(param, (shift + content) * u) as a univariate polynomial in the
-    species' expansion variable u.  The weights are computed once, and each
+    species' expansion variable u.  Each shape's product is the product of
+    the shape with its last cell removed times that cell's factor, so a
+    per-call dict from shape to product, seeded with the empty shape, costs
+    one poly_mul per shape reached.  The weights are computed once, and each
     cell factor G(m u) once per distinct shifted content m.  The degree 0
-    coefficient is always 1; cells of content -shift contribute nothing.
+    coefficient is always 1; cells of content -shift contribute nothing.  A
+    shape that is not a partition raises ValueError.
     """
     weights = weight_coefficients(species.family, species.parameter, maxdeg)
     factors: dict[int, list] = {}
+    products: dict[Partition, list] = {(): [1] + [0] * maxdeg}
     lists = []
     for lam in shapes:
-        poly = [1] + [0] * maxdeg
-        for c in contents(lam):
-            m = shift + c
-            if m == 0:
-                continue
-            if m not in factors:
-                factors[m] = [weights[j] * m**j for j in range(maxdeg + 1)]
-            poly = poly_mul(poly, factors[m], maxdeg)
-        lists.append(poly)
+        lam = tuple(lam)
+        if lam not in products:
+            chain = []
+            shape = check_partition(lam)
+            while shape not in products:
+                chain.append(shape)
+                shape = shape[:-1] + (shape[-1] - 1,) if shape[-1] > 1 else shape[:-1]
+            poly = products[shape]
+            for shape in reversed(chain):
+                m = shift + shape[-1] - len(shape)
+                if m:
+                    if m not in factors:
+                        factors[m] = [weights[j] * m**j for j in range(maxdeg + 1)]
+                    poly = poly_mul(poly, factors[m], maxdeg)
+                products[shape] = poly
+        lists.append(list(products[lam]))
     return lists
 
 
@@ -206,7 +261,7 @@ SPECTRAL_COST_LIMIT = 10**7
 def spectral_cost(
     config: WeightConfig, maxdeg: tuple[int, ...], blocks: int, shift: int = 0
 ) -> int:
-    """Work estimate, in kernel products, of blocks spectral_sum calls up to maxdeg.
+    """Work estimate, in kernel products, of one spectral_sum over ``blocks`` blocks up to maxdeg.
 
     products * (1 + bits / 2^13)^2, where products counts
       * blocks * p(n)^3 integer products of the kernel, and
@@ -215,8 +270,10 @@ def spectral_cost(
         for the weights and, past the first nonzero content, d^2 per cell
         for the polynomial products, each about 16 kernel products.  The
         weights are computed once per species, so the per-shape weight term
-        over-estimates; it stays as fitted, which keeps every request's
-        admission, and its refit is an open ROADMAP.md item;
+        over-estimates; each shape's product is one poly_mul from the shape
+        with its last cell removed, not one per cell, so the per-cell term
+        over-estimates too.  Both stay as fitted, which keeps every request's
+        admission; their refit is an open ROADMAP.md item;
     and bits = sum_s d_s * (b_s * d_s + bit length of |shift| + n) is about
     the size of the largest coefficient: b_s * d_s^2 from the weights
     (Species.bits) and d_s factors of a shifted content.  Arithmetic on

@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
 from .characters import (
     character_table,
@@ -188,7 +188,7 @@ def multispecies_transfer_matrix(config: WeightConfig, degrees: tuple[int, ...])
     the left-to-right ``@`` chain exactly; the factors commute.
     """
     degrees = config.degrees(degrees)
-    return _transfer_matrices(config, degrees, [degrees], 1)[degrees]
+    return _transfer_matrices(config, degrees, [degrees])[degrees]
 
 
 def multispecies_transfer_matrices(config: WeightConfig, maxdeg: tuple[int, ...]) -> dict:
@@ -198,21 +198,21 @@ def multispecies_transfer_matrices(config: WeightConfig, maxdeg: tuple[int, ...]
     lower degree is a prefix of that one.
     """
     maxdeg = config.degrees(maxdeg)
-    return _transfer_matrices(config, maxdeg, multidegrees(maxdeg), prod(m + 1 for m in maxdeg))
+    return _transfer_matrices(config, maxdeg, list(multidegrees(maxdeg)))
 
 
-def _transfer_matrices(config: WeightConfig, maxdeg: tuple[int, ...], degree_list, blocks: int) -> dict:
+def _transfer_matrices(config: WeightConfig, maxdeg: tuple[int, ...], degree_list: list) -> dict:
     """One TransferMatrix per multidegree of degree_list, from content lists built at maxdeg.
 
-    The table of n is fetched, and the blocks matrices admitted by one
-    spectral_cost, before any content list.
+    The table of n is fetched, and the matrices admitted by one
+    spectral_cost, before any content list; one spectral_sum makes them all.
     """
     tbl = character_table(config.n)
-    check_spectral_cost(config, maxdeg, blocks)
+    check_spectral_cost(config, maxdeg, len(degree_list))
     lists = [species_content_coeffs(s, tbl.partitions, m) for s, m in zip(config.species, maxdeg)]
+    matrices = spectral_sum(tbl, [content_eigenvalues(lists, degrees) for degrees in degree_list])
     return {
-        degrees: TransferMatrix(n=config.n, rows=spectral_sum(tbl, content_eigenvalues(lists, degrees)))
-        for degrees in degree_list
+        degrees: TransferMatrix(n=config.n, rows=rows) for degrees, rows in zip(degree_list, matrices)
     }
 
 

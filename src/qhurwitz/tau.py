@@ -123,9 +123,11 @@ def tau_coefficients(
     check_spectral_cost(config, maxdeg, prod(m + 1 for m in maxdeg), shift)
     parts = tbl.partitions
     lists = [species_content_coeffs(s, parts, m, shift) for s, m in zip(config.species, maxdeg)]
+    blocks = list(multidegrees(maxdeg))
+    matrices = spectral_sum(tbl, [content_eigenvalues(lists, degrees) for degrees in blocks])
     entries = {}
-    for degrees in multidegrees(maxdeg):
-        for mu, row in zip(parts, spectral_sum(tbl, content_eigenvalues(lists, degrees))):
+    for degrees, matrix in zip(blocks, matrices):
+        for mu, row in zip(parts, matrix):
             for nu, value in zip(parts, row):
                 entries[(degrees, mu, nu)] = value
     return HurwitzTable(n=config.n, maxdeg=maxdeg, entries=entries)

@@ -1,6 +1,7 @@
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 import pytest
 
@@ -155,5 +156,90 @@ class TestSpectralSum:
         table = character_table(n)
         coeffs = make(len(table.partitions))
         z = table.centralizer_orders
-        scaled = [[value * z[j] for j, value in enumerate(row)] for row in spectral_sum(table, coeffs)]
+        [matrix] = spectral_sum(table, [coeffs])
+        scaled = [[value * z[j] for j, value in enumerate(row)] for row in matrix]
         assert scaled == reference_transfer_rows(table, coeffs)
+
+
+def reference_spectral_sum(table, coeffs):
+    """One block's matrix, one integer dot product per monomial and (mu, nu).
+
+    The kernel with no packing, one block at a time: per monomial, the
+    coefficients over their lcm denominator D, the weighted character columns
+    dotted in integers over j >= i, and one Fraction S / (D z_mu z_nu) per
+    entry, mirrored to (j, i).
+    """
+    series = next((c for c in coeffs if isinstance(c, TruncatedSeries)), None)
+    monomials = {}
+    for k, c in enumerate(coeffs):
+        for expo, value in c.coeffs.items() if isinstance(c, TruncatedSeries) else [((), c)]:
+            if value:
+                monomials.setdefault(expo, {})[k] = Fraction(value)
+    z = table.centralizer_orders
+    terms = [[{} for _ in z] for _ in z]
+    for expo, column in monomials.items():
+        scale = lcm(*(value.denominator for value in column.values()))
+        weights = [value.numerator * (scale // value.denominator) for value in column.values()]
+        chars = [[table.values[k][i] for k in column] for i in range(len(z))]
+        for i, row in enumerate(chars):
+            weighted = list(map(mul, weights, row))
+            for j in range(i, len(z)):
+                value = Fraction(sum(map(mul, weighted, chars[j])), scale * z[i] * z[j])
+                terms[i][j][expo] = terms[j][i][expo] = value
+    if series is None:
+        return tuple(tuple(t.get((), Fraction(0)) for t in row) for row in terms)
+    return tuple(tuple(TruncatedSeries(series.vars, series.cap, t) for t in row) for row in terms)
+
+
+def sign_blocks(table, magnitude):
+    """Blocks +-magnitude * sign(chi_lam(mu) chi_lam(nu)) for two (mu, nu).
+
+    At mu = nu = (1^n) every sign is +1 and the entry is magnitude * n!,
+    the bound the kernel sizes its slots by; the minus block reaches -bound.
+    """
+    last = len(table.partitions) - 1
+    blocks = []
+    for i, j in ((last, last), (0, last // 2)):
+        signs = [(a * b > 0) - (a * b < 0) for a, b in ((row[i], row[j]) for row in table.values)]
+        blocks += [[magnitude * s for s in signs], [-magnitude * s for s in signs]]
+    return blocks
+
+
+class TestPackedSpectralSum:
+    """Many blocks in one spectral_sum call equal the per-block reference."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_entries_at_the_bound(self, n):
+        table = character_table(n)
+        blocks = sign_blocks(table, Fraction(10**25 + 3, 7)) + sign_blocks(table, 1)
+        assert spectral_sum(table, blocks) == [reference_spectral_sum(table, b) for b in blocks]
+        # S = magnitude * n! over D z_mu z_nu = 7 (n!)^2.
+        assert spectral_sum(table, blocks)[0][-1][-1] == Fraction(10**25 + 3, 7 * factorial(n))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_huge_tiny_and_zero_blocks(self, n):
+        table = character_table(n)
+        size = len(table.partitions)
+        huge_and_tiny = [
+            Fraction(10**200 + k, 7) if k % 2 else Fraction((-1) ** k, 10**3 + k) for k in range(size)
+        ]
+        tiny = [Fraction((-1) ** k * (k + 1), 13) for k in range(size)]
+        blocks = [huge_and_tiny, [0] * size, tiny, [Fraction(0)] * size, huge_and_tiny[::-1]]
+        assert spectral_sum(table, blocks) == [reference_spectral_sum(table, b) for b in blocks]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rational_and_series_blocks_in_one_call(self, n):
+        table = character_table(n)
+        size = len(table.partitions)
+        q = TruncatedSeries.variable("q", 4)
+        blocks = [
+            series_coeffs(size),
+            rational_coeffs(size),
+            [q**4 * Fraction(-(10**40), k + 1) + Fraction(1, 3**k) for k in range(size)],
+            [TruncatedSeries("q", 4)] * size,
+            sign_blocks(table, 5)[1],
+        ]
+        assert spectral_sum(table, blocks) == [reference_spectral_sum(table, b) for b in blocks]
+
+    def test_no_blocks(self):
+        assert spectral_sum(character_table(3), []) == []

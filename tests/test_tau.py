@@ -103,6 +103,25 @@ class TestContentProducts:
             expected = [reference_species_content_coeffs(species, lam, 4, shift) for lam in parts]
             assert species_content_coeffs(species, parts, 4, shift) == expected
 
+    @pytest.mark.parametrize("shift", range(-2, 3))
+    def test_unordered_repeated_mixed_size_shapes_match_reference(self, shift):
+        species = Species("E'", Fraction(2, 5))
+        shapes = [(2, 1), (5,), (), (1, 1, 1, 1), (2, 1), (3, 3, 1), (1,), (4, 2), (2, 2), [3, 1], (5,), (1, 1)]
+        expected = [reference_species_content_coeffs(species, lam, 4, shift) for lam in shapes]
+        assert species_content_coeffs(species, shapes, 4, shift) == expected
+
+    @pytest.mark.parametrize("family, q", [("H", HALF), ("E", THIRD)])
+    def test_n12_lists_match_reference(self, family, q):
+        species = Species(family, q)
+        parts = character_table(12).partitions
+        expected = [reference_species_content_coeffs(species, lam, 3) for lam in parts]
+        assert species_content_coeffs(species, parts, 3) == expected
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 0), (0,), (-1,), (3, 1, 2), (1, 1, 0)])
+    def test_shape_that_is_not_a_partition_raises(self, shape):
+        with pytest.raises(ValueError):
+            species_content_coeffs(Species("E", HALF), [(2, 1), shape], 2)
+
     def test_multispecies_table_is_outer_product(self):
         config = WeightConfig(
             species=(Species("E", HALF), Species("H", FIFTH)), n=2
