@@ -1,8 +1,10 @@
 """Exact irreducible characters of the symmetric group, and the spectral layer.
 
 Character values are computed by the signed border-strip (Murnaghan-Nakayama)
-recursion, memoized on (shape, remaining cycle lengths); naive recursion
-repeats subproblems exponentially.  Complete tables are cached per n for the
+recursion on the abacus: a shape of n is the bitmask of its n beta numbers,
+a strip removal two bit flips and a popcount (James-Kerber), and values are
+memoized on (bead mask, remaining cycle lengths); naive recursion repeats
+subproblems exponentially.  Complete tables are cached per n for the
 process lifetime.  Character values and tables are exact integer arithmetic.
 
 The spectral layer below is what the tau and combinatorial pipelines share
@@ -51,35 +53,42 @@ from .series import TruncatedSeries, poly_mul
 TABLE_LIMIT = 12
 
 
-@lru_cache(maxsize=None)
-def _border_strip_character(lam: Partition, mu: Partition) -> int:
-    """Recursive character value; lam and mu must have equal weight.
+def _beads(lam: Partition) -> int:
+    """Bitmask of the n beta numbers lam_i + n - 1 - i, i < n, of a partition lam of n (zero parts padded)."""
+    n = sum(lam)
+    mask = (1 << (n - len(lam))) - 1
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + n - 1 - i)
+    return mask
 
-    Removes a border strip of length mu[0] from lam in every possible way.
-    Strips are manipulated through the first-column hook lengths (beta
-    numbers) beta_i = lam_i + len(lam) - 1 - i: removing a strip of length r
-    replaces some beta by beta - r, and the sign is (-1)^(number of beta
-    values jumped over), which equals rows spanned minus one.
+
+@lru_cache(maxsize=None)
+def _border_strip_character(beads: int, mu: Partition) -> int:
+    """Recursive character value of the shape with bead mask ``beads`` (see _beads) on class mu.
+
+    Removes a border strip of length k = mu[0] in every possible way.  On
+    the abacus such a strip moves a bead from b to an empty b - k, and its
+    sign is (-1)^(number of beads strictly between them), which equals rows
+    spanned minus one.  The shape left weighs k less, and its k lowest
+    positions hold beads, so shifting the mask right by k gives its own
+    mask: each shape has one mask, and the memoized states are the (shape,
+    remaining cycle lengths) pairs of the partition recursion.
     """
     if not mu:
         return 1
     strip = mu[0]
     rest = mu[1:]
-    ell = len(lam)
-    beta = [lam[i] + ell - 1 - i for i in range(ell)]
-    beta_set = set(beta)
+    between = (1 << (strip - 1)) - 1
+    movable = beads & ~(beads << strip) & ~((1 << strip) - 1)
     total = 0
-    for b in beta:
-        nb = b - strip
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
-        new_lam = tuple(x - (ell - 1 - i) for i, x in enumerate(new_beta))
-        while new_lam and new_lam[-1] == 0:
-            new_lam = new_lam[:-1]
-        value = _border_strip_character(new_lam, rest)
-        total += -value if height % 2 else value
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        value = _border_strip_character((beads ^ bead ^ bead >> strip) >> strip, rest)
+        if (beads >> (bead.bit_length() - strip) & between).bit_count() & 1:
+            total -= value
+        else:
+            total += value
     return total
 
 
@@ -89,7 +98,7 @@ def character_value(lam: Partition, mu: Partition) -> int:
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("lam and mu must have equal weight")
-    return _border_strip_character(lam, mu)
+    return _border_strip_character(_beads(lam), mu)
 
 
 def dimension(lam: Partition) -> int:
@@ -114,8 +123,8 @@ class CharacterTable:
         self.centralizer_orders = tuple(centralizer_order(p) for p in self.partitions)
         self.hook_products = tuple(hook_product(p) for p in self.partitions)
         self.values = tuple(
-            tuple(_border_strip_character(lam, mu) for mu in self.partitions)
-            for lam in self.partitions
+            tuple(_border_strip_character(beads, mu) for mu in self.partitions)
+            for beads in map(_beads, self.partitions)
         )
 
     def index(self, mu: Partition) -> int:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -49,7 +48,7 @@ from .characters import (
 from .errors import CapacityError
 from .partitions import Partition, check_partition, enumerate_partitions
 from .qweights import Species, WeightConfig, multidegrees, weight_coefficients
-from .series import TruncatedSeries
+from .series import Immutable, TruncatedSeries
 from .sn import algebra_mul, symmetric_group
 
 #: Brute-force path enumeration bounds ((n choose 2)^d sequences).
@@ -130,8 +129,7 @@ def _path_counts(
     }
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(Immutable):
     """Symmetric Hurwitz matrix of a central element, canonical order.
 
     rows[i][j] is the Hurwitz-normalized entry of mu = partitions[i] and
@@ -140,8 +138,10 @@ class TransferMatrix:
     that times z_nu (entry).  Matrices over a fixed n commute with each other.
     """
 
-    n: int
-    rows: tuple[tuple[object, ...], ...]
+    _fields = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[tuple[object, ...], ...]):
+        self._set(n, rows)
 
     def entry(self, mu: Partition, nu: Partition):
         """Coefficient of the class nu in the image of the class mu."""

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
@@ -75,39 +74,35 @@ from .partitions import (
     colength,
 )
 from .qweights import Species, WeightConfig, multidegrees, symmetrized_weight
-from .series import TruncatedSeries
+from .series import Immutable, TruncatedSeries
 from .sn import symmetric_group
 
 #: Largest _geometric_cost a geometric sum may have.
 GEOMETRIC_COST_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class BranchConfiguration:
+class BranchConfiguration(Immutable):
     """Branch data of a covering: extra profiles plus the two marked profiles.
 
     All profiles are partitions of the same n = sum(mu); the extra profiles
     must be nontrivial (different from the identity class).
     """
 
-    extra_profiles: tuple[Partition, ...]
-    mu: Partition
-    nu: Partition
+    _fields = ("extra_profiles", "mu", "nu")
 
-    def __post_init__(self):
-        object.__setattr__(self, "extra_profiles", tuple(
-            check_partition(p) for p in self.extra_profiles
-        ))
-        object.__setattr__(self, "mu", check_partition(self.mu))
-        object.__setattr__(self, "nu", check_partition(self.nu))
-        n = sum(self.mu)
-        if sum(self.nu) != n:
+    def __init__(self, extra_profiles, mu: Partition, nu: Partition):
+        extra_profiles = tuple(check_partition(p) for p in extra_profiles)
+        mu = check_partition(mu)
+        nu = check_partition(nu)
+        n = sum(mu)
+        if sum(nu) != n:
             raise ValueError("mu and nu must have equal weight")
-        for profile in self.extra_profiles:
+        for profile in extra_profiles:
             if sum(profile) != n:
                 raise ValueError("every extra profile must be a partition of n")
             if colength(profile) == 0:
                 raise ValueError("extra profiles must be nontrivial")
+        self._set(extra_profiles, mu, nu)
 
 
 @lru_cache(maxsize=None)

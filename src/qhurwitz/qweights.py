@@ -45,11 +45,10 @@ seven colengths 1 take 8 states instead of 5040 orderings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from math import factorial
 
-from .series import TruncatedSeries, poly_mul, reciprocal
+from .series import Immutable, TruncatedSeries, poly_mul, reciprocal
 
 #: Weight generating function families usable as branch-point species.
 FAMILIES = ("E", "E'", "H")
@@ -66,31 +65,27 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"invalid rational literal {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class Species:
+class Species(Immutable):
     """One weight-generating-function factor of a multispecies configuration.
 
     ``parameter`` is a Fraction in (-1, 1) in rational mode or a
     TruncatedSeries variable in series mode.  The expansion variable that
     grades this species' degree is the one of its 1-based position in
-    WeightConfig.species.
+    WeightConfig.species.  ``label`` is keyword-only.
     """
 
-    family: str
-    parameter: object
-    _: KW_ONLY
-    label: str = "q"
+    _fields = ("family", "parameter", "label")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown species family {self.family!r}")
-        if isinstance(self.parameter, (int, Fraction)):
-            value = Fraction(self.parameter)
-            if not -1 < value < 1:
-                raise ValueError(f"rational parameter must lie in (-1, 1): {value}")
-            object.__setattr__(self, "parameter", value)
-        elif not isinstance(self.parameter, TruncatedSeries):
+    def __init__(self, family: str, parameter, *, label: str = "q"):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown species family {family!r}")
+        if isinstance(parameter, (int, Fraction)):
+            parameter = Fraction(parameter)
+            if not -1 < parameter < 1:
+                raise ValueError(f"rational parameter must lie in (-1, 1): {parameter}")
+        elif not isinstance(parameter, TruncatedSeries):
             raise ValueError("parameter must be a rational or a TruncatedSeries")
+        self._set(family, parameter, label)
 
     def describe(self) -> str:
         return f"{self.family}:{self.label}={self.parameter}"
@@ -108,19 +103,26 @@ class Species:
         return 1
 
 
-@dataclass(frozen=True)
-class WeightConfig:
-    """Ordered list of species together with the symmetric-group degree n."""
+class WeightConfig(Immutable):
+    """Ordered list of species together with the symmetric-group degree n.
 
-    species: tuple[Species, ...]
-    n: int
+    ``species`` is a sequence of Species (one Species alone is refused) and
+    ``n`` a positive int (a bool or any other number is refused).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "species", tuple(self.species))
-        if not self.species:
+    _fields = ("species", "n")
+
+    def __init__(self, species, n: int):
+        if isinstance(species, Species):
+            raise ValueError("species must be a sequence of Species, not one Species")
+        species = tuple(species)
+        if not species:
             raise ValueError("at least one species is required")
-        if self.n < 1:
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"n must be an int, got {n!r}")
+        if n < 1:
             raise ValueError("n must be positive")
+        self._set(species, n)
 
     def degrees(self, values) -> tuple[int, ...]:
         """values as one nonnegative int per species: a multidegree or a bound on one."""

@@ -29,7 +29,6 @@ combinatorial pipelines, after check_triangle_bounds has admitted the suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
 
@@ -47,7 +46,7 @@ from .errors import CapacityError
 from .geometric import GEOMETRIC_COST_LIMIT, _geometric_cost, multispecies_hurwitz_matrices
 from .partitions import Partition, check_partition, format_partition
 from .qweights import WeightConfig, multidegrees
-from .series import TruncatedSeries, format_rational
+from .series import Immutable, TruncatedSeries, format_rational
 
 
 def content_product_coeffs(
@@ -89,8 +88,7 @@ def schur_to_powersum(lam: Partition) -> dict[Partition, Fraction]:
     }
 
 
-@dataclass(frozen=True)
-class HurwitzTable:
+class HurwitzTable(Immutable):
     """Dense table of Hurwitz numbers indexed by (multidegree, mu, nu).
 
     Entries are present for every pair of partitions of n and every
@@ -98,9 +96,10 @@ class HurwitzTable:
     the diagonal delta_{mu,nu} / z_mu.
     """
 
-    n: int
-    maxdeg: tuple[int, ...]
-    entries: dict
+    _fields = ("n", "maxdeg", "entries")
+
+    def __init__(self, n: int, maxdeg: tuple[int, ...], entries: dict):
+        self._set(n, maxdeg, entries)
 
     def entry(self, degrees: tuple[int, ...], mu: Partition, nu: Partition):
         return self.entries[(tuple(degrees), tuple(mu), tuple(nu))]
@@ -133,19 +132,19 @@ def tau_coefficients(
     return HurwitzTable(n=config.n, maxdeg=maxdeg, entries=entries)
 
 
-@dataclass(frozen=True)
-class TriangleReport:
+class TriangleReport(Immutable):
     """Result of the three-pipeline comparison over a full table.
 
     Any disagreeing entry is listed with all three values; agreement of all
     entries is the package's primary correctness statement.
     """
 
-    n: int
-    maxdeg: tuple[int, ...]
-    species: tuple[str, ...]
-    checked: int
-    discrepancies: tuple
+    _fields = ("n", "maxdeg", "species", "checked", "discrepancies")
+
+    def __init__(
+        self, n: int, maxdeg: tuple[int, ...], species: tuple[str, ...], checked: int, discrepancies: tuple
+    ):
+        self._set(n, maxdeg, species, checked, discrepancies)
 
     @property
     def ok(self) -> bool:
@@ -187,7 +186,7 @@ def check_triangle_bounds(
     if config.n > TRIANGLE_N_LIMIT:
         raise CapacityError(f"triangle verification is limited to n <= {TRIANGLE_N_LIMIT}")
     first_n = config.n if first_n is None else first_n
-    suite = [replace(config, n=n) for n in range(first_n, config.n + 1)]
+    suite = [WeightConfig(config.species, n) for n in range(first_n, config.n + 1)]
     estimates = itertools.chain(
         ((0, spectral_cost(c, maxdeg, prod(m + 1 for m in maxdeg))) for c in suite),
         (

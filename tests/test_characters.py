@@ -1,5 +1,6 @@
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
 
@@ -15,6 +16,38 @@ from qhurwitz import (
     enumerate_partitions,
 )
 from qhurwitz.characters import TABLE_LIMIT, spectral_sum
+
+TABLE_SIZES = range(1, TABLE_LIMIT + 1)
+
+
+@lru_cache(maxsize=None)
+def reference_border_strip_character(lam, mu):
+    """The border-strip recursion on partition tuples and beta-number lists, kept as the bead code's reference.
+
+    Removes a strip of length mu[0] from lam in every possible way: beta_i =
+    lam_i + len(lam) - 1 - i becomes beta_i - mu[0], with sign (-1)^(number of
+    beta values jumped over).
+    """
+    if not mu:
+        return 1
+    strip = mu[0]
+    rest = mu[1:]
+    ell = len(lam)
+    beta = [lam[i] + ell - 1 - i for i in range(ell)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - strip
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
+        new_lam = tuple(x - (ell - 1 - i) for i, x in enumerate(new_beta))
+        while new_lam and new_lam[-1] == 0:
+            new_lam = new_lam[:-1]
+        value = reference_border_strip_character(new_lam, rest)
+        total += -value if height % 2 else value
+    return total
 
 
 class TestCharacterValue:
@@ -51,19 +84,30 @@ class TestCharacterTable:
         assert table.partitions == ((2,), (1, 1))
         assert table.values == ((1, 1), (-1, 1))
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", TABLE_SIZES)
+    def test_values_equal_the_reference_recursion(self, n):
+        table = character_table(n)
+        assert table.values == tuple(
+            tuple(reference_border_strip_character(lam, mu) for mu in table.partitions)
+            for lam in table.partitions
+        )
+        middle = len(table.partitions) // 2
+        column = [character_value(lam, table.partitions[middle]) for lam in table.partitions]
+        assert column == [row[middle] for row in table.values]
+
+    @pytest.mark.parametrize("n", TABLE_SIZES)
     def test_row_orthogonality(self, n):
+        # sum_k chi_i(k) chi_j(k) / z_k = delta_ij, times n! to stay in integers.
         table = character_table(n)
         size = len(table.partitions)
+        class_sizes = [factorial(n) // z for z in table.centralizer_orders]
         for i in range(size):
+            weighted = [v * c for v, c in zip(table.values[i], class_sizes)]
             for j in range(size):
-                total = sum(
-                    Fraction(table.values[i][k] * table.values[j][k], table.centralizer_orders[k])
-                    for k in range(size)
-                )
-                assert total == (1 if i == j else 0)
+                total = sum(map(mul, weighted, table.values[j]))
+                assert total == (factorial(n) if i == j else 0)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", TABLE_SIZES)
     def test_column_orthogonality(self, n):
         table = character_table(n)
         size = len(table.partitions)
@@ -72,7 +116,7 @@ class TestCharacterTable:
                 total = sum(table.values[k][i] * table.values[k][j] for k in range(size))
                 assert total == (table.centralizer_orders[i] if i == j else 0)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", TABLE_SIZES)
     def test_dimensions(self, n):
         table = character_table(n)
         dims = [table.value(lam, (1,) * n) for lam in table.partitions]

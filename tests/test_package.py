@@ -1,6 +1,9 @@
-"""The package's public names and the import boundaries between its pipelines."""
+"""The package's public names, the import boundaries between its pipelines, and what a cold request imports."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -80,3 +83,38 @@ def test_pipeline_imports_no_other_pipeline(module):
 def test_geometric_reads_only_the_character_table():
     names = package_imports(MODULES["geometric"])["characters"]
     assert names == GEOMETRIC_FROM_CHARACTERS
+
+
+def absolute_imports(tree) -> set:
+    """Top-level names of the absolute imports of a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add((node.module or "").partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_dataclasses_import(module):
+    # dataclasses pulls in inspect, ast, dis and tokenize: milliseconds of
+    # every request's start.
+    assert "dataclasses" not in absolute_imports(MODULES[module])
+
+
+def test_cold_request_loads_neither_dataclasses_nor_inspect():
+    # A fresh interpreter without site, as close to a bare CLI request as a
+    # test gets: import the CLI and serve the smallest request.
+    script = (
+        "import sys\n"
+        "import qhurwitz.cli\n"
+        "qhurwitz.cli.main(['chartable', '--n', '1'])\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCES.parent))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -9,6 +9,7 @@ from qhurwitz import (
     PoleError,
     Species,
     TruncatedSeries,
+    WeightConfig,
     bose_factor,
     parse_rational,
     parse_species_flag,
@@ -315,6 +316,30 @@ class TestSpeciesParsing:
     def test_label_is_keyword_only(self):
         # A species' slot is its position in WeightConfig.species, so a
         # leftover positional slot argument is refused.
-        with pytest.raises(TypeError):
-            Species("H", FIFTH, 1)
+        for label in (1, "p"):
+            with pytest.raises(TypeError):
+                Species("H", FIFTH, label)
         assert Species("H", FIFTH, label="p").describe() == "H:p=1/5"
+
+
+class TestWeightConfig:
+    def test_n_must_be_an_int(self):
+        # A float n used to be accepted and fail later inside range(); True
+        # was accepted and kept as n=True; "3" raised TypeError.
+        species = (Species("E", HALF),)
+        for n in (2.0, True, False, "3", None, Fraction(2)):
+            with pytest.raises(ValueError):
+                WeightConfig(species, n)
+
+    def test_one_species_is_not_a_sequence(self):
+        with pytest.raises(ValueError):
+            WeightConfig(Species("E", HALF), 2)
+
+    def test_valid_arguments(self):
+        species = [Species("E", HALF), Species("H", FIFTH, label="p")]
+        config = WeightConfig(species, 3)
+        assert config.species == tuple(species)
+        assert config.n == 3
+        for species, n in (((), 3), (species, 0), (species, -1)):
+            with pytest.raises(ValueError):
+                WeightConfig(species, n)

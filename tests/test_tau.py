@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -252,10 +251,10 @@ class TestImmutability:
     def test_table_and_report_fields_are_frozen(self):
         config = single_species("E", HALF, 2)
         table = tau_coefficients(config, (1,))
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             table.entries = {}
         report = verify_triangle(config, (1,))
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             report.discrepancies = ()
 
 
