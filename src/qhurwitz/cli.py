@@ -22,7 +22,7 @@ or pole error.  Output is deterministic for identical requests.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import sys
 
@@ -84,38 +84,61 @@ def _emit_json(document) -> None:
     sys.stdout.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
-    """Write the table's records to stdout in the order of table.entries.
+def _csv_field(text: str) -> str:
+    """A field as csv.QUOTE_MINIMAL writes it here: quoted exactly when it holds a comma.
 
-    That order is multidegree, then mu, then nu, each in canonical order.  The
-    JSON text is json.dumps(records, indent=2, sort_keys=True) of the scalar
-    records, built from a fixed template: the keys are fixed, and every
-    string is a partition label or "a/b" text, which JSON never escapes.
+    The fields written are partition labels, degree lists, integers and "a/b"
+    values, none of which holds a quote, a CR or an LF.
     """
-    labels = {p: format_partition(p) for p in character_table(table.n).partitions}
-    rows = (
-        (degrees, labels[mu], labels[nu], format_rational(value))
-        for (degrees, mu, nu), value in table.entries.items()
-        if (mu_filter is None or mu == mu_filter) and (nu_filter is None or nu == nu_filter)
-    )
+    return f'"{text}"' if "," in text else text
+
+
+def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
+    """Write the table's records to stdout in one write, in the order of table.entries.
+
+    That order is multidegree, then mu, then nu, each in canonical order.  A
+    record is the head text of its (multidegree, mu), the tail text of its nu
+    and its value, so the document is one join over precomputed texts.  The
+    JSON text is json.dumps(records, indent=2, sort_keys=True) of the scalar
+    records: the keys are fixed, and every string is a partition label or
+    "a/b" text, which JSON never escapes.  The CSV text is csv.writer's, with
+    a newline as line terminator.
+    """
+    parts = character_table(table.n).partitions
+    labels = dict(zip(parts, map(format_partition, parts)))
+    mus = parts if mu_filter is None else (mu_filter,)
+    nus = parts if nu_filter is None else (nu_filter,)
+    blocks = list(table.multidegrees())
+    if mu_filter is None and nu_filter is None:
+        values = table.entries.values()
+    else:
+        values = map(table.entries.__getitem__, itertools.product(blocks, mus, nus))
     if fmt == "csv":
-        degree_text = {degrees: ",".join(map(str, degrees)) for degrees in table.multidegrees()}
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(("degrees", "mu", "nu", "value"))
-        writer.writerows((degree_text[degrees], mu, nu, value) for degrees, mu, nu, value in rows)
-        return
-    opening = {
-        degrees: '  {\n    "degrees": [\n      ' + ",\n      ".join(map(str, degrees))
-        + '\n    ],\n    "mu": "'
-        for degrees in table.multidegrees()
-    }
-    n_text = f'",\n    "n": {table.n},\n    "nu": "'
-    sys.stdout.write("[\n")
-    sys.stdout.write(",\n".join(
-        f'{opening[degrees]}{mu}{n_text}{nu}",\n    "value": "{value}"\n  }}'
-        for degrees, mu, nu, value in rows
-    ))
-    sys.stdout.write("\n]\n")
+        degree_fields = [_csv_field(",".join(map(str, degrees))) for degrees in blocks]
+        heads = [
+            f"{degrees},{_csv_field(labels[mu])},"
+            for degrees, mu in itertools.product(degree_fields, mus)
+        ]
+        tails = [f"{_csv_field(labels[nu])}," for nu in nus]
+        start, separator, end = "degrees,mu,nu,value\n", "\n", "\n"
+    else:
+        degree_lists = [",\n      ".join(map(str, degrees)) for degrees in blocks]
+        heads = [
+            f'  {{\n    "degrees": [\n      {degrees}\n    ],\n    "mu": "{labels[mu]}",\n'
+            f'    "n": {table.n},\n    "nu": "'
+            for degrees, mu in itertools.product(degree_lists, mus)
+        ]
+        tails = [f'{labels[nu]}",\n    "value": "' for nu in nus]
+        start, separator, end = "[\n", '"\n  },\n', '"\n  }\n]\n'
+    # Four pieces per record: the text before it (start or separator), its
+    # head, its tail and its value; one join copies each piece once.
+    pieces = [separator] * (4 * len(heads) * len(tails))
+    pieces[0] = start
+    pieces[1::4] = [head for head in heads for _ in tails]
+    pieces[2::4] = tails * len(heads)
+    pieces[3::4] = map(format_rational, values)
+    pieces.append(end)
+    sys.stdout.write("".join(pieces))
 
 
 def _cmd_compute(args) -> int:
@@ -199,9 +222,10 @@ def _cmd_chartable(args) -> int:
     table = character_table(args.n)
     labels = [format_partition(p) for p in table.partitions]
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["lambda"] + labels)
-        writer.writerows([label, *row] for label, row in zip(labels, table.values))
+        fields = list(map(_csv_field, labels))
+        rows = [("lambda", *fields)]
+        rows += [(field, *map(str, row)) for field, row in zip(fields, table.values)]
+        sys.stdout.write("".join(",".join(row) + "\n" for row in rows))
     else:
         _emit_json({"n": args.n, "labels": labels, "matrix": [list(row) for row in table.values]})
     return 0

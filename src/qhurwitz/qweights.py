@@ -125,8 +125,14 @@ class WeightConfig(Immutable):
         self._set(species, n)
 
     def degrees(self, values) -> tuple[int, ...]:
-        """values as one nonnegative int per species: a multidegree or a bound on one."""
-        degrees = tuple(int(v) for v in values)
+        """values as one nonnegative int per species: a multidegree or a bound on one.
+
+        Each value must be an int; a bool or any other number is refused, as
+        for n.
+        """
+        degrees = tuple(values)
+        if any(isinstance(d, bool) or not isinstance(d, int) for d in degrees):
+            raise ValueError(f"degrees must be ints, got {degrees!r}")
         if len(degrees) != len(self.species):
             raise ValueError("one degree per species is required")
         if any(d < 0 for d in degrees):

@@ -239,6 +239,52 @@ class TestTauWriter:
         assert [code, hashlib.sha256(out.encode()).hexdigest()] == PINS[key]
 
 
+class CountingStream:
+    """A stdout stand-in that keeps each text written to it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+#: One --maxdeg request of two species at n = 4, and its mu, nu and both filters.
+FILTERED_TAU = ("compute", "tau", "--n", "4", "--species", "E:q=1/2", "--species", "H:p=1/5",
+                "--maxdeg", "1;2")
+TAU_FILTERS = (("--mu", "2,1,1"), ("--nu", "3,1"), ("--mu", "2,2", "--nu", "4"))
+
+#: A request of every command, and the tau writer unfiltered and filtered in both formats.
+ONE_WRITE_REQUESTS = (
+    ("compute", "tau", "--n", "12", "--species", "H:q=1/2", "--maxdeg", "3"),
+    ("compute", "tau", "--n", "10", "--species", "E:q=1/2", "--species", "H:p=1/5",
+     "--maxdeg", "2;2", "--format", "csv"),
+    *(FILTERED_TAU + f + fmt for f in TAU_FILTERS for fmt in ((), ("--format", "csv"))),
+    ("chartable", "--n", "6"),
+    ("chartable", "--n", "6", "--format", "csv"),
+    ("compute", "geometric", "--n", "3", "--mu", "2,1", "--nu", "3", "--species", "H:q=1/3",
+     "--degrees", "2"),
+    ("verify", "triangle", "--n-max", "3", "--deg-max", "1", "--species", "E:q=1/2"),
+    ("oracle", "paths", "--n", "3", "--d", "2", "--mu", "2,1", "--nu", "3"),
+)
+
+
+@pytest.mark.parametrize("argv", ONE_WRITE_REQUESTS, ids=" ".join)
+def test_each_document_is_one_write(capsys, monkeypatch, argv):
+    # Under unbuffered stdout every write is a syscall: a document written
+    # row by row costs one per row.
+    stream = CountingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(list(argv)) == 0
+    assert len(stream.writes) == 1
+    monkeypatch.undo()
+    assert run_cli(capsys, *argv) == (0, stream.writes[0])
+
+
 class TestLargeValues:
     def test_value_past_int_string_limit_prints(self, capsys):
         limit = sys.get_int_max_str_digits()
@@ -248,6 +294,21 @@ class TestLargeValues:
         assert code_geom == code_comb == 0
         assert out_geom == out_comb
         assert len(json.loads(out_geom)["value"].split("/")[1]) > 4300
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tau_table_past_int_string_limit_prints(self, capsys, fmt):
+        # E(1/2) weights have denominators past 2^(d(d-1)/2): at maxdeg 200,
+        # 64 entries of the n = 2 table print through the decimal fallback.
+        limit = sys.get_int_max_str_digits()
+        table = tau_coefficients(WeightConfig(_parse_species_list(["E:q=1/2"]), 2), (200,))
+        code, out = run_cli(
+            capsys, "compute", "tau", "--n", "2", "--species", "E:q=1/2", "--maxdeg", "200",
+            "--format", fmt,
+        )
+        assert code == 0
+        assert out == reference_tau_output(table, None, None, fmt)
+        assert max(v.denominator for v in table.entries.values()) > 10**limit
         assert sys.get_int_max_str_digits() == limit
 
     def test_huge_integer_argument_is_usage_error(self, capsys):

@@ -331,6 +331,13 @@ class TestWeightConfig:
             with pytest.raises(ValueError):
                 WeightConfig(species, n)
 
+    def test_degrees_must_be_ints(self):
+        config = WeightConfig((Species("E", HALF),), 2)
+        for value in (1.9, "2", True, 2.0, Fraction(2), None):
+            with pytest.raises(ValueError, match="degrees must be ints"):
+                config.degrees((value,))
+        assert config.degrees([2]) == (2,)
+
     def test_one_species_is_not_a_sequence(self):
         with pytest.raises(ValueError):
             WeightConfig(Species("E", HALF), 2)
