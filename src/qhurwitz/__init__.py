@@ -40,10 +40,8 @@ from .partitions import (
     centralizer_order,
     check_partition,
     colength,
-    contents,
     enumerate_partitions,
     format_partition,
-    genus_from_branch_data,
     hook_product,
     parse_partition,
     partition_count,
@@ -52,7 +50,6 @@ from .qweights import (
     FAMILIES,
     Species,
     WeightConfig,
-    bose_factor,
     parse_rational,
     parse_species_flag,
     quantum_dilog_coeffs,
@@ -65,7 +62,6 @@ from .tau import (
     HurwitzTable,
     TriangleReport,
     content_product_coeffs,
-    schur_to_powersum,
     species_content_coeffs,
     tau_coefficients,
     verify_triangle,
@@ -86,7 +82,6 @@ __all__ = [
     "TriangleReport",
     "TruncatedSeries",
     "WeightConfig",
-    "bose_factor",
     "centralizer_order",
     "character_table",
     "character_value",
@@ -94,13 +89,11 @@ __all__ = [
     "colength",
     "combinatorial_hurwitz_number",
     "content_product_coeffs",
-    "contents",
     "dimension",
     "enumerate_factorizations",
     "enumerate_partitions",
     "format_partition",
     "frobenius_hurwitz",
-    "genus_from_branch_data",
     "hook_product",
     "jucys_murphy_eigenvalue_check",
     "multispecies_hurwitz_matrix",
@@ -116,7 +109,6 @@ __all__ = [
     "quantum_dilog_coeffs",
     "quantum_hurwitz_number",
     "reciprocal",
-    "schur_to_powersum",
     "signature_of",
     "species_content_coeffs",
     "symmetrized_weight",

@@ -42,6 +42,7 @@ from .partitions import (
     Partition,
     centralizer_order,
     check_partition,
+    colength,
     enumerate_partitions,
     hook_product,
     partition_count,
@@ -147,6 +148,11 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n)
 
 
+def _conjugate(lam: Partition) -> Partition:
+    """The transposed shape: column j of lam has as many cells as lam has parts > j."""
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
+
+
 def spectral_sum(table: CharacterTable, blocks) -> list:
     """Per block, the symmetric matrix over (mu, nu) of sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu).
 
@@ -156,10 +162,18 @@ def spectral_sum(table: CharacterTable, blocks) -> list:
     denominator D as integer weights w.  Column orthogonality bounds every
     S = sum_lam w_lam chi_lam(mu) chi_lam(nu) by |S| <= max|w| * n!, so the
     slot takes that bound as its bias and the whole bytes that hold S + bias.
-    One packed integer per shape carries every slot, one integer dot product
-    per (mu, nu), j >= i, covers every block, one to_bytes cuts the slots
-    apart, and each slot's entry is one Fraction S / (D z_mu z_nu), mirrored
-    to (j, i); entries with S = 0 share one Fraction(0).
+    One packed integer per shape carries every slot.
+
+    The conjugate shape lam' has chi_lam'(mu) = (-1)^colength(mu) chi_lam(mu),
+    so a (mu, nu), j >= i, whose colengths have even sum takes the packed
+    weight w_lam + w_lam' of each pair, one with odd sum w_lam - w_lam', and a
+    self-conjugate shape counts in the even sums only.  One integer dot
+    product over one shape per pair covers every block.  The biased slots
+    make the packed form unique, so a dot product of 0 has every slot 0;
+    otherwise one to_bytes cuts apart the slots whose paired weights are not
+    all 0 for that parity, and each slot's entry is one Fraction
+    S / (D z_mu z_nu), mirrored to (j, i).  Entries with S = 0 share one
+    Fraction(0).
     """
     z = table.centralizer_orders
     size = len(z)
@@ -194,13 +208,30 @@ def spectral_sum(table: CharacterTable, blocks) -> list:
         biases[start:stop] = bias.to_bytes(stop - start, "little")
     packed = [int.from_bytes(p, "little") - int.from_bytes(m, "little") for p, m in zip(positive, negative)]
     offset = int.from_bytes(biases, "little")
-    columns = list(zip(*table.values))
+    conjugates = [table.index(_conjugate(lam)) for lam in table.partitions]
+    parity = [colength(mu) & 1 for mu in table.partitions]
+    halves = []  # per parity of colength(mu) + colength(nu): paired weights, their columns, live slots
+    for sign in (1, -1):
+        pairs = [(k, c) for k, c in enumerate(conjugates) if k < c or (k == c and sign > 0)]
+        paired = [packed[k] + sign * packed[c] if k < c else packed[k] for k, c in pairs]
+        columns = [[table.values[k][i] for k, _ in pairs] for i in range(size)]
+        live = [
+            (values, scale, bias, start, stop)
+            for values, scale, weights, bias, start, stop in slots
+            if any(weights.get(k, 0) + sign * weights.get(c, 0) if k < c else weights.get(k, 0) for k, c in pairs)
+        ]
+        halves.append((paired, columns, live))
     for i in range(size):
-        weighted = list(map(mul, packed, columns[i]))
+        weighted = [list(map(mul, paired, columns[i])) for paired, columns, _ in halves]
         for j in range(i, size):
-            raw = memoryview((sum(map(mul, weighted, columns[j])) + offset).to_bytes(length, "little"))
+            odd = parity[i] ^ parity[j]
+            _, columns, live = halves[odd]
+            total = sum(map(mul, weighted[odd], columns[j]))
+            if not total:
+                continue
+            raw = memoryview((total + offset).to_bytes(length, "little"))
             pair = z[i] * z[j]
-            for values, scale, _, bias, start, stop in slots:
+            for values, scale, bias, start, stop in live:
                 total = int.from_bytes(raw[start:stop], "little") - bias
                 if total:
                     values[i][j] = values[j][i] = Fraction(total, scale * pair)

@@ -93,12 +93,32 @@ def _csv_field(text: str) -> str:
     return f'"{text}"' if "," in text else text
 
 
+def _symmetric_texts(values: list, size: int) -> list:
+    """format_rational of each value of consecutive size x size row-major blocks, each block symmetric.
+
+    Each upper-triangle value is formatted once: row i takes its first i
+    texts from column i of the rows above it.
+    """
+    texts = []
+    for start in range(0, len(values), size * size):
+        rows = []
+        for i in range(size):
+            row = [above[i] for above in rows]
+            first = start + i * size
+            row += map(format_rational, values[first + i:first + size])
+            rows.append(row)
+            texts += row
+    return texts
+
+
 def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
     """Write the table's records to stdout in one write, in the order of table.entries.
 
     That order is multidegree, then mu, then nu, each in canonical order.  A
     record is the head text of its (multidegree, mu), the tail text of its nu
-    and its value, so the document is one join over precomputed texts.  The
+    and its value, so the document is one join over precomputed texts.  An
+    unfiltered table formats each block's upper triangle once, since
+    tau_coefficients gives (nu, mu) the value of (mu, nu).  The
     JSON text is json.dumps(records, indent=2, sort_keys=True) of the scalar
     records: the keys are fixed, and every string is a partition label or
     "a/b" text, which JSON never escapes.  The CSV text is csv.writer's, with
@@ -110,9 +130,9 @@ def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
     nus = parts if nu_filter is None else (nu_filter,)
     blocks = list(table.multidegrees())
     if mu_filter is None and nu_filter is None:
-        values = table.entries.values()
+        texts = _symmetric_texts(list(table.entries.values()), len(parts))
     else:
-        values = map(table.entries.__getitem__, itertools.product(blocks, mus, nus))
+        texts = map(format_rational, map(table.entries.__getitem__, itertools.product(blocks, mus, nus)))
     if fmt == "csv":
         degree_fields = [_csv_field(",".join(map(str, degrees))) for degrees in blocks]
         heads = [
@@ -136,7 +156,7 @@ def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
     pieces[0] = start
     pieces[1::4] = [head for head in heads for _ in tails]
     pieces[2::4] = tails * len(heads)
-    pieces[3::4] = map(format_rational, values)
+    pieces[3::4] = texts
     pieces.append(end)
     sys.stdout.write("".join(pieces))
 

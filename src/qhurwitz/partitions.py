@@ -126,30 +126,3 @@ def hook_product(lam: Partition) -> int:
             leg = sum(1 for lower in lam[i + 1 :] if lower > j)
             product *= arm + leg + 1
     return product
-
-
-def contents(lam: Partition) -> tuple[int, ...]:
-    """Multiset of cell contents j - i (1-based row i, column j), sorted."""
-    values = []
-    for i, row in enumerate(lam, start=1):
-        for j in range(1, row + 1):
-            values.append(j - i)
-    return tuple(sorted(values))
-
-
-def genus_from_branch_data(d: int, mu: Partition, nu: Partition) -> int | None:
-    """Genus g solving d = 2g - 2 + len(mu) + len(nu), if a nonnegative integer.
-
-    Returns None when the parity fails or g would be negative; weighted sums
-    legitimately range over d of both parities, so this is not an error.
-    """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    mu = check_partition(mu)
-    nu = check_partition(nu)
-    if sum(mu) != sum(nu):
-        raise ValueError("mu and nu must have equal weight")
-    twice_g = d + 2 - len(mu) - len(nu)
-    if twice_g % 2 or twice_g < 0:
-        return None
-    return twice_g // 2

@@ -243,19 +243,3 @@ def symmetrized_weight(family: str, q, colengths) -> object:
             factor = q**partial * factor
         table[counts] = inner * factor
     return table[full] * Fraction(1, factorial(k))
-
-
-def bose_factor(q, c: int):
-    """Occupation number q^c / (1 - q^c) of a branch point with colength c.
-
-    With q = exp(-beta * hbar * omega) and energy c * hbar * omega this is
-    the Bose gas factor 1 / (exp(beta * energy) - 1).  Rational q must lie in
-    (0, 1); series-mode q is accepted formally.
-    """
-    if c < 1:
-        raise ValueError("colength must be positive")
-    if isinstance(q, (int, Fraction)):
-        q = Fraction(q)
-        if not 0 < q < 1:
-            raise ValueError(f"q must lie in (0, 1): {q}")
-    return q**c * reciprocal(1 - q**c)

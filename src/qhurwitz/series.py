@@ -201,21 +201,6 @@ class TruncatedSeries:
             acc = acc + power
         return acc * (Fraction(1) / c0)
 
-    def evaluate(self, assignments) -> Fraction:
-        """Evaluate at rational values for every variable."""
-        values = []
-        for v in self.vars:
-            if v not in assignments:
-                raise ValueError(f"no value assigned to {v!r}")
-            values.append(Fraction(assignments[v]))
-        total = Fraction(0)
-        for expo, c in self.coeffs.items():
-            term = c
-            for base, e in zip(values, expo):
-                term *= base**e
-            total += term
-        return total
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -248,10 +233,11 @@ def format_rational(value) -> str:
     past it prints through decimal.Decimal, which converts an int exactly
     without that limit, so the process-wide limit is never touched.
     """
+    ratio = value.as_integer_ratio()
     try:
-        return f"{value.numerator}/{value.denominator}"
+        return "%d/%d" % ratio
     except ValueError:
-        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+        return "%s/%s" % tuple(map(Decimal, ratio))
 
 
 def reciprocal(x):

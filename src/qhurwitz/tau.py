@@ -29,7 +29,6 @@ combinatorial pipelines, after check_triangle_bounds has admitted the suite.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import prod
 
 from .characters import (
@@ -72,22 +71,6 @@ def content_product_coeffs(
     }
 
 
-def schur_to_powersum(lam: Partition) -> dict[Partition, Fraction]:
-    """Coefficients of the power sums P_mu in the Schur function S_lam.
-
-    The coefficient of P_mu is chi_lam(mu) / z_mu.
-    """
-    lam = check_partition(lam)
-    tbl = character_table(sum(lam)) if lam else None
-    if tbl is None:
-        return {(): Fraction(1)}
-    row = tbl.values[tbl.index(lam)]
-    return {
-        mu: Fraction(row[j], tbl.centralizer_orders[j])
-        for j, mu in enumerate(tbl.partitions)
-    }
-
-
 class HurwitzTable(Immutable):
     """Dense table of Hurwitz numbers indexed by (multidegree, mu, nu).
 
@@ -124,11 +107,8 @@ def tau_coefficients(
     lists = [species_content_coeffs(s, parts, m, shift) for s, m in zip(config.species, maxdeg)]
     blocks = list(multidegrees(maxdeg))
     matrices = spectral_sum(tbl, [content_eigenvalues(lists, degrees) for degrees in blocks])
-    entries = {}
-    for degrees, matrix in zip(blocks, matrices):
-        for mu, row in zip(parts, matrix):
-            for nu, value in zip(parts, row):
-                entries[(degrees, mu, nu)] = value
+    rows = itertools.chain.from_iterable(matrices)
+    entries = dict(zip(itertools.product(blocks, parts, parts), itertools.chain.from_iterable(rows)))
     return HurwitzTable(n=config.n, maxdeg=maxdeg, entries=entries)
 
 

