@@ -4,8 +4,10 @@ Character values are computed by the signed border-strip (Murnaghan-Nakayama)
 recursion on the abacus: a shape of n is the bitmask of its n beta numbers,
 a strip removal two bit flips and a popcount (James-Kerber), and values are
 memoized on (bead mask, remaining cycle lengths); naive recursion repeats
-subproblems exponentially.  Complete tables are cached per n for the
-process lifetime.  Character values and tables are exact integer arithmetic.
+subproblems exponentially.  A table row removes each strip length from its
+shape once and reads the smaller shapes from that memo; conjugate shapes
+share one evaluation.  Complete tables are cached per n for the process
+lifetime.  Character values and tables are exact integer arithmetic.
 
 The spectral layer below is what the tau and combinatorial pipelines share
 beyond the scalar, weight and partition helpers: the content-product
@@ -15,7 +17,8 @@ elements J_a, and the character sum over them.
 * species_content_coeffs: per species and shape lam, the coefficients of
   prod_{cells of lam} G(param, (shift + content) * u), exact rationals or
   series, each shape's product grown from that of the shape with its last
-  cell removed (one poly_mul per shape);
+  cell removed (one product of lists per shape, in integers over the known
+  denominators P_k in rational mode);
 * content_eigenvalues: per shape, their product over species at one
   multidegree;
 * spectral_sum: the one kernel, sum_lam c_lam chi_lam(mu) chi_lam(nu) /
@@ -63,33 +66,44 @@ def _beads(lam: Partition) -> int:
     return mask
 
 
+def _strips(beads: int, strip: int) -> list[tuple[int, int]]:
+    """(bead mask left, sign) per border strip of length ``strip`` removable from the shape of ``beads``.
+
+    On the abacus such a strip moves a bead from b to an empty b - strip,
+    and its sign is (-1)^(number of beads strictly between them), which
+    equals rows spanned minus one.  The shape left weighs ``strip`` less,
+    and its ``strip`` lowest positions hold beads, so shifting the mask
+    right by ``strip`` gives its own mask (see _beads).
+    """
+    between = (1 << (strip - 1)) - 1
+    movable = beads & ~(beads << strip) & ~((1 << strip) - 1)
+    moves = []
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        sign = -1 if (beads >> (bead.bit_length() - strip) & between).bit_count() & 1 else 1
+        moves.append(((beads ^ bead ^ bead >> strip) >> strip, sign))
+    return moves
+
+
 @lru_cache(maxsize=None)
 def _border_strip_character(beads: int, mu: Partition) -> int:
     """Recursive character value of the shape with bead mask ``beads`` (see _beads) on class mu.
 
-    Removes a border strip of length k = mu[0] in every possible way.  On
-    the abacus such a strip moves a bead from b to an empty b - k, and its
-    sign is (-1)^(number of beads strictly between them), which equals rows
-    spanned minus one.  The shape left weighs k less, and its k lowest
-    positions hold beads, so shifting the mask right by k gives its own
-    mask: each shape has one mask, and the memoized states are the (shape,
+    Removes a border strip of length mu[0] in every possible way (_strips).
+    Each shape has one mask, so the memoized states are the (shape,
     remaining cycle lengths) pairs of the partition recursion.
     """
     if not mu:
         return 1
-    strip = mu[0]
-    rest = mu[1:]
-    between = (1 << (strip - 1)) - 1
-    movable = beads & ~(beads << strip) & ~((1 << strip) - 1)
+    return _strip_sum(_strips(beads, mu[0]), mu[1:])
+
+
+def _strip_sum(strips: list[tuple[int, int]], rest: Partition) -> int:
+    """Sum over ``strips`` (see _strips) of the sign times the character of the shape left on class rest."""
     total = 0
-    while movable:
-        bead = movable & -movable
-        movable ^= bead
-        value = _border_strip_character((beads ^ bead ^ bead >> strip) >> strip, rest)
-        if (beads >> (bead.bit_length() - strip) & between).bit_count() & 1:
-            total -= value
-        else:
-            total += value
+    for left, sign in strips:
+        total += sign * _border_strip_character(left, rest)
     return total
 
 
@@ -115,6 +129,12 @@ class CharacterTable:
     canonical order; ``values[i][j]`` is the character of shape
     ``partitions[i]`` on class ``partitions[j]``.  Centralizer orders and hook
     products are carried alongside.  Instances are immutable once built.
+
+    The border-strip recursion runs once per conjugate pair: the row of the
+    conjugate shape lam' is chi_lam'(mu) = (-1)^colength(mu) chi_lam(mu).
+    A row finds the strips of each length once and recurses on the rest of
+    each class, so only the smaller shapes enter the memo.
+    Each hook product is n! over the dimension, the value on the class 1^n.
     """
 
     def __init__(self, n: int):
@@ -122,11 +142,18 @@ class CharacterTable:
         self.partitions = tuple(enumerate_partitions(n))
         self._index = {p: i for i, p in enumerate(self.partitions)}
         self.centralizer_orders = tuple(centralizer_order(p) for p in self.partitions)
-        self.hook_products = tuple(hook_product(p) for p in self.partitions)
-        self.values = tuple(
-            tuple(_border_strip_character(beads, mu) for mu in self.partitions)
-            for beads in map(_beads, self.partitions)
-        )
+        signs = [-1 if colength(mu) & 1 else 1 for mu in self.partitions]
+        rows: dict[Partition, tuple] = {}
+        for lam in self.partitions:
+            conjugate = rows.get(_conjugate(lam))
+            if conjugate is None:
+                beads = _beads(lam)
+                strips = {k: _strips(beads, k) for k in range(1, n + 1)}
+                rows[lam] = tuple(_strip_sum(strips[mu[0]], mu[1:]) for mu in self.partitions)
+            else:
+                rows[lam] = tuple(map(mul, signs, conjugate))
+        self.values = tuple(rows.values())
+        self.hook_products = tuple(factorial(n) // row[-1] for row in self.values)
 
     def index(self, mu: Partition) -> int:
         try:
@@ -138,9 +165,15 @@ class CharacterTable:
         return self.values[self.index(lam)][self.index(mu)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def character_table(n: int) -> CharacterTable:
-    """Memoized character table of S_n; construction is idempotent."""
+    """Memoized character table of S_n; construction is idempotent.
+
+    n must be an int; a bool or any other number raises ValueError.  The
+    cache is typed, so True or 1.0 never reaches the table cached for 1.
+    """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n must be positive")
     if n > TABLE_LIMIT:
@@ -247,6 +280,45 @@ def spectral_sum(table: CharacterTable, blocks) -> list:
     return matrices
 
 
+def check_shift(shift: int) -> None:
+    """Raise ValueError unless the content shift is an int (a bool is refused)."""
+    if isinstance(shift, bool) or not isinstance(shift, int):
+        raise ValueError(f"shift must be an int, got {shift!r}")
+
+
+def _integer_weights(q: Fraction, weights: list) -> tuple[list[int], list[int]]:
+    """(N, P) for rational weights W_0..W_d: P_k = prod_{j<=k} (b^j - a^j) and N_k = W_k P_k.
+
+    q = a/b in lowest terms, so each factor of P_k is positive (|a| < b).
+    Every weight of E, E' and H of degree k is an integer over P_k; a
+    non-integer N_k raises ArithmeticError.
+    """
+    a, b = q.numerator, q.denominator
+    numerators, denominators = [], [1]
+    for k, weight in enumerate(weights):
+        if k:
+            denominators.append(denominators[-1] * (b**k - a**k))
+        scale, rest = divmod(denominators[k], weight.denominator)
+        if rest:
+            raise ArithmeticError(f"weight {k} is not an integer over P_{k}")
+        numerators.append(weight.numerator * scale)
+    return numerators, denominators
+
+
+def _gaussian_binomials(q: Fraction, maxdeg: int) -> list[list[int]]:
+    """Rows t = 0..maxdeg of B(t, i) = P_t / (P_i P_{t-i}), i <= t, for q = a/b (see _integer_weights).
+
+    B(t, 0) = B(t, t) = 1 and B(t, i) = b^(t-i) B(t-1, i-1) + a^i B(t-1, i):
+    the q-binomial coefficients, homogenized to integers.
+    """
+    a, b = q.numerator, q.denominator
+    rows = [[1]]
+    for t in range(1, maxdeg + 1):
+        last = rows[-1]
+        rows.append([1] + [b ** (t - i) * last[i - 1] + a**i * last[i] for i in range(1, t)] + [1])
+    return rows
+
+
 def species_content_coeffs(
     species: Species, shapes, maxdeg: int, shift: int = 0
 ) -> list[list]:
@@ -257,14 +329,35 @@ def species_content_coeffs(
     species' expansion variable u.  Each shape's product is the product of
     the shape with its last cell removed times that cell's factor, so a
     per-call dict from shape to product, seeded with the empty shape, costs
-    one poly_mul per shape reached.  The weights are computed once, and each
-    cell factor G(m u) once per distinct shifted content m.  The degree 0
-    coefficient is always 1; cells of content -shift contribute nothing.  A
-    shape that is not a partition raises ValueError.
+    one product of lists per shape reached past its first nonzero content.
+    The weights are computed once, and each cell factor G(m u) once per
+    distinct shifted content m.
+
+    In rational mode the products run in integers: the degree-k coefficient
+    of every list is C_k / P_k, the cell factor of m has C_j = N_j m^j
+    (_integer_weights), and two lists multiply as
+    C_t = sum_i X_i Y_(t-i) B(t, i) (_gaussian_binomials, built when a shape
+    first multiplies two non-unit lists).  Each coefficient leaves as one
+    Fraction; a shape whose product is one cell factor takes W_j m^j as is.
+    Series mode multiplies with poly_mul.
+
+    The degree 0 coefficient is always 1; cells of content -shift contribute
+    nothing.  A shape that is not a partition, or a shift that is not an
+    int, raises ValueError.
     """
-    weights = weight_coefficients(species.family, species.parameter, maxdeg)
+    check_shift(shift)
+    q = species.parameter
+    weights = weight_coefficients(species.family, q, maxdeg)
+    rational = isinstance(q, Fraction)
+    if rational:
+        numerators, denominators = _integer_weights(q, weights)
+    else:
+        numerators = weights
+    rows = []
+    unit = [1] + [0] * maxdeg
     factors: dict[int, list] = {}
-    products: dict[Partition, list] = {(): [1] + [0] * maxdeg}
+    # shape -> (product, m when the product is the one cell factor of m, else 0)
+    products: dict[Partition, tuple[list, int]] = {(): (unit, 0)}
     lists = []
     for lam in shapes:
         lam = tuple(lam)
@@ -274,16 +367,39 @@ def species_content_coeffs(
             while shape not in products:
                 chain.append(shape)
                 shape = shape[:-1] + (shape[-1] - 1,) if shape[-1] > 1 else shape[:-1]
-            poly = products[shape]
+            poly, single = products[shape]
             for shape in reversed(chain):
                 m = shift + shape[-1] - len(shape)
                 if m:
                     if m not in factors:
-                        factors[m] = [weights[j] * m**j for j in range(maxdeg + 1)]
-                    poly = poly_mul(poly, factors[m], maxdeg)
-                products[shape] = poly
-        lists.append(list(products[lam]))
+                        factors[m] = [numerators[j] * m**j for j in range(maxdeg + 1)]
+                    if poly is unit:
+                        poly, single = factors[m], m
+                    elif rational:
+                        rows = rows or _gaussian_binomials(q, maxdeg)
+                        poly, single = _gaussian_mul(poly, factors[m], rows), 0
+                    else:
+                        poly, single = poly_mul(poly, factors[m], maxdeg), 0
+                products[shape] = poly, single
+        poly, single = products[lam]
+        if single:
+            lists.append([weights[j] * single**j for j in range(maxdeg + 1)])
+        elif rational and poly is not unit:
+            lists.append(list(map(Fraction, poly, denominators)))
+        else:
+            lists.append(list(poly))
     return lists
+
+
+def _gaussian_mul(x: list[int], y: list[int], rows: list[list[int]]) -> list[int]:
+    """Numerators over P_t of the product of two lists of numerators over P: sum_i x_i y_(t-i) B(t, i)."""
+    out = [0] * len(rows)
+    for i, xi in enumerate(x):
+        if xi:
+            for t, yj in enumerate(y[: len(rows) - i], i):
+                if yj:
+                    out[t] += xi * yj * rows[t][i]
+    return out
 
 
 def content_eigenvalues(lists: list, degrees: tuple[int, ...]) -> list:
@@ -316,9 +432,12 @@ def spectral_cost(
         admission; their refit is an open ROADMAP.md item;
     and bits = sum_s d_s * (b_s * d_s + bit length of |shift| + n) is about
     the size of the largest coefficient: b_s * d_s^2 from the weights
-    (Species.bits) and d_s factors of a shifted content.  Arithmetic on
-    such numbers grows with the square of their size (the gcds of Fraction).
-    The constants are fitted to measured times of tau_coefficients.
+    (Species.bits) and d_s factors of a shifted content.  The squared bits
+    term models the gcds of Fraction products, which no longer happen: the
+    content products run in integers over known denominators, so this term
+    over-estimates as well.  The constants are fitted to measured times of
+    tau_coefficients before that change and stay, which keeps every
+    admission; the refit is open in ROADMAP.md.
     """
     n = config.n
     parts = partition_count(n)

@@ -34,6 +34,7 @@ from math import prod
 from .characters import (
     SPECTRAL_COST_LIMIT,
     character_table,
+    check_shift,
     check_spectral_cost,
     content_eigenvalues,
     spectral_cost,
@@ -98,9 +99,11 @@ def tau_coefficients(
 
     entry(degrees, mu, nu) = sum over shapes lam of n of the multidegree
     coefficient of the content product of lam times
-    chi_lam(mu) chi_lam(nu) / (z_mu z_nu).
+    chi_lam(mu) chi_lam(nu) / (z_mu z_nu).  A shift that is not an int
+    raises ValueError.
     """
     maxdeg = config.degrees(maxdeg)
+    check_shift(shift)
     tbl = character_table(config.n)
     check_spectral_cost(config, maxdeg, prod(m + 1 for m in maxdeg), shift)
     parts = tbl.partitions

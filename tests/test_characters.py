@@ -145,6 +145,16 @@ class TestCharacterTable:
         with pytest.raises(CapacityError):
             character_table(TABLE_LIMIT + 1)
 
+    @pytest.mark.parametrize("n", [True, False, 2.0, 1.0, "3", None])
+    def test_n_that_is_not_an_int_raises(self, n):
+        # With the tables for 1 and 2 cached, an untyped cache would hand
+        # True or 2.0 the cached table instead of refusing it.
+        character_table(1)
+        character_table(2)
+        with pytest.raises(ValueError, match="n must be an int"):
+            character_table(n)
+        assert character_table.cache_info().currsize >= 2
+
     def test_cache_is_idempotent_under_concurrency(self):
         results = []
 

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -24,6 +25,7 @@ from qhurwitz import (
     tau_coefficients,
     verify_triangle,
     weight_coefficient,
+    weight_coefficients,
 )
 from qhurwitz.tau import check_triangle_bounds
 from test_partitions import contents
@@ -66,7 +68,7 @@ def reference_tau_entries(config, maxdeg, shift=0):
 
 def reference_species_content_coeffs(species, lam, maxdeg, shift=0):
     """One shape's content product, cell by cell, with its own weights."""
-    weights = [weight_coefficient(species.family, species.parameter, j) for j in range(maxdeg + 1)]
+    weights = weight_coefficients(species.family, species.parameter, maxdeg)
     poly = [1] + [0] * maxdeg
     for c in contents(lam):
         m = shift + c
@@ -140,6 +142,63 @@ class TestContentProducts:
     def test_weight_mismatch(self):
         with pytest.raises(ValueError):
             content_product_coeffs(single_species("E", HALF, 2), (3,), (1,))
+
+    @pytest.mark.parametrize("shift", [0.5, 1.0, "1", True, None])
+    def test_shift_that_is_not_an_int_raises(self, shift):
+        with pytest.raises(ValueError, match="shift must be an int"):
+            species_content_coeffs(Species("E", HALF), [(2, 1)], 2, shift)
+        with pytest.raises(ValueError, match="shift must be an int"):
+            content_product_coeffs(single_species("E", HALF, 3), (2, 1), (2,), shift=shift)
+        with pytest.raises(ValueError, match="shift must be an int"):
+            tau_coefficients(single_species("E", HALF, 3), (2,), shift=shift)
+
+
+INTEGER_PARAMETERS = [HALF, Fraction(-2, 5), -THIRD, Fraction(0), Fraction(999, 1000)]
+
+
+def euler_product_denominators(q, maxdeg):
+    """P_k = b^(k(k+1)/2) prod_{j<=k} (1 - q^j) for q = a/b: the Euler product cleared of b."""
+    b = q.denominator
+    return [b ** (k * (k + 1) // 2) * prod(1 - q**j for j in range(1, k + 1)) for k in range(maxdeg + 1)]
+
+
+class TestIntegerContentProducts:
+    """The integers behind rational content products: every degree-k coefficient is C_k / P_k."""
+
+    @pytest.mark.parametrize("family", ["E", "E'", "H"])
+    @pytest.mark.parametrize("q", INTEGER_PARAMETERS)
+    def test_weight_times_denominator_is_an_integer(self, family, q):
+        weights = weight_coefficients(family, q, 12)
+        numerators, denominators = characters_module._integer_weights(q, weights)
+        assert denominators == euler_product_denominators(q, 12)
+        assert all(type(p) is int and p > 0 for p in denominators)
+        assert all(type(v) is int for v in numerators)
+        assert [Fraction(v, p) for v, p in zip(numerators, denominators)] == weights
+
+    def test_non_integer_numerator_raises(self):
+        with pytest.raises(ArithmeticError, match="weight 1"):
+            characters_module._integer_weights(HALF, [Fraction(1), Fraction(1, 3)])
+
+    @pytest.mark.parametrize("q", INTEGER_PARAMETERS)
+    def test_gaussian_binomials_are_the_denominator_quotients(self, q):
+        maxdeg = 12
+        denominators = euler_product_denominators(q, maxdeg)
+        rows = characters_module._gaussian_binomials(q, maxdeg)
+        assert [len(row) for row in rows] == list(range(1, maxdeg + 2))
+        for t, row in enumerate(rows):
+            for i, value in enumerate(row):
+                assert type(value) is int
+                assert value == denominators[t] / (denominators[i] * denominators[t - i])
+
+    @pytest.mark.parametrize("family", ["E", "E'", "H"])
+    @pytest.mark.parametrize("q", INTEGER_PARAMETERS)
+    @pytest.mark.parametrize("shift", [0, 2, -3])
+    def test_every_shape_to_n8_matches_the_fraction_reference(self, family, q, shift):
+        species = Species(family, q)
+        shapes = [lam for n in range(1, 9) for lam in enumerate_partitions(n)]
+        for maxdeg in (0, 1, 10):
+            expected = [reference_species_content_coeffs(species, lam, maxdeg, shift) for lam in shapes]
+            assert species_content_coeffs(species, shapes, maxdeg, shift) == expected
 
 
 class TestTauCoefficients:
