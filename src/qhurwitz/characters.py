@@ -46,6 +46,7 @@ from .partitions import (
     centralizer_order,
     check_partition,
     colength,
+    conjugate,
     enumerate_partitions,
     hook_product,
     partition_count,
@@ -132,6 +133,8 @@ class CharacterTable:
 
     The border-strip recursion runs once per conjugate pair: the row of the
     conjugate shape lam' is chi_lam'(mu) = (-1)^colength(mu) chi_lam(mu).
+    ``conjugate_pairs`` lists each pair once as (k, c), k <= c the indices
+    of a shape and its conjugate (k == c for a self-conjugate shape).
     A row finds the strips of each length once and recurses on the rest of
     each class, so only the smaller shapes enter the memo.
     Each hook product is n! over the dimension, the value on the class 1^n.
@@ -143,16 +146,17 @@ class CharacterTable:
         self._index = {p: i for i, p in enumerate(self.partitions)}
         self.centralizer_orders = tuple(centralizer_order(p) for p in self.partitions)
         signs = [-1 if colength(mu) & 1 else 1 for mu in self.partitions]
-        rows: dict[Partition, tuple] = {}
-        for lam in self.partitions:
-            conjugate = rows.get(_conjugate(lam))
-            if conjugate is None:
+        conjugates = [self._index[conjugate(lam)] for lam in self.partitions]
+        self.conjugate_pairs = tuple((i, c) for i, c in enumerate(conjugates) if i <= c)
+        rows: list[tuple] = []
+        for lam, c in zip(self.partitions, conjugates):
+            if c < len(rows):
+                rows.append(tuple(map(mul, signs, rows[c])))
+            else:
                 beads = _beads(lam)
                 strips = {k: _strips(beads, k) for k in range(1, n + 1)}
-                rows[lam] = tuple(_strip_sum(strips[mu[0]], mu[1:]) for mu in self.partitions)
-            else:
-                rows[lam] = tuple(map(mul, signs, conjugate))
-        self.values = tuple(rows.values())
+                rows.append(tuple(_strip_sum(strips[mu[0]], mu[1:]) for mu in self.partitions))
+        self.values = tuple(rows)
         self.hook_products = tuple(factorial(n) // row[-1] for row in self.values)
 
     def index(self, mu: Partition) -> int:
@@ -179,11 +183,6 @@ def character_table(n: int) -> CharacterTable:
     if n > TABLE_LIMIT:
         raise CapacityError(f"character tables are limited to n <= {TABLE_LIMIT}")
     return CharacterTable(n)
-
-
-def _conjugate(lam: Partition) -> Partition:
-    """The transposed shape: column j of lam has as many cells as lam has parts > j."""
-    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
 
 
 def spectral_sum(table: CharacterTable, blocks) -> list:
@@ -241,11 +240,10 @@ def spectral_sum(table: CharacterTable, blocks) -> list:
         biases[start:stop] = bias.to_bytes(stop - start, "little")
     packed = [int.from_bytes(p, "little") - int.from_bytes(m, "little") for p, m in zip(positive, negative)]
     offset = int.from_bytes(biases, "little")
-    conjugates = [table.index(_conjugate(lam)) for lam in table.partitions]
     parity = [colength(mu) & 1 for mu in table.partitions]
     halves = []  # per parity of colength(mu) + colength(nu): paired weights, their columns, live slots
     for sign in (1, -1):
-        pairs = [(k, c) for k, c in enumerate(conjugates) if k < c or (k == c and sign > 0)]
+        pairs = [(k, c) for k, c in table.conjugate_pairs if k < c or sign > 0]
         paired = [packed[k] + sign * packed[c] if k < c else packed[k] for k, c in pairs]
         columns = [[table.values[k][i] for k, _ in pairs] for i in range(size)]
         live = [

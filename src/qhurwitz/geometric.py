@@ -26,54 +26,57 @@ colength classes, not profiles.  The profiles of colength c sum to
     E_lam(c) = sum over rho of colength c of E_lam(rho),
 
 the central character of the sum of all classes of colength c; by Jucys it
-is the elementary symmetric function e_c of the contents of lam.  Per species
-s of degree d and per shape lam,
+is the elementary symmetric function e_c of the contents of lam.  The
+weight of an ordered colength tuple is a product of level factors over its
+prefix sums (qweights.level_factor), and the tuple-times-orderings sum of
+symmetrized weights equals the sum over ordered tuples of those products.
+So per species s and shape lam, one walk over the prefix sums P gives
 
-    G_s(lam) = sum over multisets K of colengths 1..n-1 with sum d of
-               orderings(K) * sign * symmetrized_weight(K) * prod_{c in K} E_lam(c),
+    G_s(lam, t) = sum over ordered tuples (c_1, ..., c_k) of colengths
+                  1..n-1 with sum t of prod_i s_c_i E_lam(c_i) * prod of level factors
 
-orderings(K) = k!/prod m_c! counting the ordered colength tuples of K.  The
-empty multiset (d = 0) carries weight 1, and a one-sheeted cover has no
-nontrivial profile, so its G_s is 0 at every positive degree.  Species add
-independent tuples, so a multispecies value is
+for every degree t up to the largest requested, with the H sign
+(-1)^(k+t) = prod_i (-1)^(c_i+1) folded into s_c.  The empty tuple (t = 0)
+carries weight 1, and a one-sheeted cover has no nontrivial profile, so its
+G_s is 0 at every positive degree.  The contents of the conjugate shape
+lam' are those of lam negated, so G_s(lam', t) = (-1)^t G_s(lam, t): the
+walk runs over one shape per conjugate pair.  Species add independent
+tuples, so a multispecies value of total degree D is
 
     sum_lam prod_s G_s(lam) chi_lam(mu) chi_lam(nu) / (z_mu z_nu),
 
-taken per monomial (one for rationals) as one integer dot product over a
-common denominator.  multispecies_hurwitz_number is its one-pair call,
-multispecies_hurwitz_matrix sums the symmetric half of the pairs,
-multispecies_hurwitz_matrices does that for every multidegree up to maxdeg
-with each species' G_s formed once per degree, and quantum_hurwitz_number is
-the one-species call.  The leg reads only character_table and
-symmetrized_weight: it uses neither the contents, the content coefficients
-nor the spectral kernel characters.spectral_sum of the other two legs.  Its agreement with the tau leg is then the theorem that the
-symmetrized colength weights are the e-expansion of the content product.
+and since chi_lam'(rho) = (-1)^colength(rho) chi_lam(rho), it is 0 unless
+colength(mu) + colength(nu) + D is even; otherwise each conjugate pair
+counts twice.  It is taken per monomial (one for rationals) as one integer
+dot product over a common denominator.  multispecies_hurwitz_number is its
+one-pair call, multispecies_hurwitz_matrix sums the symmetric half of the
+pairs, multispecies_hurwitz_matrices does that for every multidegree up to
+maxdeg with each species walked once, and quantum_hurwitz_number is the
+one-species call.  The leg reads only character_table (whose
+conjugate_pairs come from partitions.conjugate) and qweights.level_factor:
+it uses neither the contents, the content coefficients nor the spectral kernel
+characters.spectral_sum of the other two legs.  Its agreement with the tau
+leg is then the theorem that the level sums of the colength weights are
+the e-expansion of the content product.
 
-A sum whose estimated cost (ordered profile tuples times the degree, or the
-bit size of the exact weights) exceeds GEOMETRIC_COST_LIMIT raises
-CapacityError before any enumeration; the ordered tuples are counted, not
-enumerated.  The estimate was fitted to a sum over profile tuples, so it
-over-estimates the colength-class sum; it is kept as fitted, which keeps
-every request's admission.
+A sum whose estimated cost (walk steps and matrix terms scaled by the bit
+size of the exact weights) exceeds GEOMETRIC_COST_LIMIT raises
+CapacityError before any walk.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import ceil, factorial, lcm, prod
 from operator import mul
 
 from .characters import character_table
 from .errors import CapacityError
-from .partitions import (
-    Partition,
-    check_partition,
-    colength,
-)
-from .qweights import Species, WeightConfig, multidegrees, symmetrized_weight
+from .partitions import Partition, check_partition, colength
+from .qweights import Species, WeightConfig, level_factor
 from .series import Immutable, TruncatedSeries
 from .sn import symmetric_group
 
@@ -158,9 +161,9 @@ def _profile_tuples(n: int, total: int) -> tuple[tuple[tuple[Partition, ...], in
     with its number of orderings k!/prod m_P!, m_P the multiplicity of
     profile P.  The profiles are those of character_table(n), in its
     descending order, with colength 1..total; a one-sheeted cover has none.
-    The sums run over colength classes and never list profile multisets:
-    this is the enumeration whose orderings _tuple_count counts for the
-    cost model, and the tests check that count against it.
+    The pipeline walks prefix sums of colengths and never lists profile
+    multisets; the tests check this enumeration against the ordered-tuple
+    reference.
     """
     pool = [(p, colength(p)) for p in character_table(n).partitions if 0 < colength(p) <= total]
     multisets = []
@@ -175,39 +178,46 @@ def _profile_tuples(n: int, total: int) -> tuple[tuple[tuple[Partition, ...], in
     return tuple(multisets)
 
 
-def _tuple_count(n: int, total: int) -> int:
-    """Ordered profile tuples of n with colength sum total: the orderings of _profile_tuples.
+def _geometric_cost(config: WeightConfig, degrees: list, entry: bool = False) -> int:
+    """Work estimate of the walks and of one matrix per multidegree (entry: one entry), scaled by the weight bits.
 
-    Counted by a recursion over the colength of the last profile, from the
-    number of profiles of each colength in character_table(n), without
-    enumerating anything.
-    """
-    if n == 1:
-        return int(total == 0)
-    sizes = Counter(colength(p) for p in character_table(n).partitions)
-    counts = [1]
-    for t in range(1, total + 1):
-        counts.append(sum(sizes[c] * counts[t - c] for c in range(1, min(n - 1, t) + 1)))
-    return counts[total]
-
-
-def _geometric_cost(config: WeightConfig, degrees: tuple[int, ...]) -> int:
-    """Work estimate of a geometric sum, in profile-tuple terms or weight bits.
-
-    The larger of prod_s N_s * max(1, sum of degrees), where N_s counts the
-    ordered profile tuples of species s, and sum_s b_s * d_s^2, where b_s is
-    the bit length of species s's rational parameter (1 for a series): the
-    exact weights grow to about that many bits, which is what bounds n = 2,
-    whose N_s is 1 at every degree.  The weight term is at least the degree
-    sum, so a large one is returned before any tuple is counted.  A sum with
-    no profile tuple at all (n = 1, a positive degree) costs nothing.
+    degrees holds, per species, the degrees it takes: (d_s,) for one
+    multidegree, range(m_s + 1) for every multidegree up to maxdeg; the
+    multidegrees are their product.  Species s walked to its largest degree
+    d_s carries weights of about b_s d_s^2 bits, b_s its parameter's bit
+    length; x_s = b_s d_s^2 / 2^13.  Per walked shape and level, walk s
+    multiplies n-1 times, linear in the bits, and adds n-2 times, whose
+    Fraction gcds are quadratic; with p = p(n) shapes it costs
+    p d_s ((n-1)(1 + x_s) + 2 (n-2) x_s^2).  A matrix of multidegree
+    bits x = sum_s x_s fills p^2 entries from dot products, linear in the
+    bits, and reduces one Fraction for each of its p(p+1)/2 pairs:
+    (p^2 + 16)(1 + x) + 16 p(p+1)/2 x^2, summed over the multidegrees in
+    closed form (the mean of x^2 is the squared mean plus the variance each
+    species adds).  One entry weights one character column and reduces one
+    Fraction, as if a matrix of one row and two pairs:
+    (p + 16)(1 + x) + 32 x^2.  The constants are fitted to the
+    in-process times of tools/geometric_cost_times.csv, the walk's
+    quadratic one to its slowest parameters: a number or a matrix costing
+    2 * 10^5 or more took at most 2.4 us a unit, 1.2 us in the median.
+    Weight bits sum_s b_s d_s^2 past the limit are returned as they are,
+    before character_table(n) is fetched (it refuses n past TABLE_LIMIT):
+    they bound n = 2, where a walk adds nothing.  One sheet walks no step
+    and has no weight bits.
     """
     n = config.n
-    bits = sum(species.bits * c * c for species, c in zip(config.species, degrees))
-    if n >= 2 and bits > GEOMETRIC_COST_LIMIT:
+    bits = sum(species.bits * max(ds) ** 2 for species, ds in zip(config.species, degrees)) if n > 1 else 0
+    if bits > GEOMETRIC_COST_LIMIT:
         return bits
-    terms = prod(_tuple_count(n, c) for c in degrees)
-    return max(terms * max(1, sum(degrees)), bits) if terms else 0
+    p = len(character_table(n).partitions)
+    walk = x = variance = 0
+    for species, ds in zip(config.species, degrees):
+        levels = [Fraction(species.bits * d * d, 2**13) if n > 1 else 0 for d in ds]
+        top, mean = max(levels), sum(levels) / len(levels)
+        walk += p * max(ds) * ((n - 1) * (1 + top) + 2 * (n - 2) * top * top)
+        x += mean
+        variance += sum(v * v for v in levels) / len(levels) - mean * mean
+    rows, pairs = (1, 2) if entry else (p, p * (p + 1) // 2)
+    return ceil(walk + prod(map(len, degrees)) * ((p * rows + 16) * (1 + x) + 16 * pairs * (x * x + variance)))
 
 
 def _colength_characters(tbl) -> list[list[int]]:
@@ -225,54 +235,70 @@ def _colength_characters(tbl) -> list[list[int]]:
     return sums
 
 
-def _species_eigenvalues(species: Species, degree: int, classes: list[list[int]]) -> list:
-    """G_s(lam) per shape: the species' signed weights over the colength multisets of degree.
+def _species_eigenvalues(species: Species, degrees, classes: list[list[int]], shapes) -> dict:
+    """{t: G_s(lam) for lam in shapes} for every t in degrees, by one walk over the prefix sums.
 
-    classes is _colength_characters(n).  Each multiset K of colengths
-    1..n-1 summing to degree is enumerated once, descending, carrying the
-    vector prod_{c in K} E_lam(c), and adds its number of orderings times
-    its symmetrized weight times that vector; H carries (-1)^(k+degree).
+    classes is _colength_characters(n) and shapes the shape indices walked,
+    one per conjugate pair.  The walk runs up to the largest t:
+
+        A[0] = 1,   B[P] = sum_{c=1..min(n-1,P)} s_c E_lam(c) A[P-c],
+        A[P] = g(P, mid) B[P],   G_s(lam, t) = g(t, last) B[t],
+
+    with g = level_factor and s_c = (-1)^(c+1) for H, whose product over the
+    tuple is its sign (-1)^(k+t); s_c = 1 for E and E'.  Only the last n-1
+    A[P] are kept.  One sheet has no colength, so the walk takes no step and
+    G_s is 0 at every positive degree.
     """
-    sums = [0] * len(classes[0])
-    stack = [((), [1] * len(sums), degree)]
-    while stack:
-        key, vector, rest = stack.pop()
-        if rest == 0:
-            orderings = factorial(len(key)) // prod(map(factorial, Counter(key).values()))
-            w = orderings * symmetrized_weight(species.family, species.parameter, key)
-            if species.family == "H" and (len(key) + degree) % 2:
-                w = -w
-            sums = [s + w * v for s, v in zip(sums, vector)]
-            continue
-        top = min(key[-1] if key else len(classes) - 1, rest)
-        stack.extend((key + (c,), list(map(mul, vector, classes[c])), rest - c)
-                     for c in range(1, top + 1))
-    return sums
+    family, q = species.family, species.parameter
+    sign = -1 if family == "H" else 1
+    steps = [[sign ** (c + 1) * row[i] for i in shapes] for c, row in enumerate(classes) if c]
+    window = deque([[q**0] * len(shapes)], maxlen=max(1, len(steps)))
+    values = {t: [0] * len(shapes) if t else window[0] for t in degrees}
+    top = max(degrees) if steps else 0
+    for level in range(1, top + 1):
+        b = [sum(step[k] * a[k] for step, a in zip(steps, window)) for k in range(len(shapes))]
+        if level in values:
+            factor = level_factor(family, q, level, True)
+            values[level] = [factor * v for v in b]
+        if level < top:
+            factor = level_factor(family, q, level, False)
+            window.appendleft([factor * v for v in b])
+    return values
 
 
-def _character_sums(tbl, eigenvalues: list, pairs) -> dict:
-    """{(i, j): sum_lam eigenvalues[lam] chi_lam(i) chi_lam(j) / (z_i z_j)} over index pairs.
+def _character_sums(tbl, eigenvalues: list, degree: int, pairs) -> dict:
+    """{(i, j): sum over all shapes lam of G(lam) chi_lam(i) chi_lam(j) / (z_i z_j)} over index pairs.
 
-    Per monomial of the eigenvalues (one for rationals) they go over their
-    lcm denominator D, each character column is weighted by them once, and
-    each pair is one integer dot product over D z_i z_j.
+    eigenvalues holds G over the first shape of each of tbl.conjugate_pairs,
+    and G(lam') = (-1)^degree G(lam).  Since chi_lam'(mu) = (-1)^colength(mu)
+    chi_lam(mu), a pair whose colengths and degree have odd sum is 0, and
+    every other pair counts a conjugate pair twice and a self-conjugate
+    shape once.  Per monomial of the eigenvalues (one for rationals) they go
+    over their lcm denominator D, the character column of each first index
+    i is weighted by them once, and each nonzero pair is one integer dot
+    product over D z_i z_j.
     """
     series = next((g for g in eigenvalues if isinstance(g, TruncatedSeries)), None)
     monomials: dict[tuple, list] = {}
     for k, g in enumerate(eigenvalues):
         for expo, value in g.coeffs.items() if isinstance(g, TruncatedSeries) else [((), g)]:
             monomials.setdefault(expo, [Fraction(0)] * len(eigenvalues))[k] = Fraction(value)
-    columns = list(zip(*tbl.values))
+    columns = list(zip(*(tbl.values[k] for k, _ in tbl.conjugate_pairs)))
+    twice = [1 + (k != c) for k, c in tbl.conjugate_pairs]
     z = tbl.centralizer_orders
+    odd = [colength(mu) % 2 for mu in tbl.partitions]
     sums = {pair: {} for pair in pairs}
+    live = [(i, j) for i, j in sums if (odd[i] + odd[j] + degree) % 2 == 0]
+    rows = {i for i, _ in live}
     for expo, values in monomials.items():
         scale = lcm(*(v.denominator for v in values))
-        weights = [v.numerator * (scale // v.denominator) for v in values]
-        weighted = [list(map(mul, weights, column)) for column in columns]
-        for (i, j), terms in sums.items():
-            terms[expo] = Fraction(sum(map(mul, weighted[i], columns[j])), scale * z[i] * z[j])
+        weights = [m * v.numerator * (scale // v.denominator) for m, v in zip(twice, values)]
+        weighted = {i: list(map(mul, weights, columns[i])) for i in rows}
+        for i, j in live:
+            sums[i, j][expo] = Fraction(sum(map(mul, weighted[i], columns[j])), scale * z[i] * z[j])
     if series is None:
-        return {pair: terms.get((), Fraction(0)) for pair, terms in sums.items()}
+        zero = Fraction(0)
+        return {pair: terms.get((), zero) for pair, terms in sums.items()}
     return {pair: TruncatedSeries(series.vars, series.cap, terms) for pair, terms in sums.items()}
 
 
@@ -280,44 +306,41 @@ def _check_cost(cost: int) -> None:
     """Raise CapacityError when a geometric cost exceeds GEOMETRIC_COST_LIMIT."""
     if cost > GEOMETRIC_COST_LIMIT:
         raise CapacityError(
-            f"geometric sum costs about {cost} (profile-tuple terms or weight bits), "
-            f"over the limit of {GEOMETRIC_COST_LIMIT}"
+            f"geometric sum costs about {cost} (walk steps and matrix terms scaled by "
+            f"weight bits), over the limit of {GEOMETRIC_COST_LIMIT}"
         )
 
 
-def _eigenvalues(config: WeightConfig, degree_list) -> tuple:
-    """character_table(n) and {degrees: prod_s G_s(lam) per shape} over degree_list.
+def _eigenvalues(config: WeightConfig, degrees: list, entry: bool = False) -> tuple:
+    """character_table(n) and {multidegree: prod_s G_s(lam)} over the first shape of each conjugate pair.
 
-    Admitted before any work: the _geometric_cost of each multidegree,
-    counted at least 1, summed as the list is walked (as
-    check_triangle_bounds sums it).  Each species' G_s is formed once per
-    degree.
+    degrees holds the degrees of each species, as _geometric_cost takes
+    them; the multidegrees are their product.  Admitted before any work by
+    the _geometric_cost of their walks and matrices (entry: of one entry).
+    Each species is walked once.
     """
-    walked, total = [], 0
-    for degrees in degree_list:
-        total += max(1, _geometric_cost(config, degrees))
-        _check_cost(total)
-        walked.append(degrees)
+    _check_cost(_geometric_cost(config, degrees, entry))
     tbl = character_table(config.n)
+    shapes = [k for k, _ in tbl.conjugate_pairs]
     classes = _colength_characters(tbl)
-    values: dict[tuple[int, int], list] = {}
-    for degrees in walked:
-        for s, d in enumerate(degrees):
-            if (s, d) not in values:
-                values[s, d] = _species_eigenvalues(config.species[s], d, classes)
+    values = [
+        _species_eigenvalues(species, set(ds), classes, shapes)
+        for species, ds in zip(config.species, degrees)
+    ]
     return tbl, {
-        degrees: [prod(v) for v in zip(*(values[s, d] for s, d in enumerate(degrees)))]
-        for degrees in walked
+        multidegree: [prod(v) for v in zip(*(values[s][d] for s, d in enumerate(multidegree)))]
+        for multidegree in itertools.product(*degrees)
     }
 
 
-def _matrix(tbl, eigenvalues: list) -> dict:
+def _matrix(tbl, degrees: tuple, eigenvalues: list) -> dict:
     """{(mu, nu): value} over all pairs: the symmetric half summed, then mirrored."""
-    size = len(tbl.partitions)
-    sums = _character_sums(tbl, eigenvalues, [(i, j) for i in range(size) for j in range(i, size)])
+    parts = tbl.partitions
+    pairs = [(i, j) for i in range(len(parts)) for j in range(i, len(parts))]
+    sums = _character_sums(tbl, eigenvalues, sum(degrees), pairs)
     return {
-        (tbl.partitions[i], tbl.partitions[j]): sums[min(i, j), max(i, j)]
-        for i, j in itertools.product(range(size), repeat=2)
+        (parts[i], parts[j]): sums[i, j] if i <= j else sums[j, i]
+        for i, j in itertools.product(range(len(parts)), repeat=2)
     }
 
 
@@ -343,34 +366,34 @@ def multispecies_hurwitz_number(
     """
     mu = check_partition(mu)
     nu = check_partition(nu)
-    n = config.n
-    if sum(mu) != n or sum(nu) != n:
+    if sum(mu) != config.n or sum(nu) != config.n:
         raise ValueError("mu and nu must be partitions of the configuration degree")
     degrees = config.degrees(degrees)
-    tbl, eigenvalues = _eigenvalues(config, [degrees])
+    tbl, eigenvalues = _eigenvalues(config, [(d,) for d in degrees], entry=True)
     pair = (tbl.index(mu), tbl.index(nu))
-    return _character_sums(tbl, eigenvalues[degrees], [pair])[pair]
+    return _character_sums(tbl, eigenvalues[degrees], sum(degrees), [pair])[pair]
 
 
 def multispecies_hurwitz_matrix(config: WeightConfig, degrees: tuple[int, ...]) -> dict:
     """multispecies_hurwitz_number for every pair (mu, nu) of partitions of n.
 
     Returns {(mu, nu): value}; the eigenvalues are formed once, and the
-    symmetric half of the pairs is summed and mirrored.  Same cost limit as
-    the single entry.
+    symmetric half of the pairs is summed and mirrored.  Admitted by the
+    _geometric_cost of its walks and one matrix.
     """
     degrees = config.degrees(degrees)
-    tbl, eigenvalues = _eigenvalues(config, [degrees])
-    return _matrix(tbl, eigenvalues[degrees])
+    tbl, eigenvalues = _eigenvalues(config, [(d,) for d in degrees])
+    return _matrix(tbl, degrees, eigenvalues[degrees])
 
 
 def multispecies_hurwitz_matrices(config: WeightConfig, maxdeg: tuple[int, ...]) -> dict:
     """{degrees: multispecies_hurwitz_matrix(config, degrees)} for every multidegree up to maxdeg.
 
-    Admitted by the summed cost of the multidegrees, each counted at least
-    1, so their number alone can refuse the request before any is walked.
+    Their number alone can refuse the request before any is listed; then
+    _geometric_cost counts each species' walk once and one matrix per
+    multidegree.
     """
     maxdeg = config.degrees(maxdeg)
     _check_cost(prod(m + 1 for m in maxdeg))
-    tbl, eigenvalues = _eigenvalues(config, multidegrees(maxdeg))
-    return {degrees: _matrix(tbl, values) for degrees, values in eigenvalues.items()}
+    tbl, eigenvalues = _eigenvalues(config, [range(m + 1) for m in maxdeg])
+    return {degrees: _matrix(tbl, degrees, values) for degrees, values in eigenvalues.items()}

@@ -60,6 +60,14 @@ def colength(mu: Partition) -> int:
     return sum(mu) - len(mu)
 
 
+def conjugate(lam: Partition) -> Partition:
+    """The transposed shape: column j of lam has as many cells as lam has parts > j.
+
+    Its contents are those of lam negated.
+    """
+    return tuple(sum(1 for part in lam if part > j) for j in range(max(lam, default=0)))
+
+
 @lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
     """Number of partitions of n, via the Euler product 1/prod(1 - q^i).

@@ -37,9 +37,11 @@ prefix content instead of one term per ordering:
     W = A[all] / k!
 
 where m_S(v) counts the colength v in S (it counts the orderings of equal
-colengths separately) and g(P, last) is 1/(1 - q^P), times q^P for E' always
-and for E except at the last prefix.  The states number prod_v (m_v + 1), so
-seven colengths 1 take 8 states instead of 5040 orderings.
+colengths separately) and g(P, last) = level_factor(family, q, P, last) is
+1/(1 - q^P), times q^P for E' always and for E except at the last prefix.
+The states number prod_v (m_v + 1), so seven colengths 1 take 8 states
+instead of 5040 orderings.  The geometric pipeline sums the same prefix
+factors over every ordered colength tuple at once, one prefix sum at a time.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class WeightConfig(Immutable):
         species = tuple(species)
         if not species:
             raise ValueError("at least one species is required")
-        if isinstance(n, bool) or not isinstance(n, int):
+        if not _is_int(n):
             raise ValueError(f"n must be an int, got {n!r}")
         if n < 1:
             raise ValueError("n must be positive")
@@ -131,13 +133,18 @@ class WeightConfig(Immutable):
         for n.
         """
         degrees = tuple(values)
-        if any(isinstance(d, bool) or not isinstance(d, int) for d in degrees):
+        if not all(map(_is_int, degrees)):
             raise ValueError(f"degrees must be ints, got {degrees!r}")
         if len(degrees) != len(self.species):
             raise ValueError("one degree per species is required")
         if any(d < 0 for d in degrees):
             raise ValueError("degrees must be nonnegative")
         return degrees
+
+
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool: counts and degrees refuse any other number."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def multidegrees(maxdeg: tuple[int, ...]):
@@ -165,15 +172,16 @@ def weight_coefficients(family: str, params, maxdeg: int) -> list:
 
     ``params`` is a single scalar for families E, E', H (a tuple or list
     raises ValueError) and a (q, p) tuple or list for the hybrid Q (anything
-    else raises ValueError).  The Euler product
+    else raises ValueError).  maxdeg must be a nonnegative int (a bool or any
+    other number raises ValueError).  The Euler product
     prod_{j<=i} (1 - q^j) grows by one factor per degree; Q is the product of
     the E series in q and the H series in p.  Works in both scalar modes; a
     vanishing rational denominator raises PoleError.
     """
     if family not in COEFFICIENT_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if maxdeg < 0:
-        raise ValueError("coefficient index must be nonnegative")
+    if not _is_int(maxdeg) or maxdeg < 0:
+        raise ValueError(f"maxdeg must be a nonnegative int, got {maxdeg!r}")
     if family == "Q":
         if not isinstance(params, (tuple, list)) or len(params) != 2:
             raise ValueError(f"family Q takes a (q, p) pair, got {params!r}")
@@ -200,10 +208,23 @@ def weight_coefficient(family: str, params, i: int):
 
 
 def quantum_dilog_coeffs(q, degree: int) -> tuple:
-    """Coefficients of z^k, k = 1..degree, of Li2(q, z) = sum z^k / (k (1 - q^k))."""
-    if degree < 1:
-        raise ValueError("degree must be positive")
+    """Coefficients of z^k, k = 1..degree, of Li2(q, z) = sum z^k / (k (1 - q^k)).
+
+    degree must be a positive int; a bool or any other number raises ValueError.
+    """
+    if not _is_int(degree) or degree < 1:
+        raise ValueError(f"degree must be a positive int, got {degree!r}")
     return tuple(Fraction(1, k) * reciprocal(1 - q**k) for k in range(1, degree + 1))
+
+
+def level_factor(family: str, q, partial: int, last: bool):
+    """The factor of one prefix with sum partial in a level weight.
+
+    1/(1 - q^partial), times q^partial for E' always and for E unless the
+    prefix is the last (the whole list of colengths); H carries none.
+    """
+    shift = q**partial if family == "E'" or (family == "E" and not last) else 1
+    return shift * reciprocal(1 - q**partial)
 
 
 def symmetrized_weight(family: str, q, colengths) -> object:
@@ -212,7 +233,8 @@ def symmetrized_weight(family: str, q, colengths) -> object:
     Averages the ordered-level weight over all orderings of the list; the
     result is invariant under permutations of ``colengths``.  The empty list
     has weight 1.  Signs are not included here: the H-family geometric sum
-    carries its (-1)^(k+d) prefactor separately.
+    carries its (-1)^(k+d) prefactor.  Each colength must be a positive int;
+    a str, a bool or any other number raises ValueError.
 
     Evaluated by the sub-multiset dynamic program of the module docstring:
     each summand depends on the ordering only through its prefix sums, so the
@@ -220,9 +242,9 @@ def symmetrized_weight(family: str, q, colengths) -> object:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    colengths = tuple(int(c) for c in colengths)
-    if any(c < 1 for c in colengths):
-        raise ValueError("colengths must be positive")
+    colengths = (colengths,) if isinstance(colengths, str) else tuple(colengths)
+    if not all(_is_int(c) and c > 0 for c in colengths):
+        raise ValueError(f"colengths must be positive ints, got {colengths!r}")
     k = len(colengths)
     if k == 0:
         return q**0
@@ -238,8 +260,5 @@ def symmetrized_weight(family: str, q, colengths) -> object:
             if m:
                 inner = inner + m * table[counts[:i] + (m - 1,) + counts[i + 1:]]
         partial = sum(m * v for m, v in zip(counts, values))
-        factor = reciprocal(1 - q**partial)
-        if family == "E'" or (family == "E" and counts != full):
-            factor = q**partial * factor
-        table[counts] = inner * factor
+        table[counts] = inner * level_factor(family, q, partial, counts == full)
     return table[full] * Fraction(1, factorial(k))

@@ -156,11 +156,12 @@ def check_triangle_bounds(
 
     first_n defaults to config.n, the one n of a verify_triangle call.  The
     degree bound is checked first, so a suite meets it at its first n; then
-    n; then the legs' own estimates summed over the suite: _geometric_cost
-    of every multidegree against GEOMETRIC_COST_LIMIT, and spectral_cost of
-    every tau table and transfer matrix against SPECTRAL_COST_LIMIT.  The
-    tables are counted first and the sums checked as they grow, so a suite
-    of many species is refused without walking its multidegrees.
+    n; then the legs' own estimates summed over the suite against
+    GEOMETRIC_COST_LIMIT and SPECTRAL_COST_LIMIT: per n, _geometric_cost of
+    the walks up to maxdeg and one matrix per multidegree, spectral_cost of
+    the tau table, and spectral_cost of every transfer matrix.  The per-n
+    estimates are counted first and the sums checked as they grow, so a
+    suite of many species is refused without walking its multidegrees.
     """
     if any(m > TRIANGLE_DEGREE_LIMIT for m in maxdeg):
         raise CapacityError(
@@ -170,13 +171,11 @@ def check_triangle_bounds(
         raise CapacityError(f"triangle verification is limited to n <= {TRIANGLE_N_LIMIT}")
     first_n = config.n if first_n is None else first_n
     suite = [WeightConfig(config.species, n) for n in range(first_n, config.n + 1)]
+    blocks = prod(m + 1 for m in maxdeg)
+    ranges = [range(m + 1) for m in maxdeg]
     estimates = itertools.chain(
-        ((0, spectral_cost(c, maxdeg, prod(m + 1 for m in maxdeg))) for c in suite),
-        (
-            (_geometric_cost(c, degrees), spectral_cost(c, degrees, 1))
-            for c in suite
-            for degrees in multidegrees(maxdeg)
-        ),
+        ((_geometric_cost(c, ranges), spectral_cost(c, maxdeg, blocks)) for c in suite),
+        ((0, spectral_cost(c, degrees, 1)) for c in suite for degrees in multidegrees(maxdeg)),
     )
     geometric = spectral = 0
     for geometric_term, spectral_term in estimates:
@@ -184,8 +183,8 @@ def check_triangle_bounds(
         spectral += spectral_term
         if geometric > GEOMETRIC_COST_LIMIT or spectral > SPECTRAL_COST_LIMIT:
             raise CapacityError(
-                f"triangle suite costs at least {geometric} (profile-tuple terms or weight "
-                f"bits) and {spectral} (kernel products), over the limit of "
+                f"triangle suite costs at least {geometric} (walk steps and matrix terms "
+                f"scaled by weight bits) and {spectral} (kernel products), over the limit of "
                 f"{GEOMETRIC_COST_LIMIT} or {SPECTRAL_COST_LIMIT}"
             )
 

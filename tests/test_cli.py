@@ -110,6 +110,30 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["value"] == "0/1"
 
+    def test_one_sheet_at_degree_ten_to_the_twelve_is_zero(self, capsys):
+        # The prefix-sum walk takes no step on one sheet, whatever the degree.
+        start = time.perf_counter()
+        code, out = run_cli(
+            capsys,
+            "compute", "geometric", "--n", "1", "--mu", "1", "--nu", "1",
+            "--species", "H:q=1/2", "--degrees", str(10**12),
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert json.loads(out)["value"] == "0/1"
+
+    def test_high_bit_parameter_at_twelve_sheets(self, capsys):
+        # One entry walks and reduces one Fraction: H(2^-240) at n = 12,
+        # d = 12 answers; H(2^-1000), whose walk alone is over the limit, exits 3.
+        args = ["compute", "geometric", "--n", "12", "--mu", "12", "--nu", "12", "--degrees", "12"]
+        code, out = run_cli(capsys, *args, "--species", f"H:q=1/{2**240}")
+        assert code == 0
+        assert json.loads(out)["value"] != "0/1"
+        code = main([*args, "--species", f"H:q=1/{2**1000}"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "geometric sum costs about" in captured.err
+
     def test_huge_geometric_degree_is_capacity_error(self, capsys):
         start = time.perf_counter()
         code = main(["compute", "geometric", "--n", "2", "--mu", "2", "--nu", "2",

@@ -2,10 +2,12 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
+from operator import mul
 
 import pytest
 
 import qhurwitz.geometric
+import qhurwitz.qweights
 from qhurwitz import (
     BranchConfiguration,
     CapacityError,
@@ -29,11 +31,13 @@ from qhurwitz.geometric import (
     GEOMETRIC_COST_LIMIT,
     _character_sums,
     _colength_characters,
+    _eigenvalues,
     _geometric_cost,
     _profile_tuples,
-    _tuple_count,
+    _species_eigenvalues,
     multispecies_hurwitz_matrices,
 )
+from qhurwitz.partitions import conjugate
 from test_partitions import contents
 
 HALF = Fraction(1, 2)
@@ -84,6 +88,32 @@ def reference_hurwitz_number(config, degrees, mu, nu, count=frobenius_hurwitz):
         extra = tuple(sorted(itertools.chain(*combo), reverse=True))
         total = total + weight * count(BranchConfiguration(extra, mu, nu))
     return total
+
+
+def reference_species_eigenvalues(species, degree, classes):
+    """G_s(lam) per shape as a sum over the colength multisets of degree.
+
+    classes is _colength_characters(n).  Each multiset K of colengths
+    1..n-1 summing to degree is enumerated once, descending, carrying the
+    vector prod_{c in K} E_lam(c), and adds its number of orderings times
+    symmetrized_weight(K) times that vector; H carries (-1)^(k+degree).
+    Every shape is summed on its own, conjugates included.
+    """
+    sums = [0] * len(classes[0])
+    stack = [((), [1] * len(sums), degree)]
+    while stack:
+        key, vector, rest = stack.pop()
+        if rest == 0:
+            orderings = factorial(len(key)) // prod(map(factorial, Counter(key).values()))
+            w = orderings * symmetrized_weight(species.family, species.parameter, key)
+            if species.family == "H" and (len(key) + degree) % 2:
+                w = -w
+            sums = [s + w * v for s, v in zip(sums, vector)]
+            continue
+        top = min(key[-1] if key else len(classes) - 1, rest)
+        stack.extend((key + (c,), list(map(mul, vector, classes[c])), rest - c)
+                     for c in range(1, top + 1))
+    return sums
 
 
 def reference_frobenius(config):
@@ -186,7 +216,6 @@ class TestProfileTuples:
     def test_one_sheet_has_no_profiles(self):
         assert _profile_tuples(1, 0) == (((), 1),)
         assert _profile_tuples(1, 60) == ()
-        assert _tuple_count(1, 10**12) == 0
 
     def test_count_matches_enumeration(self):
         for n in range(1, 7):
@@ -196,9 +225,7 @@ class TestProfileTuples:
                 counted = Counter(tuple(sorted(t, reverse=True)) for t in reference)
                 assert dict(multisets) == counted
                 assert len(dict(multisets)) == len(multisets)
-                assert sum(orderings for _, orderings in multisets) == _tuple_count(
-                    n, total
-                ) == len(reference)
+                assert sum(orderings for _, orderings in multisets) == len(reference)
                 for profiles, _ in multisets:
                     assert list(profiles) == sorted(profiles, reverse=True)
                     assert sum(colength(p) for p in profiles) == total
@@ -215,26 +242,89 @@ class TestGeometricCost:
 
     def test_estimates(self):
         h = Species("H", HALF)
-        # Ordered profile tuples times the degree: 389 tuples for n=8, d=7.
-        assert _geometric_cost(self.config(8, h), (7,)) == 389 * 7
-        assert _geometric_cost(self.config(12, h), (12,)) == 59959 * 12
-        # n = 2 has one tuple at every degree; the weight bits bound it.
-        assert _geometric_cost(self.config(2, h), (300,)) == 2 * 300**2
+        # H(1/2) has b = 2, so x = 2 d^2 / 2^13.  At n = 8 (p = 22, d = 7):
+        # walk 22*7*(7*(1 + x) + 2*6*x^2) and matrix (22^2 + 16)(1 + x) + 8*22*23*x^2.
+        x = Fraction(2 * 7**2, 2**13)
+        walk = 22 * 7 * (7 * (1 + x) + 2 * 6 * x * x)
+        matrix = (22**2 + 16) * (1 + x) + 8 * 22 * 23 * x * x
+        assert _geometric_cost(self.config(8, h), [(7,)]) == -(-(walk + matrix) // 1) == 1598
+        assert _geometric_cost(self.config(12, h), [(12,)]) == 16758
+        # n = 2 adds nothing in its walk; the weight bits b d^2 bound it, and
+        # past the limit they are the estimate.
+        assert _geometric_cost(self.config(2, h), [(707,)]) <= GEOMETRIC_COST_LIMIT
+        assert _geometric_cost(self.config(2, h), [(708,)]) == 2 * 708**2
         assert _geometric_cost(
-            self.config(2, Species("H", Fraction(999, 1000))), (300,)
-        ) == 10 * 300**2
-        assert _geometric_cost(self.config(1, h), (10**12,)) == 0
-        assert _geometric_cost(self.config(1, h), (0,)) == 1
+            self.config(2, Species("H", Fraction(999, 1000))), [(317,)]
+        ) == 10 * 317**2
+        # One sheet walks no step and has no weight bits: one 1 x 1 matrix.
+        assert _geometric_cost(self.config(1, h), [(10**12,)]) == 17
+        assert _geometric_cost(self.config(1, h), [(0,)]) == 17
+
+    def test_one_entry_is_charged_for_one_entry(self):
+        # An entry adds one weighted column and one reduced Fraction, not a
+        # matrix.  H(2^-240) has b = 241; at n = 12 (p = 77), d = 12 the
+        # walk is admitted and a matrix is not.
+        config = self.config(12, Species("H", Fraction(1, 2**240)))
+        x = Fraction(241 * 12**2, 2**13)
+        walk = 77 * 12 * (11 * (1 + x) + 2 * 10 * x * x)
+        entry = (77 + 16) * (1 + x) + 32 * x * x
+        assert _geometric_cost(config, [(12,)], entry=True) == -(-(walk + entry) // 1) == 385935
+        assert _geometric_cost(config, [(12,)]) > GEOMETRIC_COST_LIMIT
+        assert _geometric_cost(self.config(1, Species("H", HALF)), [(10**12,)], entry=True) == 17
+
+    def test_high_bit_parameter_at_twelve_sheets(self, monkeypatch):
+        # One entry of H(2^-240) at n = 12, d = 12 is admitted (about 0.6 s)
+        # and equals the entry of the matrix, which only a raised limit admits.
+        config = self.config(12, Species("H", Fraction(1, 2**240)))
+        value = multispecies_hurwitz_number(config, (12,), (12,), (12,))
+        with pytest.raises(CapacityError, match="geometric sum costs about"):
+            multispecies_hurwitz_matrix(config, (12,))
+        monkeypatch.setattr(qhurwitz.geometric, "GEOMETRIC_COST_LIMIT", 2 * 10**6)
+        assert multispecies_hurwitz_matrix(config, (12,))[(12,), (12,)] == value
+        # H(2^-1000) walks weights of about 1001 * 144 bits: refused.
+        refused = self.config(12, Species("H", Fraction(1, 2**1000)))
+        assert _geometric_cost(refused, [(12,)], entry=True) > 2 * 10**6
+        with pytest.raises(CapacityError, match="geometric sum costs about"):
+            multispecies_hurwitz_number(refused, (12,), (12,), (12,))
+
+    def test_walks_count_once_and_matrices_per_multidegree(self):
+        # Each multidegree's matrix takes the bits of its own degrees and each
+        # walk those of its species' largest degree: the closed form equals
+        # that sum.  At n = 6, p = 11; E'(999/1000) has b = 10.
+        species = (Species("H", HALF), Species("E'", Fraction(999, 1000)), Species("E", THIRD))
+        box = [range(4), (2, 5), range(3)]
+        walk = sum(
+            11 * d * (5 * (1 + x) + 2 * 4 * x * x)
+            for d, x in ((3, Fraction(2 * 9, 2**13)), (5, Fraction(10 * 25, 2**13)), (2, Fraction(2 * 4, 2**13)))
+        )
+        matrices = sum(
+            (11**2 + 16) * (1 + x) + 8 * 11 * 12 * x * x
+            for x in (Fraction(2 * a * a + 10 * b * b + 2 * c * c, 2**13) for a, b, c in itertools.product(*box))
+        )
+        assert _geometric_cost(self.config(6, *species), box) == -(-(walk + matrices) // 1)
+        one = self.config(12, Species("H", HALF))
+        assert _geometric_cost(one, [range(13)]) < 13 * _geometric_cost(one, [(12,)])
+        two = self.config(12, Species("H", HALF), Species("E", THIRD))
+        assert _geometric_cost(two, [(12,), (0,)]) < _geometric_cost(two, [(12,), (12,)])
 
     def test_over_the_limit_is_capacity_error(self):
         h = Species("H", HALF)
-        for n, d in ((2, 99999999999), (2, 10**6), (12, 13), (3, 40)):
+        for n, d in ((2, 99999999999), (2, 10**6), (12, 120), (3, 400)):
             config = self.config(n, h)
-            assert _geometric_cost(config, (d,)) > GEOMETRIC_COST_LIMIT
+            assert _geometric_cost(config, [(d,)], entry=True) > GEOMETRIC_COST_LIMIT
             with pytest.raises(CapacityError, match="geometric sum costs about"):
                 multispecies_hurwitz_number(config, (d,), (n,), (n,))
             with pytest.raises(CapacityError, match="geometric sum costs about"):
                 multispecies_hurwitz_matrix(config, (d,))
+
+    @pytest.mark.parametrize("n, d", [(12, 13), (3, 40)])
+    def test_admitted_by_the_walk_cost_and_equal_to_the_tau_entries(self, n, d):
+        # Both were refused while the cost counted ordered profile tuples.
+        config = self.config(n, Species("H", HALF))
+        table = tau_coefficients(config, (d,))
+        for (mu, nu), value in multispecies_hurwitz_matrix(config, (d,)).items():
+            assert value == table.entry((d,), mu, nu), (mu, nu)
+        assert multispecies_hurwitz_number(config, (d,), (n,), (n,)) == table.entry((d,), (n,), (n,))
 
     def test_one_sheet_is_zero_at_any_positive_degree(self):
         config = self.config(1, Species("E", HALF))
@@ -377,22 +467,6 @@ class TestSingleEvaluator:
         species = (Species("E", HALF), Species("H", TruncatedSeries.variable("q", 6)))
         self.check(species, 4, [(0, 0), (0, 2), (1, 2), (2, 1)])
 
-    def test_one_weight_per_colength_multiset(self, monkeypatch):
-        calls = []
-        original = qhurwitz.geometric.symmetrized_weight
-
-        def counting(family, q, colengths):
-            calls.append(tuple(colengths))
-            return original(family, q, colengths)
-
-        monkeypatch.setattr(qhurwitz.geometric, "symmetrized_weight", counting)
-        config = WeightConfig(species=(Species("H", HALF),), n=8)
-        value = multispecies_hurwitz_number(config, (7,), (4, 4), (8,))
-        assert value == Fraction(784217975468992, 78129765)
-        # One call per partition of 7, each colength multiset seen once.
-        assert len(calls) <= 15
-        assert len(set(calls)) == len(calls)
-
 
 class TestMatrix:
     """One branch-weight pass per multidegree against the single entries."""
@@ -423,21 +497,6 @@ class TestMatrix:
         with pytest.raises(ValueError):
             multispecies_hurwitz_matrix(config, (-1,))
 
-    def test_triangle_weighs_each_colength_multiset_once_per_multidegree(self, monkeypatch):
-        calls = []
-        original = qhurwitz.geometric.symmetrized_weight
-
-        def counting(family, q, colengths):
-            calls.append(tuple(colengths))
-            return original(family, q, colengths)
-
-        monkeypatch.setattr(qhurwitz.geometric, "symmetrized_weight", counting)
-        species = (Species("E", HALF), Species("H", FIFTH))
-        for n in range(2, 6):
-            assert verify_triangle(WeightConfig(species=species, n=n), (3, 3)).ok
-        # One pass per multidegree and species; per (mu, nu) it was 4,704.
-        assert len(calls) <= 192
-
 
 class TestMatrices:
     """Every multidegree up to maxdeg at once, against one matrix per multidegree."""
@@ -455,20 +514,6 @@ class TestMatrices:
             for degrees, matrix in matrices.items():
                 assert matrix == multispecies_hurwitz_matrix(config, degrees)
 
-    def test_one_weight_per_species_degree_and_colength_multiset(self, monkeypatch):
-        calls = []
-        original = qhurwitz.geometric.symmetrized_weight
-
-        def counting(family, q, colengths):
-            calls.append((family, tuple(colengths)))
-            return original(family, q, colengths)
-
-        monkeypatch.setattr(qhurwitz.geometric, "symmetrized_weight", counting)
-        config = WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=5)
-        multispecies_hurwitz_matrices(config, (3, 3))
-        # Colength multisets of 0..3 with parts <= 4: 1 + 1 + 2 + 3, per species.
-        assert len(calls) == len(set(calls)) == 14
-
     def test_refused_by_the_summed_cost_before_any_work(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("eigenvalues formed for a refused request")
@@ -476,11 +521,22 @@ class TestMatrices:
         monkeypatch.setattr(qhurwitz.geometric, "_species_eigenvalues", refuse)
         h = Species("H", HALF)
         config = WeightConfig(species=(h,), n=12)
-        assert _geometric_cost(config, (12,)) <= GEOMETRIC_COST_LIMIT
-        assert sum(_geometric_cost(config, (d,)) for d in range(13)) > GEOMETRIC_COST_LIMIT
-        for n, maxdeg in ((12, (12,)), (1, (10**7,)), (2, (10**12,))):
+        assert _geometric_cost(config, [(60,)]) <= GEOMETRIC_COST_LIMIT
+        assert _geometric_cost(config, [range(61)]) > GEOMETRIC_COST_LIMIT
+        for n, maxdeg in ((12, (60,)), (1, (10**7,)), (2, (10**12,))):
             with pytest.raises(CapacityError, match="geometric sum costs about"):
                 multispecies_hurwitz_matrices(WeightConfig(species=(h,), n=n), maxdeg)
+
+    def test_admitted_by_the_walk_cost_and_equal_to_the_tau_table(self):
+        # n = 12, maxdeg 12 was refused while the cost counted ordered
+        # profile tuples, summed over the multidegrees.
+        config = WeightConfig(species=(Species("H", HALF),), n=12)
+        table = tau_coefficients(config, (12,))
+        matrices = multispecies_hurwitz_matrices(config, (12,))
+        assert list(matrices) == [(d,) for d in range(13)]
+        for degrees, matrix in matrices.items():
+            for (mu, nu), value in matrix.items():
+                assert value == table.entry(degrees, mu, nu), (degrees, mu, nu)
 
 
 class TestCoveringSums:
@@ -537,6 +593,83 @@ def colength_multisets(n, most):
     return found
 
 
+class TestPrefixSumWalk:
+    """The prefix-sum walk against the colength-multiset sum it replaced."""
+
+    @pytest.mark.parametrize("family", ["E", "E'", "H"])
+    @pytest.mark.parametrize("q", [HALF, Fraction(-2, 5), Fraction(999, 1000),
+                                   TruncatedSeries.variable("q", 3)], ids=str)
+    def test_walk_equals_the_multiset_sum(self, family, q):
+        species = Species(family, q)
+        for n in range(1, 9):
+            tbl = character_table(n)
+            classes = _colength_characters(tbl)
+            shapes = [k for k, _ in tbl.conjugate_pairs]
+            walked = _species_eigenvalues(species, set(range(9)), classes, shapes)
+            assert sorted(walked) == list(range(9))
+            for d in range(9):
+                reference = reference_species_eigenvalues(species, d, classes)
+                expected = [reference[i] for i in shapes]
+                assert walked[d] == expected, (n, d)
+                assert list(map(type, walked[d])) == list(map(type, expected)), (n, d)
+            assert _species_eigenvalues(species, {8}, classes, shapes) == {8: walked[8]}
+
+    def test_conjugate_pairs_list_each_pair_once(self):
+        for n in range(1, 13):
+            tbl = character_table(n)
+            pairs = {frozenset((lam, conjugate(lam))) for lam in tbl.partitions}
+            assert {frozenset((tbl.partitions[k], tbl.partitions[c])) for k, c in tbl.conjugate_pairs} == pairs
+            assert len(tbl.conjugate_pairs) == len(pairs)
+            for k, c in tbl.conjugate_pairs:
+                assert k <= c and tbl.partitions[c] == conjugate(tbl.partitions[k])
+            config = WeightConfig((Species("H", HALF),), n)
+            assert len(_eigenvalues(config, [(0,)])[1][(0,)]) == len(pairs)
+        assert len(character_table(12).conjugate_pairs) == 40
+
+    @pytest.mark.parametrize("family, q", [("E", HALF), ("E'", THIRD), ("H", FIFTH)])
+    def test_conjugate_shape_takes_the_sign_of_the_degree(self, family, q):
+        # The contents of lam' are those of lam negated, so E_lam'(c) is
+        # (-1)^c E_lam(c) and G_lam'(t) = (-1)^t G_lam(t).
+        for n in range(1, 9):
+            tbl = character_table(n)
+            classes = _colength_characters(tbl)
+            for d in range(7):
+                values = reference_species_eigenvalues(Species(family, q), d, classes)
+                for lam, value in zip(tbl.partitions, values):
+                    assert values[tbl.index(conjugate(lam))] == (-1) ** d * value
+
+    def test_pipeline_makes_no_weight_call_and_walks_each_species_once(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("symmetrized_weight called on the pipeline path")
+
+        walks = []
+
+        def counting(species, degrees, classes, shapes):
+            walks.append(species)
+            return _species_eigenvalues(species, degrees, classes, shapes)
+
+        monkeypatch.setattr(qhurwitz.qweights, "symmetrized_weight", refuse)
+        monkeypatch.setattr(qhurwitz.geometric, "_species_eigenvalues", counting)
+        assert not hasattr(qhurwitz.geometric, "symmetrized_weight")
+        species = (Species("E", HALF), Species("H", FIFTH))
+        for n in range(2, 6):
+            config = WeightConfig(species=species, n=n)
+            for request in (
+                lambda: multispecies_hurwitz_number(config, (2, 1), (n,), (n,)),
+                lambda: multispecies_hurwitz_matrix(config, (3, 2)),
+                lambda: multispecies_hurwitz_matrices(config, (3, 3)),
+                lambda: verify_triangle(config, (3, 3)),
+            ):
+                walks.clear()
+                request()
+                assert walks == list(species)
+
+    def test_one_sheet_takes_no_step(self):
+        tbl = character_table(1)
+        values = _species_eigenvalues(Species("H", HALF), {0, 10**12}, _colength_characters(tbl), [0])
+        assert values == {0: [1], 10**12: [0]}
+
+
 class TestColengthClasses:
     """The colength-class core the pipeline runs, against brute force and the tau leg."""
 
@@ -570,8 +703,8 @@ class TestColengthClasses:
             mus = parts if n <= 5 else [(1,) * 6, (2, 1, 1, 1, 1), (2, 2, 2)]
             pairs = [(tbl.index(mu), j) for mu in mus for j in range(len(parts))]
             for key in colength_multisets(n, 3):
-                vector = [prod(classes[c][i] for c in key) for i in range(len(parts))]
-                counts = _character_sums(tbl, vector, pairs)
+                vector = [prod(classes[c][i] for c in key) for i, _ in tbl.conjugate_pairs]
+                counts = _character_sums(tbl, vector, sum(key), pairs)
                 pools = [[p for p in parts if colength(p) == c] for c in key]
                 for i, j in pairs:
                     total = sum(

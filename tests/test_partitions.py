@@ -15,7 +15,7 @@ from qhurwitz import (
     parse_partition,
     partition_count,
 )
-from qhurwitz.partitions import ENUMERATION_LIMIT
+from qhurwitz.partitions import ENUMERATION_LIMIT, conjugate
 
 
 def contents(lam):
@@ -189,6 +189,19 @@ class TestHooksAndContents:
             Fraction(part * (part - 2 * i + 1), 2) for i, part in enumerate(lam, start=1)
         )
         assert sum(values) == expected
+
+    def test_conjugate_examples(self):
+        assert conjugate(()) == ()
+        assert conjugate((3, 1)) == (2, 1, 1)
+        assert conjugate((2, 2)) == (2, 2)
+        assert conjugate((4, 2, 1)) == (3, 2, 1, 1)
+
+    @given(partitions_strategy)
+    def test_conjugate_is_an_involution_that_negates_the_contents(self, lam):
+        transposed = conjugate(lam)
+        assert conjugate(transposed) == lam
+        assert sum(transposed) == sum(lam)
+        assert contents(transposed) == tuple(sorted(-c for c in contents(lam)))
 
 
 class TestSerialization:

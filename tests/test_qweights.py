@@ -110,6 +110,16 @@ class TestWeightCoefficients:
         with pytest.raises(PoleError):
             weight_coefficients("E", Fraction(-1), 3)
 
+    @pytest.mark.parametrize("family", ["E", "E'", "H", "Q"])
+    def test_maxdeg_must_be_an_int(self, family):
+        # True was taken as degree 1 and 2.0 raised TypeError inside range().
+        params = (HALF, FIFTH) if family == "Q" else HALF
+        for maxdeg in (True, False, 2.0, 1.5, "2", Fraction(2), None):
+            with pytest.raises(ValueError, match="maxdeg must be a nonnegative int"):
+                weight_coefficients(family, params, maxdeg)
+            with pytest.raises(ValueError, match="maxdeg must be a nonnegative int"):
+                weight_coefficient(family, params, maxdeg)
+
     @pytest.mark.parametrize("family", ["E", "E'", "H"])
     def test_one_parameter_families_refuse_a_pair(self, family):
         for params in ((HALF, FIFTH), [HALF, FIFTH], (HALF,)):
@@ -179,6 +189,14 @@ class TestQuantumDilog:
         coeffs = quantum_dilog_coeffs(q, 2)
         assert coeffs[0] == (1 - q).inverse()
 
+    def test_degree_must_be_an_int(self):
+        # True was taken as degree 1 and 2.0 raised TypeError inside range().
+        for degree in (True, False, 2.0, 1.5, "2", Fraction(2), None):
+            with pytest.raises(ValueError, match="degree must be a positive int"):
+                quantum_dilog_coeffs(HALF, degree)
+        with pytest.raises(ValueError, match="degree must be a positive int"):
+            quantum_dilog_coeffs(HALF, 0)
+
 
 class TestSymmetrizedWeight:
     def test_empty_is_one(self):
@@ -244,6 +262,16 @@ class TestSymmetrizedWeight:
     def test_rejects_zero_colength(self):
         with pytest.raises(ValueError):
             symmetrized_weight("E", HALF, (0,))
+
+    @pytest.mark.parametrize("family", ["E", "E'", "H"])
+    def test_colengths_must_be_ints(self, family):
+        # int() used to read "12" as the colengths (1, 2), (1.7,) as (1,)
+        # and (True,) as (1,).
+        for colengths in ("12", "", (1.7,), (True,), (1, 2.0), (Fraction(1),), ("1",), (None,)):
+            with pytest.raises(ValueError, match="colengths must be positive ints"):
+                symmetrized_weight(family, HALF, colengths)
+        assert symmetrized_weight(family, HALF, [1, 2]) == symmetrized_weight(family, HALF, (2, 1))
+        assert symmetrized_weight(family, HALF, iter((1, 2))) == symmetrized_weight(family, HALF, (1, 2))
 
     @pytest.mark.parametrize("q", [HALF, Fraction(-1, 3), Fraction(2, 5)])
     @pytest.mark.parametrize("family", ["E", "E'", "H"])
