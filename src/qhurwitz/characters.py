@@ -43,6 +43,7 @@ from operator import mul
 from .errors import CapacityError
 from .partitions import (
     Partition,
+    _is_int,
     centralizer_order,
     check_partition,
     colength,
@@ -176,7 +177,7 @@ def character_table(n: int) -> CharacterTable:
     n must be an int; a bool or any other number raises ValueError.  The
     cache is typed, so True or 1.0 never reaches the table cached for 1.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n must be positive")
@@ -280,7 +281,7 @@ def spectral_sum(table: CharacterTable, blocks) -> list:
 
 def check_shift(shift: int) -> None:
     """Raise ValueError unless the content shift is an int (a bool is refused)."""
-    if isinstance(shift, bool) or not isinstance(shift, int):
+    if not _is_int(shift):
         raise ValueError(f"shift must be an int, got {shift!r}")
 
 

@@ -46,7 +46,7 @@ from .characters import (
     species_content_coeffs,
 )
 from .errors import CapacityError
-from .partitions import Partition, check_partition, enumerate_partitions
+from .partitions import Partition, _is_int, check_partition, enumerate_partitions
 from .qweights import Species, WeightConfig, multidegrees, weight_coefficients
 from .series import Immutable, TruncatedSeries
 from .sn import algebra_mul, symmetric_group
@@ -83,8 +83,11 @@ def path_counts(
 
     Returns {signature: (m, m~)} over all partitions of d, with m the ordered
     count and m~ the unrestricted count, both 1/n!-normalized as in the
-    module docstring.
+    module docstring.  n and d must be ints (a bool or any other number
+    raises ValueError).
     """
+    if not (_is_int(n) and _is_int(d)):
+        raise ValueError(f"n and d must be ints, got {n!r} and {d!r}")
     if d < 0:
         raise ValueError("d must be nonnegative")
     return dict(_path_counts(n, d, check_partition(mu), check_partition(nu)))

@@ -199,21 +199,25 @@ def _geometric_cost(config: WeightConfig, degrees: list, entry: bool = False) ->
     in-process times of tools/geometric_cost_times.csv, the walk's
     quadratic one to its slowest parameters: a number or a matrix costing
     2 * 10^5 or more took at most 2.4 us a unit, 1.2 us in the median.
-    Weight bits sum_s b_s d_s^2 past the limit are returned as they are,
-    before character_table(n) is fetched (it refuses n past TABLE_LIMIT):
-    they bound n = 2, where a walk adds nothing.  One sheet walks no step
-    and has no weight bits.
+    Each ds is ascending, so its largest degree is ds[-1].  One sheet walks
+    no step and has no weight bits: each of its multidegrees costs one
+    entry, 17.  Weight bits sum_s b_s d_s^2 past the limit are returned as
+    they are, before character_table(n) is fetched (it refuses n past
+    TABLE_LIMIT) or any degree is listed: they bound n = 2, where a walk
+    adds nothing.
     """
     n = config.n
-    bits = sum(species.bits * max(ds) ** 2 for species, ds in zip(config.species, degrees)) if n > 1 else 0
+    if n == 1:
+        return 17 * prod(map(len, degrees))
+    bits = sum(species.bits * ds[-1] ** 2 for species, ds in zip(config.species, degrees))
     if bits > GEOMETRIC_COST_LIMIT:
         return bits
     p = len(character_table(n).partitions)
     walk = x = variance = 0
     for species, ds in zip(config.species, degrees):
-        levels = [Fraction(species.bits * d * d, 2**13) if n > 1 else 0 for d in ds]
+        levels = [Fraction(species.bits * d * d, 2**13) for d in ds]
         top, mean = max(levels), sum(levels) / len(levels)
-        walk += p * max(ds) * ((n - 1) * (1 + top) + 2 * (n - 2) * top * top)
+        walk += p * ds[-1] * ((n - 1) * (1 + top) + 2 * (n - 2) * top * top)
         x += mean
         variance += sum(v * v for v in levels) / len(levels) - mean * mean
     rows, pairs = (1, 2) if entry else (p, p * (p + 1) // 2)
@@ -389,11 +393,9 @@ def multispecies_hurwitz_matrix(config: WeightConfig, degrees: tuple[int, ...]) 
 def multispecies_hurwitz_matrices(config: WeightConfig, maxdeg: tuple[int, ...]) -> dict:
     """{degrees: multispecies_hurwitz_matrix(config, degrees)} for every multidegree up to maxdeg.
 
-    Their number alone can refuse the request before any is listed; then
-    _geometric_cost counts each species' walk once and one matrix per
-    multidegree.
+    Admitted by the _geometric_cost of each species' walk, counted once, and
+    of one matrix per multidegree, which it counts in closed form.
     """
     maxdeg = config.degrees(maxdeg)
-    _check_cost(prod(m + 1 for m in maxdeg))
     tbl, eigenvalues = _eigenvalues(config, [range(m + 1) for m in maxdeg])
     return {degrees: _matrix(tbl, degrees, values) for degrees, values in eigenvalues.items()}

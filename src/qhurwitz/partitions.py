@@ -24,9 +24,21 @@ Partition = tuple[int, ...]
 ENUMERATION_LIMIT = 50
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool: counts, parts and degrees refuse any other number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_partition(mu) -> Partition:
-    """Validate an iterable of parts and return it as a partition tuple."""
-    parts = tuple(int(p) for p in mu)
+    """Validate an iterable of int parts and return it as a partition tuple.
+
+    A str, or a part that is not an int (a bool included), raises ValueError.
+    """
+    if isinstance(mu, str):
+        raise ValueError(f"a partition is a sequence of ints, not the str {mu!r}")
+    parts = tuple(mu)
+    if not all(map(_is_int, parts)):
+        raise ValueError(f"partition parts must be ints, got {parts!r}")
     for i, part in enumerate(parts):
         if part < 1:
             raise ValueError(f"partition parts must be positive: {parts}")
@@ -68,15 +80,16 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for part in lam if part > j) for j in range(max(lam, default=0)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partition_count(n: int) -> int:
     """Number of partitions of n, via the Euler product 1/prod(1 - q^i).
 
     Coefficients are extracted by the standard coin-counting recurrence on
-    the truncated product, independently of enumerate_partitions.
+    the truncated product, independently of enumerate_partitions.  The cache
+    is typed, so True never reaches the count cached for 1.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative int, got {n!r}")
     ways = [0] * (n + 1)
     ways[0] = 1
     for part in range(1, n + 1):
@@ -100,8 +113,8 @@ def _partitions_desc(n: int) -> tuple[Partition, ...]:
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in canonical (descending lexicographic) order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative int, got {n!r}")
     if n > ENUMERATION_LIMIT:
         raise CapacityError(f"partition enumeration is limited to n <= {ENUMERATION_LIMIT}")
     return list(_partitions_desc(n))

@@ -47,9 +47,11 @@ factors over every ordered colength tuple at once, one prefix sum at a time.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import factorial
 
+from .partitions import _is_int
 from .series import Immutable, TruncatedSeries, poly_mul, reciprocal
 
 #: Weight generating function families usable as branch-point species.
@@ -60,8 +62,15 @@ COEFFICIENT_FAMILIES = ("E", "E'", "H", "Q")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or "a" into an exact rational."""
+    """Parse "a/b", "a" or a decimal such as "1.5e-3" into an exact rational.
+
+    An exponent past sys.get_int_max_str_digits(), the limit int() puts on
+    the digits of a literal, raises ValueError before 10**exponent is built.
+    """
+    _, _, exponent = text.lower().partition("e")
     try:
+        if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
+            raise ValueError("exponent past the int() digit limit")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc
@@ -140,11 +149,6 @@ class WeightConfig(Immutable):
         if any(d < 0 for d in degrees):
             raise ValueError("degrees must be nonnegative")
         return degrees
-
-
-def _is_int(value) -> bool:
-    """Whether value is an int and not a bool: counts and degrees refuse any other number."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def multidegrees(maxdeg: tuple[int, ...]):

@@ -23,7 +23,9 @@ exceeds SPECTRAL_COST_LIMIT raises CapacityError before any content
 coefficient is computed.
 
 verify_triangle compares the table entrywise with the geometric and
-combinatorial pipelines, after check_triangle_bounds has admitted the suite.
+combinatorial pipelines.  check_triangle_bounds admits a suite of n by the
+costs its legs check, summed over the suite: no bound of its own on n or on
+the degrees.
 """
 
 from __future__ import annotations
@@ -144,43 +146,27 @@ class TriangleReport(Immutable):
         }
 
 
-#: Desk-scale bounds for the full triangle comparison.
-TRIANGLE_N_LIMIT = 5
-TRIANGLE_DEGREE_LIMIT = 3
-
-
 def check_triangle_bounds(
     config: WeightConfig, maxdeg: tuple[int, ...], first_n: int | None = None
 ) -> None:
-    """Raise CapacityError past the bounds of a triangle suite over n = first_n..config.n.
+    """Raise CapacityError past the summed cost of a triangle suite over n = first_n..config.n.
 
-    first_n defaults to config.n, the one n of a verify_triangle call.  The
-    degree bound is checked first, so a suite meets it at its first n; then
-    n; then the legs' own estimates summed over the suite against
-    GEOMETRIC_COST_LIMIT and SPECTRAL_COST_LIMIT: per n, _geometric_cost of
-    the walks up to maxdeg and one matrix per multidegree, spectral_cost of
-    the tau table, and spectral_cost of every transfer matrix.  The per-n
-    estimates are counted first and the sums checked as they grow, so a
-    suite of many species is refused without walking its multidegrees.
+    first_n defaults to config.n, the one n of a verify_triangle call.  Each
+    n is charged what its three legs check before they work: _geometric_cost
+    of the walks up to maxdeg and one matrix per multidegree, and twice the
+    spectral_cost of the tau table, since the transfer matrices are one
+    spectral_sum over the same blocks and check the same cost.  The sums are
+    checked against GEOMETRIC_COST_LIMIT and SPECTRAL_COST_LIMIT as each n is
+    added, so a suite stops at its first n past a limit, or at its first n
+    past TABLE_LIMIT, whose character table _geometric_cost refuses.
     """
-    if any(m > TRIANGLE_DEGREE_LIMIT for m in maxdeg):
-        raise CapacityError(
-            f"triangle verification is limited to slot degrees <= {TRIANGLE_DEGREE_LIMIT}"
-        )
-    if config.n > TRIANGLE_N_LIMIT:
-        raise CapacityError(f"triangle verification is limited to n <= {TRIANGLE_N_LIMIT}")
-    first_n = config.n if first_n is None else first_n
-    suite = [WeightConfig(config.species, n) for n in range(first_n, config.n + 1)]
     blocks = prod(m + 1 for m in maxdeg)
     ranges = [range(m + 1) for m in maxdeg]
-    estimates = itertools.chain(
-        ((_geometric_cost(c, ranges), spectral_cost(c, maxdeg, blocks)) for c in suite),
-        ((0, spectral_cost(c, degrees, 1)) for c in suite for degrees in multidegrees(maxdeg)),
-    )
     geometric = spectral = 0
-    for geometric_term, spectral_term in estimates:
-        geometric += geometric_term
-        spectral += spectral_term
+    for n in range(config.n if first_n is None else first_n, config.n + 1):
+        suite_config = WeightConfig(config.species, n)
+        geometric += _geometric_cost(suite_config, ranges)
+        spectral += 2 * spectral_cost(suite_config, maxdeg, blocks)
         if geometric > GEOMETRIC_COST_LIMIT or spectral > SPECTRAL_COST_LIMIT:
             raise CapacityError(
                 f"triangle suite costs at least {geometric} (walk steps and matrix terms "
@@ -198,9 +184,8 @@ def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleRe
     """Compare the geometric, combinatorial and tau pipelines entrywise.
 
     Exact rational equality is demanded; any discrepancy is reported, not
-    raised.  Bounds: n at most 5, every slot degree at most 3 and the summed
-    cost estimates of check_triangle_bounds, which keep the three legs at
-    desk scale; past them CapacityError.
+    raised.  The one bound is check_triangle_bounds at this n: the costs
+    that the three legs check, summed; past it CapacityError.
     """
     maxdeg = config.degrees(maxdeg)
     check_triangle_bounds(config, maxdeg)

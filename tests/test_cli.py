@@ -340,6 +340,15 @@ class TestLargeValues:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    def test_huge_exponent_is_usage_error_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(["compute", "tau", "--n", "2", "--species", "H:q=1e-30000000", "--maxdeg", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid rational literal '1e-30000000'\n"
+
 
 class TestSpectralAdmission:
     @pytest.mark.parametrize("argv", [
@@ -426,11 +435,23 @@ class TestVerify:
         assert all(r["discrepancies"] == [] for r in document["reports"])
 
     def test_triangle_past_bound_is_capacity_error(self, capsys):
-        for n_max, deg_max in (("6", "1"), ("2", "4")):
+        for n_max, deg_max, reason in (
+            ("13", "1", "character tables are limited to n <= 12"),
+            ("2", "178", "triangle suite costs at least"),
+        ):
             code = main(["verify", "triangle", "--n-max", n_max, "--deg-max", deg_max,
                          "--species", "E:q=1/2"])
             assert code == 3
-            assert "triangle verification is limited" in capsys.readouterr().err
+            assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_max, deg_max", [(str(10**18), "1"), ("3", str(10**18))])
+    def test_huge_suite_is_refused_at_once(self, capsys, n_max, deg_max):
+        start = time.perf_counter()
+        code = main(["verify", "triangle", "--n-max", n_max, "--deg-max", deg_max,
+                     "--species", "H:q=1/2"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert capsys.readouterr().out == ""
 
     def test_triangle_bound_checked_before_any_work(self, capsys, monkeypatch):
         calls = []
@@ -443,7 +464,7 @@ class TestVerify:
         monkeypatch.setattr(qhurwitz.tau, "tau_coefficients", counting)
         code, out = run_cli(
             capsys,
-            "verify", "triangle", "--n-max", "6", "--deg-max", "3",
+            "verify", "triangle", "--n-max", "13", "--deg-max", "3",
             "--species", "E:q=1/2", "--species", "H:p=1/5",
         )
         assert code == 3
@@ -451,10 +472,11 @@ class TestVerify:
         assert calls == []
 
     @pytest.mark.parametrize("species, deg_max", [
-        # The fifth species puts n = 4 and n = 5 each past the geometric limit.
-        (("E:q=1/2", "E:q=1/3", "H:q=1/5", "H:q=1/7", "H:q=1/11"), "3"),
-        # Each n alone is admitted; n = 2..5 together pass the spectral limit.
-        (("E:q=1/2", "E:q=1/3", "H:q=1/5", "H:q=1/7", "H:q=1/11", "E:q=1/13"), "2"),
+        # At slot degree 6 the five species put n = 5 alone past both limits.
+        (("E:q=1/2", "E:q=1/3", "H:q=1/5", "H:q=1/7", "H:q=1/11"), "6"),
+        # At slot degree 5 each n alone is admitted; n = 2..5 together pass
+        # the geometric limit.
+        (("E:q=1/2", "E:q=1/3", "H:q=1/5", "H:q=1/7", "H:q=1/11"), "5"),
     ])
     def test_suite_cost_checked_before_any_work(self, capsys, monkeypatch, species, deg_max):
         def refuse(*args, **kwargs):

@@ -102,6 +102,13 @@ class TestPathCounts:
         with pytest.raises(ValueError, match="d must be nonnegative"):
             path_counts(3, -1, (3,), (3,))
 
+    @pytest.mark.parametrize("n, d, mu", [
+        (True, 1, (1,)), (3, 1.5, (3,)), (3.0, 1, (3,)), (3, True, (3,)), (3, 1, "3"), (3, 1, (2.5, 0.5)),
+    ])
+    def test_non_int_arguments_are_refused(self, n, d, mu):
+        with pytest.raises(ValueError):
+            path_counts(n, d, mu, (3,) if n == 3 else (1,))
+
 
 class TestTransferMatrix:
     def test_degree_zero_is_identity(self):

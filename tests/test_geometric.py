@@ -350,6 +350,12 @@ class TestQuantumHurwitzNumber:
     def test_h_family_cancellation(self):
         assert quantum_hurwitz_number("H", HALF, 1, (2,), (2,)) == 0
 
+    @pytest.mark.parametrize("mu", [(2.9, 1), (2.0, 1.0), "21", (True, True, True)])
+    def test_non_int_parts_are_refused(self, mu):
+        # (2.9, 1) once gave the value of (2, 1).
+        with pytest.raises(ValueError):
+            quantum_hurwitz_number("H", HALF, 1, mu, (3,))
+
     def test_frozen_value_h_family(self):
         assert quantum_hurwitz_number("H", HALF, 2, (3,), (3,)) == Fraction(44, 9)
 

@@ -217,3 +217,26 @@ class TestSerialization:
     def test_check_partition_rejects_increasing(self):
         with pytest.raises(ValueError):
             check_partition((1, 2))
+
+    @pytest.mark.parametrize("bad", ["21", "", (2.7, 1), (2.0, 1), (True,), (2, Fraction(1))])
+    def test_check_partition_refuses_what_is_not_ints(self, bad):
+        # No part is coerced: "21" is not (2, 1), nor (2.7, 1), nor (True,) (1,).
+        with pytest.raises(ValueError):
+            check_partition(bad)
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 2.0, "3", -1])
+    def test_refused_with_value_error(self, bad):
+        with pytest.raises(ValueError, match="n must be a nonnegative int"):
+            enumerate_partitions(bad)
+        with pytest.raises(ValueError, match="n must be a nonnegative int"):
+            partition_count(bad)
+
+    def test_typed_cache_keeps_true_from_the_count_of_one(self):
+        assert partition_count(1) == 1
+        with pytest.raises(ValueError):
+            partition_count(True)
+        assert partition_count(0) == 1
+        with pytest.raises(ValueError):
+            partition_count(False)

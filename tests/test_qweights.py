@@ -1,4 +1,6 @@
 import itertools
+import sys
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -305,6 +307,16 @@ class TestSpeciesParsing:
         assert parse_rational("3") == 3
         with pytest.raises(ValueError):
             parse_rational("x")
+
+    def test_exponent_past_the_int_digit_limit_is_refused_at_once(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational(f"1e-{limit}") == Fraction(1, 10**limit)
+        assert parse_rational(" 25E-1 ") == Fraction(5, 2)
+        for text in (f"1e-{limit + 1}", "1e-30000000", "1E30000000", "2.5e+30000000"):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="invalid rational literal"):
+                parse_rational(text)
+            assert time.perf_counter() - start < 0.1
 
     def test_parse_species_flag(self):
         species = parse_species_flag("E:q=1/2")

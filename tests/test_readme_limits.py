@@ -15,7 +15,7 @@ from qhurwitz.combinatorial import JM_LIMIT, PATH_LIMIT_D, PATH_LIMIT_N
 from qhurwitz.geometric import GEOMETRIC_COST_LIMIT
 from qhurwitz.partitions import ENUMERATION_LIMIT
 from qhurwitz.sn import GROUP_LIMIT
-from qhurwitz.tau import SPECTRAL_COST_LIMIT, TRIANGLE_DEGREE_LIMIT, TRIANGLE_N_LIMIT
+from qhurwitz.tau import SPECTRAL_COST_LIMIT
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,7 +26,6 @@ LIMITS = {
     "`enumerate_factorizations`": {"n": GROUP_LIMIT},
     "`path_counts`": {"n": PATH_LIMIT_N, "d": PATH_LIMIT_D},
     "`jucys_murphy_eigenvalue_check`": {"n": JM_LIMIT},
-    "`verify_triangle`": {"n": TRIANGLE_N_LIMIT, "slot degrees": TRIANGLE_DEGREE_LIMIT},
     "`verify triangle` suite": {
         "geometric cost": GEOMETRIC_COST_LIMIT,
         "spectral cost": SPECTRAL_COST_LIMIT,

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from math import prod
 
@@ -348,10 +349,30 @@ class TestVerifyTriangle:
         assert payload["checked"] == report.checked
 
     def test_desk_scale_bounds(self):
-        with pytest.raises(CapacityError):
-            verify_triangle(single_species("E", HALF, 6), (1,))
-        with pytest.raises(CapacityError):
-            verify_triangle(single_species("E", HALF, 2), (4,))
+        # Past n = 12 the character table is refused; at n = 2, E(1/2) is
+        # admitted up to degree 177, and at 178 the two spectral sums pass 10^7.
+        with pytest.raises(CapacityError, match="character tables are limited to n <= 12"):
+            verify_triangle(single_species("E", HALF, 13), (1,))
+        check_triangle_bounds(single_species("E", HALF, 2), (177,))
+        with pytest.raises(CapacityError, match="triangle suite costs at least"):
+            verify_triangle(single_species("E", HALF, 2), (178,))
+
+    def test_past_the_desk_box(self):
+        # Suites at n = 6..12 and low degree, which no bound of n <= 5 or
+        # degree <= 3 refuses any more: the three legs agree.  Their n >= 6
+        # take about 0.5 s in process together on a 2-CPU Xeon; the budget
+        # is 3 s.
+        start = time.perf_counter()
+        for texts, n_max, deg in (
+            (("H:q=1/2",), 12, 2),
+            (("E:q=1/2", "H:q=1/5"), 10, 1),
+            (("E':q=-2/5",), 8, 3),
+        ):
+            check_triangle_bounds(suite_config(texts, n_max), (deg,) * len(texts), first_n=2)
+            for n in range(6, n_max + 1):
+                report = verify_triangle(suite_config(texts, n), (deg,) * len(texts))
+                assert report.ok, (texts, n, report.discrepancies[:1])
+        assert time.perf_counter() - start < 3.0
 
 
 def suite_config(texts, n):
@@ -369,24 +390,45 @@ class TestTriangleSuiteCost:
             config = suite_config(texts, 5)
             check_triangle_bounds(config, (3,) * len(texts), first_n=2)
             check_triangle_bounds(config, (3,) * len(texts))
+        for texts, n_max, deg in (
+            (FOUR_SPECIES, 3, 11),
+            (FOUR_SPECIES, 5, 7),
+            (FOUR_SPECIES + ("H:q=1/11",), 5, 4),
+            (FOUR_SPECIES + ("H:q=1/11", "E:q=1/13"), 5, 3),
+            (("H:q=1/2",), 12, 4),
+        ):
+            check_triangle_bounds(suite_config(texts, n_max), (deg,) * len(texts), first_n=2)
+
+    def test_suite_charges_the_legs_own_estimates(self):
+        # Per n: the geometric leg's walks and matrices, and the spectral
+        # cost of the tau table twice (the transfer matrices charge the same).
+        # The bench E+H suite sums to 2,729 and 52,792.
+        texts, maxdeg = ("E:q=1/2", "H:p=1/5"), (3, 3)
+        geometric = spectral = 0
+        for n in range(2, 6):
+            config = suite_config(texts, n)
+            geometric += tau_module._geometric_cost(config, [range(4), range(4)])
+            spectral += 2 * tau_module.spectral_cost(config, maxdeg, 16)
+        assert (geometric, spectral) == (2729, 52792)
 
     def test_five_species_refused_before_any_work(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("tau table built for a refused suite")
 
         monkeypatch.setattr(tau_module, "tau_coefficients", refuse)
+        # At slot degree 6, n = 5 alone passes both limits.
         config = suite_config(FOUR_SPECIES + ("H:q=1/11",), 5)
         with pytest.raises(CapacityError, match="triangle suite costs at least"):
-            check_triangle_bounds(config, (3,) * 5, first_n=2)
+            check_triangle_bounds(config, (6,) * 5, first_n=2)
         with pytest.raises(CapacityError, match="triangle suite costs at least"):
-            verify_triangle(config, (3,) * 5)
+            verify_triangle(config, (6,) * 5)
 
     def test_suite_sums_over_n(self):
-        texts = FOUR_SPECIES + ("H:q=1/11", "E:q=1/13")
+        texts = FOUR_SPECIES + ("H:q=1/11",)
         for n in range(2, 6):
-            check_triangle_bounds(suite_config(texts, n), (2,) * 6)
+            check_triangle_bounds(suite_config(texts, n), (5,) * 5)
         with pytest.raises(CapacityError, match="triangle suite costs at least"):
-            check_triangle_bounds(suite_config(texts, 5), (2,) * 6, first_n=2)
+            check_triangle_bounds(suite_config(texts, 5), (5,) * 5, first_n=2)
 
     def test_many_species_refused_at_the_tables(self, monkeypatch):
         calls = []
@@ -402,12 +444,27 @@ class TestTriangleSuiteCost:
             check_triangle_bounds(config, (3,) * 12, first_n=2)
         assert len(calls) <= 4
 
-    def test_degree_bound_checked_first(self):
-        config = suite_config(FOUR_SPECIES + ("H:q=1/11",), 6)
-        with pytest.raises(CapacityError, match="slot degrees <= 3"):
-            check_triangle_bounds(config, (4,) * 5, first_n=2)
-        with pytest.raises(CapacityError, match="n <= 5"):
-            check_triangle_bounds(config, (3,) * 5, first_n=2)
+    def test_degree_bound_checked_first(self, monkeypatch):
+        # A huge degree is refused by the weight bits of n = 2, before any
+        # character table or degree list; a huge n_max by the character
+        # table of n = 13, the first n past the table limit, without building
+        # the configurations past it.
+        built = []
+        original = tau_module.WeightConfig
+
+        def counting(species, n):
+            built.append(n)
+            return original(species, n)
+
+        monkeypatch.setattr(tau_module, "WeightConfig", counting)
+        config = suite_config(FOUR_SPECIES + ("H:q=1/11",), 10**18)
+        with pytest.raises(CapacityError, match="triangle suite costs at least"):
+            check_triangle_bounds(config, (10**18,) * 5, first_n=2)
+        assert built == [2]
+        built.clear()
+        with pytest.raises(CapacityError, match="character tables are limited to n <= 12"):
+            check_triangle_bounds(suite_config(("H:q=1/2",), 10**18), (1,), first_n=2)
+        assert built == list(range(2, 14))
 
 
 class TestSpectralCost:
