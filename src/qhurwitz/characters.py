@@ -110,12 +110,16 @@ def _strip_sum(strips: list[tuple[int, int]], rest: Partition) -> int:
 
 
 def character_value(lam: Partition, mu: Partition) -> int:
-    """Irreducible character of shape lam evaluated on the class of type mu."""
+    """Irreducible character of shape lam evaluated on the class of type mu.
+
+    Read from character_table(n), the one evaluation path, so n past
+    TABLE_LIMIT raises CapacityError.
+    """
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("lam and mu must have equal weight")
-    return _border_strip_character(_beads(lam), mu)
+    return character_table(sum(lam)).value(lam, mu)
 
 
 def dimension(lam: Partition) -> int:
@@ -329,8 +333,10 @@ def species_content_coeffs(
     the shape with its last cell removed times that cell's factor, so a
     per-call dict from shape to product, seeded with the empty shape, costs
     one product of lists per shape reached past its first nonzero content.
-    The weights are computed once, and each cell factor G(m u) once per
-    distinct shifted content m.
+    At shift 0 a shape whose conjugate is in that dict takes its product by
+    sign instead: the contents of lam' are those of lam negated, so
+    c_lam'(t) = (-1)^t c_lam(t).  The weights are computed once, and each
+    cell factor G(m u) once per distinct shifted content m.
 
     In rational mode the products run in integers: the degree-k coefficient
     of every list is C_k / P_k, the cell factor of m has C_j = N_j m^j
@@ -364,6 +370,10 @@ def species_content_coeffs(
             chain = []
             shape = check_partition(lam)
             while shape not in products:
+                if not shift and (mirror := conjugate(shape)) in products:
+                    poly, single = products[mirror]
+                    products[shape] = [-c if t & 1 else c for t, c in enumerate(poly)], -single
+                    break
                 chain.append(shape)
                 shape = shape[:-1] + (shape[-1] - 1,) if shape[-1] > 1 else shape[:-1]
             poly, single = products[shape]

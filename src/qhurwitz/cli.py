@@ -93,46 +93,35 @@ def _csv_field(text: str) -> str:
     return f'"{text}"' if "," in text else text
 
 
-def _symmetric_texts(values: list, size: int) -> list:
-    """format_rational of each value of consecutive size x size row-major blocks, each block symmetric.
-
-    Each upper-triangle value is formatted once: row i takes its first i
-    texts from column i of the rows above it.
-    """
-    texts = []
-    for start in range(0, len(values), size * size):
-        rows = []
-        for i in range(size):
-            row = [above[i] for above in rows]
-            first = start + i * size
-            row += map(format_rational, values[first + i:first + size])
-            rows.append(row)
-            texts += row
-    return texts
-
-
 def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
-    """Write the table's records to stdout in one write, in the order of table.entries.
+    """Write the table's records to stdout in one write, in multidegree, then mu, then nu order.
 
-    That order is multidegree, then mu, then nu, each in canonical order.  A
-    record is the head text of its (multidegree, mu), the tail text of its nu
-    and its value, so the document is one join over precomputed texts.  An
-    unfiltered table formats each block's upper triangle once, since
-    tau_coefficients gives (nu, mu) the value of (mu, nu).  The
+    Each order is canonical, and mu and nu index the rows and columns of
+    each matrix of table.matrices.  A record is the head text of its
+    (multidegree, mu), the tail text of its nu and its value, so the
+    document is one join over precomputed texts.  An unfiltered table
+    formats each matrix's upper triangle once, straight from its rows.  The
     JSON text is json.dumps(records, indent=2, sort_keys=True) of the scalar
     records: the keys are fixed, and every string is a partition label or
     "a/b" text, which JSON never escapes.  The CSV text is csv.writer's, with
     a newline as line terminator.
     """
-    parts = character_table(table.n).partitions
-    labels = dict(zip(parts, map(format_partition, parts)))
-    mus = parts if mu_filter is None else (mu_filter,)
-    nus = parts if nu_filter is None else (nu_filter,)
-    blocks = list(table.multidegrees())
+    tbl = character_table(table.n)
+    labels = list(map(format_partition, tbl.partitions))
+    mus = range(len(labels)) if mu_filter is None else (tbl.index(mu_filter),)
+    nus = range(len(labels)) if nu_filter is None else (tbl.index(nu_filter),)
+    blocks = list(table.matrices)
     if mu_filter is None and nu_filter is None:
-        texts = _symmetric_texts(list(table.entries.values()), len(parts))
+        # Each upper-triangle value is formatted once, from its row: row i
+        # takes its first i texts from column i of the rows above it.
+        texts = []
+        for rows in table.matrices.values():
+            above = []
+            for i, row in enumerate(rows):
+                above.append([done[i] for done in above] + list(map(format_rational, row[i:])))
+            texts += itertools.chain.from_iterable(above)
     else:
-        texts = map(format_rational, map(table.entries.__getitem__, itertools.product(blocks, mus, nus)))
+        texts = [format_rational(rows[i][j]) for rows in table.matrices.values() for i in mus for j in nus]
     if fmt == "csv":
         degree_fields = [_csv_field(",".join(map(str, degrees))) for degrees in blocks]
         heads = [

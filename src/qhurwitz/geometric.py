@@ -50,12 +50,14 @@ colength(mu) + colength(nu) + D is even; otherwise each conjugate pair
 counts twice.  It is taken per monomial (one for rationals) as one integer
 dot product over a common denominator.  multispecies_hurwitz_number is its
 one-pair call, multispecies_hurwitz_matrix sums the symmetric half of the
-pairs, multispecies_hurwitz_matrices does that for every multidegree up to
-maxdeg with each species walked once, and quantum_hurwitz_number is the
-one-species call.  The leg reads only character_table (whose
-conjugate_pairs come from partitions.conjugate) and qweights.level_factor:
-it uses neither the contents, the content coefficients nor the spectral kernel
-characters.spectral_sum of the other two legs.  Its agreement with the tau
+pairs and returns the rows over character_table(n).partitions that
+spectral_sum returns for the other legs, multispecies_hurwitz_matrices does
+that for every multidegree up to maxdeg with each species walked once, and
+quantum_hurwitz_number is the one-species call.  The leg reads only
+character_table (whose conjugate_pairs come from partitions.conjugate) and
+qweights.level_factor: it uses neither the contents, the content
+coefficients nor the spectral kernel characters.spectral_sum of the other
+two legs.  Its agreement with the tau
 leg is then the theorem that the level sums of the colength weights are
 the e-expansion of the content product.
 
@@ -108,7 +110,7 @@ class BranchConfiguration(Immutable):
         self._set(extra_profiles, mu, nu)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def frobenius_hurwitz(config: BranchConfiguration) -> Fraction:
     """Covering count of the configuration, as a character sum.
 
@@ -337,15 +339,12 @@ def _eigenvalues(config: WeightConfig, degrees: list, entry: bool = False) -> tu
     }
 
 
-def _matrix(tbl, degrees: tuple, eigenvalues: list) -> dict:
-    """{(mu, nu): value} over all pairs: the symmetric half summed, then mirrored."""
-    parts = tbl.partitions
-    pairs = [(i, j) for i in range(len(parts)) for j in range(i, len(parts))]
+def _matrix(tbl, degrees: tuple, eigenvalues: list) -> tuple:
+    """Rows over tbl.partitions of the symmetric matrix: the upper half summed, then mirrored."""
+    size = len(tbl.partitions)
+    pairs = [(i, j) for i in range(size) for j in range(i, size)]
     sums = _character_sums(tbl, eigenvalues, sum(degrees), pairs)
-    return {
-        (parts[i], parts[j]): sums[i, j] if i <= j else sums[j, i]
-        for i, j in itertools.product(range(len(parts)), repeat=2)
-    }
+    return tuple(tuple(sums[min(i, j), max(i, j)] for j in range(size)) for i in range(size))
 
 
 def quantum_hurwitz_number(family: str, q, d: int, mu: Partition, nu: Partition):
@@ -378,12 +377,14 @@ def multispecies_hurwitz_number(
     return _character_sums(tbl, eigenvalues[degrees], sum(degrees), [pair])[pair]
 
 
-def multispecies_hurwitz_matrix(config: WeightConfig, degrees: tuple[int, ...]) -> dict:
-    """multispecies_hurwitz_number for every pair (mu, nu) of partitions of n.
+def multispecies_hurwitz_matrix(config: WeightConfig, degrees: tuple[int, ...]) -> tuple:
+    """multispecies_hurwitz_number for every pair of partitions of n, as rows.
 
-    Returns {(mu, nu): value}; the eigenvalues are formed once, and the
-    symmetric half of the pairs is summed and mirrored.  Admitted by the
-    _geometric_cost of its walks and one matrix.
+    Rows and columns run over character_table(n).partitions, as
+    spectral_sum returns a matrix: rows[i][j] is the value of
+    (partitions[i], partitions[j]).  The eigenvalues are formed once, and
+    the symmetric half of the pairs is summed and mirrored.  Admitted by
+    the _geometric_cost of its walks and one matrix.
     """
     degrees = config.degrees(degrees)
     tbl, eigenvalues = _eigenvalues(config, [(d,) for d in degrees])

@@ -93,7 +93,12 @@ class Species(Immutable):
         if isinstance(parameter, (int, Fraction)):
             parameter = Fraction(parameter)
             if not -1 < parameter < 1:
-                raise ValueError(f"rational parameter must lie in (-1, 1): {parameter}")
+                # Past 1000 bits (about 300 digits) a value is named by its
+                # size: its text could pass sys.get_int_max_str_digits(),
+                # which is 640 at the lowest.  |numerator| >= denominator here.
+                bits = parameter.numerator.bit_length()
+                text = parameter if bits <= 1000 else f"a rational of {bits} bits"
+                raise ValueError(f"rational parameter must lie in (-1, 1): {text}")
         elif not isinstance(parameter, TruncatedSeries):
             raise ValueError("parameter must be a rational or a TruncatedSeries")
         self._set(family, parameter, label)

@@ -15,17 +15,20 @@ pipeline, assembles from the per-species content lists:
     entry(degrees, mu, nu) =
         sum_lam [u^degrees] r_lam * chi_lam(mu) chi_lam(nu) / (z_mu z_nu).
 
-A table holds every multidegree componentwise at most maxdeg.  The shift
+A table holds every multidegree componentwise at most maxdeg, each as the
+symmetric matrix spectral_sum returns: a tuple of rows over
+character_table(n).partitions, the one form of a Hurwitz matrix that all
+three legs, the triangle judge and the CLI writer share.  The shift
 defaults to 0, which is the value at which the coefficients are Hurwitz
 numbers; nonzero shifts are supported for the content products and tables
 only, with no enumerative meaning claimed.  A table whose spectral_cost
 exceeds SPECTRAL_COST_LIMIT raises CapacityError before any content
 coefficient is computed.
 
-verify_triangle compares the table entrywise with the geometric and
-combinatorial pipelines.  check_triangle_bounds admits a suite of n by the
-costs its legs check, summed over the suite: no bound of its own on n or on
-the degrees.
+verify_triangle compares the table with the geometric and combinatorial
+pipelines row by row, and entry by entry only in a row that differs.
+check_triangle_bounds admits a suite of n by the costs its legs check,
+summed over the suite: no bound of its own on n or on the degrees.
 """
 
 from __future__ import annotations
@@ -75,20 +78,32 @@ def content_product_coeffs(
 
 
 class HurwitzTable(Immutable):
-    """Dense table of Hurwitz numbers indexed by (multidegree, mu, nu).
+    """Hurwitz numbers per multidegree, each block a symmetric matrix as spectral_sum returns it.
 
-    Entries are present for every pair of partitions of n and every
-    multidegree componentwise at most maxdeg.  The zero-multidegree block is
-    the diagonal delta_{mu,nu} / z_mu.
+    ``matrices`` maps every multidegree componentwise at most maxdeg, in
+    multidegrees(maxdeg) order, to a tuple of rows over
+    character_table(n).partitions: ``matrices[degrees][i][j]`` is the entry
+    of (degrees, partitions[i], partitions[j]), equal to the entry at
+    (j, i).  The zero-multidegree block is the diagonal delta_{mu,nu} / z_mu.
+    entry() indexes through the character table: a partition not of n
+    raises ValueError, a multidegree outside the box KeyError.
     """
 
-    _fields = ("n", "maxdeg", "entries")
+    _fields = ("n", "maxdeg", "matrices")
 
-    def __init__(self, n: int, maxdeg: tuple[int, ...], entries: dict):
-        self._set(n, maxdeg, entries)
+    def __init__(self, n: int, maxdeg: tuple[int, ...], matrices: dict):
+        self._set(n, maxdeg, matrices)
 
     def entry(self, degrees: tuple[int, ...], mu: Partition, nu: Partition):
-        return self.entries[(tuple(degrees), tuple(mu), tuple(nu))]
+        tbl = character_table(self.n)
+        return self.matrices[tuple(degrees)][tbl.index(mu)][tbl.index(nu)]
+
+    @property
+    def entries(self) -> dict:
+        """A new {(degrees, mu, nu): value} dict over every entry, in multidegree, mu, nu order."""
+        parts = character_table(self.n).partitions
+        values = itertools.chain.from_iterable(itertools.chain.from_iterable(self.matrices.values()))
+        return dict(zip(itertools.product(self.matrices, parts, parts), values))
 
     def multidegrees(self):
         return multidegrees(self.maxdeg)
@@ -108,13 +123,10 @@ def tau_coefficients(
     check_shift(shift)
     tbl = character_table(config.n)
     check_spectral_cost(config, maxdeg, prod(m + 1 for m in maxdeg), shift)
-    parts = tbl.partitions
-    lists = [species_content_coeffs(s, parts, m, shift) for s, m in zip(config.species, maxdeg)]
+    lists = [species_content_coeffs(s, tbl.partitions, m, shift) for s, m in zip(config.species, maxdeg)]
     blocks = list(multidegrees(maxdeg))
     matrices = spectral_sum(tbl, [content_eigenvalues(lists, degrees) for degrees in blocks])
-    rows = itertools.chain.from_iterable(matrices)
-    entries = dict(zip(itertools.product(blocks, parts, parts), itertools.chain.from_iterable(rows)))
-    return HurwitzTable(n=config.n, maxdeg=maxdeg, entries=entries)
+    return HurwitzTable(n=config.n, maxdeg=maxdeg, matrices=dict(zip(blocks, matrices)))
 
 
 class TriangleReport(Immutable):
@@ -184,8 +196,11 @@ def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleRe
     """Compare the geometric, combinatorial and tau pipelines entrywise.
 
     Exact rational equality is demanded; any discrepancy is reported, not
-    raised.  The one bound is check_triangle_bounds at this n: the costs
-    that the three legs check, summed; past it CapacityError.
+    raised, in multidegree, then mu, then nu order.  The three legs' rows
+    over character_table(n).partitions are walked together, and only a row
+    whose three tuples differ is compared entry by entry.  The one bound is
+    check_triangle_bounds at this n: the costs that the three legs check,
+    summed; past it CapacityError.
     """
     maxdeg = config.degrees(maxdeg)
     check_triangle_bounds(config, maxdeg)
@@ -193,15 +208,13 @@ def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleRe
     parts = character_table(config.n).partitions
     combinatorial = multispecies_transfer_matrices(config, maxdeg)
     geometric = multispecies_hurwitz_matrices(config, maxdeg)
-    checked = 0
     discrepancies = []
-    for degrees in table.multidegrees():
-        for mu in parts:
-            for nu in parts:
-                tau_value = table.entry(degrees, mu, nu)
-                comb_value = combinatorial[degrees].hurwitz_entry(mu, nu)
-                geom_value = geometric[degrees][(mu, nu)]
-                checked += 1
+    for degrees, tau_rows in table.matrices.items():
+        legs = zip(parts, geometric[degrees], combinatorial[degrees].rows, tau_rows, strict=True)
+        for mu, geom_row, comb_row, tau_row in legs:
+            if geom_row == comb_row == tau_row:
+                continue
+            for nu, geom_value, comb_value, tau_value in zip(parts, geom_row, comb_row, tau_row, strict=True):
                 if not (tau_value == comb_value == geom_value):
                     discrepancies.append(
                         {
@@ -217,6 +230,6 @@ def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleRe
         n=config.n,
         maxdeg=maxdeg,
         species=tuple(s.describe() for s in config.species),
-        checked=checked,
+        checked=len(table.matrices) * len(parts) ** 2,
         discrepancies=tuple(discrepancies),
     )

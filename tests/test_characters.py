@@ -73,6 +73,23 @@ class TestCharacterValue:
         with pytest.raises(ValueError):
             character_value((2,), (3,))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_pair_equals_the_reference_recursion(self, n):
+        parts = enumerate_partitions(n)
+        for lam in parts:
+            for mu in parts:
+                assert character_value(lam, mu) == reference_border_strip_character(lam, mu), (lam, mu)
+
+    @pytest.mark.parametrize("lam, mu", [
+        ((13,), (1,) * 13),
+        ((10, 9, 8, 7, 6, 5, 4, 3, 2, 1), (1,) * 55),
+        ((1200,), (1,) * 1200),
+    ])
+    def test_past_the_table_limit_is_capacity_error(self, lam, mu):
+        # Read from character_table(n), so the table's bound is the value's.
+        with pytest.raises(CapacityError, match=f"limited to n <= {TABLE_LIMIT}"):
+            character_value(lam, mu)
+
 
 class TestCharacterTable:
     def test_n1(self):

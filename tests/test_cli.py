@@ -350,6 +350,24 @@ class TestLargeValues:
         assert captured.err == "error: invalid rational literal '1e-30000000'\n"
 
 
+    @pytest.mark.parametrize("value, text", [
+        ("1e4300", "a rational of 14285 bits"),
+        ("1e4299", "a rational of 14281 bits"),
+        (str(2**1000), "a rational of 1001 bits"),
+        (str(2**999), str(2**999)),
+        ("-3/2", "-3/2"),
+        ("1", "1"),
+    ], ids=["1e4300", "1e4299", "2^1000", "2^999", "-3/2", "1"])
+    def test_refused_parameter_past_1000_bits_is_named_by_its_size(self, capsys, value, text):
+        start = time.perf_counter()
+        code = main(["compute", "tau", "--n", "2", "--species", f"H:q={value}", "--maxdeg", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: rational parameter must lie in (-1, 1): {text}\n"
+
+
 class TestSpectralAdmission:
     @pytest.mark.parametrize("argv", [
         ["compute", "tau", "--n", "12", "--species", "H:q=1/2", "--maxdeg", "40"],
@@ -405,8 +423,8 @@ class TestVerify:
         # A geometric leg that returns the integer 3 everywhere disagrees
         # with the other two legs on every entry.
         def threes(config, maxdeg):
-            parts = enumerate_partitions(config.n)
-            matrix = {(mu, nu): 3 for mu in parts for nu in parts}
+            size = len(enumerate_partitions(config.n))
+            matrix = ((3,) * size,) * size
             return {degrees: matrix for degrees in multidegrees(maxdeg)}
 
         monkeypatch.setattr(qhurwitz.tau, "multispecies_hurwitz_matrices", threes)

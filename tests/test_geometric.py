@@ -45,6 +45,16 @@ THIRD = Fraction(1, 3)
 FIFTH = Fraction(1, 5)
 
 
+def matrix_entries(matrix, n):
+    """{(mu, nu): value} of a matrix given as rows over character_table(n).partitions.
+
+    Asserts its shape first: one row per partition of n, each as long.
+    """
+    parts = character_table(n).partitions
+    assert len(matrix) == len(parts) and all(len(row) == len(parts) for row in matrix)
+    return {(mu, nu): value for mu, row in zip(parts, matrix) for nu, value in zip(parts, row)}
+
+
 def reference_profile_tuples(n, total):
     """Ordered tuples of nontrivial profiles of n with colengths summing to total.
 
@@ -176,6 +186,22 @@ class TestFrobeniusHurwitz:
                                 n
                             ) == enumerate_factorizations(config)
 
+    def test_cache_stays_within_its_maxsize(self):
+        maxsize = frobenius_hurwitz.cache_parameters()["maxsize"]
+        assert maxsize is not None
+        parts = enumerate_partitions(4)
+        profiles = [p for p in parts if colength(p)]
+        configs = (
+            BranchConfiguration(extra, mu, nu)
+            for k in itertools.count()
+            for extra in itertools.product(profiles, repeat=k)
+            for mu in parts
+            for nu in parts
+        )
+        for config in itertools.islice(configs, maxsize + 100):
+            frobenius_hurwitz(config)
+        assert frobenius_hurwitz.cache_info().currsize <= maxsize
+
     def test_symmetry_in_profiles_and_endpoints(self):
         config = BranchConfiguration(((2, 1, 1), (3, 1)), (2, 2), (4,))
         swapped = BranchConfiguration(((3, 1), (2, 1, 1)), (4,), (2, 2))
@@ -280,7 +306,7 @@ class TestGeometricCost:
         with pytest.raises(CapacityError, match="geometric sum costs about"):
             multispecies_hurwitz_matrix(config, (12,))
         monkeypatch.setattr(qhurwitz.geometric, "GEOMETRIC_COST_LIMIT", 2 * 10**6)
-        assert multispecies_hurwitz_matrix(config, (12,))[(12,), (12,)] == value
+        assert matrix_entries(multispecies_hurwitz_matrix(config, (12,)), 12)[(12,), (12,)] == value
         # H(2^-1000) walks weights of about 1001 * 144 bits: refused.
         refused = self.config(12, Species("H", Fraction(1, 2**1000)))
         assert _geometric_cost(refused, [(12,)], entry=True) > 2 * 10**6
@@ -322,7 +348,7 @@ class TestGeometricCost:
         # Both were refused while the cost counted ordered profile tuples.
         config = self.config(n, Species("H", HALF))
         table = tau_coefficients(config, (d,))
-        for (mu, nu), value in multispecies_hurwitz_matrix(config, (d,)).items():
+        for (mu, nu), value in matrix_entries(multispecies_hurwitz_matrix(config, (d,)), n).items():
             assert value == table.entry((d,), mu, nu), (mu, nu)
         assert multispecies_hurwitz_number(config, (d,), (n,), (n,)) == table.entry((d,), (n,), (n,))
 
@@ -481,7 +507,7 @@ class TestMatrix:
         config = WeightConfig(species=species, n=n)
         parts = enumerate_partitions(n)
         for degrees in degree_list:
-            matrix = multispecies_hurwitz_matrix(config, degrees)
+            matrix = matrix_entries(multispecies_hurwitz_matrix(config, degrees), n)
             assert set(matrix) == {(mu, nu) for mu in parts for nu in parts}
             for (mu, nu), value in matrix.items():
                 assert value == multispecies_hurwitz_number(config, degrees, mu, nu)
@@ -541,7 +567,7 @@ class TestMatrices:
         matrices = multispecies_hurwitz_matrices(config, (12,))
         assert list(matrices) == [(d,) for d in range(13)]
         for degrees, matrix in matrices.items():
-            for (mu, nu), value in matrix.items():
+            for (mu, nu), value in matrix_entries(matrix, 12).items():
                 assert value == table.entry(degrees, mu, nu), (degrees, mu, nu)
 
 
@@ -552,7 +578,7 @@ class TestCoveringSums:
         config = WeightConfig(species=species, n=n)
         parts = enumerate_partitions(n)
         for degrees in degree_list:
-            matrix = multispecies_hurwitz_matrix(config, degrees)
+            matrix = matrix_entries(multispecies_hurwitz_matrix(config, degrees), n)
             for mu in parts:
                 for nu in parts:
                     expected = reference_hurwitz_number(
@@ -586,7 +612,7 @@ class TestCoveringSums:
 
         monkeypatch.setattr(qhurwitz.geometric, "frobenius_hurwitz", refuse)
         config = WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=4)
-        matrix = multispecies_hurwitz_matrix(config, (2, 1))
+        matrix = matrix_entries(multispecies_hurwitz_matrix(config, (2, 1)), 4)
         assert multispecies_hurwitz_number(config, (2, 1), (2, 2), (4,)) == matrix[((2, 2), (4,))]
 
 
@@ -726,7 +752,7 @@ class TestColengthClasses:
     def test_matrix_equals_the_tau_block(self, species, n, degrees):
         config = WeightConfig(species=species, n=n)
         table = tau_coefficients(config, degrees)
-        matrix = multispecies_hurwitz_matrix(config, degrees)
+        matrix = matrix_entries(multispecies_hurwitz_matrix(config, degrees), n)
         assert len(matrix) == len(character_table(n).partitions) ** 2
         for (mu, nu), value in matrix.items():
             assert value == table.entry(degrees, mu, nu), (mu, nu)

@@ -2,7 +2,8 @@
 
 Each is a plain immutable class on series.Immutable.  Its repr, equality and
 hash are those a frozen dataclass of the same fields has: the reprs below
-are the ones the dataclass versions printed.  Setting or deleting any
+are the ones the dataclass versions printed, and HurwitzTable's the one a
+dataclass over its fields (n, maxdeg, matrices) prints.  Setting or deleting any
 attribute raises AttributeError, and pickle and copy round-trip.
 """
 
@@ -53,11 +54,9 @@ CASES = {
     ),
     "HurwitzTable": (
         lambda: tau_coefficients(WeightConfig((E_HALF,), 2), (1,)),
-        "HurwitzTable(n=2, maxdeg=(1,), entries={((0,), (2,), (2,)): Fraction(1, 2), "
-        "((0,), (2,), (1, 1)): Fraction(0, 1), ((0,), (1, 1), (2,)): Fraction(0, 1), "
-        "((0,), (1, 1), (1, 1)): Fraction(1, 2), ((1,), (2,), (2,)): Fraction(0, 1), "
-        "((1,), (2,), (1, 1)): Fraction(1, 1), ((1,), (1, 1), (2,)): Fraction(1, 1), "
-        "((1,), (1, 1), (1, 1)): Fraction(0, 1)})",
+        "HurwitzTable(n=2, maxdeg=(1,), matrices={"
+        "(0,): ((Fraction(1, 2), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 2))), "
+        "(1,): ((Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(0, 1)))})",
     ),
     "TriangleReport": (
         lambda: verify_triangle(WeightConfig((E_HALF, H_FIFTH), 2), (1, 1)),
@@ -76,7 +75,7 @@ FIELDS = {
     WeightConfig: (("species", "n"), lambda: WeightConfig([E_HALF, H_FIFTH], 3)),
     BranchConfiguration: (("extra_profiles", "mu", "nu"), lambda: BranchConfiguration([[2, 1]], (3,), (3,))),
     TransferMatrix: (("n", "rows"), lambda: transfer_matrix(E_HALF, 2, 2)),
-    HurwitzTable: (("n", "maxdeg", "entries"), lambda: HurwitzTable(n=2, maxdeg=(1,), entries={})),
+    HurwitzTable: (("n", "maxdeg", "matrices"), lambda: HurwitzTable(n=2, maxdeg=(1,), matrices={})),
     TriangleReport: (
         ("n", "maxdeg", "species", "checked", "discrepancies"),
         lambda: TriangleReport(n=2, maxdeg=(1, 1), species=("E:q=1/2", "H:p=-1/5"), checked=15, discrepancies=()),
