@@ -15,18 +15,20 @@ eigenvalues of the central element prod_a G(u J_a) of the Jucys-Murphy
 elements J_a, and the character sum over them.
 
 * species_content_coeffs: per species and shape lam, the coefficients of
-  prod_{cells of lam} G(param, (shift + content) * u), exact rationals or
-  series, each shape's product grown from that of the shape with its last
-  cell removed (one product of lists per shape, in integers over the known
-  denominators P_k in rational mode);
+  prod_{cells of lam} G(param, (shift + content) * u), each shape's product
+  grown from that of the shape with its last cell removed (one product of
+  lists per shape), returned with their denominators: in rational mode
+  integer numerators over the known P_k, in series mode series over 1;
 * content_eigenvalues: per shape, their product over species at one
-  multidegree;
+  multidegree, integer numerators over the one block denominator
+  prod_s P_{s,d_s} in rational mode;
 * spectral_sum: the one kernel, sum_lam c_lam chi_lam(mu) chi_lam(nu) /
-  (z_mu z_nu) for a whole list of blocks (multidegrees) in one pass: each
-  (block, monomial) slot goes over its common denominator, is biased into
-  whole bytes by the column-orthogonality bound, and rides in one packed
-  integer per shape, so one integer dot product per (mu, nu) serves every
-  block;
+  (z_mu z_nu) for a whole list of (numerators, denominator) blocks
+  (multidegrees) in one pass: each (block, monomial) slot goes over the
+  block's denominator, is biased into whole bytes by the
+  column-orthogonality bound, and rides in one packed integer per shape, so
+  one integer dot product per (mu, nu) serves every block.  In rational
+  mode its output entries are the first Fractions made from the lists;
 * spectral_cost and check_spectral_cost: the work estimate that refuses a
   request past SPECTRAL_COST_LIMIT before any content coefficient.
 
@@ -193,13 +195,17 @@ def character_table(n: int) -> CharacterTable:
 def spectral_sum(table: CharacterTable, blocks) -> list:
     """Per block, the symmetric matrix over (mu, nu) of sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu).
 
-    blocks: coefficient vectors, one coefficient per shape in table order,
-    each all rational or all TruncatedSeries (zeros may be plain 0).  Each
-    (block, monomial) pair is a slot: its coefficients go over their lcm
-    denominator D as integer weights w.  Column orthogonality bounds every
-    S = sum_lam w_lam chi_lam(mu) chi_lam(nu) by |S| <= max|w| * n!, so the
-    slot takes that bound as its bias and the whole bytes that hold S + bias.
-    One packed integer per shape carries every slot.
+    blocks: (coefficients, denominator) pairs, as content_eigenvalues
+    returns them: c_lam is coefficients[lam] / denominator, one coefficient
+    per shape in table order, each all rational (int in rational mode) or
+    all TruncatedSeries (zeros may be plain 0), over a positive int
+    denominator.  Each (block, monomial) pair is a slot: its coefficients
+    go over their lcm denominator (1 for ints) as integer weights w, and its
+    D is that lcm times the block's denominator.  Column orthogonality
+    bounds every S = sum_lam w_lam chi_lam(mu) chi_lam(nu) by
+    |S| <= max|w| * n!, so the slot takes that bound as its bias and the
+    whole bytes that hold S + bias.  One packed integer per shape carries
+    every slot.
 
     The conjugate shape lam' has chi_lam'(mu) = (-1)^colength(mu) chi_lam(mu),
     so a (mu, nu), j >= i, whose colengths have even sum takes the packed
@@ -219,7 +225,7 @@ def spectral_sum(table: CharacterTable, blocks) -> list:
     slots = []  # (values, D, weights, bias, first byte, end byte) over all blocks
     layout = []  # per block: its first series coefficient (None if rational), [(monomial, values)]
     length = 0
-    for coeffs in blocks:
+    for coeffs, denominator in blocks:
         monomials: dict[tuple, dict[int, Fraction | int]] = {}
         for k, c in enumerate(coeffs):
             for expo, value in c.coeffs.items() if isinstance(c, TruncatedSeries) else [((), c)]:
@@ -233,7 +239,7 @@ def spectral_sum(table: CharacterTable, blocks) -> list:
             start, length = length, length + ((2 * bias).bit_length() + 7) // 8
             values = [[zero] * size for _ in z]
             own.append((expo, values))
-            slots.append((values, scale, weights, bias, start, length))
+            slots.append((values, scale * denominator, weights, bias, start, length))
         layout.append((next((c for c in coeffs if isinstance(c, TruncatedSeries)), None), own))
     # Signed weights pack as the difference of two nonnegative byte strings.
     positive = [bytearray(length) for _ in z]
@@ -324,27 +330,27 @@ def _gaussian_binomials(q: Fraction, maxdeg: int) -> list[list[int]]:
 
 def species_content_coeffs(
     species: Species, shapes, maxdeg: int, shift: int = 0
-) -> list[list]:
-    """Coefficients, up to degree maxdeg, of the species' content product of each shape.
+) -> tuple[list[list], list]:
+    """(lists, denominators): the species' content product of each shape, up to degree maxdeg.
 
-    One list per shape, in the order of ``shapes``: the product over cells of
-    G(param, (shift + content) * u) as a univariate polynomial in the
-    species' expansion variable u.  Each shape's product is the product of
-    the shape with its last cell removed times that cell's factor, so a
-    per-call dict from shape to product, seeded with the empty shape, costs
-    one product of lists per shape reached past its first nonzero content.
-    At shift 0 a shape whose conjugate is in that dict takes its product by
-    sign instead: the contents of lam' are those of lam negated, so
-    c_lam'(t) = (-1)^t c_lam(t).  The weights are computed once, and each
+    One list per shape, in the order of ``shapes``: the coefficients of the
+    product over cells of G(param, (shift + content) * u) as a univariate
+    polynomial in the species' expansion variable u, each the numerator of
+    its degree's entry of ``denominators``.  Each shape's product is the
+    product of the shape with its last cell removed times that cell's factor,
+    so a per-call dict from shape to product, seeded with the empty shape,
+    costs one product of lists per shape reached past its first nonzero
+    content.  At shift 0 a shape whose conjugate is in that dict takes its
+    product by sign instead: the contents of lam' are those of lam negated,
+    so c_lam'(t) = (-1)^t c_lam(t).  The weights are computed once, and each
     cell factor G(m u) once per distinct shifted content m.
 
-    In rational mode the products run in integers: the degree-k coefficient
-    of every list is C_k / P_k, the cell factor of m has C_j = N_j m^j
-    (_integer_weights), and two lists multiply as
-    C_t = sum_i X_i Y_(t-i) B(t, i) (_gaussian_binomials, built when a shape
-    first multiplies two non-unit lists).  Each coefficient leaves as one
-    Fraction; a shape whose product is one cell factor takes W_j m^j as is.
-    Series mode multiplies with poly_mul.
+    In rational mode every coefficient is an int and ``denominators`` is
+    P_0..P_maxdeg: the degree-k coefficient of every list is C_k / P_k, the
+    cell factor of m has C_j = N_j m^j (_integer_weights), and two lists
+    multiply as C_t = sum_i X_i Y_(t-i) B(t, i) (_gaussian_binomials, built
+    when a shape first multiplies two non-unit lists).  No Fraction is made.
+    Series mode multiplies with poly_mul, and its denominators are all 1.
 
     The degree 0 coefficient is always 1; cells of content -shift contribute
     nothing.  A shape that is not a partition, or a shift that is not an
@@ -354,15 +360,11 @@ def species_content_coeffs(
     q = species.parameter
     weights = weight_coefficients(species.family, q, maxdeg)
     rational = isinstance(q, Fraction)
-    if rational:
-        numerators, denominators = _integer_weights(q, weights)
-    else:
-        numerators = weights
+    numerators, denominators = _integer_weights(q, weights) if rational else (weights, [1] * (maxdeg + 1))
     rows = []
     unit = [1] + [0] * maxdeg
     factors: dict[int, list] = {}
-    # shape -> (product, m when the product is the one cell factor of m, else 0)
-    products: dict[Partition, tuple[list, int]] = {(): (unit, 0)}
+    products: dict[Partition, list] = {(): unit}
     lists = []
     for lam in shapes:
         lam = tuple(lam)
@@ -371,33 +373,26 @@ def species_content_coeffs(
             shape = check_partition(lam)
             while shape not in products:
                 if not shift and (mirror := conjugate(shape)) in products:
-                    poly, single = products[mirror]
-                    products[shape] = [-c if t & 1 else c for t, c in enumerate(poly)], -single
+                    products[shape] = [-c if t & 1 else c for t, c in enumerate(products[mirror])]
                     break
                 chain.append(shape)
                 shape = shape[:-1] + (shape[-1] - 1,) if shape[-1] > 1 else shape[:-1]
-            poly, single = products[shape]
+            poly = products[shape]
             for shape in reversed(chain):
                 m = shift + shape[-1] - len(shape)
                 if m:
                     if m not in factors:
                         factors[m] = [numerators[j] * m**j for j in range(maxdeg + 1)]
                     if poly is unit:
-                        poly, single = factors[m], m
+                        poly = factors[m]
                     elif rational:
                         rows = rows or _gaussian_binomials(q, maxdeg)
-                        poly, single = _gaussian_mul(poly, factors[m], rows), 0
+                        poly = _gaussian_mul(poly, factors[m], rows)
                     else:
-                        poly, single = poly_mul(poly, factors[m], maxdeg), 0
-                products[shape] = poly, single
-        poly, single = products[lam]
-        if single:
-            lists.append([weights[j] * single**j for j in range(maxdeg + 1)])
-        elif rational and poly is not unit:
-            lists.append(list(map(Fraction, poly, denominators)))
-        else:
-            lists.append(list(poly))
-    return lists
+                        poly = poly_mul(poly, factors[m], maxdeg)
+                products[shape] = poly
+        lists.append(list(products[lam]))
+    return lists, denominators
 
 
 def _gaussian_mul(x: list[int], y: list[int], rows: list[list[int]]) -> list[int]:
@@ -411,12 +406,17 @@ def _gaussian_mul(x: list[int], y: list[int], rows: list[list[int]]) -> list[int
     return out
 
 
-def content_eigenvalues(lists: list, degrees: tuple[int, ...]) -> list:
-    """Per shape, the product over species s of lists[s][shape][degrees[s]].
+def content_eigenvalues(lists: list, degrees: tuple[int, ...]) -> tuple[list, int]:
+    """(numerators, denominator): per shape, the product over species s of lists[s][0][shape][degrees[s]].
 
-    ``lists`` holds one species_content_coeffs result per species.
+    ``lists`` holds one species_content_coeffs result per species, so the
+    denominator is the product over s of lists[s][1][degrees[s]]:
+    prod_s P_{s, d_s} in rational mode, where every numerator is an int, and
+    1 in series mode.
     """
-    return [prod(coeffs[d] for coeffs, d in zip(shape, degrees)) for shape in zip(*lists)]
+    coefficient_lists, denominators = zip(*lists)
+    numerators = [prod(coeffs[d] for coeffs, d in zip(shape, degrees)) for shape in zip(*coefficient_lists)]
+    return numerators, prod(p[d] for p, d in zip(denominators, degrees))
 
 
 #: Largest spectral_cost a tau table or transfer matrix may have.
@@ -430,7 +430,7 @@ def spectral_cost(
 
     products * (1 + bits / 2^13)^2, where products counts
       * blocks * p(n)^3 integer products of the kernel, and
-      * p(n) * (16 (n - 2)^+ + 1) * sum_s (d_s + 1)^2 Fraction products that
+      * p(n) * (16 (n - 2)^+ + 1) * sum_s (d_s + 1)^2 products that
         build the content coefficients: per shape and species, about d^2
         for the weights and, past the first nonzero content, d^2 per cell
         for the polynomial products, each about 16 kernel products.  The
@@ -443,10 +443,12 @@ def spectral_cost(
     the size of the largest coefficient: b_s * d_s^2 from the weights
     (Species.bits) and d_s factors of a shifted content.  The squared bits
     term models the gcds of Fraction products, which no longer happen: the
-    content products run in integers over known denominators, so this term
-    over-estimates as well.  The constants are fitted to measured times of
-    tau_coefficients before that change and stay, which keeps every
-    admission; the refit is open in ROADMAP.md.
+    content lists, the eigenvalues and the kernel's weights are integer
+    numerators over known denominators, and the first Fraction made from
+    them is an output entry, so this term over-estimates as well.  The blocks * p(n) * S
+    integer products of content_eigenvalues are not charged.  The constants
+    are fitted to measured times of tau_coefficients before those changes
+    and stay, which keeps every admission; the refit is open in ROADMAP.md.
     """
     n = config.n
     parts = partition_count(n)

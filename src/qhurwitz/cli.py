@@ -155,9 +155,9 @@ def _cmd_compute(args) -> int:
     config = WeightConfig(species=species, n=args.n)
     if args.pipeline == "tau":
         maxdeg = _parse_degree_blocks(args.maxdeg, species)
-        table = tau_coefficients(config, maxdeg, shift=args.N)
         mu_filter = _partition_arg(args.mu, args.n, "mu") if args.mu is not None else None
         nu_filter = _partition_arg(args.nu, args.n, "nu") if args.nu is not None else None
+        table = tau_coefficients(config, maxdeg, shift=args.N)
         _write_tau_table(table, mu_filter, nu_filter, args.format)
         return 0
     mu = _partition_arg(args.mu, args.n, "mu")

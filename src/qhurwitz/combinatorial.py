@@ -270,7 +270,8 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
     is pure group-algebra arithmetic, with no character theory on the product
     side, so the diagonalization statement is tested rather than assumed.
     The eigenvalue is the species_content_coeffs lists the tau and
-    combinatorial pipelines use, so the check guards them too.
+    combinatorial pipelines use, each integer numerator read over its P_d
+    as Fraction(numerator, P_d), so the check guards them too.
     """
     lam = check_partition(lam)
     n = config.n
@@ -322,8 +323,9 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
 
     eigenvalue = one
     for var_index, species in enumerate(config.species):
-        [coeffs] = species_content_coeffs(species, [lam], cap)
-        eigenvalue = eigenvalue * sum(term(var_index, m, c) for m, c in enumerate(coeffs))
+        [coeffs], denominators = species_content_coeffs(species, [lam], cap)
+        values = map(Fraction, coeffs, denominators)
+        eigenvalue = eigenvalue * sum(term(var_index, m, c) for m, c in enumerate(values))
 
     left = algebra_mul(product, idempotent, group)
     right = {g: eigenvalue * c for g, c in idempotent.items()}

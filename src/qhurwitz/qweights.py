@@ -66,11 +66,13 @@ def parse_rational(text: str) -> Fraction:
 
     An exponent past sys.get_int_max_str_digits(), the limit int() puts on
     the digits of a literal, raises ValueError before 10**exponent is built.
+    So does an underscore, which Fraction takes as a digit separator from
+    Python 3.11 on only: the grammar is the same on every version.
     """
     _, _, exponent = text.lower().partition("e")
     try:
-        if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
-            raise ValueError("exponent past the int() digit limit")
+        if "_" in text or (exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent))):
+            raise ValueError("a digit separator, or an exponent past the int() digit limit")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc

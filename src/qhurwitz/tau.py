@@ -34,6 +34,7 @@ summed over the suite: no bound of its own on n or on the degrees.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import prod
 
 from .characters import (
@@ -61,18 +62,17 @@ def content_product_coeffs(
 
     Keys run over the whole rectangle of multidegrees componentwise at most
     maxdeg; each species contributes only powers of its own slot variable, so
-    the table is the outer product of the per-species coefficient lists.  It
+    the table is the outer product of the per-species coefficient lists, each
+    numerator read over its denominator (a Fraction in rational mode).  It
     is the one-shape reference the tests compare the pipelines against.
     """
     lam = check_partition(lam)
     if sum(lam) != config.n:
         raise ValueError(f"lam must be a partition of {config.n}")
     maxdeg = config.degrees(maxdeg)
-    per_species = [
-        species_content_coeffs(s, [lam], m, shift)[0] for s, m in zip(config.species, maxdeg)
-    ]
+    per_species = [species_content_coeffs(s, [lam], m, shift) for s, m in zip(config.species, maxdeg)]
     return {
-        degrees: prod(per_species[s][d] for s, d in enumerate(degrees))
+        degrees: prod(coeffs[d] / Fraction(p[d]) for ([coeffs], p), d in zip(per_species, degrees))
         for degrees in multidegrees(maxdeg)
     }
 

@@ -249,7 +249,7 @@ class TestSpectralSum:
         table = character_table(n)
         coeffs = make(len(table.partitions))
         z = table.centralizer_orders
-        [matrix] = spectral_sum(table, [coeffs])
+        [matrix] = spectral_sum(table, [(coeffs, 1)])
         scaled = [[value * z[j] for j, value in enumerate(row)] for row in matrix]
         assert scaled == reference_transfer_rows(table, coeffs)
 
@@ -326,8 +326,17 @@ def conjugate_blocks(table, sign):
     return blocks
 
 
+def values(block):
+    """A (coefficients, denominator) kernel block read as one value per shape."""
+    coeffs, denominator = block
+    return [c / Fraction(denominator) for c in coeffs]
+
+
 def content_blocks(table, shift):
-    """Products of two species' content coefficients, one block per multidegree up to (3, 2)."""
+    """Products of two species' content coefficients, one block per multidegree up to (3, 2).
+
+    Each block is the (numerators, denominator) pair content_eigenvalues returns.
+    """
     species = (Species("H", Fraction(1, 2)), Species("E'", Fraction(-2, 5)))
     lists = [species_content_coeffs(s, table.partitions, 3, shift) for s in species]
     return [content_eigenvalues(lists, degrees) for degrees in itertools.product(range(4), range(3))]
@@ -340,9 +349,10 @@ class TestPackedSpectralSum:
     def test_entries_at_the_bound(self, n):
         table = character_table(n)
         blocks = sign_blocks(table, Fraction(10**25 + 3, 7)) + sign_blocks(table, 1)
-        assert spectral_sum(table, blocks) == [reference_spectral_sum(table, b) for b in blocks]
+        matrices = spectral_sum(table, [(b, 1) for b in blocks])
+        assert matrices == [reference_spectral_sum(table, b) for b in blocks]
         # S = magnitude * n! over D z_mu z_nu = 7 (n!)^2.
-        assert spectral_sum(table, blocks)[0][-1][-1] == Fraction(10**25 + 3, 7 * factorial(n))
+        assert matrices[0][-1][-1] == Fraction(10**25 + 3, 7 * factorial(n))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_huge_tiny_and_zero_blocks(self, n):
@@ -353,7 +363,7 @@ class TestPackedSpectralSum:
         ]
         tiny = [Fraction((-1) ** k * (k + 1), 13) for k in range(size)]
         blocks = [huge_and_tiny, [0] * size, tiny, [Fraction(0)] * size, huge_and_tiny[::-1]]
-        assert spectral_sum(table, blocks) == [reference_spectral_sum(table, b) for b in blocks]
+        assert spectral_sum(table, [(b, 1) for b in blocks]) == [reference_spectral_sum(table, b) for b in blocks]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rational_and_series_blocks_in_one_call(self, n):
@@ -367,14 +377,14 @@ class TestPackedSpectralSum:
             [TruncatedSeries("q", 4)] * size,
             sign_blocks(table, 5)[1],
         ]
-        assert spectral_sum(table, blocks) == [reference_spectral_sum(table, b) for b in blocks]
+        assert spectral_sum(table, [(b, 1) for b in blocks]) == [reference_spectral_sum(table, b) for b in blocks]
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("n", range(1, 10))
     def test_conjugate_symmetric_and_antisymmetric_blocks(self, n, sign):
         table = character_table(n)
         blocks = conjugate_blocks(table, sign)
-        assert spectral_sum(table, blocks) == [reference_spectral_sum(table, b) for b in blocks]
+        assert spectral_sum(table, [(b, 1) for b in blocks]) == [reference_spectral_sum(table, b) for b in blocks]
 
     @pytest.mark.parametrize("shift", [0, 2])
     @pytest.mark.parametrize("n", range(1, 10))
@@ -385,9 +395,9 @@ class TestPackedSpectralSum:
             # Conjugation negates contents, so a block of total degree d has
             # c_lam' = (-1)^d c_lam: only one parity's sums can be nonzero.
             conjugates = conjugate_indices(table)
-            for block, degrees in zip(blocks, itertools.product(range(4), range(3))):
+            for (block, _), degrees in zip(blocks, itertools.product(range(4), range(3))):
                 assert [block[c] for c in conjugates] == [(-1) ** sum(degrees) * c for c in block]
-        assert spectral_sum(table, blocks) == [reference_spectral_sum(table, b) for b in blocks]
+        assert spectral_sum(table, blocks) == [reference_spectral_sum(table, values(b)) for b in blocks]
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_all_zero_blocks(self, n):
@@ -395,9 +405,24 @@ class TestPackedSpectralSum:
         size = len(table.partitions)
         zeros = [[0] * size, [Fraction(0)] * size, [TruncatedSeries("q", 3)] * size]
         blocks = zeros[:2] + conjugate_blocks(table, -1)[:2] + zeros[2:]
-        matrices = spectral_sum(table, blocks)
+        matrices = spectral_sum(table, [(b, 1) for b in blocks])
         assert matrices == [reference_spectral_sum(table, b) for b in blocks]
         assert all(not value for matrix in matrices[:2] + matrices[4:] for row in matrix for value in row)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_block_denominators(self, n):
+        table = character_table(n)
+        size = len(table.partitions)
+        blocks = [
+            ([(-1) ** k * (3**k + 1) for k in range(size)], 7**20 * 3),
+            ([0] * size, 5),
+            (series_coeffs(size), 9),
+            (rational_coeffs(size), 4),
+            ([2 * k for k in range(size)], 2),
+        ]
+        matrices = spectral_sum(table, blocks)
+        assert matrices == [reference_spectral_sum(table, values(b)) for b in blocks]
+        assert not any(value for row in matrices[1] for value in row)
 
     def test_no_blocks(self):
         assert spectral_sum(character_table(3), []) == []

@@ -349,6 +349,13 @@ class TestLargeValues:
         assert captured.out == ""
         assert captured.err == "error: invalid rational literal '1e-30000000'\n"
 
+    def test_digit_separator_is_usage_error(self, capsys):
+        code = main(["compute", "tau", "--n", "2", "--species", "H:q=1_0/31", "--maxdeg", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid rational literal '1_0/31'\n"
+
 
     @pytest.mark.parametrize("value, text", [
         ("1e4300", "a rational of 14285 bits"),
@@ -383,6 +390,31 @@ class TestSpectralAdmission:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "spectral sum costs about" in captured.err
+
+
+class TestTauFilters:
+    """compute tau checks --mu and --nu before it builds the table."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mu", "99", "--mu '99' is not a partition of 3"),
+        ("--mu", "x", "invalid partition literal 'x'"),
+        ("--nu", "1,1,0", "partition parts must be positive: (1, 1, 0)"),
+    ])
+    def test_bad_filter_exits_2_before_the_table(self, capsys, monkeypatch, flag, value, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(qhurwitz.cli, "tau_coefficients", refuse)
+        code = main(["compute", "tau", "--n", "3", "--species", "E':q=999/1000", "--maxdeg", "66", flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_bad_filter_past_the_spectral_cost_exits_2(self, capsys):
+        code = main(["compute", "tau", "--n", "12", "--species", "H:q=1/2", "--maxdeg", "40", "--mu", "x"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: invalid partition literal 'x'\n"
 
 
 class TestCharacterTableRefusal:

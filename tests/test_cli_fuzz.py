@@ -32,7 +32,7 @@ SMALL = st.integers(0, 4).map(str)
 JUNK = st.sampled_from([
     HUGE_DIGITS, "-" + HUGE_DIGITS, str(10**18), str(-(10**9)), "-1", "0", "", "x", "1/2",
     "2.5", "1,,1", "3,-1", ";", "1;2;3", "H", "H:q", "Q:q=1/2", "H:q=1", "E:q=1/0",
-    f"H:q=1/{HUGE_DIGITS}", "H:q=1e-30000000", "1e30000000", "H:q=1e4300",
+    f"H:q=1/{HUGE_DIGITS}", "H:q=1e-30000000", "1e30000000", "H:q=1e4300", "H:q=1_0/31",
 ])
 
 

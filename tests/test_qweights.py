@@ -318,6 +318,11 @@ class TestSpeciesParsing:
                 parse_rational(text)
             assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("text", ["1_0/31", "1/3_1", "0.1_5", "1e-1_0", "1_000"])
+    def test_digit_separator_is_refused_on_every_version(self, text):
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            parse_rational(text)
+
     def test_parse_species_flag(self):
         species = parse_species_flag("E:q=1/2")
         assert species.family == "E"

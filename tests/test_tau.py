@@ -81,21 +81,27 @@ def reference_species_content_coeffs(species, lam, maxdeg, shift=0):
     return poly
 
 
+def content_values(species, shapes, maxdeg, shift=0):
+    """species_content_coeffs read as values: each numerator over its degree's denominator."""
+    lists, denominators = species_content_coeffs(species, shapes, maxdeg, shift)
+    return [[c / Fraction(p) for c, p in zip(coeffs, denominators)] for coeffs in lists]
+
+
 class TestContentProducts:
     def test_single_cell_vanishes_at_zero_shift(self):
-        coeffs = species_content_coeffs(Species("E", HALF), [(1,)], 3)
+        coeffs = content_values(Species("E", HALF), [(1,)], 3)
         assert coeffs == [[1, 0, 0, 0]]
 
     def test_row_two_first_coefficient(self):
-        [coeffs] = species_content_coeffs(Species("E", HALF), [(2,)], 2)
+        [coeffs] = content_values(Species("E", HALF), [(2,)], 2)
         assert coeffs[1] == weight_coefficient("E", HALF, 1)
 
     def test_column_two_first_coefficient_is_negated(self):
-        [coeffs] = species_content_coeffs(Species("E", HALF), [(1, 1)], 2)
+        [coeffs] = content_values(Species("E", HALF), [(1, 1)], 2)
         assert coeffs[1] == -weight_coefficient("E", HALF, 1)
 
     def test_nonzero_shift_moves_the_cell(self):
-        [coeffs] = species_content_coeffs(Species("E", HALF), [(1,)], 2, shift=1)
+        [coeffs] = content_values(Species("E", HALF), [(1,)], 2, shift=1)
         assert coeffs[1] == weight_coefficient("E", HALF, 1)
 
     @pytest.mark.parametrize("family, q", [("E", HALF), ("E'", Fraction(2, 5)), ("H", -THIRD)])
@@ -105,21 +111,21 @@ class TestContentProducts:
         for n in range(1, 8):
             parts = enumerate_partitions(n)
             expected = [reference_species_content_coeffs(species, lam, 4, shift) for lam in parts]
-            assert species_content_coeffs(species, parts, 4, shift) == expected
+            assert content_values(species, parts, 4, shift) == expected
 
     @pytest.mark.parametrize("shift", range(-2, 3))
     def test_unordered_repeated_mixed_size_shapes_match_reference(self, shift):
         species = Species("E'", Fraction(2, 5))
         shapes = [(2, 1), (5,), (), (1, 1, 1, 1), (2, 1), (3, 3, 1), (1,), (4, 2), (2, 2), [3, 1], (5,), (1, 1)]
         expected = [reference_species_content_coeffs(species, lam, 4, shift) for lam in shapes]
-        assert species_content_coeffs(species, shapes, 4, shift) == expected
+        assert content_values(species, shapes, 4, shift) == expected
 
     @pytest.mark.parametrize("family, q", [("H", HALF), ("E", THIRD)])
     def test_n12_lists_match_reference(self, family, q):
         species = Species(family, q)
         parts = character_table(12).partitions
         expected = [reference_species_content_coeffs(species, lam, 3) for lam in parts]
-        assert species_content_coeffs(species, parts, 3) == expected
+        assert content_values(species, parts, 3) == expected
 
     @pytest.mark.parametrize("shape", [(1, 2), (2, 0), (0,), (-1,), (3, 1, 2), (1, 1, 0)])
     def test_shape_that_is_not_a_partition_raises(self, shape):
@@ -131,8 +137,8 @@ class TestContentProducts:
             species=(Species("E", HALF), Species("H", FIFTH)), n=2
         )
         table = content_product_coeffs(config, (2,), (2, 2))
-        [left] = species_content_coeffs(Species("E", HALF), [(2,)], 2)
-        [right] = species_content_coeffs(Species("H", FIFTH), [(2,)], 2)
+        [left] = content_values(Species("E", HALF), [(2,)], 2)
+        [right] = content_values(Species("H", FIFTH), [(2,)], 2)
         for i in range(3):
             for j in range(3):
                 assert table[(i, j)] == left[i] * right[j]
@@ -178,10 +184,11 @@ class TestConjugateContentLists:
         for n in range(1, 9):
             parts = enumerate_partitions(n)
             # Each shape alone: its chain of smaller shapes holds no conjugate.
-            alone = {lam: species_content_coeffs(species, [lam], maxdeg)[0] for lam in parts}
+            alone = {lam: species_content_coeffs(species, [lam], maxdeg)[0][0] for lam in parts}
             for lam in parts:
                 assert alone[conjugate(lam)] == [-c if t % 2 else c for t, c in enumerate(alone[lam])]
-            assert species_content_coeffs(species, parts, maxdeg) == [alone[lam] for lam in parts]
+            lists, _ = species_content_coeffs(species, parts, maxdeg)
+            assert lists == [alone[lam] for lam in parts]
 
     def test_a_conjugate_after_its_shape_makes_no_product(self, monkeypatch):
         calls = []
@@ -238,7 +245,63 @@ class TestIntegerContentProducts:
         shapes = [lam for n in range(1, 9) for lam in enumerate_partitions(n)]
         for maxdeg in (0, 1, 10):
             expected = [reference_species_content_coeffs(species, lam, maxdeg, shift) for lam in shapes]
-            assert species_content_coeffs(species, shapes, maxdeg, shift) == expected
+            assert content_values(species, shapes, maxdeg, shift) == expected
+
+
+class TestIntegerForm:
+    """Rational content lists, eigenvalues and kernel blocks are ints over known denominators, not Fractions."""
+
+    @pytest.mark.parametrize("family", ["E", "E'", "H"])
+    @pytest.mark.parametrize("q", [HALF, -THIRD, Fraction(2, 5), Fraction(999, 1000)])
+    @pytest.mark.parametrize("shift", range(-2, 3))
+    def test_numerators_are_ints_over_the_euler_denominators(self, family, q, shift):
+        species = Species(family, q)
+        shapes = [lam for n in range(1, 9) for lam in enumerate_partitions(n)]
+        lists, denominators = species_content_coeffs(species, shapes, 6, shift)
+        assert denominators == euler_product_denominators(q, 6)
+        assert all(type(c) is int for coeffs in lists for c in coeffs)
+        for lam, coeffs in zip(shapes, lists):
+            expected = reference_species_content_coeffs(species, lam, 6, shift)
+            assert [Fraction(c, p) for c, p in zip(coeffs, denominators)] == expected
+
+    def test_series_mode_denominators_are_one(self):
+        species = Species("H", TruncatedSeries.variable("q", 4))
+        shapes = enumerate_partitions(5)
+        lists, denominators = species_content_coeffs(species, shapes, 4, 1)
+        assert denominators == [1] * 5
+        assert lists == [reference_species_content_coeffs(species, lam, 4, 1) for lam in shapes]
+
+    def test_eigenvalues_are_ints_over_the_product_of_denominators(self):
+        config = WeightConfig(species=(Species("E", HALF), Species("H", Fraction(-2, 5))), n=6)
+        parts = enumerate_partitions(6)
+        lists = [species_content_coeffs(s, parts, 4) for s in config.species]
+        tables = [content_product_coeffs(config, lam, (4, 4)) for lam in parts]
+        euler = [euler_product_denominators(s.parameter, 4) for s in config.species]
+        for degrees in itertools.product(range(5), range(5)):
+            numerators, denominator = characters_module.content_eigenvalues(lists, degrees)
+            assert type(denominator) is int
+            assert denominator == euler[0][degrees[0]] * euler[1][degrees[1]]
+            assert all(type(c) is int for c in numerators)
+            assert [Fraction(c, denominator) for c in numerators] == [t[degrees] for t in tables]
+
+    @pytest.mark.parametrize("module, build", [
+        (tau_module, tau_coefficients),
+        (combinatorial_module, combinatorial_module.multispecies_transfer_matrices),
+    ], ids=["tau", "combinatorial"])
+    def test_the_kernel_gets_int_blocks(self, monkeypatch, module, build):
+        seen = []
+
+        def capturing(table, blocks):
+            seen.extend(blocks)
+            return characters_module.spectral_sum(table, blocks)
+
+        monkeypatch.setattr(module, "spectral_sum", capturing)
+        config = WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=5)
+        build(config, (2, 3))
+        assert len(seen) == 12
+        for numerators, denominator in seen:
+            assert type(denominator) is int and denominator > 0
+            assert all(type(c) is int for c in numerators)
 
 
 class TestTauCoefficients:
