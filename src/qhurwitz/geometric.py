@@ -36,7 +36,10 @@ So per species s and shape lam, one walk over the prefix sums P gives
                   1..n-1 with sum t of prod_i s_c_i E_lam(c_i) * prod of level factors
 
 for every degree t up to the largest requested, with the H sign
-(-1)^(k+t) = prod_i (-1)^(c_i+1) folded into s_c.  The empty tuple (t = 0)
+(-1)^(k+t) = prod_i (-1)^(c_i+1) folded into s_c.  For q = a/b every level
+factor is an int over b^P - a^P, so the walk runs in integers: G_s(lam, t)
+is an int numerator over the known D_t = prod_{P<=t} (b^P - a^P), and no
+Fraction is made before an output entry.  The empty tuple (t = 0)
 carries weight 1, and a one-sheeted cover has no nontrivial profile, so its
 G_s is 0 at every positive degree.  The contents of the conjugate shape
 lam' are those of lam negated, so G_s(lam', t) = (-1)^t G_s(lam, t): the
@@ -48,28 +51,29 @@ tuples, so a multispecies value of total degree D is
 and since chi_lam'(rho) = (-1)^colength(rho) chi_lam(rho), it is 0 unless
 colength(mu) + colength(nu) + D is even; otherwise each conjugate pair
 counts twice.  It is taken per monomial (one for rationals) as one integer
-dot product over a common denominator.  multispecies_hurwitz_number is its
+dot product of the numerators over the product of the species' D_(d_s),
+one Fraction per output entry.  multispecies_hurwitz_number is its
 one-pair call, multispecies_hurwitz_matrix sums the symmetric half of the
 pairs and returns the rows over character_table(n).partitions that
 spectral_sum returns for the other legs, multispecies_hurwitz_matrices does
 that for every multidegree up to maxdeg with each species walked once, and
 quantum_hurwitz_number is the one-species call.  The leg reads only
 character_table (whose conjugate_pairs come from partitions.conjugate) and
-qweights.level_factor: it uses neither the contents, the content
-coefficients nor the spectral kernel characters.spectral_sum of the other
-two legs.  Its agreement with the tau
-leg is then the theorem that the level sums of the colength weights are
-the e-expansion of the content product.
+qweights.level_factor, whose denominators give D_t: it uses neither the
+contents, the content coefficients with their integer weights nor the
+spectral kernel characters.spectral_sum of the other two legs.  Its
+agreement with the tau leg is then the theorem that the level sums of the
+colength weights are the e-expansion of the content product.
 
 A sum whose estimated cost (walk steps and matrix terms scaled by the bit
-size of the exact weights) exceeds GEOMETRIC_COST_LIMIT raises
-CapacityError before any walk.
+size of the exact weights; _geometric_cost) exceeds GEOMETRIC_COST_LIMIT
+raises CapacityError before any walk.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial, lcm, prod
@@ -186,27 +190,27 @@ def _geometric_cost(config: WeightConfig, degrees: list, entry: bool = False) ->
     degrees holds, per species, the degrees it takes: (d_s,) for one
     multidegree, range(m_s + 1) for every multidegree up to maxdeg; the
     multidegrees are their product.  Species s walked to its largest degree
-    d_s carries weights of about b_s d_s^2 bits, b_s its parameter's bit
+    d_s carries numerators of about b_s d_s^2 bits, b_s its parameter's bit
     length; x_s = b_s d_s^2 / 2^13.  Per walked shape and level, walk s
-    multiplies n-1 times, linear in the bits, and adds n-2 times, whose
-    Fraction gcds are quadratic; with p = p(n) shapes it costs
-    p d_s ((n-1)(1 + x_s) + 2 (n-2) x_s^2).  A matrix of multidegree
-    bits x = sum_s x_s fills p^2 entries from dot products, linear in the
-    bits, and reduces one Fraction for each of its p(p+1)/2 pairs:
-    (p^2 + 16)(1 + x) + 16 p(p+1)/2 x^2, summed over the multidegrees in
-    closed form (the mean of x^2 is the squared mean plus the variance each
-    species adds).  One entry weights one character column and reduces one
-    Fraction, as if a matrix of one row and two pairs:
-    (p + 16)(1 + x) + 32 x^2.  The constants are fitted to the
-    in-process times of tools/geometric_cost_times.csv, the walk's
-    quadratic one to its slowest parameters: a number or a matrix costing
-    2 * 10^5 or more took at most 2.4 us a unit, 1.2 us in the median.
+    multiplies its n-1 kept numerators by small ints and adds them, linear
+    in the bits, and scales n-2 of them by the level denominator of about
+    b_s d_s bits; with p = p(n) shapes it costs
+    p d_s ((n-1)(1 + x_s) + (n-2) x_s b_s d_s / 2^11).  A matrix of
+    multidegree bits x = sum_s x_s fills p^2 entries from dot products,
+    linear in the bits, and reduces one Fraction for each of its p(p+1)/2
+    pairs: (p^2 + 16)(1 + x) + 16 p(p+1)/2 x^2, summed over the multidegrees
+    in closed form (the mean of x^2 is the squared mean plus the variance
+    each species adds).  One entry weights one character column and reduces
+    one Fraction, as if a matrix of one row and two pairs:
+    (p + 16)(1 + x) + 32 x^2.  The constants are fitted to the in-process
+    times of tools/geometric_cost_times.csv: a number or a matrix costing
+    2 * 10^5 or more took at most 1.9 us a unit, 0.5 us in the median.
     Each ds is ascending, so its largest degree is ds[-1].  One sheet walks
     no step and has no weight bits: each of its multidegrees costs one
     entry, 17.  Weight bits sum_s b_s d_s^2 past the limit are returned as
     they are, before character_table(n) is fetched (it refuses n past
     TABLE_LIMIT) or any degree is listed: they bound n = 2, where a walk
-    adds nothing.
+    scales nothing.
     """
     n = config.n
     if n == 1:
@@ -219,7 +223,7 @@ def _geometric_cost(config: WeightConfig, degrees: list, entry: bool = False) ->
     for species, ds in zip(config.species, degrees):
         levels = [Fraction(species.bits * d * d, 2**13) for d in ds]
         top, mean = max(levels), sum(levels) / len(levels)
-        walk += p * ds[-1] * ((n - 1) * (1 + top) + 2 * (n - 2) * top * top)
+        walk += p * ds[-1] * ((n - 1) * (1 + top) + (n - 2) * top * Fraction(species.bits * ds[-1], 2**11))
         x += mean
         variance += sum(v * v for v in levels) / len(levels) - mean * mean
     rows, pairs = (1, 2) if entry else (p, p * (p + 1) // 2)
@@ -242,53 +246,66 @@ def _colength_characters(tbl) -> list[list[int]]:
 
 
 def _species_eigenvalues(species: Species, degrees, classes: list[list[int]], shapes) -> dict:
-    """{t: G_s(lam) for lam in shapes} for every t in degrees, by one walk over the prefix sums.
+    """{t: (numerators, D_t)}, G_s(lam) = numerator / D_t for lam in shapes, for every t in degrees.
 
     classes is _colength_characters(n) and shapes the shape indices walked,
-    one per conjugate pair.  The walk runs up to the largest t:
+    one per conjugate pair.  One walk over the prefix sums runs up to the
+    largest t:
 
         A[0] = 1,   B[P] = sum_{c=1..min(n-1,P)} s_c E_lam(c) A[P-c],
         A[P] = g(P, mid) B[P],   G_s(lam, t) = g(t, last) B[t],
 
-    with g = level_factor and s_c = (-1)^(c+1) for H, whose product over the
-    tuple is its sign (-1)^(k+t); s_c = 1 for E and E'.  Only the last n-1
-    A[P] are kept.  One sheet has no colength, so the walk takes no step and
-    G_s is 0 at every positive degree.
+    with s_c = (-1)^(c+1) for H, whose product over the tuple is its sign
+    (-1)^(k+t), and s_c = 1 for E and E'.  Each level factor g(P, last) is
+    level_factor's numerator over its denominator, the same for both values
+    of last, so D_P is the product of the denominators of levels 1..P: for
+    q = a/b, prod_{j<=P} (b^j - a^j), and 1 in series mode.  Only the last
+    n-1 A[P] are kept, as numerators over D_(P-1): B[P] is then their
+    integer combination over D_(P-1), and each level scales the kept ones by
+    its denominator.  The seed is the int 1 in rational mode, so no Fraction
+    is made.  One sheet has no colength, so the walk takes no step and G_s
+    is 0 at every positive degree.
     """
     family, q = species.family, species.parameter
     sign = -1 if family == "H" else 1
     steps = [[sign ** (c + 1) * row[i] for i in shapes] for c, row in enumerate(classes) if c]
-    window = deque([[q**0] * len(shapes)], maxlen=max(1, len(steps)))
-    values = {t: [0] * len(shapes) if t else window[0] for t in degrees}
+    window = [[q**0 if isinstance(q, TruncatedSeries) else 1] * len(shapes)]
+    denominator = 1
+    values = {t: ([0] * len(shapes), 1) if t else (window[0], 1) for t in degrees}
     top = max(degrees) if steps else 0
     for level in range(1, top + 1):
         b = [sum(step[k] * a[k] for step, a in zip(steps, window)) for k in range(len(shapes))]
         if level in values:
-            factor = level_factor(family, q, level, True)
-            values[level] = [factor * v for v in b]
+            numerator, scale = level_factor(family, q, level, True)
+            values[level] = [numerator * v for v in b], denominator * scale
         if level < top:
-            factor = level_factor(family, q, level, False)
-            window.appendleft([factor * v for v in b])
+            numerator, scale = level_factor(family, q, level, False)
+            kept = [[scale * v for v in a] for a in window[: len(steps) - 1]]
+            window = [[numerator * v for v in b], *kept]
+            denominator *= scale
     return values
 
 
-def _character_sums(tbl, eigenvalues: list, degree: int, pairs) -> dict:
+def _character_sums(tbl, eigenvalues: tuple, degree: int, pairs) -> dict:
     """{(i, j): sum over all shapes lam of G(lam) chi_lam(i) chi_lam(j) / (z_i z_j)} over index pairs.
 
-    eigenvalues holds G over the first shape of each of tbl.conjugate_pairs,
-    and G(lam') = (-1)^degree G(lam).  Since chi_lam'(mu) = (-1)^colength(mu)
+    eigenvalues is (numerators, D): G = numerator / D over the first shape
+    of each of tbl.conjugate_pairs, ints in rational mode, and
+    G(lam') = (-1)^degree G(lam).  Since chi_lam'(mu) = (-1)^colength(mu)
     chi_lam(mu), a pair whose colengths and degree have odd sum is 0, and
     every other pair counts a conjugate pair twice and a self-conjugate
-    shape once.  Per monomial of the eigenvalues (one for rationals) they go
-    over their lcm denominator D, the character column of each first index
-    i is weighted by them once, and each nonzero pair is one integer dot
-    product over D z_i z_j.
+    shape once.  Per monomial of the numerators (one for rationals) they go
+    over their lcm denominator (1 for ints), the character column of each
+    first index i is weighted by them once, and each nonzero pair is one
+    integer dot product over that lcm times D z_i z_j: one Fraction per
+    output entry, none per eigenvalue.
     """
-    series = next((g for g in eigenvalues if isinstance(g, TruncatedSeries)), None)
+    numerators, denominator = eigenvalues
+    series = next((g for g in numerators if isinstance(g, TruncatedSeries)), None)
     monomials: dict[tuple, list] = {}
-    for k, g in enumerate(eigenvalues):
+    for k, g in enumerate(numerators):
         for expo, value in g.coeffs.items() if isinstance(g, TruncatedSeries) else [((), g)]:
-            monomials.setdefault(expo, [Fraction(0)] * len(eigenvalues))[k] = Fraction(value)
+            monomials.setdefault(expo, [0] * len(numerators))[k] = value
     columns = list(zip(*(tbl.values[k] for k, _ in tbl.conjugate_pairs)))
     twice = [1 + (k != c) for k, c in tbl.conjugate_pairs]
     z = tbl.centralizer_orders
@@ -301,7 +318,7 @@ def _character_sums(tbl, eigenvalues: list, degree: int, pairs) -> dict:
         weights = [m * v.numerator * (scale // v.denominator) for m, v in zip(twice, values)]
         weighted = {i: list(map(mul, weights, columns[i])) for i in rows}
         for i, j in live:
-            sums[i, j][expo] = Fraction(sum(map(mul, weighted[i], columns[j])), scale * z[i] * z[j])
+            sums[i, j][expo] = Fraction(sum(map(mul, weighted[i], columns[j])), scale * denominator * z[i] * z[j])
     if series is None:
         zero = Fraction(0)
         return {pair: terms.get((), zero) for pair, terms in sums.items()}
@@ -318,12 +335,14 @@ def _check_cost(cost: int) -> None:
 
 
 def _eigenvalues(config: WeightConfig, degrees: list, entry: bool = False) -> tuple:
-    """character_table(n) and {multidegree: prod_s G_s(lam)} over the first shape of each conjugate pair.
+    """character_table(n) and {multidegree: (numerators, D)} over the first shape of each conjugate pair.
 
     degrees holds the degrees of each species, as _geometric_cost takes
     them; the multidegrees are their product.  Admitted before any work by
     the _geometric_cost of their walks and matrices (entry: of one entry).
-    Each species is walked once.
+    Each species is walked once, and a multidegree's eigenvalue of a shape
+    is the product of its species' numerators over the product of their
+    D_(d_s): ints in rational mode.
     """
     _check_cost(_geometric_cost(config, degrees, entry))
     tbl = character_table(config.n)
@@ -333,10 +352,11 @@ def _eigenvalues(config: WeightConfig, degrees: list, entry: bool = False) -> tu
         _species_eigenvalues(species, set(ds), classes, shapes)
         for species, ds in zip(config.species, degrees)
     ]
-    return tbl, {
-        multidegree: [prod(v) for v in zip(*(values[s][d] for s, d in enumerate(multidegree)))]
-        for multidegree in itertools.product(*degrees)
-    }
+    eigenvalues = {}
+    for multidegree in itertools.product(*degrees):
+        numerators, denominators = zip(*(values[s][d] for s, d in enumerate(multidegree)))
+        eigenvalues[multidegree] = [prod(v) for v in zip(*numerators)], prod(denominators)
+    return tbl, eigenvalues
 
 
 def _matrix(tbl, degrees: tuple, eigenvalues: list) -> tuple:

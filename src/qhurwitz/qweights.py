@@ -37,8 +37,10 @@ prefix content instead of one term per ordering:
     W = A[all] / k!
 
 where m_S(v) counts the colength v in S (it counts the orderings of equal
-colengths separately) and g(P, last) = level_factor(family, q, P, last) is
-1/(1 - q^P), times q^P for E' always and for E except at the last prefix.
+colengths separately) and g(P, last) is 1/(1 - q^P), times q^P for E' always
+and for E except at the last prefix: level_factor(family, q, P, last) gives
+it as (numerator, denominator), for q = a/b the ints (a^P or b^P) and
+b^P - a^P.
 The states number prod_v (m_v + 1), so seven colengths 1 take 8 states
 instead of 5040 orderings.  The geometric pipeline sums the same prefix
 factors over every ordered colength tuple at once, one prefix sum at a time.
@@ -228,14 +230,20 @@ def quantum_dilog_coeffs(q, degree: int) -> tuple:
     return tuple(Fraction(1, k) * reciprocal(1 - q**k) for k in range(1, degree + 1))
 
 
-def level_factor(family: str, q, partial: int, last: bool):
-    """The factor of one prefix with sum partial in a level weight.
+def level_factor(family: str, q, partial: int, last: bool) -> tuple:
+    """(numerator, denominator): the factor of one prefix with sum partial >= 1 in a level weight.
 
-    1/(1 - q^partial), times q^partial for E' always and for E unless the
-    prefix is the last (the whole list of colengths); H carries none.
+    The factor is 1/(1 - q^partial), times q^partial for E' always and for E
+    unless the prefix is the last (the whole list of colengths); H carries
+    none.  For a rational q = a/b in lowest terms it is (a^partial or
+    b^partial) / (b^partial - a^partial), two ints with the denominator
+    positive since |a| < b; a series factor comes over the denominator 1.
     """
-    shift = q**partial if family == "E'" or (family == "E" and not last) else 1
-    return shift * reciprocal(1 - q**partial)
+    shifted = family == "E'" or (family == "E" and not last)
+    if isinstance(q, TruncatedSeries):
+        return (q**partial if shifted else 1) * reciprocal(1 - q**partial), 1
+    a, b = q.numerator, q.denominator
+    return (a if shifted else b) ** partial, b**partial - a**partial
 
 
 def symmetrized_weight(family: str, q, colengths) -> object:
@@ -271,5 +279,6 @@ def symmetrized_weight(family: str, q, colengths) -> object:
             if m:
                 inner = inner + m * table[counts[:i] + (m - 1,) + counts[i + 1:]]
         partial = sum(m * v for m, v in zip(counts, values))
-        table[counts] = inner * level_factor(family, q, partial, counts == full)
+        numerator, denominator = level_factor(family, q, partial, counts == full)
+        table[counts] = inner * numerator * reciprocal(denominator)
     return table[full] * Fraction(1, factorial(k))

@@ -126,6 +126,11 @@ def reference_species_eigenvalues(species, degree, classes):
     return sums
 
 
+def level_denominator(q, t):
+    """D_t = prod_{P<=t} (b^P - a^P) for q = a/b."""
+    return prod(q.denominator**P - q.numerator**P for P in range(1, t + 1))
+
+
 def reference_frobenius(config):
     """Covering count by the character sum with one Fraction per factor."""
     tbl = character_table(sum(config.mu))
@@ -269,12 +274,12 @@ class TestGeometricCost:
     def test_estimates(self):
         h = Species("H", HALF)
         # H(1/2) has b = 2, so x = 2 d^2 / 2^13.  At n = 8 (p = 22, d = 7):
-        # walk 22*7*(7*(1 + x) + 2*6*x^2) and matrix (22^2 + 16)(1 + x) + 8*22*23*x^2.
+        # walk 22*7*(7*(1 + x) + 6*x*2*7/2^11) and matrix (22^2 + 16)(1 + x) + 8*22*23*x^2.
         x = Fraction(2 * 7**2, 2**13)
-        walk = 22 * 7 * (7 * (1 + x) + 2 * 6 * x * x)
+        walk = 22 * 7 * (7 * (1 + x) + 6 * x * Fraction(2 * 7, 2**11))
         matrix = (22**2 + 16) * (1 + x) + 8 * 22 * 23 * x * x
         assert _geometric_cost(self.config(8, h), [(7,)]) == -(-(walk + matrix) // 1) == 1598
-        assert _geometric_cost(self.config(12, h), [(12,)]) == 16758
+        assert _geometric_cost(self.config(12, h), [(12,)]) == 16739
         # n = 2 adds nothing in its walk; the weight bits b d^2 bound it, and
         # past the limit they are the estimate.
         assert _geometric_cost(self.config(2, h), [(707,)]) <= GEOMETRIC_COST_LIMIT
@@ -292,14 +297,14 @@ class TestGeometricCost:
         # walk is admitted and a matrix is not.
         config = self.config(12, Species("H", Fraction(1, 2**240)))
         x = Fraction(241 * 12**2, 2**13)
-        walk = 77 * 12 * (11 * (1 + x) + 2 * 10 * x * x)
+        walk = 77 * 12 * (11 * (1 + x) + 10 * x * Fraction(241 * 12, 2**11))
         entry = (77 + 16) * (1 + x) + 32 * x * x
-        assert _geometric_cost(config, [(12,)], entry=True) == -(-(walk + entry) // 1) == 385935
+        assert _geometric_cost(config, [(12,)], entry=True) == -(-(walk + entry) // 1) == 109559
         assert _geometric_cost(config, [(12,)]) > GEOMETRIC_COST_LIMIT
         assert _geometric_cost(self.config(1, Species("H", HALF)), [(10**12,)], entry=True) == 17
 
     def test_high_bit_parameter_at_twelve_sheets(self, monkeypatch):
-        # One entry of H(2^-240) at n = 12, d = 12 is admitted (about 0.6 s)
+        # One entry of H(2^-240) at n = 12, d = 12 is admitted (about 0.05 s)
         # and equals the entry of the matrix, which only a raised limit admits.
         config = self.config(12, Species("H", Fraction(1, 2**240)))
         value = multispecies_hurwitz_number(config, (12,), (12,), (12,))
@@ -307,8 +312,9 @@ class TestGeometricCost:
             multispecies_hurwitz_matrix(config, (12,))
         monkeypatch.setattr(qhurwitz.geometric, "GEOMETRIC_COST_LIMIT", 2 * 10**6)
         assert matrix_entries(multispecies_hurwitz_matrix(config, (12,)), 12)[(12,), (12,)] == value
-        # H(2^-1000) walks weights of about 1001 * 144 bits: refused.
-        refused = self.config(12, Species("H", Fraction(1, 2**1000)))
+        # H(2^-2000) walks numerators of about 2001 * 144 bits and scales
+        # them by level denominators of up to 2001 * 12 bits: refused.
+        refused = self.config(12, Species("H", Fraction(1, 2**2000)))
         assert _geometric_cost(refused, [(12,)], entry=True) > 2 * 10**6
         with pytest.raises(CapacityError, match="geometric sum costs about"):
             multispecies_hurwitz_number(refused, (12,), (12,), (12,))
@@ -320,8 +326,9 @@ class TestGeometricCost:
         species = (Species("H", HALF), Species("E'", Fraction(999, 1000)), Species("E", THIRD))
         box = [range(4), (2, 5), range(3)]
         walk = sum(
-            11 * d * (5 * (1 + x) + 2 * 4 * x * x)
-            for d, x in ((3, Fraction(2 * 9, 2**13)), (5, Fraction(10 * 25, 2**13)), (2, Fraction(2 * 4, 2**13)))
+            11 * d * (5 * (1 + x) + 4 * x * Fraction(b * d, 2**11))
+            for b, d, x in ((2, 3, Fraction(2 * 9, 2**13)), (10, 5, Fraction(10 * 25, 2**13)),
+                            (2, 2, Fraction(2 * 4, 2**13)))
         )
         matrices = sum(
             (11**2 + 16) * (1 + x) + 8 * 11 * 12 * x * x
@@ -335,7 +342,8 @@ class TestGeometricCost:
 
     def test_over_the_limit_is_capacity_error(self):
         h = Species("H", HALF)
-        for n, d in ((2, 99999999999), (2, 10**6), (12, 120), (3, 400)):
+        # d = 155 at n = 12 and 675 at n = 3 are the first degrees refused.
+        for n, d in ((2, 99999999999), (2, 10**6), (12, 155), (3, 675)):
             config = self.config(n, h)
             assert _geometric_cost(config, [(d,)], entry=True) > GEOMETRIC_COST_LIMIT
             with pytest.raises(CapacityError, match="geometric sum costs about"):
@@ -629,10 +637,13 @@ class TestPrefixSumWalk:
     """The prefix-sum walk against the colength-multiset sum it replaced."""
 
     @pytest.mark.parametrize("family", ["E", "E'", "H"])
-    @pytest.mark.parametrize("q", [HALF, Fraction(-2, 5), Fraction(999, 1000),
-                                   TruncatedSeries.variable("q", 3)], ids=str)
+    @pytest.mark.parametrize("q", [HALF, Fraction(-1, 3), Fraction(2, 5), Fraction(-2, 5), Fraction(999, 1000),
+                                   Fraction(0), TruncatedSeries.variable("q", 3)], ids=str)
     def test_walk_equals_the_multiset_sum(self, family, q):
+        # In rational mode every numerator is an int over D_d; the walk takes
+        # no step on one sheet, whose values stay over 1.
         species = Species(family, q)
+        rational = isinstance(q, Fraction)
         for n in range(1, 9):
             tbl = character_table(n)
             classes = _colength_characters(tbl)
@@ -642,8 +653,10 @@ class TestPrefixSumWalk:
             for d in range(9):
                 reference = reference_species_eigenvalues(species, d, classes)
                 expected = [reference[i] for i in shapes]
-                assert walked[d] == expected, (n, d)
-                assert list(map(type, walked[d])) == list(map(type, expected)), (n, d)
+                numerators, denominator = walked[d]
+                assert [v * Fraction(1, denominator) for v in numerators] == expected, (n, d)
+                assert list(map(type, numerators)) == [int if rational else type(e) for e in expected], (n, d)
+                assert denominator == (level_denominator(q, d) if rational and n > 1 else 1), (n, d)
             assert _species_eigenvalues(species, {8}, classes, shapes) == {8: walked[8]}
 
     def test_conjugate_pairs_list_each_pair_once(self):
@@ -655,7 +668,7 @@ class TestPrefixSumWalk:
             for k, c in tbl.conjugate_pairs:
                 assert k <= c and tbl.partitions[c] == conjugate(tbl.partitions[k])
             config = WeightConfig((Species("H", HALF),), n)
-            assert len(_eigenvalues(config, [(0,)])[1][(0,)]) == len(pairs)
+            assert len(_eigenvalues(config, [(0,)])[1][(0,)][0]) == len(pairs)
         assert len(character_table(12).conjugate_pairs) == 40
 
     @pytest.mark.parametrize("family, q", [("E", HALF), ("E'", THIRD), ("H", FIFTH)])
@@ -699,7 +712,48 @@ class TestPrefixSumWalk:
     def test_one_sheet_takes_no_step(self):
         tbl = character_table(1)
         values = _species_eigenvalues(Species("H", HALF), {0, 10**12}, _colength_characters(tbl), [0])
-        assert values == {0: [1], 10**12: [0]}
+        assert values == {0: ([1], 1), 10**12: ([0], 1)}
+
+
+class TestIntegerWalk:
+    """The eigenvalue products as integers over known level denominators, and one Fraction per entry."""
+
+    def test_eigenvalue_products_are_ints_also_at_degree_zero(self):
+        # A degree 0 takes the walk's seed; a Fraction seed would turn every
+        # product it enters into Fraction arithmetic.
+        species = (Species("E", HALF), Species("H", Fraction(-1, 3)), Species("E'", Fraction(999, 1000)))
+        config = WeightConfig(species, 5)
+        tbl, eigenvalues = _eigenvalues(config, [range(3), (0, 2), range(2)])
+        classes = _colength_characters(tbl)
+        shapes = [k for k, _ in tbl.conjugate_pairs]
+        assert (0, 0, 0) in eigenvalues and (2, 0, 1) in eigenvalues
+        for multidegree, (numerators, denominator) in eigenvalues.items():
+            assert all(type(v) is int for v in numerators) and type(denominator) is int
+            assert denominator == prod(level_denominator(s.parameter, d) for s, d in zip(species, multidegree))
+            references = [reference_species_eigenvalues(s, d, classes) for s, d in zip(species, multidegree)]
+            assert [Fraction(v, denominator) for v in numerators] == [
+                prod(reference[i] for reference in references) for i in shapes
+            ], multidegree
+
+    def test_one_fraction_per_output_entry(self, monkeypatch):
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        config = WeightConfig((Species("E'", Fraction(999, 1000)), Species("H", HALF)), 6)
+        tbl, eigenvalues = _eigenvalues(config, [(3,), (2,)])
+        size = len(tbl.partitions)
+        pairs = [(i, j) for i in range(size) for j in range(i, size)]
+        monkeypatch.setattr(qhurwitz.geometric, "Fraction", counting)
+        sums = _character_sums(tbl, eigenvalues[3, 2], 5, pairs)
+        odd = [colength(mu) % 2 for mu in tbl.partitions]
+        live = [(i, j) for i, j in pairs if (odd[i] + odd[j] + 5) % 2 == 0]
+        # One Fraction per live entry, over its denominator, and the shared zero.
+        assert len(made) == len(live) + 1 and made[-1] == (0,)
+        assert all(len(args) == 2 for args in made[:-1])
+        assert sorted(sums) == pairs
 
 
 class TestColengthClasses:
@@ -736,7 +790,7 @@ class TestColengthClasses:
             pairs = [(tbl.index(mu), j) for mu in mus for j in range(len(parts))]
             for key in colength_multisets(n, 3):
                 vector = [prod(classes[c][i] for c in key) for i, _ in tbl.conjugate_pairs]
-                counts = _character_sums(tbl, vector, sum(key), pairs)
+                counts = _character_sums(tbl, (vector, 1), sum(key), pairs)
                 pools = [[p for p in parts if colength(p) == c] for c in key]
                 for i, j in pairs:
                     total = sum(

@@ -20,6 +20,7 @@ from qhurwitz import (
     weight_coefficient,
     weight_coefficients,
 )
+from qhurwitz.qweights import level_factor
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -299,6 +300,36 @@ class TestSymmetrizedWeight:
             value = symmetrized_weight(family, HALF, (1,) * 7)
             assert value == reference_symmetrized_weight(family, HALF, (1,) * 7)
             assert value == weight_coefficient(family, HALF, 7)
+
+
+class TestLevelFactor:
+    """The one fraction-free form of a level factor: (numerator, denominator)."""
+
+    @staticmethod
+    def factor(family, q, partial, last):
+        """The factor as one value: q^partial/(1 - q^partial) or 1/(1 - q^partial)."""
+        shift = q**partial if family == "E'" or (family == "E" and not last) else 1
+        return shift * reciprocal(1 - q**partial)
+
+    @pytest.mark.parametrize("q", [HALF, Fraction(-1, 3), Fraction(2, 5), Fraction(999, 1000), Fraction(0)])
+    @pytest.mark.parametrize("family", ["E", "E'", "H"])
+    def test_integer_ratio_equals_the_rational_factor(self, family, q):
+        a, b = q.numerator, q.denominator
+        for partial in range(1, 31):
+            for last in (False, True):
+                numerator, denominator = level_factor(family, q, partial, last)
+                assert type(numerator) is int and type(denominator) is int
+                assert denominator == b**partial - a**partial > 0
+                assert Fraction(numerator, denominator) == self.factor(family, q, partial, last)
+
+    def test_series_factor_is_over_one(self):
+        q = TruncatedSeries.variable("q", 8)
+        for family in ("E", "E'", "H"):
+            for partial in (1, 2, 5):
+                for last in (False, True):
+                    numerator, denominator = level_factor(family, q, partial, last)
+                    assert denominator == 1 and isinstance(numerator, TruncatedSeries)
+                    assert numerator == self.factor(family, q, partial, last)
 
 
 class TestSpeciesParsing:

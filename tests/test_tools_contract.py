@@ -1,15 +1,25 @@
-"""The names the scripts under tools/ import from the package must exist.
+"""The names the scripts under tools/ import from the package must exist, and their table is current.
 
 Nothing runs those scripts, and they import private helpers such as
 geometric._matrix, so a renamed helper would go unnoticed by every other
-test.  Each script is parsed, not imported or run.
+test.  Each script is parsed, not imported or run.  The committed table of
+tools/geometric_cost_times.py must record the cost model as it is, and
+README "Limits" must state the time a unit that table records.
 """
 
 import ast
+import csv
 import importlib
+import re
+import statistics
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from qhurwitz import Species, WeightConfig
+from qhurwitz.geometric import GEOMETRIC_COST_LIMIT, _geometric_cost
+from test_readme_limits import limits_rows
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -36,3 +46,50 @@ def test_the_private_helpers_are_among_the_imports():
 @pytest.mark.parametrize("script, module, name", IMPORTS)
 def test_import_resolves(script, module, name):
     assert hasattr(importlib.import_module(module), name), f"{script}: from {module} import {name}"
+
+
+def _cost_rows():
+    """The rows of tools/geometric_cost_times.csv, as written by tools/geometric_cost_times.py."""
+    with open(TOOLS / "geometric_cost_times.csv", newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def test_recorded_costs_are_the_cost_model():
+    # An empty cost is one past the weight-bit limit, which the script leaves
+    # out; every other cost is what _geometric_cost charges today.
+    species = {}
+    for row in _cost_rows():
+        n, d = int(row["n"]), int(row["d"])
+        if row["species"] not in species:
+            family, _, rest = row["species"].partition(":q=")
+            numerator, _, denominator = rest.partition("/")
+            base, _, power = denominator.partition("^")
+            species[row["species"]] = Species(family, Fraction(int(numerator), int(base) ** int(power or 1)))
+        one = species[row["species"]]
+        assert one.bits == int(row["bits"])
+        config = WeightConfig((one,), n)
+        for name, entry in (("entry_cost", True), ("matrix_cost", False)):
+            cost = _geometric_cost(config, [(d,)], entry)
+            if row[name]:
+                assert int(row[name]) == cost, (row, name)
+            else:
+                assert cost == one.bits * d * d > GEOMETRIC_COST_LIMIT, (row, name)
+
+
+def test_readme_states_the_recorded_time_a_unit():
+    # README "Limits" states the largest and the median in-process time a
+    # unit, walk included, of every number and matrix charged 2 * 10^5 or
+    # more; both are read from the recorded table, to 0.1 us.
+    row = next(bound for operation, bound in limits_rows() if operation.startswith("`multispecies_hurwitz_number`"))
+    stated = re.search(r"at most (\d+\.\d) us a unit, (\d+\.\d) us in the median", row)
+    assert stated, "Limits row states no time a unit"
+    most, median = map(float, stated.groups())
+    units = [
+        (float(row["walk_s"]) + float(row[f"{kind}_s"])) / int(row[f"{kind}_cost"]) * 10**6
+        for row in _cost_rows()
+        for kind in ("entry", "matrix")
+        if row[f"{kind}_s"] and row[f"{kind}_cost"] and int(row[f"{kind}_cost"]) >= 2 * 10**5
+    ]
+    assert units
+    assert most - 0.1 < max(units) <= most
+    assert round(statistics.median(units), 1) == median
