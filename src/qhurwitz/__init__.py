@@ -1,8 +1,8 @@
 """Exact quantum and multispecies weighted Hurwitz numbers.
 
 Three pipelines compute the same numbers.  The tau and combinatorial pipelines
-share the spectral layer of ``characters`` (content lists, kernel, cost); the
-geometric pipeline reads only its character tables.
+share the spectral layer of ``spectral`` (content lists, kernel, cost); the
+geometric pipeline reads only the character tables of ``characters``.
 
 * geometric: symmetrized branch-point weights times covering counts, summed
   over colength classes through their central characters;
@@ -13,109 +13,96 @@ geometric pipeline reads only its character tables.
 
 Their exact rational agreement, entry by entry, is the package's primary
 verification suite (``verify_triangle`` and the acceptance tests).
+
+Importing the package registers every layer module in ``sys.modules`` through
+``importlib.util.LazyLoader`` and runs none of them: a module compiles and
+runs on the first access to one of its attributes.  The public names are read
+from their modules on access (PEP 562), so a request runs only the modules
+its command calls into.
 """
 
-from .characters import CharacterTable, character_table, character_value, dimension
-from .combinatorial import (
-    TransferMatrix,
-    combinatorial_hurwitz_number,
-    jucys_murphy_eigenvalue_check,
-    multispecies_transfer_matrix,
-    path_counts,
-    signature_of,
-    transfer_matrix,
-    weighted_path_count,
-)
-from .errors import CapacityError, PoleError
-from .geometric import (
-    BranchConfiguration,
-    enumerate_factorizations,
-    frobenius_hurwitz,
-    multispecies_hurwitz_matrix,
-    multispecies_hurwitz_number,
-    quantum_hurwitz_number,
-)
-from .partitions import (
-    Partition,
-    centralizer_order,
-    check_partition,
-    colength,
-    enumerate_partitions,
-    format_partition,
-    hook_product,
-    parse_partition,
-    partition_count,
-)
-from .qweights import (
-    FAMILIES,
-    Species,
-    WeightConfig,
-    parse_rational,
-    parse_species_flag,
-    quantum_dilog_coeffs,
-    symmetrized_weight,
-    weight_coefficient,
-    weight_coefficients,
-)
-from .series import TruncatedSeries, poly_exp, poly_mul, reciprocal
-from .tau import (
-    HurwitzTable,
-    TriangleReport,
-    content_product_coeffs,
-    species_content_coeffs,
-    tau_coefficients,
-    verify_triangle,
-)
+import importlib.util
+import sys
+
+#: Each layer module and the public names the package exports from it.  The
+#: CLI is not registered: ``python -m qhurwitz.cli`` warns when it finds its
+#: module in sys.modules before it runs it.
+_EXPORTS = {
+    "errors": ("CapacityError", "PoleError"),
+    "partitions": (
+        "Partition",
+        "centralizer_order",
+        "check_partition",
+        "colength",
+        "enumerate_partitions",
+        "format_partition",
+        "hook_product",
+        "parse_partition",
+        "partition_count",
+    ),
+    "series": ("TruncatedSeries", "poly_exp", "poly_mul", "reciprocal"),
+    "qweights": (
+        "FAMILIES",
+        "Species",
+        "WeightConfig",
+        "parse_rational",
+        "parse_species_flag",
+        "quantum_dilog_coeffs",
+        "symmetrized_weight",
+        "weight_coefficient",
+        "weight_coefficients",
+    ),
+    "characters": ("CharacterTable", "character_table", "character_value", "dimension"),
+    "spectral": ("species_content_coeffs",),
+    "sn": (),
+    "combinatorial": (
+        "TransferMatrix",
+        "combinatorial_hurwitz_number",
+        "jucys_murphy_eigenvalue_check",
+        "multispecies_transfer_matrix",
+        "path_counts",
+        "signature_of",
+        "transfer_matrix",
+        "weighted_path_count",
+    ),
+    "geometric": (
+        "BranchConfiguration",
+        "enumerate_factorizations",
+        "frobenius_hurwitz",
+        "multispecies_hurwitz_matrix",
+        "multispecies_hurwitz_number",
+        "quantum_hurwitz_number",
+    ),
+    "tau": ("HurwitzTable", "TriangleReport", "content_product_coeffs", "tau_coefficients", "verify_triangle"),
+}
+
+#: Public name -> the layer module that defines it.
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchConfiguration",
-    "CapacityError",
-    "CharacterTable",
-    "FAMILIES",
-    "HurwitzTable",
-    "Partition",
-    "PoleError",
-    "Species",
-    "TransferMatrix",
-    "TriangleReport",
-    "TruncatedSeries",
-    "WeightConfig",
-    "centralizer_order",
-    "character_table",
-    "character_value",
-    "check_partition",
-    "colength",
-    "combinatorial_hurwitz_number",
-    "content_product_coeffs",
-    "dimension",
-    "enumerate_factorizations",
-    "enumerate_partitions",
-    "format_partition",
-    "frobenius_hurwitz",
-    "hook_product",
-    "jucys_murphy_eigenvalue_check",
-    "multispecies_hurwitz_matrix",
-    "multispecies_hurwitz_number",
-    "multispecies_transfer_matrix",
-    "parse_partition",
-    "parse_rational",
-    "parse_species_flag",
-    "partition_count",
-    "path_counts",
-    "poly_exp",
-    "poly_mul",
-    "quantum_dilog_coeffs",
-    "quantum_hurwitz_number",
-    "reciprocal",
-    "signature_of",
-    "species_content_coeffs",
-    "symmetrized_weight",
-    "tau_coefficients",
-    "transfer_matrix",
-    "verify_triangle",
-    "weight_coefficient",
-    "weight_coefficients",
-    "weighted_path_count",
-]
+__all__ = sorted(_HOMES)
+
+
+def _register(module: str):
+    """The layer module, put in sys.modules unrun: it runs on the first access to one of its attributes."""
+    spec = importlib.util.find_spec(f"{__name__}.{module}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    lazy = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lazy)
+    return lazy
+
+
+for _module in _EXPORTS:
+    globals()[_module] = _register(_module)
+del _module
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOMES[name]], name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOMES))

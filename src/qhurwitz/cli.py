@@ -26,23 +26,19 @@ import itertools
 import json
 import sys
 
+from . import combinatorial, geometric, qweights, series, tau
 from .characters import character_table
-from .combinatorial import multispecies_transfer_matrix, path_counts
 from .errors import CapacityError, PoleError
-from .geometric import multispecies_hurwitz_number
 from .partitions import format_partition, parse_partition
-from .qweights import Species, WeightConfig, parse_species_flag
-from .series import format_rational
-from .tau import check_triangle_bounds, tau_coefficients, verify_triangle
 
 
-def _parse_species_list(texts: list[str]) -> tuple[Species, ...]:
+def _parse_species_list(texts: list[str]) -> tuple[qweights.Species, ...]:
     if not texts:
         raise ValueError("at least one --species flag is required")
-    return tuple(parse_species_flag(text) for text in texts)
+    return tuple(qweights.parse_species_flag(text) for text in texts)
 
 
-def _parse_degree_blocks(text: str, species: tuple[Species, ...]) -> tuple[int, ...]:
+def _parse_degree_blocks(text: str, species: tuple[qweights.Species, ...]) -> tuple[int, ...]:
     """Map an "e1,e2;h1" degree string onto the species: each block in species order."""
     is_h = [s.family == "H" for s in species]
     h_count = sum(is_h)
@@ -118,10 +114,10 @@ def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
         for rows in table.matrices.values():
             above = []
             for i, row in enumerate(rows):
-                above.append([done[i] for done in above] + list(map(format_rational, row[i:])))
+                above.append([done[i] for done in above] + list(map(series.format_rational, row[i:])))
             texts += itertools.chain.from_iterable(above)
     else:
-        texts = [format_rational(rows[i][j]) for rows in table.matrices.values() for i in mus for j in nus]
+        texts = [series.format_rational(rows[i][j]) for rows in table.matrices.values() for i in mus for j in nus]
     if fmt == "csv":
         degree_fields = [_csv_field(",".join(map(str, degrees))) for degrees in blocks]
         heads = [
@@ -152,28 +148,28 @@ def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
 
 def _cmd_compute(args) -> int:
     species = _parse_species_list(args.species)
-    config = WeightConfig(species=species, n=args.n)
+    config = qweights.WeightConfig(species=species, n=args.n)
     if args.pipeline == "tau":
         maxdeg = _parse_degree_blocks(args.maxdeg, species)
         mu_filter = _partition_arg(args.mu, args.n, "mu") if args.mu is not None else None
         nu_filter = _partition_arg(args.nu, args.n, "nu") if args.nu is not None else None
-        table = tau_coefficients(config, maxdeg, shift=args.N)
+        table = tau.tau_coefficients(config, maxdeg, shift=args.N)
         _write_tau_table(table, mu_filter, nu_filter, args.format)
         return 0
     mu = _partition_arg(args.mu, args.n, "mu")
     nu = _partition_arg(args.nu, args.n, "nu")
     degrees = _parse_degree_blocks(args.degrees, species)
     if args.pipeline == "geometric":
-        value = multispecies_hurwitz_number(config, degrees, mu, nu)
+        value = geometric.multispecies_hurwitz_number(config, degrees, mu, nu)
     else:
-        value = multispecies_transfer_matrix(config, degrees).hurwitz_entry(mu, nu)
+        value = combinatorial.multispecies_transfer_matrix(config, degrees).hurwitz_entry(mu, nu)
     _emit_json(
         {
             "n": args.n,
             "mu": format_partition(mu),
             "nu": format_partition(nu),
             "degrees": list(degrees),
-            "value": format_rational(value),
+            "value": series.format_rational(value),
         }
     )
     return 0
@@ -186,11 +182,11 @@ def _cmd_verify(args) -> int:
     if args.deg_max < 0:
         raise ValueError("--deg-max must be nonnegative")
     maxdeg = (args.deg_max,) * len(species)
-    check_triangle_bounds(WeightConfig(species=species, n=args.n_max), maxdeg, first_n=2)
+    tau.check_triangle_bounds(qweights.WeightConfig(species=species, n=args.n_max), maxdeg, first_n=2)
     reports = []
     for n in range(2, args.n_max + 1):
-        config = WeightConfig(species=species, n=n)
-        reports.append(verify_triangle(config, maxdeg).to_dict())
+        config = qweights.WeightConfig(species=species, n=n)
+        reports.append(tau.verify_triangle(config, maxdeg).to_dict())
     ok = all(r["status"] == "ok" for r in reports)
     _emit_json(
         {
@@ -207,7 +203,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     mu = _partition_arg(args.mu, args.n, "mu")
     nu = _partition_arg(args.nu, args.n, "nu")
-    counts = path_counts(args.n, args.d, mu, nu)
+    counts = combinatorial.path_counts(args.n, args.d, mu, nu)
     _emit_json(
         {
             "n": args.n,
@@ -217,8 +213,8 @@ def _cmd_oracle(args) -> int:
             "paths": [
                 {
                     "signature": format_partition(lam),
-                    "m": format_rational(ordered),
-                    "m_tilde": format_rational(unrestricted),
+                    "m": series.format_rational(ordered),
+                    "m_tilde": series.format_rational(unrestricted),
                 }
                 for lam, (ordered, unrestricted) in counts.items()
             ],

@@ -24,7 +24,7 @@ central element, its matrix on the class-sum basis is
     F^c(mu, nu) = sum_lam [u^c] r_lam * chi_lam(mu) chi_lam(nu) / z_mu
 
 with r_lam the content product, and the Hurwitz-normalized entry F^c/z_nu is
-the pipeline-comparison value.  ``characters.spectral_sum`` sums that
+the pipeline-comparison value.  ``spectral.spectral_sum`` sums that
 symmetric matrix, as in the tau pipeline, and a TransferMatrix holds it as
 returned; its class-basis entry multiplies by z_nu.  The matrices commute;
 multispecies counts multiply eigenvalues.
@@ -38,18 +38,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .characters import (
-    character_table,
-    check_spectral_cost,
-    content_eigenvalues,
-    spectral_sum,
-    species_content_coeffs,
-)
+from . import sn
+from .characters import character_table
 from .errors import CapacityError
 from .partitions import Partition, _is_int, check_partition, enumerate_partitions
 from .qweights import Species, WeightConfig, multidegrees, weight_coefficients
 from .series import Immutable, TruncatedSeries
-from .sn import algebra_mul, symmetric_group
+from .spectral import check_spectral_cost, content_eigenvalues, spectral_sum, species_content_coeffs
 
 #: Brute-force path enumeration bounds ((n choose 2)^d sequences).
 PATH_LIMIT_N = 5
@@ -103,7 +98,7 @@ def _path_counts(
         raise CapacityError(
             f"path enumeration is limited to n <= {PATH_LIMIT_N}, d <= {PATH_LIMIT_D}"
         )
-    group = symmetric_group(n)
+    group = sn.symmetric_group(n)
     table = group.table
     type_of = group.type_of
     mu_class = group.classes[mu]
@@ -283,7 +278,7 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
         raise ValueError("max_degree must be nonnegative")
     variables = tuple(f"u{i}" for i in range(1, len(config.species) + 1))
     cap = max_degree
-    group = symmetric_group(n)
+    group = sn.symmetric_group(n)
 
     def term(var_index: int, power: int, coeff) -> TruncatedSeries:
         """coeff * u^power in the variable of species var_index."""
@@ -298,7 +293,7 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
         jm = {group.transposition(b, a): Fraction(1) for b in range(1, a)}
         jm_powers: list[dict[int, object]] = [{group.identity: Fraction(1)}]
         for _ in range(cap):
-            jm_powers.append(algebra_mul(jm_powers[-1], jm, group))
+            jm_powers.append(sn.algebra_mul(jm_powers[-1], jm, group))
         # Coefficient of J_a^t, summed over per-species degree splits of t.
         factor: dict[int, object] = {}
         for split in multidegrees((cap,) * len(variables)):
@@ -310,7 +305,7 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
                 scalar = scalar * term(var_index, power, coeff_lists[var_index][power])
             for g, c in jm_powers[t].items():
                 factor[g] = factor.get(g, 0) + scalar * c
-        product = algebra_mul(product, factor, group)
+        product = sn.algebra_mul(product, factor, group)
 
     tbl = character_table(n)
     lam_index = tbl.index(lam)
@@ -327,7 +322,7 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
         values = map(Fraction, coeffs, denominators)
         eigenvalue = eigenvalue * sum(term(var_index, m, c) for m, c in enumerate(values))
 
-    left = algebra_mul(product, idempotent, group)
+    left = sn.algebra_mul(product, idempotent, group)
     right = {g: eigenvalue * c for g, c in idempotent.items()}
     right = {g: v for g, v in right.items() if v}
     if set(left) != set(right):

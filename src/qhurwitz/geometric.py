@@ -61,7 +61,7 @@ quantum_hurwitz_number is the one-species call.  The leg reads only
 character_table (whose conjugate_pairs come from partitions.conjugate) and
 qweights.level_factor, whose denominators give D_t: it uses neither the
 contents, the content coefficients with their integer weights nor the
-spectral kernel characters.spectral_sum of the other two legs.  Its
+spectral kernel spectral.spectral_sum of the other two legs.  Its
 agreement with the tau leg is then the theorem that the level sums of the
 colength weights are the e-expansion of the content product.
 
@@ -79,12 +79,12 @@ from functools import lru_cache
 from math import ceil, factorial, lcm, prod
 from operator import mul
 
+from . import sn
 from .characters import character_table
 from .errors import CapacityError
 from .partitions import Partition, check_partition, colength
 from .qweights import Species, WeightConfig, level_factor
 from .series import Immutable, TruncatedSeries
-from .sn import symmetric_group
 
 #: Largest _geometric_cost a geometric sum may have.
 GEOMETRIC_COST_LIMIT = 10**6
@@ -141,7 +141,7 @@ def enumerate_factorizations(config: BranchConfiguration) -> int:
     b is determined by the rest, so only (g_1, ..., g_k, a) is enumerated.
     symmetric_group refuses n past GROUP_LIMIT with CapacityError.
     """
-    group = symmetric_group(sum(config.mu))
+    group = sn.symmetric_group(sum(config.mu))
     table = group.table
     type_of = group.type_of
     nu = config.nu

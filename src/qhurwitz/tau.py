@@ -9,7 +9,7 @@ product
 where G_s is the weight generating function of the s-th species and u_s its
 expansion variable.  No symmetric function indeterminates are ever
 materialized: the tau function "is" its power sum coefficient table, which
-the spectral layer of ``characters``, shared with the combinatorial
+the spectral layer (``spectral``), shared with the combinatorial
 pipeline, assembles from the per-species content lists:
 
     entry(degrees, mu, nu) =
@@ -37,9 +37,14 @@ import itertools
 from fractions import Fraction
 from math import prod
 
-from .characters import (
+from . import combinatorial, geometric
+from .characters import character_table
+from .errors import CapacityError
+from .partitions import Partition, check_partition, format_partition
+from .qweights import WeightConfig, multidegrees
+from .series import Immutable, TruncatedSeries, format_rational
+from .spectral import (
     SPECTRAL_COST_LIMIT,
-    character_table,
     check_shift,
     check_spectral_cost,
     content_eigenvalues,
@@ -47,12 +52,6 @@ from .characters import (
     spectral_sum,
     species_content_coeffs,
 )
-from .combinatorial import multispecies_transfer_matrices
-from .errors import CapacityError
-from .geometric import GEOMETRIC_COST_LIMIT, _geometric_cost, multispecies_hurwitz_matrices
-from .partitions import Partition, check_partition, format_partition
-from .qweights import WeightConfig, multidegrees
-from .series import Immutable, TruncatedSeries, format_rational
 
 
 def content_product_coeffs(
@@ -174,16 +173,16 @@ def check_triangle_bounds(
     """
     blocks = prod(m + 1 for m in maxdeg)
     ranges = [range(m + 1) for m in maxdeg]
-    geometric = spectral = 0
+    geometric_total = spectral_total = 0
     for n in range(config.n if first_n is None else first_n, config.n + 1):
         suite_config = WeightConfig(config.species, n)
-        geometric += _geometric_cost(suite_config, ranges)
-        spectral += 2 * spectral_cost(suite_config, maxdeg, blocks)
-        if geometric > GEOMETRIC_COST_LIMIT or spectral > SPECTRAL_COST_LIMIT:
+        geometric_total += geometric._geometric_cost(suite_config, ranges)
+        spectral_total += 2 * spectral_cost(suite_config, maxdeg, blocks)
+        if geometric_total > geometric.GEOMETRIC_COST_LIMIT or spectral_total > SPECTRAL_COST_LIMIT:
             raise CapacityError(
-                f"triangle suite costs at least {geometric} (walk steps and matrix terms "
-                f"scaled by weight bits) and {spectral} (kernel products), over the limit of "
-                f"{GEOMETRIC_COST_LIMIT} or {SPECTRAL_COST_LIMIT}"
+                f"triangle suite costs at least {geometric_total} (walk steps and matrix terms "
+                f"scaled by weight bits) and {spectral_total} (kernel products), over the limit of "
+                f"{geometric.GEOMETRIC_COST_LIMIT} or {SPECTRAL_COST_LIMIT}"
             )
 
 
@@ -206,11 +205,11 @@ def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleRe
     check_triangle_bounds(config, maxdeg)
     table = tau_coefficients(config, maxdeg)
     parts = character_table(config.n).partitions
-    combinatorial = multispecies_transfer_matrices(config, maxdeg)
-    geometric = multispecies_hurwitz_matrices(config, maxdeg)
+    comb_matrices = combinatorial.multispecies_transfer_matrices(config, maxdeg)
+    geom_matrices = geometric.multispecies_hurwitz_matrices(config, maxdeg)
     discrepancies = []
     for degrees, tau_rows in table.matrices.items():
-        legs = zip(parts, geometric[degrees], combinatorial[degrees].rows, tau_rows, strict=True)
+        legs = zip(parts, geom_matrices[degrees], comb_matrices[degrees].rows, tau_rows, strict=True)
         for mu, geom_row, comb_row, tau_row in legs:
             if geom_row == comb_row == tau_row:
                 continue

@@ -18,7 +18,8 @@ from qhurwitz import (
     enumerate_partitions,
     species_content_coeffs,
 )
-from qhurwitz.characters import TABLE_LIMIT, content_eigenvalues, spectral_sum
+from qhurwitz.characters import TABLE_LIMIT
+from qhurwitz.spectral import content_eigenvalues, spectral_sum
 
 TABLE_SIZES = range(1, TABLE_LIMIT + 1)
 

@@ -16,8 +16,9 @@ import qhurwitz.geometric
 import qhurwitz.partitions
 import qhurwitz.tau
 from qhurwitz import WeightConfig, enumerate_partitions, format_partition, tau_coefficients
-from qhurwitz.cli import _parse_degree_blocks, _parse_species_list, format_rational, main
+from qhurwitz.cli import _parse_degree_blocks, _parse_species_list, main
 from qhurwitz.qweights import multidegrees
+from qhurwitz.series import format_rational
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = json.loads((ROOT / "bench" / "pins.json").read_text())
@@ -404,7 +405,7 @@ class TestTauFilters:
         def refuse(*args, **kwargs):
             raise AssertionError("the table was built")
 
-        monkeypatch.setattr(qhurwitz.cli, "tau_coefficients", refuse)
+        monkeypatch.setattr(qhurwitz.tau, "tau_coefficients", refuse)
         code = main(["compute", "tau", "--n", "3", "--species", "E':q=999/1000", "--maxdeg", "66", flag, value])
         assert code == 2
         captured = capsys.readouterr()
@@ -459,7 +460,7 @@ class TestVerify:
             matrix = ((3,) * size,) * size
             return {degrees: matrix for degrees in multidegrees(maxdeg)}
 
-        monkeypatch.setattr(qhurwitz.tau, "multispecies_hurwitz_matrices", threes)
+        monkeypatch.setattr(qhurwitz.geometric, "multispecies_hurwitz_matrices", threes)
         code, out = run_cli(
             capsys, "verify", "triangle", "--n-max", "3", "--deg-max", "1",
             "--species", "H:q=1/2",
@@ -532,7 +533,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("verify_triangle called for a refused suite")
 
-        monkeypatch.setattr(qhurwitz.cli, "verify_triangle", refuse)
+        monkeypatch.setattr(qhurwitz.tau, "verify_triangle", refuse)
         argv = ["verify", "triangle", "--n-max", "5", "--deg-max", deg_max]
         for text in species:
             argv += ["--species", text]

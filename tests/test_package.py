@@ -1,6 +1,7 @@
-"""The package's public names, the import boundaries between its pipelines, and what a cold request imports."""
+"""The package's public names, the import boundaries between its pipelines, and what a cold request runs."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -14,11 +15,14 @@ import qhurwitz
 SOURCES = Path(qhurwitz.__file__).resolve().parent
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCES.glob("*.py"))}
 
-#: Sibling modules a pipeline module may not import from.  The package root
+#: Sibling modules a layer module may not import from.  The package root
 #: re-exports every pipeline, so importing from it crosses every boundary.
+#: The geometric leg stays clear of the spectral layer the other two share,
+#: and the character tables of the spectral layer and the weights.
 FORBIDDEN = {
     "combinatorial": {"tau", "geometric", "__init__"},
-    "geometric": {"tau", "combinatorial", "__init__"},
+    "geometric": {"tau", "combinatorial", "spectral", "__init__"},
+    "characters": {"spectral", "qweights", "series", "__init__"},
 }
 
 #: The one name the geometric pipeline reads from characters: not the spectral
@@ -27,10 +31,12 @@ GEOMETRIC_FROM_CHARACTERS = {"character_table"}
 
 
 def test_all_names_exactly_the_public_attributes():
+    # The root reads its public names from their modules on access, so the
+    # names are dir()'s, and each must resolve.
     public = {
         name
-        for name, value in vars(qhurwitz).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(qhurwitz)
+        if not name.startswith("_") and not isinstance(getattr(qhurwitz, name), types.ModuleType)
     }
     assert len(qhurwitz.__all__) == len(set(qhurwitz.__all__))
     assert set(qhurwitz.__all__) == public
@@ -75,7 +81,7 @@ def test_no_import_inside_a_function(module):
 @pytest.mark.parametrize("module", sorted(FORBIDDEN))
 def test_pipeline_imports_no_other_pipeline(module):
     imported = package_imports(MODULES[module])
-    assert "characters" in imported, "the import walk found no sibling import"
+    assert "partitions" in imported, "the import walk found no sibling import"
     crossing = sorted(set(imported) & FORBIDDEN[module])
     assert crossing == [], f"{module}.py imports from {crossing}"
 
@@ -103,19 +109,55 @@ def test_no_dataclasses_import(module):
     assert "dataclasses" not in absolute_imports(MODULES[module])
 
 
-def test_cold_request_loads_neither_dataclasses_nor_inspect():
-    # A fresh interpreter without site, as close to a bare CLI request as a
-    # test gets: import the CLI and serve the smallest request.  The CLI
-    # writes its CSV text itself, so csv is not loaded either.
-    script = (
-        "import sys\n"
-        "import qhurwitz.cli\n"
-        "qhurwitz.cli.main(['chartable', '--n', '1'])\n"
-        "print(sorted({'csv', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
-    )
+#: Run a CLI request in this interpreter, then print one JSON line: its exit
+#: code, the modules loaded and the modules that ran.  A module registered
+#: lazily has run once its type is ModuleType again; reading any attribute of
+#: it would run it, so only its type is read.
+COLD_REQUEST = """
+import json, sys, types
+import qhurwitz.cli
+code = qhurwitz.cli.main(sys.argv[1:])
+loaded = sorted(sys.modules)
+ran = [name for name in loaded if type(sys.modules[name]) is types.ModuleType]
+print(json.dumps({"code": code, "loaded": loaded, "ran": ran}))
+"""
+
+
+def cold_request(argv: str) -> tuple[set, set]:
+    """(loaded, ran): the modules of one request in a fresh interpreter without site.
+
+    Without site, this is as close to a bare CLI request as a test gets.
+    """
     env = dict(os.environ, PYTHONPATH=str(SOURCES.parent))
     result = subprocess.run(
-        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", COLD_REQUEST, *argv.split()],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    document = json.loads(result.stdout.splitlines()[-1])
+    assert document["code"] == 0
+    return set(document["loaded"]), set(document["ran"])
+
+
+def test_cold_request_loads_neither_dataclasses_nor_inspect():
+    # The CLI writes its CSV text itself, so csv is not loaded either.  The
+    # smallest request runs only the character tables and what they need.
+    loaded, ran = cold_request("chartable --n 1")
+    assert not {"csv", "dataclasses", "inspect"} & loaded
+    layers = {f"qhurwitz.{module}" for module in MODULES} - {"qhurwitz.__init__", "qhurwitz.__main__"}
+    assert layers <= loaded, "every layer module is registered by import qhurwitz"
+    own = {"qhurwitz", "qhurwitz.cli", "qhurwitz.errors", "qhurwitz.partitions", "qhurwitz.characters"}
+    assert {name for name in ran if name.partition(".")[0] == "qhurwitz"} <= own
+    assert not {"fractions", "decimal"} & loaded
+
+
+@pytest.mark.parametrize("argv, idle", [
+    ("compute tau --n 4 --species H:q=1/2 --maxdeg 2", {"geometric", "combinatorial", "sn"}),
+    (
+        "compute geometric --n 4 --mu 2,2 --nu 4 --species H:q=1/2 --degrees 2",
+        {"spectral", "combinatorial", "tau", "sn"},
+    ),
+], ids=["tau", "geometric"])
+def test_a_leg_runs_no_other_leg(argv, idle):
+    _, ran = cold_request(argv)
+    assert not {f"qhurwitz.{module}" for module in idle} & ran

@@ -5,8 +5,9 @@ from math import prod
 
 import pytest
 
-import qhurwitz.characters as characters_module
 import qhurwitz.combinatorial as combinatorial_module
+import qhurwitz.geometric as geometric_module
+import qhurwitz.spectral as spectral_module
 import qhurwitz.tau as tau_module
 from qhurwitz import (
     CapacityError,
@@ -192,13 +193,13 @@ class TestConjugateContentLists:
 
     def test_a_conjugate_after_its_shape_makes_no_product(self, monkeypatch):
         calls = []
-        original = characters_module._gaussian_mul
+        original = spectral_module._gaussian_mul
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(characters_module, "_gaussian_mul", counting)
+        monkeypatch.setattr(spectral_module, "_gaussian_mul", counting)
         species = Species("E'", Fraction(999, 1000))
         for lam in enumerate_partitions(8):
             calls.clear()
@@ -216,7 +217,7 @@ class TestIntegerContentProducts:
     @pytest.mark.parametrize("q", INTEGER_PARAMETERS)
     def test_weight_times_denominator_is_an_integer(self, family, q):
         weights = weight_coefficients(family, q, 12)
-        numerators, denominators = characters_module._integer_weights(q, weights)
+        numerators, denominators = spectral_module._integer_weights(q, weights)
         assert denominators == euler_product_denominators(q, 12)
         assert all(type(p) is int and p > 0 for p in denominators)
         assert all(type(v) is int for v in numerators)
@@ -224,13 +225,13 @@ class TestIntegerContentProducts:
 
     def test_non_integer_numerator_raises(self):
         with pytest.raises(ArithmeticError, match="weight 1"):
-            characters_module._integer_weights(HALF, [Fraction(1), Fraction(1, 3)])
+            spectral_module._integer_weights(HALF, [Fraction(1), Fraction(1, 3)])
 
     @pytest.mark.parametrize("q", INTEGER_PARAMETERS)
     def test_gaussian_binomials_are_the_denominator_quotients(self, q):
         maxdeg = 12
         denominators = euler_product_denominators(q, maxdeg)
-        rows = characters_module._gaussian_binomials(q, maxdeg)
+        rows = spectral_module._gaussian_binomials(q, maxdeg)
         assert [len(row) for row in rows] == list(range(1, maxdeg + 2))
         for t, row in enumerate(rows):
             for i, value in enumerate(row):
@@ -278,7 +279,7 @@ class TestIntegerForm:
         tables = [content_product_coeffs(config, lam, (4, 4)) for lam in parts]
         euler = [euler_product_denominators(s.parameter, 4) for s in config.species]
         for degrees in itertools.product(range(5), range(5)):
-            numerators, denominator = characters_module.content_eigenvalues(lists, degrees)
+            numerators, denominator = spectral_module.content_eigenvalues(lists, degrees)
             assert type(denominator) is int
             assert denominator == euler[0][degrees[0]] * euler[1][degrees[1]]
             assert all(type(c) is int for c in numerators)
@@ -293,7 +294,7 @@ class TestIntegerForm:
 
         def capturing(table, blocks):
             seen.extend(blocks)
-            return characters_module.spectral_sum(table, blocks)
+            return spectral_module.spectral_sum(table, blocks)
 
         monkeypatch.setattr(module, "spectral_sum", capturing)
         config = WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=5)
@@ -488,7 +489,7 @@ class TestVerifyTriangle:
         parts = character_table(4).partitions
         honest = verify_triangle(config, (2, 2))
         assert honest.ok
-        original = tau_module.multispecies_hurwitz_matrices
+        original = geometric_module.multispecies_hurwitz_matrices
 
         def perturbed(config, maxdeg):
             matrices = original(config, maxdeg)
@@ -497,7 +498,7 @@ class TestVerifyTriangle:
             matrices[(1, 2)] = tuple(map(tuple, rows))
             return matrices
 
-        monkeypatch.setattr(tau_module, "multispecies_hurwitz_matrices", perturbed)
+        monkeypatch.setattr(geometric_module, "multispecies_hurwitz_matrices", perturbed)
         report = verify_triangle(config, (2, 2))
         assert report.checked == honest.checked == 9 * len(parts) ** 2
         [discrepancy] = report.discrepancies
@@ -555,7 +556,7 @@ class TestTriangleSuiteCost:
         geometric = spectral = 0
         for n in range(2, 6):
             config = suite_config(texts, n)
-            geometric += tau_module._geometric_cost(config, [range(4), range(4)])
+            geometric += geometric_module._geometric_cost(config, [range(4), range(4)])
             spectral += 2 * tau_module.spectral_cost(config, maxdeg, 16)
         assert (geometric, spectral) == (2729, 52792)
 
@@ -682,9 +683,9 @@ class TestOneContentPassPerSpecies:
 
             return wrapper
 
-        weights = counting("weight_coefficients", characters_module.weight_coefficients)
+        weights = counting("weight_coefficients", spectral_module.weight_coefficients)
         content = counting("species_content_coeffs", tau_module.species_content_coeffs)
-        monkeypatch.setattr(characters_module, "weight_coefficients", weights)
+        monkeypatch.setattr(spectral_module, "weight_coefficients", weights)
         monkeypatch.setattr(tau_module, "species_content_coeffs", content)
         monkeypatch.setattr(combinatorial_module, "species_content_coeffs", content)
         return calls
