@@ -18,7 +18,8 @@ Importing the package registers every layer module in ``sys.modules`` through
 ``importlib.util.LazyLoader`` and runs none of them: a module compiles and
 runs on the first access to one of its attributes.  The public names are read
 from their modules on access (PEP 562), so a request runs only the modules
-its command calls into.
+its command calls into.  Rational mode, which is every CLI request, reads
+its scalar helpers from ``scalars`` and never runs ``series``.
 """
 
 import importlib.util
@@ -40,7 +41,8 @@ _EXPORTS = {
         "parse_partition",
         "partition_count",
     ),
-    "series": ("TruncatedSeries", "poly_exp", "poly_mul", "reciprocal"),
+    "scalars": ("reciprocal",),
+    "series": ("TruncatedSeries", "poly_exp", "poly_mul"),
     "qweights": (
         "FAMILIES",
         "Species",
@@ -59,6 +61,7 @@ _EXPORTS = {
         "TransferMatrix",
         "combinatorial_hurwitz_number",
         "jucys_murphy_eigenvalue_check",
+        "multispecies_hurwitz_entry",
         "multispecies_transfer_matrix",
         "path_counts",
         "signature_of",
@@ -73,7 +76,14 @@ _EXPORTS = {
         "multispecies_hurwitz_number",
         "quantum_hurwitz_number",
     ),
-    "tau": ("HurwitzTable", "TriangleReport", "content_product_coeffs", "tau_coefficients", "verify_triangle"),
+    "tau": (
+        "HurwitzTable",
+        "TriangleReport",
+        "content_product_coeffs",
+        "tau_coefficients",
+        "tau_row",
+        "verify_triangle",
+    ),
 }
 
 #: Public name -> the layer module that defines it.

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 
-from . import combinatorial, geometric, qweights, series, tau
+from . import combinatorial, geometric, qweights, scalars, tau
 from .characters import character_table
 from .errors import CapacityError, PoleError
 from .partitions import format_partition, parse_partition
@@ -77,6 +76,9 @@ def _partition_arg(text: str, n: int, name: str):
 
 
 def _emit_json(document) -> None:
+    # Imported here: compute tau and CSV chartables write their text without it.
+    import json
+
     sys.stdout.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
@@ -89,35 +91,37 @@ def _csv_field(text: str) -> str:
     return f'"{text}"' if "," in text else text
 
 
-def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
-    """Write the table's records to stdout in one write, in multidegree, then mu, then nu order.
+def _matrix_texts(matrices) -> list[str]:
+    """The value texts of whole symmetric matrices, in matrix, then row, then column order.
 
-    Each order is canonical, and mu and nu index the rows and columns of
-    each matrix of table.matrices.  A record is the head text of its
-    (multidegree, mu), the tail text of its nu and its value, so the
-    document is one join over precomputed texts.  An unfiltered table
-    formats each matrix's upper triangle once, straight from its rows.  The
-    JSON text is json.dumps(records, indent=2, sort_keys=True) of the scalar
-    records: the keys are fixed, and every string is a partition label or
-    "a/b" text, which JSON never escapes.  The CSV text is csv.writer's, with
-    a newline as line terminator.
+    Each upper-triangle value is formatted once, from its row: row i takes
+    its first i texts from column i of the rows above it.
     """
-    tbl = character_table(table.n)
+    texts = []
+    for rows in matrices:
+        above = []
+        for i, row in enumerate(rows):
+            above.append([done[i] for done in above] + list(map(scalars.format_rational, row[i:])))
+        texts += itertools.chain.from_iterable(above)
+    return texts
+
+
+def _write_tau_table(n: int, blocks: list, mu_filter, nu_filter, texts: list[str], fmt: str) -> None:
+    """Write the records of a tau table to stdout in one write, in multidegree, then mu, then nu order.
+
+    blocks lists the multidegrees and texts the value texts in that order,
+    over the partitions of n that the filters keep, each order canonical.
+    A record is the head text of its (multidegree, mu), the tail text of its
+    nu and its value, so the document is one join over precomputed texts.
+    The JSON text is json.dumps(records, indent=2, sort_keys=True) of the
+    scalar records: the keys are fixed, and every string is a partition
+    label or "a/b" text, which JSON never escapes.  The CSV text is
+    csv.writer's, with a newline as line terminator.
+    """
+    tbl = character_table(n)
     labels = list(map(format_partition, tbl.partitions))
     mus = range(len(labels)) if mu_filter is None else (tbl.index(mu_filter),)
     nus = range(len(labels)) if nu_filter is None else (tbl.index(nu_filter),)
-    blocks = list(table.matrices)
-    if mu_filter is None and nu_filter is None:
-        # Each upper-triangle value is formatted once, from its row: row i
-        # takes its first i texts from column i of the rows above it.
-        texts = []
-        for rows in table.matrices.values():
-            above = []
-            for i, row in enumerate(rows):
-                above.append([done[i] for done in above] + list(map(series.format_rational, row[i:])))
-            texts += itertools.chain.from_iterable(above)
-    else:
-        texts = [series.format_rational(rows[i][j]) for rows in table.matrices.values() for i in mus for j in nus]
     if fmt == "csv":
         degree_fields = [_csv_field(",".join(map(str, degrees))) for degrees in blocks]
         heads = [
@@ -130,7 +134,7 @@ def _write_tau_table(table, mu_filter, nu_filter, fmt: str) -> None:
         degree_lists = [",\n      ".join(map(str, degrees)) for degrees in blocks]
         heads = [
             f'  {{\n    "degrees": [\n      {degrees}\n    ],\n    "mu": "{labels[mu]}",\n'
-            f'    "n": {table.n},\n    "nu": "'
+            f'    "n": {n},\n    "nu": "'
             for degrees, mu in itertools.product(degree_lists, mus)
         ]
         tails = [f'{labels[nu]}",\n    "value": "' for nu in nus]
@@ -153,8 +157,16 @@ def _cmd_compute(args) -> int:
         maxdeg = _parse_degree_blocks(args.maxdeg, species)
         mu_filter = _partition_arg(args.mu, args.n, "mu") if args.mu is not None else None
         nu_filter = _partition_arg(args.nu, args.n, "nu") if args.nu is not None else None
-        table = tau.tau_coefficients(config, maxdeg, shift=args.N)
-        _write_tau_table(table, mu_filter, nu_filter, args.format)
+        if mu_filter is None and nu_filter is None:
+            blocks = tau.tau_coefficients(config, maxdeg, shift=args.N).matrices
+            texts = _matrix_texts(blocks.values())
+        else:
+            # One row, or one entry, per multidegree; the table is symmetric,
+            # so a --nu filter alone reads the row of nu.
+            first, second = (nu_filter, None) if mu_filter is None else (mu_filter, nu_filter)
+            blocks = tau.tau_row(config, maxdeg, first, second, shift=args.N)
+            texts = [scalars.format_rational(value) for row in blocks.values() for value in row]
+        _write_tau_table(args.n, list(blocks), mu_filter, nu_filter, texts, args.format)
         return 0
     mu = _partition_arg(args.mu, args.n, "mu")
     nu = _partition_arg(args.nu, args.n, "nu")
@@ -162,14 +174,14 @@ def _cmd_compute(args) -> int:
     if args.pipeline == "geometric":
         value = geometric.multispecies_hurwitz_number(config, degrees, mu, nu)
     else:
-        value = combinatorial.multispecies_transfer_matrix(config, degrees).hurwitz_entry(mu, nu)
+        value = combinatorial.multispecies_hurwitz_entry(config, degrees, mu, nu)
     _emit_json(
         {
             "n": args.n,
             "mu": format_partition(mu),
             "nu": format_partition(nu),
             "degrees": list(degrees),
-            "value": series.format_rational(value),
+            "value": scalars.format_rational(value),
         }
     )
     return 0
@@ -213,8 +225,8 @@ def _cmd_oracle(args) -> int:
             "paths": [
                 {
                     "signature": format_partition(lam),
-                    "m": series.format_rational(ordered),
-                    "m_tilde": series.format_rational(unrestricted),
+                    "m": scalars.format_rational(ordered),
+                    "m_tilde": scalars.format_rational(unrestricted),
                 }
                 for lam, (ordered, unrestricted) in counts.items()
             ],
@@ -236,64 +248,104 @@ def _cmd_chartable(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Refused(Exception):
+    """A usage error, or a help request, that a chain parser leaves to the full parser."""
+
+
+class _ChainParser(argparse.ArgumentParser):
+    """A parser whose usage errors raise _Refused instead of printing and exiting."""
+
+    def error(self, message):
+        raise _Refused(message)
+
+
+def build_parser(chain=None) -> argparse.ArgumentParser:
+    """The CLI's parser: every command, or only the subparser chain that ``chain`` names.
+
+    chain is the first words of an argv.  Its parser builds only the command
+    and subcommand named there, has no -h, and raises _Refused on any usage
+    error, so main can fall back to the full parser, whose help texts,
+    usage lines and exit 2 are the CLI's.  An argv that a chain parser
+    accepts parses as it does under the full parser: the two differ only in
+    the subparsers the chain leaves out and in -h, and no other option
+    starts with "-h" or "--h", so no abbreviation resolves differently.
+    """
+    if chain is None:
+        parser_class, options = argparse.ArgumentParser, {}
+    else:
+        parser_class, options = _ChainParser, {"add_help": False}
+
+    def wanted(name: str) -> bool:
+        return chain is None or name in chain
+
+    parser = parser_class(
         prog="qhurwitz",
         description="Exact quantum and multispecies weighted Hurwitz numbers.",
+        **options,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    compute = subparsers.add_parser("compute", help="compute Hurwitz numbers or tables")
-    compute_sub = compute.add_subparsers(dest="pipeline", required=True)
-    for pipeline in ("geometric", "combinatorial"):
-        sub = compute_sub.add_parser(pipeline, help=f"{pipeline} pipeline value")
-        sub.add_argument("--n", type=int, required=True)
-        sub.add_argument("--mu", required=True)
-        sub.add_argument("--nu", required=True)
-        sub.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
-        sub.add_argument("--degrees", required=True)
-        sub.set_defaults(func=_cmd_compute)
-    tau_sub = compute_sub.add_parser("tau", help="tau coefficient table")
-    tau_sub.add_argument("--n", type=int, required=True)
-    tau_sub.add_argument("--mu", default=None)
-    tau_sub.add_argument("--nu", default=None)
-    tau_sub.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
-    tau_sub.add_argument("--maxdeg", required=True)
-    tau_sub.add_argument("--N", type=int, default=0, help="content shift (0 for Hurwitz numbers)")
-    tau_sub.add_argument("--format", choices=("json", "csv"), default="json")
-    tau_sub.set_defaults(func=_cmd_compute)
+    if wanted("compute"):
+        compute = subparsers.add_parser("compute", help="compute Hurwitz numbers or tables", **options)
+        compute_sub = compute.add_subparsers(dest="pipeline", required=True)
+        for pipeline in filter(wanted, ("geometric", "combinatorial")):
+            sub = compute_sub.add_parser(pipeline, help=f"{pipeline} pipeline value", **options)
+            sub.add_argument("--n", type=int, required=True)
+            sub.add_argument("--mu", required=True)
+            sub.add_argument("--nu", required=True)
+            sub.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
+            sub.add_argument("--degrees", required=True)
+            sub.set_defaults(func=_cmd_compute)
+        if wanted("tau"):
+            tau_sub = compute_sub.add_parser("tau", help="tau coefficient table", **options)
+            tau_sub.add_argument("--n", type=int, required=True)
+            tau_sub.add_argument("--mu", default=None)
+            tau_sub.add_argument("--nu", default=None)
+            tau_sub.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
+            tau_sub.add_argument("--maxdeg", required=True)
+            tau_sub.add_argument("--N", type=int, default=0, help="content shift (0 for Hurwitz numbers)")
+            tau_sub.add_argument("--format", choices=("json", "csv"), default="json")
+            tau_sub.set_defaults(func=_cmd_compute)
 
-    verify = subparsers.add_parser("verify", help="run cross-pipeline verification")
-    verify_sub = verify.add_subparsers(dest="suite", required=True)
-    triangle = verify_sub.add_parser("triangle", help="three-pipeline equality suite")
-    triangle.add_argument("--n-max", type=int, required=True, dest="n_max")
-    triangle.add_argument("--deg-max", type=int, required=True, dest="deg_max")
-    triangle.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
-    triangle.set_defaults(func=_cmd_verify)
+    if wanted("verify"):
+        verify = subparsers.add_parser("verify", help="run cross-pipeline verification", **options)
+        verify_sub = verify.add_subparsers(dest="suite", required=True)
+        if wanted("triangle"):
+            triangle = verify_sub.add_parser("triangle", help="three-pipeline equality suite", **options)
+            triangle.add_argument("--n-max", type=int, required=True, dest="n_max")
+            triangle.add_argument("--deg-max", type=int, required=True, dest="deg_max")
+            triangle.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
+            triangle.set_defaults(func=_cmd_verify)
 
-    oracle = subparsers.add_parser("oracle", help="brute-force oracles")
-    oracle_sub = oracle.add_subparsers(dest="oracle_kind", required=True)
-    paths = oracle_sub.add_parser("paths", help="path counts by signature")
-    paths.add_argument("--n", type=int, required=True)
-    paths.add_argument("--d", type=int, required=True)
-    paths.add_argument("--mu", required=True)
-    paths.add_argument("--nu", required=True)
-    paths.set_defaults(func=_cmd_oracle)
+    if wanted("oracle"):
+        oracle = subparsers.add_parser("oracle", help="brute-force oracles", **options)
+        oracle_sub = oracle.add_subparsers(dest="oracle_kind", required=True)
+        if wanted("paths"):
+            paths = oracle_sub.add_parser("paths", help="path counts by signature", **options)
+            paths.add_argument("--n", type=int, required=True)
+            paths.add_argument("--d", type=int, required=True)
+            paths.add_argument("--mu", required=True)
+            paths.add_argument("--nu", required=True)
+            paths.set_defaults(func=_cmd_oracle)
 
-    chartable = subparsers.add_parser("chartable", help="exact character table")
-    chartable.add_argument("--n", type=int, required=True)
-    chartable.add_argument("--format", choices=("json", "csv"), default="json")
-    chartable.set_defaults(func=_cmd_chartable)
+    if wanted("chartable"):
+        chartable = subparsers.add_parser("chartable", help="exact character table", **options)
+        chartable.add_argument("--n", type=int, required=True)
+        chartable.add_argument("--format", choices=("json", "csv"), default="json")
+        chartable.set_defaults(func=_cmd_chartable)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args = build_parser(argv[:2]).parse_args(argv)
+    except _Refused:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except ValueError as exc:

@@ -27,7 +27,13 @@ with r_lam the content product, and the Hurwitz-normalized entry F^c/z_nu is
 the pipeline-comparison value.  ``spectral.spectral_sum`` sums that
 symmetric matrix, as in the tau pipeline, and a TransferMatrix holds it as
 returned; its class-basis entry multiplies by z_nu.  The matrices commute;
-multispecies counts multiply eigenvalues.
+multispecies counts multiply eigenvalues.  One entry, as a point request
+asks for it, is the entry form ``spectral.spectral_row``: one p(n)-term dot
+product per block instead of the whole matrix.
+
+The brute-force oracles run only ``sn`` and the character tables: the
+weights, the spectral layer and series mode are reached as module objects
+when a function calls into them.
 """
 
 from __future__ import annotations
@@ -38,13 +44,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from . import sn
+from . import qweights, series, sn, spectral
 from .characters import character_table
 from .errors import CapacityError
 from .partitions import Partition, _is_int, check_partition, enumerate_partitions
-from .qweights import Species, WeightConfig, multidegrees, weight_coefficients
-from .series import Immutable, TruncatedSeries
-from .spectral import check_spectral_cost, content_eigenvalues, spectral_sum, species_content_coeffs
+from .scalars import Immutable
 
 #: Brute-force path enumeration bounds ((n choose 2)^d sequences).
 PATH_LIMIT_N = 5
@@ -99,19 +103,27 @@ def _path_counts(
             f"path enumeration is limited to n <= {PATH_LIMIT_N}, d <= {PATH_LIMIT_D}"
         )
     group = sn.symmetric_group(n)
-    table = group.table
-    type_of = group.type_of
-    mu_class = group.classes[mu]
+    elements, index, type_of = group.elements, group.index, group.type_of
+    mu_class = [elements[h] for h in group.classes[mu]]
     steps = group.transpositions()
+    # Only the products the walk reads are formed, each once: a step from an
+    # element reached, and an element reached times the class of mu, whose
+    # hits depend on that element alone.  No multiplication table is built.
+    step: dict[tuple[int, int], int] = {}
+    hits_at: dict[int, int] = {}
     ordered_raw: dict[Partition, int] = {}
     all_raw: dict[Partition, int] = {}
     for seq in itertools.product(steps, repeat=d):
         signature, ordered = signature_of([(a, b) for a, b, _ in seq])
         acc = group.identity
         for _, _, idx in seq:
-            acc = table[acc][idx]
-        row = table[acc]
-        hits = sum(1 for h in mu_class if type_of[row[h]] == nu)
+            if (acc, idx) not in step:
+                step[acc, idx] = index[sn.compose(elements[acc], elements[idx])]
+            acc = step[acc, idx]
+        if acc not in hits_at:
+            g = elements[acc]
+            hits_at[acc] = sum(1 for h in mu_class if type_of[index[sn.compose(g, h)]] == nu)
+        hits = hits_at[acc]
         if not hits:
             continue
         all_raw[signature] = all_raw.get(signature, 0) + hits
@@ -170,16 +182,16 @@ class TransferMatrix(Immutable):
         return (self @ other).rows == (other @ self).rows
 
 
-def transfer_matrix(species: Species, degree: int, n: int) -> TransferMatrix:
+def transfer_matrix(species: qweights.Species, degree: int, n: int) -> TransferMatrix:
     """Matrix of the degree-``degree`` part of the species' central element.
 
     Entries are sum_lam [u^degree] r_lam * chi_lam(mu) chi_lam(nu) / z_mu;
     degree 0 is the identity matrix.
     """
-    return multispecies_transfer_matrix(WeightConfig((species,), n), (degree,))
+    return multispecies_transfer_matrix(qweights.WeightConfig((species,), n), (degree,))
 
 
-def multispecies_transfer_matrix(config: WeightConfig, degrees: tuple[int, ...]) -> TransferMatrix:
+def multispecies_transfer_matrix(config: qweights.WeightConfig, degrees: tuple[int, ...]) -> TransferMatrix:
     """Product of the per-species transfer matrices at the given degrees.
 
     One spectral_sum over the products of the per-species eigenvalues equals
@@ -189,34 +201,48 @@ def multispecies_transfer_matrix(config: WeightConfig, degrees: tuple[int, ...])
     return _transfer_matrices(config, degrees, [degrees])[degrees]
 
 
-def multispecies_transfer_matrices(config: WeightConfig, maxdeg: tuple[int, ...]) -> dict:
+def multispecies_transfer_matrices(config: qweights.WeightConfig, maxdeg: tuple[int, ...]) -> dict:
     """{degrees: multispecies_transfer_matrix(config, degrees)} for every multidegree up to maxdeg.
 
     Each species' content lists are built once, at its maxdeg: the list of a
     lower degree is a prefix of that one.
     """
     maxdeg = config.degrees(maxdeg)
-    return _transfer_matrices(config, maxdeg, list(multidegrees(maxdeg)))
+    return _transfer_matrices(config, maxdeg)
 
 
-def _transfer_matrices(config: WeightConfig, maxdeg: tuple[int, ...], degree_list: list) -> dict:
-    """One TransferMatrix per multidegree of degree_list, from content lists built at maxdeg.
+def _transfer_matrices(config: qweights.WeightConfig, maxdeg: tuple[int, ...], degree_list=None) -> dict:
+    """One TransferMatrix per multidegree of degree_list (every one up to maxdeg by default).
 
-    The table of n is fetched, and the matrices admitted by one
-    spectral_cost, before any content list; one spectral_sum makes them all.
+    The matrices are admitted by one spectral_cost before any content list
+    (spectral.eigenvalue_blocks); one spectral_sum makes them all.
     """
-    tbl = character_table(config.n)
-    check_spectral_cost(config, maxdeg, len(degree_list))
-    lists = [species_content_coeffs(s, tbl.partitions, m) for s, m in zip(config.species, maxdeg)]
-    matrices = spectral_sum(tbl, [content_eigenvalues(lists, degrees) for degrees in degree_list])
+    tbl, degree_list, blocks = spectral.eigenvalue_blocks(config, maxdeg, degree_list=degree_list)
+    matrices = spectral.spectral_sum(tbl, blocks)
     return {
         degrees: TransferMatrix(n=config.n, rows=rows) for degrees, rows in zip(degree_list, matrices)
     }
 
 
+def multispecies_hurwitz_entry(
+    config: qweights.WeightConfig, degrees: tuple[int, ...], mu: Partition, nu: Partition
+):
+    """multispecies_transfer_matrix(config, degrees).hurwitz_entry(mu, nu), by the entry form.
+
+    The entry is one p(n)-term dot product (spectral.spectral_row), not a
+    matrix, and it is admitted by the same spectral_cost as that matrix, so
+    a request is refused exactly where the matrix would be.  mu and nu are
+    partitions of n (anything else raises ValueError after admission).
+    """
+    degrees = config.degrees(degrees)
+    tbl, _, blocks = spectral.eigenvalue_blocks(config, degrees, degree_list=[degrees])
+    [[value]] = spectral.spectral_row(tbl, blocks, tbl.index(mu), [tbl.index(nu)])
+    return value
+
+
 def _single_species_request(family: str, q, mu: Partition, nu: Partition):
     """(species, mu, nu) of a one-species path count, validated the same for both counts."""
-    species = Species(family=family, parameter=q)
+    species = qweights.Species(family=family, parameter=q)
     mu = check_partition(mu)
     nu = check_partition(nu)
     if sum(mu) != sum(nu):
@@ -227,11 +253,11 @@ def _single_species_request(family: str, q, mu: Partition, nu: Partition):
 def combinatorial_hurwitz_number(family: str, q, d: int, mu: Partition, nu: Partition):
     """Weighted path count from class mu to class nu with d steps.
 
-    The Hurwitz-normalized transfer matrix entry; weighted_path_count is its
-    brute-force oracle.
+    The Hurwitz-normalized transfer matrix entry, by the entry form;
+    weighted_path_count is its brute-force oracle.
     """
     species, mu, nu = _single_species_request(family, q, mu, nu)
-    return transfer_matrix(species, d, sum(mu)).hurwitz_entry(mu, nu)
+    return multispecies_hurwitz_entry(qweights.WeightConfig((species,), sum(mu)), (d,), mu, nu)
 
 
 def weighted_path_count(family: str, q, d: int, mu: Partition, nu: Partition):
@@ -243,7 +269,7 @@ def weighted_path_count(family: str, q, d: int, mu: Partition, nu: Partition):
     """
     species, mu, nu = _single_species_request(family, q, mu, nu)
     counts = path_counts(sum(mu), d, mu, nu)
-    weights = weight_coefficients(species.family, species.parameter, d)
+    weights = qweights.weight_coefficients(species.family, species.parameter, d)
     total = 0
     for lam, (_, unrestricted) in counts.items():
         if not unrestricted:
@@ -255,7 +281,7 @@ def weighted_path_count(family: str, q, d: int, mu: Partition, nu: Partition):
     return total * Fraction(1, factorial(d))
 
 
-def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degree: int) -> bool:
+def jucys_murphy_eigenvalue_check(config: qweights.WeightConfig, lam: Partition, max_degree: int) -> bool:
     """Check the central element acts on the shape-lam idempotent by its content product.
 
     Builds prod_a G(params, J_a * slot variables) explicitly in the group
@@ -280,14 +306,14 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
     cap = max_degree
     group = sn.symmetric_group(n)
 
-    def term(var_index: int, power: int, coeff) -> TruncatedSeries:
+    def term(var_index: int, power: int, coeff) -> series.TruncatedSeries:
         """coeff * u^power in the variable of species var_index."""
         expo = tuple(power if i == var_index else 0 for i in range(len(variables)))
-        return TruncatedSeries(variables, cap, {expo: coeff})
+        return series.TruncatedSeries(variables, cap, {expo: coeff})
 
-    coeff_lists = [weight_coefficients(s.family, s.parameter, cap) for s in config.species]
+    coeff_lists = [qweights.weight_coefficients(s.family, s.parameter, cap) for s in config.species]
 
-    one = TruncatedSeries.one(variables, cap)
+    one = series.TruncatedSeries.one(variables, cap)
     product: dict[int, object] = {group.identity: one}
     for a in range(2, n + 1):
         jm = {group.transposition(b, a): Fraction(1) for b in range(1, a)}
@@ -296,7 +322,7 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
             jm_powers.append(sn.algebra_mul(jm_powers[-1], jm, group))
         # Coefficient of J_a^t, summed over per-species degree splits of t.
         factor: dict[int, object] = {}
-        for split in multidegrees((cap,) * len(variables)):
+        for split in qweights.multidegrees((cap,) * len(variables)):
             t = sum(split)
             if t > cap:
                 continue
@@ -318,7 +344,7 @@ def jucys_murphy_eigenvalue_check(config: WeightConfig, lam: Partition, max_degr
 
     eigenvalue = one
     for var_index, species in enumerate(config.species):
-        [coeffs], denominators = species_content_coeffs(species, [lam], cap)
+        [coeffs], denominators = spectral.species_content_coeffs(species, [lam], cap)
         values = map(Fraction, coeffs, denominators)
         eigenvalue = eigenvalue * sum(term(var_index, m, c) for m, c in enumerate(values))
 

@@ -76,15 +76,15 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial, lcm, prod
+from math import factorial, lcm, prod
 from operator import mul
 
-from . import sn
+from . import series, sn
 from .characters import character_table
 from .errors import CapacityError
 from .partitions import Partition, check_partition, colength
 from .qweights import Species, WeightConfig, level_factor
-from .series import Immutable, TruncatedSeries
+from .scalars import RATIONAL, Immutable
 
 #: Largest _geometric_cost a geometric sum may have.
 GEOMETRIC_COST_LIMIT = 10**6
@@ -219,15 +219,21 @@ def _geometric_cost(config: WeightConfig, degrees: list, entry: bool = False) ->
     if bits > GEOMETRIC_COST_LIMIT:
         return bits
     p = len(character_table(n).partitions)
-    walk = x = variance = 0
+    # The sum is taken in integers over unit^2, unit = 2^13 times the lcm of
+    # the species' degree counts, which every mean and variance divides, and
+    # its ceiling is one floor division.
+    common = lcm(*map(len, degrees))
+    unit = 2**13 * common
+    walk = x = variance = 0  # over 2^24, unit and unit^2
     for species, ds in zip(config.species, degrees):
-        levels = [Fraction(species.bits * d * d, 2**13) for d in ds]
-        top, mean = max(levels), sum(levels) / len(levels)
-        walk += p * ds[-1] * ((n - 1) * (1 + top) + (n - 2) * top * Fraction(species.bits * ds[-1], 2**11))
-        x += mean
-        variance += sum(v * v for v in levels) / len(levels) - mean * mean
+        levels = [species.bits * d * d for d in ds]
+        top, total, scale = max(levels), sum(levels), common // len(ds)
+        walk += p * ds[-1] * ((n - 1) * (2**24 + 2**11 * top) + (n - 2) * top * species.bits * ds[-1])
+        x += scale * total
+        variance += scale * scale * (len(ds) * sum(v * v for v in levels) - total * total)
     rows, pairs = (1, 2) if entry else (p, p * (p + 1) // 2)
-    return ceil(walk + prod(map(len, degrees)) * ((p * rows + 16) * (1 + x) + 16 * pairs * (x * x + variance)))
+    matrices = (p * rows + 16) * (unit + x) * unit + 16 * pairs * (x * x + variance)
+    return -(-(4 * common * common * walk + prod(map(len, degrees)) * matrices) // (unit * unit))
 
 
 def _colength_characters(tbl) -> list[list[int]]:
@@ -269,7 +275,7 @@ def _species_eigenvalues(species: Species, degrees, classes: list[list[int]], sh
     family, q = species.family, species.parameter
     sign = -1 if family == "H" else 1
     steps = [[sign ** (c + 1) * row[i] for i in shapes] for c, row in enumerate(classes) if c]
-    window = [[q**0 if isinstance(q, TruncatedSeries) else 1] * len(shapes)]
+    window = [[1 if isinstance(q, RATIONAL) else q**0] * len(shapes)]
     denominator = 1
     values = {t: ([0] * len(shapes), 1) if t else (window[0], 1) for t in degrees}
     top = max(degrees) if steps else 0
@@ -301,10 +307,10 @@ def _character_sums(tbl, eigenvalues: tuple, degree: int, pairs) -> dict:
     output entry, none per eigenvalue.
     """
     numerators, denominator = eigenvalues
-    series = next((g for g in numerators if isinstance(g, TruncatedSeries)), None)
+    first = next((g for g in numerators if not isinstance(g, RATIONAL)), None)
     monomials: dict[tuple, list] = {}
     for k, g in enumerate(numerators):
-        for expo, value in g.coeffs.items() if isinstance(g, TruncatedSeries) else [((), g)]:
+        for expo, value in [((), g)] if isinstance(g, RATIONAL) else g.coeffs.items():
             monomials.setdefault(expo, [0] * len(numerators))[k] = value
     columns = list(zip(*(tbl.values[k] for k, _ in tbl.conjugate_pairs)))
     twice = [1 + (k != c) for k, c in tbl.conjugate_pairs]
@@ -319,10 +325,10 @@ def _character_sums(tbl, eigenvalues: tuple, degree: int, pairs) -> dict:
         weighted = {i: list(map(mul, weights, columns[i])) for i in rows}
         for i, j in live:
             sums[i, j][expo] = Fraction(sum(map(mul, weighted[i], columns[j])), scale * denominator * z[i] * z[j])
-    if series is None:
+    if first is None:
         zero = Fraction(0)
         return {pair: terms.get((), zero) for pair, terms in sums.items()}
-    return {pair: TruncatedSeries(series.vars, series.cap, terms) for pair, terms in sums.items()}
+    return {pair: series.TruncatedSeries(first.vars, first.cap, terms) for pair, terms in sums.items()}
 
 
 def _check_cost(cost: int) -> None:

@@ -53,8 +53,9 @@ import sys
 from fractions import Fraction
 from math import factorial
 
+from . import series
 from .partitions import _is_int
-from .series import Immutable, TruncatedSeries, poly_mul, reciprocal
+from .scalars import RATIONAL, Immutable, reciprocal
 
 #: Weight generating function families usable as branch-point species.
 FAMILIES = ("E", "E'", "H")
@@ -103,7 +104,7 @@ class Species(Immutable):
                 bits = parameter.numerator.bit_length()
                 text = parameter if bits <= 1000 else f"a rational of {bits} bits"
                 raise ValueError(f"rational parameter must lie in (-1, 1): {text}")
-        elif not isinstance(parameter, TruncatedSeries):
+        elif not isinstance(parameter, series.TruncatedSeries):
             raise ValueError("parameter must be a rational or a TruncatedSeries")
         self._set(family, parameter, label)
 
@@ -199,7 +200,7 @@ def weight_coefficients(family: str, params, maxdeg: int) -> list:
         if not isinstance(params, (tuple, list)) or len(params) != 2:
             raise ValueError(f"family Q takes a (q, p) pair, got {params!r}")
         q, p = params
-        return poly_mul(weight_coefficients("E", q, maxdeg), weight_coefficients("H", p, maxdeg), maxdeg)
+        return series.poly_mul(weight_coefficients("E", q, maxdeg), weight_coefficients("H", p, maxdeg), maxdeg)
     if isinstance(params, (tuple, list)):
         raise ValueError(f"family {family} takes one parameter, got {params!r}")
     q = params
@@ -240,10 +241,10 @@ def level_factor(family: str, q, partial: int, last: bool) -> tuple:
     positive since |a| < b; a series factor comes over the denominator 1.
     """
     shifted = family == "E'" or (family == "E" and not last)
-    if isinstance(q, TruncatedSeries):
-        return (q**partial if shifted else 1) * reciprocal(1 - q**partial), 1
-    a, b = q.numerator, q.denominator
-    return (a if shifted else b) ** partial, b**partial - a**partial
+    if isinstance(q, RATIONAL):
+        a, b = q.numerator, q.denominator
+        return (a if shifted else b) ** partial, b**partial - a**partial
+    return (q**partial if shifted else 1) * reciprocal(1 - q**partial), 1
 
 
 def symmetrized_weight(family: str, q, colengths) -> object:

@@ -3,8 +3,9 @@
 Permutations are tuples p with p[i] the image of point i (0-based); the word
 product g * h composes with h applied first, so a product of transpositions
 written left to right multiplies through the table by successive right
-factors.  Groups carry a full multiplication table, which keeps the
-exhaustive factorization and path counts at n <= 6 cheap.
+factors.  Groups build a full multiplication table on first use, which keeps
+the exhaustive factorization count and group-algebra products at n <= 6
+cheap; the path counts form only the products they read.
 """
 
 from __future__ import annotations

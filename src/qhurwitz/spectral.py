@@ -14,6 +14,8 @@ character sum over them.  The character tables themselves are in
 * content_eigenvalues: per shape, their product over species at one
   multidegree, integer numerators over the one block denominator
   prod_s P_{s,d_s} in rational mode;
+* eigenvalue_blocks: the character table and the content_eigenvalues of a
+  list of multidegrees, admitted by spectral_cost before any content list;
 * spectral_sum: the one kernel, sum_lam c_lam chi_lam(mu) chi_lam(nu) /
   (z_mu z_nu) for a whole list of (numerators, denominator) blocks
   (multidegrees) in one pass: each (block, monomial) slot goes over the
@@ -21,6 +23,8 @@ character sum over them.  The character tables themselves are in
   column-orthogonality bound, and rides in one packed integer per shape, so
   one integer dot product per (mu, nu) serves every block.  In rational
   mode its output entries are the first Fractions made from the lists;
+* spectral_row: the same sum for one row of mu, or one (mu, nu) entry, per
+  block, which point requests read instead of a whole matrix;
 * spectral_cost and check_spectral_cost: the work estimate that refuses a
   request past SPECTRAL_COST_LIMIT before any content coefficient.
 """
@@ -31,11 +35,12 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from operator import mul
 
-from .characters import CharacterTable
+from . import series
+from .characters import CharacterTable, character_table
 from .errors import CapacityError
 from .partitions import Partition, _is_int, check_partition, colength, conjugate, partition_count
-from .qweights import Species, WeightConfig, weight_coefficients
-from .series import TruncatedSeries, poly_mul
+from .qweights import Species, WeightConfig, multidegrees, weight_coefficients
+from .scalars import RATIONAL
 
 
 def spectral_sum(table: CharacterTable, blocks) -> list:
@@ -63,6 +68,11 @@ def spectral_sum(table: CharacterTable, blocks) -> list:
     all 0 for that parity, and each slot's entry is one Fraction
     S / (D z_mu z_nu), mirrored to (j, i).  Entries with S = 0 share one
     Fraction(0).
+
+    A point request reads one row or one entry per block, and its forms are
+    spectral_row: the same sum as plain dot products over the shapes, p(n)
+    products per block for an entry and p(n)^2 for a row, where this whole
+    matrix takes p(n)^3.
     """
     z = table.centralizer_orders
     size = len(z)
@@ -74,7 +84,7 @@ def spectral_sum(table: CharacterTable, blocks) -> list:
     for coeffs, denominator in blocks:
         monomials: dict[tuple, dict[int, Fraction | int]] = {}
         for k, c in enumerate(coeffs):
-            for expo, value in c.coeffs.items() if isinstance(c, TruncatedSeries) else [((), c)]:
+            for expo, value in [((), c)] if isinstance(c, RATIONAL) else c.coeffs.items():
                 if value:
                     monomials.setdefault(expo, {})[k] = value
         own = []
@@ -86,7 +96,7 @@ def spectral_sum(table: CharacterTable, blocks) -> list:
             values = [[zero] * size for _ in z]
             own.append((expo, values))
             slots.append((values, scale * denominator, weights, bias, start, length))
-        layout.append((next((c for c in coeffs if isinstance(c, TruncatedSeries)), None), own))
+        layout.append((next((c for c in coeffs if not isinstance(c, RATIONAL)), None), own))
     # Signed weights pack as the difference of two nonnegative byte strings.
     positive = [bytearray(length) for _ in z]
     negative = [bytearray(length) for _ in z]
@@ -124,15 +134,39 @@ def spectral_sum(table: CharacterTable, blocks) -> list:
                 if total:
                     values[i][j] = values[j][i] = Fraction(total, scale * pair)
     matrices = []
-    for series, own in layout:
-        if series is None:
+    for first, own in layout:
+        if first is None:
             matrices.append(tuple(map(tuple, own[0][1] if own else [[zero] * size for _ in z])))
         else:
             matrices.append(tuple(
-                tuple(TruncatedSeries(series.vars, series.cap, {e: v[i][j] for e, v in own}) for j in range(size))
+                tuple(series.TruncatedSeries(first.vars, first.cap, {e: v[i][j] for e, v in own}) for j in range(size))
                 for i in range(size)
             ))
     return matrices
+
+
+def spectral_row(table: CharacterTable, blocks, mu: int, nus=None) -> list:
+    """Per block, the entries (mu, nu), nu in nus, of the matrix spectral_sum returns: a row, or one entry.
+
+    mu and each nu (nus defaults to every index) index table.partitions, and
+    blocks are as spectral_sum takes them.  The products
+    chi_lam(mu) chi_lam(nu) over the shapes are formed once per nu, and each
+    block takes one p(n)-term dot product of its coefficients with them per
+    nu, over D z_mu z_nu: p(n) products per block for one entry, p(n)^2 for
+    a row.  A rational sum becomes one Fraction and a series sum is scaled
+    by 1 / (D z_mu z_nu), so every value equals spectral_sum's.
+    """
+    z = table.centralizer_orders
+    nus = range(len(z)) if nus is None else nus
+    characters = [[row[mu] * row[nu] for row in table.values] for nu in nus]
+    rows = []
+    for coeffs, denominator in blocks:
+        entries = []
+        for nu, products in zip(nus, characters):
+            total, scale = sum(map(mul, coeffs, products)), denominator * z[mu] * z[nu]
+            entries.append(Fraction(total, scale) if isinstance(total, RATIONAL) else total * Fraction(1, scale))
+        rows.append(tuple(entries))
+    return rows
 
 
 def check_shift(shift: int) -> None:
@@ -235,7 +269,7 @@ def species_content_coeffs(
                         rows = rows or _gaussian_binomials(q, maxdeg)
                         poly = _gaussian_mul(poly, factors[m], rows)
                     else:
-                        poly = poly_mul(poly, factors[m], maxdeg)
+                        poly = series.poly_mul(poly, factors[m], maxdeg)
                 products[shape] = poly
         lists.append(list(products[lam]))
     return lists, denominators
@@ -263,6 +297,27 @@ def content_eigenvalues(lists: list, degrees: tuple[int, ...]) -> tuple[list, in
     coefficient_lists, denominators = zip(*lists)
     numerators = [prod(coeffs[d] for coeffs, d in zip(shape, degrees)) for shape in zip(*coefficient_lists)]
     return numerators, prod(p[d] for p, d in zip(denominators, degrees))
+
+
+def eigenvalue_blocks(
+    config: WeightConfig, maxdeg: tuple[int, ...], shift: int = 0, degree_list: list | None = None
+) -> tuple:
+    """(table, degree_list, blocks): character_table(n), the multidegrees and their spectral_sum blocks.
+
+    Each block is the content_eigenvalues of one multidegree of degree_list,
+    which defaults to every multidegree up to maxdeg.  The shift is checked,
+    the table fetched and the blocks admitted by one spectral_cost before
+    any multidegree is listed or any content list built.  Each species'
+    lists are built once, at its maxdeg: the list of a lower degree is a
+    prefix of that one.
+    """
+    check_shift(shift)
+    tbl = character_table(config.n)
+    count = prod(m + 1 for m in maxdeg) if degree_list is None else len(degree_list)
+    check_spectral_cost(config, maxdeg, count, shift)
+    degree_list = list(multidegrees(maxdeg)) if degree_list is None else degree_list
+    lists = [species_content_coeffs(s, tbl.partitions, m, shift) for s, m in zip(config.species, maxdeg)]
+    return tbl, degree_list, [content_eigenvalues(lists, degrees) for degrees in degree_list]
 
 
 #: Largest spectral_cost a tau table or transfer matrix may have.

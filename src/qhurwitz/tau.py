@@ -25,6 +25,10 @@ only, with no enumerative meaning claimed.  A table whose spectral_cost
 exceeds SPECTRAL_COST_LIMIT raises CapacityError before any content
 coefficient is computed.
 
+tau_row answers a filtered request: per multidegree one row of the table,
+or one entry, by the row and entry form spectral_row, admitted by the
+whole table's spectral_cost.
+
 verify_triangle compares the table with the geometric and combinatorial
 pipelines row by row, and entry by entry only in a row that differs.
 check_triangle_bounds admits a suite of n by the costs its legs check,
@@ -42,13 +46,12 @@ from .characters import character_table
 from .errors import CapacityError
 from .partitions import Partition, check_partition, format_partition
 from .qweights import WeightConfig, multidegrees
-from .series import Immutable, TruncatedSeries, format_rational
+from .scalars import RATIONAL, Immutable, format_rational
 from .spectral import (
     SPECTRAL_COST_LIMIT,
-    check_shift,
-    check_spectral_cost,
-    content_eigenvalues,
+    eigenvalue_blocks,
     spectral_cost,
+    spectral_row,
     spectral_sum,
     species_content_coeffs,
 )
@@ -119,13 +122,27 @@ def tau_coefficients(
     raises ValueError.
     """
     maxdeg = config.degrees(maxdeg)
-    check_shift(shift)
-    tbl = character_table(config.n)
-    check_spectral_cost(config, maxdeg, prod(m + 1 for m in maxdeg), shift)
-    lists = [species_content_coeffs(s, tbl.partitions, m, shift) for s, m in zip(config.species, maxdeg)]
-    blocks = list(multidegrees(maxdeg))
-    matrices = spectral_sum(tbl, [content_eigenvalues(lists, degrees) for degrees in blocks])
-    return HurwitzTable(n=config.n, maxdeg=maxdeg, matrices=dict(zip(blocks, matrices)))
+    tbl, degree_list, blocks = eigenvalue_blocks(config, maxdeg, shift)
+    return HurwitzTable(n=config.n, maxdeg=maxdeg, matrices=dict(zip(degree_list, spectral_sum(tbl, blocks))))
+
+
+def tau_row(
+    config: WeightConfig, maxdeg: tuple[int, ...], mu: Partition, nu: Partition | None = None, shift: int = 0
+) -> dict:
+    """{degrees: row}: per multidegree of tau_coefficients(config, maxdeg, shift), the row of mu.
+
+    A row is the tuple of the entries of (mu, nu) over
+    character_table(n).partitions, or, with nu given, the 1-tuple of that
+    one entry.  The table is symmetric, so the row of mu is its column too.
+    It takes p(n)^2 kernel products per multidegree, one entry p(n)
+    (spectral_row), and is admitted by the whole table's spectral_cost, so
+    a request is refused exactly where its table would be.  A partition not
+    of n raises ValueError once admitted.
+    """
+    maxdeg = config.degrees(maxdeg)
+    tbl, degree_list, blocks = eigenvalue_blocks(config, maxdeg, shift)
+    nus = None if nu is None else [tbl.index(nu)]
+    return dict(zip(degree_list, spectral_row(tbl, blocks, tbl.index(mu), nus)))
 
 
 class TriangleReport(Immutable):
@@ -188,7 +205,7 @@ def check_triangle_bounds(
 
 def _value_text(value) -> str:
     """A discrepancy value: "numerator/denominator" for a rational, str of a series."""
-    return str(value) if isinstance(value, TruncatedSeries) else format_rational(value)
+    return format_rational(value) if isinstance(value, RATIONAL) else str(value)
 
 
 def verify_triangle(config: WeightConfig, maxdeg: tuple[int, ...]) -> TriangleReport:

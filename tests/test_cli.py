@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -18,7 +19,7 @@ import qhurwitz.tau
 from qhurwitz import WeightConfig, enumerate_partitions, format_partition, tau_coefficients
 from qhurwitz.cli import _parse_degree_blocks, _parse_species_list, main
 from qhurwitz.qweights import multidegrees
-from qhurwitz.series import format_rational
+from qhurwitz.scalars import format_rational
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = json.loads((ROOT / "bench" / "pins.json").read_text())
@@ -406,6 +407,7 @@ class TestTauFilters:
             raise AssertionError("the table was built")
 
         monkeypatch.setattr(qhurwitz.tau, "tau_coefficients", refuse)
+        monkeypatch.setattr(qhurwitz.tau, "tau_row", refuse)
         code = main(["compute", "tau", "--n", "3", "--species", "E':q=999/1000", "--maxdeg", "66", flag, value])
         assert code == 2
         captured = capsys.readouterr()
@@ -560,6 +562,70 @@ class TestOracle:
         code = main(["oracle", "paths", "--n", "3", "--d", "-1", "--mu", "3", "--nu", "3"])
         assert code == 2
         assert capsys.readouterr().err == "error: d must be nonnegative\n"
+
+
+def captured(call, argv):
+    """(stdout, stderr, exit code) of call(argv): its return value, or the code of the SystemExit it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+VALUE = "--n 3 --mu 2,1 --nu 3 --species H:q=1/2 --degrees 2"
+TAU = "--n 3 --species H:q=1/2 --maxdeg 1"
+
+#: Help requests and usage errors of every kind: main answers each with the
+#: full parser's bytes and exit code.
+PARSE_FAILURES = [
+    "", "-h", "--help", "--he", "-x", "--n 3",
+    "compute", "compute -h", "compute --help", "verify --help", "oracle -h", "chartable --help",
+    "compute geometric --help", "compute combinatorial -h", "compute tau --help", "verify triangle -h",
+    "oracle paths --help", f"compute tau {TAU} --hel", f"compute geometric {VALUE} -h",
+    "bogus", "Compute tau", "compute bogus", "compute tau2", "verify square", "oracle cycles", "chartable tau",
+    "verify", "oracle", "chartable", "compute tau --n 3", "compute geometric --n 3 --mu 3 --nu 3",
+    "verify triangle --n-max 3 --species H:q=1/2", "oracle paths --n 3 --d 1 --mu 3",
+    "chartable --n x", "chartable --n 2.5", f"compute tau {TAU} --N one", "oracle paths --n 3 --d x --mu 3 --nu 3",
+    "verify triangle --n-max 3 --deg-max -1.0 --species H:q=1/2",
+    "chartable --n 3 --format xml", f"compute tau {TAU} --format yaml", f"compute tau {TAU} --format",
+    "chartable --n 3 extra", f"compute combinatorial {VALUE} extra", f"compute tau {TAU} --mu 3 --nu 3 tail",
+    "verify triangle --n-max 3 --deg-max 1 --species H:q=1/2 more", "oracle paths --n 2 --d 1 --mu 2 --nu 2 x",
+    "compute geometric --n 3 --mu -h --nu 3 --species H:q=1/2 --degrees 1", "chartable --n 3 --unknown 1",
+    "chartable --n", "compute tau --n 3 --species", "chartable compute --n 3",
+]
+
+
+class TestParseIdentity:
+    """main parses with only the subparser chain argv names, and falls back to the full parser."""
+
+    @pytest.mark.parametrize("argv", PARSE_FAILURES)
+    def test_help_and_usage_errors_are_the_full_parsers(self, argv):
+        argv = argv.split()
+        expected = captured(lambda a: qhurwitz.cli.build_parser().parse_args(a), argv)
+        assert expected[2] in (0, 2), "the case must be a help request or a usage error"
+        assert captured(main, argv) == expected
+
+    @pytest.mark.parametrize("argv", [
+        f"compute geometric {VALUE}", f"compute combinatorial {VALUE} --species E:p=1/3",
+        f"compute tau {TAU} --mu 3 --N -1 --format csv", f"compute tau {TAU} --nu 2,1",
+        "verify triangle --n-max 3 --deg-max 1 --species H:q=1/2", "oracle paths --n 3 --d 1 --mu 3 --nu 2,1",
+        "chartable --n 3", "chartable --n=3 --format csv", "chartable --format json --n 2",
+        "compute tau --maxdeg 1 --species H:q=1/2 --n 3",
+    ])
+    def test_an_accepted_request_parses_as_under_the_full_parser(self, argv):
+        argv = argv.split()
+        chain = qhurwitz.cli.build_parser(argv[:2])
+        assert vars(chain.parse_args(argv)) == vars(qhurwitz.cli.build_parser().parse_args(argv))
+
+    def test_the_chain_parser_builds_only_its_subparsers(self):
+        parser = qhurwitz.cli.build_parser(["compute", "tau"])
+        [commands] = [a for a in parser._actions if a.dest == "command"]
+        assert list(commands.choices) == ["compute"]
+        [pipelines] = [a for a in commands.choices["compute"]._actions if a.dest == "pipeline"]
+        assert list(pipelines.choices) == ["tau"]
 
 
 class TestEntryPoint:

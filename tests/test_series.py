@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhurwitz import TruncatedSeries, poly_exp, poly_mul
-from qhurwitz.series import format_rational
+from qhurwitz.scalars import format_rational
 
 
 def evaluate(series, assignments):

@@ -287,14 +287,16 @@ class TestIntegerForm:
 
     @pytest.mark.parametrize("module, build", [
         (tau_module, tau_coefficients),
-        (combinatorial_module, combinatorial_module.multispecies_transfer_matrices),
+        # The combinatorial leg calls the kernel through the spectral module.
+        (spectral_module, combinatorial_module.multispecies_transfer_matrices),
     ], ids=["tau", "combinatorial"])
     def test_the_kernel_gets_int_blocks(self, monkeypatch, module, build):
         seen = []
+        kernel = spectral_module.spectral_sum
 
         def capturing(table, blocks):
             seen.extend(blocks)
-            return spectral_module.spectral_sum(table, blocks)
+            return kernel(table, blocks)
 
         monkeypatch.setattr(module, "spectral_sum", capturing)
         config = WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=5)
@@ -616,6 +618,76 @@ class TestTriangleSuiteCost:
         assert built == list(range(2, 14))
 
 
+class TestRowAndEntryForms:
+    """spectral_row, tau_row and multispecies_hurwitz_entry read what the whole matrices hold."""
+
+    @staticmethod
+    def assert_rows_and_entries(config, maxdeg, shift=0):
+        tbl, _, blocks = spectral_module.eigenvalue_blocks(config, maxdeg, shift)
+        matrices = spectral_module.spectral_sum(tbl, blocks)
+        size = len(tbl.partitions)
+        for i in range(size):
+            assert spectral_module.spectral_row(tbl, blocks, i) == [rows[i] for rows in matrices]
+            for j in range(size):
+                entries = spectral_module.spectral_row(tbl, blocks, i, [j])
+                assert entries == [(rows[i][j],) for rows in matrices]
+
+    @pytest.mark.parametrize("shift", [0, 2])
+    @pytest.mark.parametrize("q", [HALF, -THIRD, Fraction(-1, 2)])
+    @pytest.mark.parametrize("family", ["E", "E'", "H"])
+    def test_one_species_up_to_eight_sheets(self, family, q, shift):
+        for n in range(1, 9):
+            self.assert_rows_and_entries(single_species(family, q, n), (3,), shift)
+
+    @pytest.mark.parametrize("shift", [0, -1])
+    def test_two_species(self, shift):
+        species = (Species("E'", HALF), Species("H", Fraction(-2, 5)))
+        for n in range(1, 7):
+            self.assert_rows_and_entries(WeightConfig(species, n), (2, 2), shift)
+
+    def test_series_mode(self):
+        for n in range(1, 6):
+            config = single_species("E", TruncatedSeries.variable("q", 4), n)
+            self.assert_rows_and_entries(config, (3,), 1)
+
+    @pytest.mark.parametrize("shift", [0, 1, -2])
+    def test_tau_row_is_the_row_of_the_table(self, shift):
+        config = WeightConfig((Species("E", -THIRD), Species("H", FIFTH)), 5)
+        table = tau_coefficients(config, (2, 1), shift)
+        parts = character_table(5).partitions
+        for i, mu in enumerate(parts):
+            assert tau_module.tau_row(config, (2, 1), mu, shift=shift) == {
+                degrees: rows[i] for degrees, rows in table.matrices.items()
+            }
+            for j, nu in enumerate(parts):
+                assert tau_module.tau_row(config, (2, 1), mu, nu, shift) == {
+                    degrees: (rows[i][j],) for degrees, rows in table.matrices.items()
+                }
+
+    @pytest.mark.parametrize("family, q", [("E", HALF), ("E'", -THIRD), ("H", Fraction(999, 1000))])
+    def test_combinatorial_entry_is_the_matrix_entry(self, family, q):
+        for n in range(1, 9):
+            config = single_species(family, q, n)
+            parts = character_table(n).partitions
+            for d in (0, 1, 4):
+                matrix = multispecies_transfer_matrix(config, (d,))
+                for mu, nu in itertools.product(parts[:3], parts[-3:]):
+                    value = combinatorial_module.multispecies_hurwitz_entry(config, (d,), mu, nu)
+                    assert value == matrix.hurwitz_entry(mu, nu)
+
+    def test_refused_where_the_whole_matrix_is(self):
+        config = single_species("H", HALF, 12)
+        with pytest.raises(CapacityError, match="spectral sum costs about"):
+            combinatorial_module.multispecies_hurwitz_entry(config, (24,), (12,), (12,))
+        with pytest.raises(CapacityError, match="spectral sum costs about"):
+            multispecies_transfer_matrix(config, (24,))
+        for nu in [None, (12,)]:
+            with pytest.raises(CapacityError, match="spectral sum costs about"):
+                tau_module.tau_row(config, (14,), (6, 6), nu)
+        with pytest.raises(CapacityError, match="spectral sum costs about"):
+            tau_coefficients(config, (14,))
+
+
 class TestSpectralCost:
     #: Largest parameter bit size the benchmark draws (2/5).
     WIDEST = Fraction(2, 5)
@@ -658,7 +730,7 @@ class TestSpectralCost:
 
         monkeypatch.setattr(tau_module, "content_product_coeffs", counting)
         monkeypatch.setattr(tau_module, "species_content_coeffs", counting)
-        monkeypatch.setattr(combinatorial_module, "species_content_coeffs", counting)
+        monkeypatch.setattr(spectral_module, "species_content_coeffs", counting)
         with pytest.raises(CapacityError, match="spectral sum costs about"):
             tau_coefficients(single_species("H", HALF, 12), (40,))
         with pytest.raises(CapacityError, match="spectral sum costs about"):
@@ -687,7 +759,7 @@ class TestOneContentPassPerSpecies:
         content = counting("species_content_coeffs", tau_module.species_content_coeffs)
         monkeypatch.setattr(spectral_module, "weight_coefficients", weights)
         monkeypatch.setattr(tau_module, "species_content_coeffs", content)
-        monkeypatch.setattr(combinatorial_module, "species_content_coeffs", content)
+        monkeypatch.setattr(spectral_module, "species_content_coeffs", content)
         return calls
 
     CONFIG = WeightConfig(

@@ -1,6 +1,6 @@
 """The contract of the package's six value types.
 
-Each is a plain immutable class on series.Immutable.  Its repr, equality and
+Each is a plain immutable class on scalars.Immutable.  Its repr, equality and
 hash are those a frozen dataclass of the same fields has: the reprs below
 are the ones the dataclass versions printed, and HurwitzTable's the one a
 dataclass over its fields (n, maxdeg, matrices) prints.  Setting or deleting any
