@@ -60,8 +60,8 @@ that for every multidegree up to maxdeg with each species walked once, and
 quantum_hurwitz_number is the one-species call.  The leg reads only
 character_table (whose conjugate_pairs come from partitions.conjugate) and
 qweights.level_factor, whose denominators give D_t: it uses neither the
-contents, the content coefficients with their integer weights nor the
-spectral kernel spectral.spectral_sum of the other two legs.  Its
+contents, their elementary symmetric functions, the content coefficients
+nor the spectral kernel spectral.spectral_sum of the other two legs.  Its
 agreement with the tau leg is then the theorem that the level sums of the
 colength weights are the e-expansion of the content product.
 

@@ -7,10 +7,11 @@ character sum over them.  The character tables themselves are in
 ``characters``; the geometric pipeline imports nothing from here.
 
 * species_content_coeffs: per species and shape lam, the coefficients of
-  prod_{cells of lam} G(param, (shift + content) * u), each shape's product
-  grown from that of the shape with its last cell removed (one product of
-  lists per shape), returned with their denominators: in rational mode
-  integer numerators over the known P_k, in series mode series over 1;
+  prod_{cells of lam} G(param, (shift + content) * u), each shape's list one
+  walk of a q-difference recurrence in the elementary symmetric functions of
+  its shifted contents, one qweights.level_factor per degree, returned with
+  their denominators: in rational mode integer numerators over the known
+  P_k, in series mode series over 1;
 * content_eigenvalues: per shape, their product over species at one
   multidegree, integer numerators over the one block denominator
   prod_s P_{s,d_s} in rational mode;
@@ -32,14 +33,15 @@ character sum over them.  The character tables themselves are in
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, lcm, prod
 from operator import mul
 
 from . import series
 from .characters import CharacterTable, character_table
 from .errors import CapacityError
-from .partitions import Partition, _is_int, check_partition, colength, conjugate, partition_count
-from .qweights import Species, WeightConfig, multidegrees, weight_coefficients
+from .partitions import _is_int, check_partition, colength, partition_count
+from .qweights import Species, WeightConfig, level_factor, multidegrees
 from .scalars import RATIONAL
 
 
@@ -175,115 +177,66 @@ def check_shift(shift: int) -> None:
         raise ValueError(f"shift must be an int, got {shift!r}")
 
 
-def _integer_weights(q: Fraction, weights: list) -> tuple[list[int], list[int]]:
-    """(N, P) for rational weights W_0..W_d: P_k = prod_{j<=k} (b^j - a^j) and N_k = W_k P_k.
-
-    q = a/b in lowest terms, so each factor of P_k is positive (|a| < b).
-    Every weight of E, E' and H of degree k is an integer over P_k; a
-    non-integer N_k raises ArithmeticError.
-    """
-    a, b = q.numerator, q.denominator
-    numerators, denominators = [], [1]
-    for k, weight in enumerate(weights):
-        if k:
-            denominators.append(denominators[-1] * (b**k - a**k))
-        scale, rest = divmod(denominators[k], weight.denominator)
-        if rest:
-            raise ArithmeticError(f"weight {k} is not an integer over P_{k}")
-        numerators.append(weight.numerator * scale)
-    return numerators, denominators
-
-
-def _gaussian_binomials(q: Fraction, maxdeg: int) -> list[list[int]]:
-    """Rows t = 0..maxdeg of B(t, i) = P_t / (P_i P_{t-i}), i <= t, for q = a/b (see _integer_weights).
-
-    B(t, 0) = B(t, t) = 1 and B(t, i) = b^(t-i) B(t-1, i-1) + a^i B(t-1, i):
-    the q-binomial coefficients, homogenized to integers.
-    """
-    a, b = q.numerator, q.denominator
-    rows = [[1]]
-    for t in range(1, maxdeg + 1):
-        last = rows[-1]
-        rows.append([1] + [b ** (t - i) * last[i - 1] + a**i * last[i] for i in range(1, t)] + [1])
-    return rows
-
-
 def species_content_coeffs(
     species: Species, shapes, maxdeg: int, shift: int = 0
 ) -> tuple[list[list], list]:
     """(lists, denominators): the species' content product of each shape, up to degree maxdeg.
 
-    One list per shape, in the order of ``shapes``: the coefficients of the
-    product over cells of G(param, (shift + content) * u) as a univariate
-    polynomial in the species' expansion variable u, each the numerator of
-    its degree's entry of ``denominators``.  Each shape's product is the
-    product of the shape with its last cell removed times that cell's factor,
-    so a per-call dict from shape to product, seeded with the empty shape,
-    costs one product of lists per shape reached past its first nonzero
-    content.  At shift 0 a shape whose conjugate is in that dict takes its
-    product by sign instead: the contents of lam' are those of lam negated,
-    so c_lam'(t) = (-1)^t c_lam(t).  The weights are computed once, and each
-    cell factor G(m u) once per distinct shifted content m.
+    One list per shape, in the order of ``shapes``: the coefficients r_d of
+    r_lam(u) = prod over cells of G(param, (shift + content) * u) as a
+    univariate polynomial in the species' expansion variable u, each the
+    numerator of its degree's entry of ``denominators``.
+
+    Euler's product expansions of the q-exponentials give r_lam a
+    q-difference recurrence of order L = min(maxdeg, |lam|) in the
+    elementary symmetric functions e_j of the shifted contents:
+
+        H:  (1 - q^d) r_d = sum_{j>=1} (-1)^(j+1) e_j r_(d-j)
+        E': (1 - q^d) r_d = q^d sum_{j>=1} e_j r_(d-j)
+        E:  (1 - q^d) r_d = sum_{j>=1} e_j r'_(d-j), r' the E' coefficients
+
+    So each shape is one walk over the degrees.  A window V holds the last L
+    numerators over P_(d-1) (E's holds those of E'), and
+    beta_d = sum_j s_j e_j V_(d-j) with s_j the sign above.  The numerator
+    of r_d over P_d is beta_d times the numerator of
+    level_factor(family, q, d, True); then the window is scaled by that
+    level's denominator and takes beta_d times the numerator of
+    level_factor(family, q, d, False).
 
     In rational mode every coefficient is an int and ``denominators`` is
-    P_0..P_maxdeg: the degree-k coefficient of every list is C_k / P_k, the
-    cell factor of m has C_j = N_j m^j (_integer_weights), and two lists
-    multiply as C_t = sum_i X_i Y_(t-i) B(t, i) (_gaussian_binomials, built
-    when a shape first multiplies two non-unit lists).  No Fraction is made.
-    Series mode multiplies with poly_mul, and its denominators are all 1.
+    P_0..P_maxdeg, P_d = prod_{j<=d} (b^j - a^j) for q = a/b: no Fraction is
+    made.  In series mode level_factor gives each factor over 1, so the
+    same walk yields series over the denominators 1.
 
     The degree 0 coefficient is always 1; cells of content -shift contribute
-    nothing.  A shape that is not a partition, or a shift that is not an
-    int, raises ValueError.
+    nothing.  A shape that is not a partition, a shift that is not an int,
+    or a maxdeg that is not a nonnegative int raises ValueError.
     """
     check_shift(shift)
-    q = species.parameter
-    weights = weight_coefficients(species.family, q, maxdeg)
-    rational = isinstance(q, Fraction)
-    numerators, denominators = _integer_weights(q, weights) if rational else (weights, [1] * (maxdeg + 1))
-    rows = []
-    unit = [1] + [0] * maxdeg
-    factors: dict[int, list] = {}
-    products: dict[Partition, list] = {(): unit}
+    if not _is_int(maxdeg) or maxdeg < 0:
+        raise ValueError(f"maxdeg must be a nonnegative int, got {maxdeg!r}")
+    family, q = species.family, species.parameter
+    levels = [(*level_factor(family, q, d, False), level_factor(family, q, d, True)[0]) for d in range(1, maxdeg + 1)]
+    denominators = list(accumulate((scale for _, scale, _ in levels), mul, initial=1))
+    one = 1 if isinstance(q, Fraction) else q**0
     lists = []
     for lam in shapes:
-        lam = tuple(lam)
-        if lam not in products:
-            chain = []
-            shape = check_partition(lam)
-            while shape not in products:
-                if not shift and (mirror := conjugate(shape)) in products:
-                    products[shape] = [-c if t & 1 else c for t, c in enumerate(products[mirror])]
-                    break
-                chain.append(shape)
-                shape = shape[:-1] + (shape[-1] - 1,) if shape[-1] > 1 else shape[:-1]
-            poly = products[shape]
-            for shape in reversed(chain):
-                m = shift + shape[-1] - len(shape)
-                if m:
-                    if m not in factors:
-                        factors[m] = [numerators[j] * m**j for j in range(maxdeg + 1)]
-                    if poly is unit:
-                        poly = factors[m]
-                    elif rational:
-                        rows = rows or _gaussian_binomials(q, maxdeg)
-                        poly = _gaussian_mul(poly, factors[m], rows)
-                    else:
-                        poly = series.poly_mul(poly, factors[m], maxdeg)
-                products[shape] = poly
-        lists.append(list(products[lam]))
+        lam = check_partition(lam)
+        width = min(maxdeg, sum(lam))
+        e = [1] + [0] * width
+        for i, part in enumerate(lam):
+            for m in range(shift - i, shift - i + part):
+                for j in range(width, 0, -1):
+                    e[j] += m * e[j - 1]
+        if family == "H":  # s_j = (-1)^(j+1); e_0 is not read
+            e = [c if j & 1 else -c for j, c in enumerate(e)]
+        coeffs, window = [one], [one]
+        for mid, scale, last in levels:
+            beta = sum(e[j] * window[-j] for j in range(1, min(width, len(window)) + 1))
+            coeffs.append(last * beta)
+            window = [v * scale for v in window[max(0, len(window) - width + 1):]] + [mid * beta]
+        lists.append(coeffs)
     return lists, denominators
-
-
-def _gaussian_mul(x: list[int], y: list[int], rows: list[list[int]]) -> list[int]:
-    """Numerators over P_t of the product of two lists of numerators over P: sum_i x_i y_(t-i) B(t, i)."""
-    out = [0] * len(rows)
-    for i, xi in enumerate(x):
-        if xi:
-            for t, yj in enumerate(y[: len(rows) - i], i):
-                if yj:
-                    out[t] += xi * yj * rows[t][i]
-    return out
 
 
 def content_eigenvalues(lists: list, degrees: tuple[int, ...]) -> tuple[list, int]:
@@ -332,14 +285,12 @@ def spectral_cost(
     products * (1 + bits / 2^13)^2, where products counts
       * blocks * p(n)^3 integer products of the kernel, and
       * p(n) * (16 (n - 2)^+ + 1) * sum_s (d_s + 1)^2 products that
-        build the content coefficients: per shape and species, about d^2
-        for the weights and, past the first nonzero content, d^2 per cell
-        for the polynomial products, each about 16 kernel products.  The
-        weights are computed once per species, so the per-shape weight term
-        over-estimates; each shape's product is one poly_mul from the shape
-        with its last cell removed, not one per cell, so the per-cell term
-        over-estimates too.  Both stay as fitted, which keeps every request's
-        admission; their refit is an open ROADMAP.md item;
+        build the content coefficients, fitted to a per-cell product of
+        weight lists that no longer runs.  species_content_coeffs walks a
+        recurrence of order at most n, about p(n) * n * d products per
+        species, so this term over-charges it.  It stays as fitted, which
+        keeps every request's admission; its refit is an open ROADMAP.md
+        item;
     and bits = sum_s d_s * (b_s * d_s + bit length of |shift| + n) is about
     the size of the largest coefficient: b_s * d_s^2 from the weights
     (Species.bits) and d_s factors of a shifted content.  The squared bits

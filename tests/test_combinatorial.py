@@ -263,6 +263,18 @@ class TestJucysMurphyEigenvalue:
         for lam in enumerate_partitions(3):
             assert jucys_murphy_eigenvalue_check(config, lam, 2)
 
+    @pytest.mark.parametrize("species", [
+        Species("E'", -Fraction(1, 3)),
+        Species("H", Fraction(2, 5)),
+        Species("E", -HALF),
+    ], ids=["E'", "H", "E"])
+    def test_four_sheets_to_degree_four(self, species):
+        # Degree 4 fills the window of every shape of 4, whose contents
+        # have at most four elementary symmetric functions.
+        config = WeightConfig(species=(species,), n=4)
+        for lam in enumerate_partitions(4):
+            assert jucys_murphy_eigenvalue_check(config, lam, 4), lam
+
     def test_detects_wrong_shape_weight(self):
         config = WeightConfig(species=(Species("E", HALF),), n=3)
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 import itertools
+import re
 import time
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -71,15 +72,25 @@ def reference_tau_entries(config, maxdeg, shift=0):
 
 
 def reference_species_content_coeffs(species, lam, maxdeg, shift=0):
-    """One shape's content product, cell by cell, with its own weights."""
+    """One shape's content product, cell by cell, with its own weights.
+
+    Rational weights are first scaled to ints by their common denominator
+    D, so each cell is one integer convolution and a product of k cells is
+    read over D^k at the end.
+    """
     weights = weight_coefficients(species.family, species.parameter, maxdeg)
-    poly = [1] + [0] * maxdeg
+    scale = 1
+    if isinstance(species.parameter, Fraction):
+        scale = lcm(*(w.denominator for w in weights))
+        weights = [w.numerator * (scale // w.denominator) for w in weights]
+    poly, cells = [1] + [0] * maxdeg, 0
     for c in contents(lam):
         m = shift + c
         if m == 0:
             continue
         poly = poly_mul(poly, [weights[j] * m**j for j in range(maxdeg + 1)], maxdeg)
-    return poly
+        cells += 1
+    return [c / Fraction(scale**cells) for c in poly]
 
 
 def content_values(species, shapes, maxdeg, shift=0):
@@ -184,59 +195,16 @@ class TestConjugateContentLists:
     def test_conjugate_list_is_the_list_by_sign(self, species, maxdeg):
         for n in range(1, 9):
             parts = enumerate_partitions(n)
-            # Each shape alone: its chain of smaller shapes holds no conjugate.
+            # Each shape alone, then every shape in one call.
             alone = {lam: species_content_coeffs(species, [lam], maxdeg)[0][0] for lam in parts}
             for lam in parts:
                 assert alone[conjugate(lam)] == [-c if t % 2 else c for t, c in enumerate(alone[lam])]
             lists, _ = species_content_coeffs(species, parts, maxdeg)
             assert lists == [alone[lam] for lam in parts]
 
-    def test_a_conjugate_after_its_shape_makes_no_product(self, monkeypatch):
-        calls = []
-        original = spectral_module._gaussian_mul
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(spectral_module, "_gaussian_mul", counting)
-        species = Species("E'", Fraction(999, 1000))
-        for lam in enumerate_partitions(8):
-            calls.clear()
-            species_content_coeffs(species, [lam], 5)
-            alone = len(calls)
-            calls.clear()
-            species_content_coeffs(species, [lam, conjugate(lam)], 5)
-            assert len(calls) == alone, lam
-
 
 class TestIntegerContentProducts:
     """The integers behind rational content products: every degree-k coefficient is C_k / P_k."""
-
-    @pytest.mark.parametrize("family", ["E", "E'", "H"])
-    @pytest.mark.parametrize("q", INTEGER_PARAMETERS)
-    def test_weight_times_denominator_is_an_integer(self, family, q):
-        weights = weight_coefficients(family, q, 12)
-        numerators, denominators = spectral_module._integer_weights(q, weights)
-        assert denominators == euler_product_denominators(q, 12)
-        assert all(type(p) is int and p > 0 for p in denominators)
-        assert all(type(v) is int for v in numerators)
-        assert [Fraction(v, p) for v, p in zip(numerators, denominators)] == weights
-
-    def test_non_integer_numerator_raises(self):
-        with pytest.raises(ArithmeticError, match="weight 1"):
-            spectral_module._integer_weights(HALF, [Fraction(1), Fraction(1, 3)])
-
-    @pytest.mark.parametrize("q", INTEGER_PARAMETERS)
-    def test_gaussian_binomials_are_the_denominator_quotients(self, q):
-        maxdeg = 12
-        denominators = euler_product_denominators(q, maxdeg)
-        rows = spectral_module._gaussian_binomials(q, maxdeg)
-        assert [len(row) for row in rows] == list(range(1, maxdeg + 2))
-        for t, row in enumerate(rows):
-            for i, value in enumerate(row):
-                assert type(value) is int
-                assert value == denominators[t] / (denominators[i] * denominators[t - i])
 
     @pytest.mark.parametrize("family", ["E", "E'", "H"])
     @pytest.mark.parametrize("q", INTEGER_PARAMETERS)
@@ -249,17 +217,71 @@ class TestIntegerContentProducts:
             assert content_values(species, shapes, maxdeg, shift) == expected
 
 
+class TestContentWalk:
+    """The q-difference walk against the cell-by-cell reference, at the degrees it serves."""
+
+    @pytest.mark.parametrize("family, q, n, maxdeg", [
+        ("E'", Fraction(999, 1000), 3, 66),
+        ("H", HALF, 12, 13),
+        ("E", THIRD, 12, 13),
+    ])
+    def test_frontier_lists_match_reference(self, family, q, n, maxdeg):
+        species = Species(family, q)
+        parts = enumerate_partitions(n)
+        expected = [reference_species_content_coeffs(species, lam, maxdeg) for lam in parts]
+        assert content_values(species, parts, maxdeg) == expected
+
+    @pytest.mark.parametrize("species", [
+        Species("E", HALF),
+        Species("E'", -THIRD),
+        Species("H", Fraction(2, 5)),
+        Species("H", TruncatedSeries.variable("q", 4)),
+    ], ids=["E", "E'", "H", "H-series"])
+    def test_shapes_of_content_zero_give_the_unit_list(self, species):
+        # The empty shape has no cell and (1,) one cell of content 0.  Each
+        # coefficient is of the mode's scalar type, so a block of these
+        # shapes alone reaches the kernel as series in series mode.
+        lists, _ = species_content_coeffs(species, [(), (1,)], 5)
+        assert lists == [[1, 0, 0, 0, 0, 0]] * 2
+        scalar = int if isinstance(species.parameter, Fraction) else TruncatedSeries
+        assert all(type(c) is scalar for coeffs in lists for c in coeffs)
+
+    def test_two_species_series_table_at_shift_one(self):
+        variables = ("q", "p")
+        config = WeightConfig(species=(
+            Species("E", TruncatedSeries.variable("q", 4, variables)),
+            Species("H", TruncatedSeries.variable("p", 4, variables), label="p"),
+        ), n=4)
+        table = tau_coefficients(config, (2, 2), shift=1)
+        assert table.entries == reference_tau_entries(config, (2, 2), shift=1)
+        assert all(isinstance(value, TruncatedSeries) for value in table.entries.values())
+
+    @pytest.mark.parametrize("maxdeg", [-1, True, 2.0])
+    def test_bad_maxdeg_is_refused_before_any_list(self, maxdeg):
+        message = re.escape(f"maxdeg must be a nonnegative int, got {maxdeg!r}")
+        with pytest.raises(ValueError, match=message):
+            species_content_coeffs(Species("E", HALF), [(2, 1)], maxdeg)
+
+        def unread():
+            raise AssertionError("a shape was read")
+            yield
+
+        with pytest.raises(ValueError, match=message):
+            species_content_coeffs(Species("E", HALF), unread(), maxdeg)
+
+
 class TestIntegerForm:
     """Rational content lists, eigenvalues and kernel blocks are ints over known denominators, not Fractions."""
 
     @pytest.mark.parametrize("family", ["E", "E'", "H"])
-    @pytest.mark.parametrize("q", [HALF, -THIRD, Fraction(2, 5), Fraction(999, 1000)])
+    @pytest.mark.parametrize("q", INTEGER_PARAMETERS + [Fraction(2, 5)])
     @pytest.mark.parametrize("shift", range(-2, 3))
     def test_numerators_are_ints_over_the_euler_denominators(self, family, q, shift):
         species = Species(family, q)
         shapes = [lam for n in range(1, 9) for lam in enumerate_partitions(n)]
         lists, denominators = species_content_coeffs(species, shapes, 6, shift)
         assert denominators == euler_product_denominators(q, 6)
+        assert all(type(p) is int and p > 0 for p in denominators)
         assert all(type(c) is int for coeffs in lists for c in coeffs)
         for lam, coeffs in zip(shapes, lists):
             expected = reference_species_content_coeffs(species, lam, 6, shift)
@@ -746,7 +768,7 @@ class TestSpectralCost:
 
 class TestOneContentPassPerSpecies:
     def counted(self, monkeypatch):
-        calls = {"weight_coefficients": 0, "species_content_coeffs": 0}
+        calls = {"species_content_coeffs": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -755,9 +777,7 @@ class TestOneContentPassPerSpecies:
 
             return wrapper
 
-        weights = counting("weight_coefficients", spectral_module.weight_coefficients)
         content = counting("species_content_coeffs", tau_module.species_content_coeffs)
-        monkeypatch.setattr(spectral_module, "weight_coefficients", weights)
         monkeypatch.setattr(tau_module, "species_content_coeffs", content)
         monkeypatch.setattr(spectral_module, "species_content_coeffs", content)
         return calls
@@ -769,15 +789,15 @@ class TestOneContentPassPerSpecies:
     def test_tau_coefficients(self, monkeypatch):
         calls = self.counted(monkeypatch)
         tau_coefficients(self.CONFIG, (2, 1, 1))
-        assert calls == {"weight_coefficients": 3, "species_content_coeffs": 3}
+        assert calls == {"species_content_coeffs": 3}
 
     def test_multispecies_transfer_matrix(self, monkeypatch):
         calls = self.counted(monkeypatch)
         multispecies_transfer_matrix(self.CONFIG, (2, 1, 1))
-        assert calls == {"weight_coefficients": 3, "species_content_coeffs": 3}
+        assert calls == {"species_content_coeffs": 3}
 
     def test_verify_triangle(self, monkeypatch):
         calls = self.counted(monkeypatch)
         assert verify_triangle(self.CONFIG, (2, 1, 1)).ok
         # Once for the tau table and once for all twelve transfer matrices.
-        assert calls == {"weight_coefficients": 6, "species_content_coeffs": 6}
+        assert calls == {"species_content_coeffs": 6}

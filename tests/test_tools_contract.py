@@ -2,14 +2,16 @@
 
 Nothing runs those scripts, and they import private helpers such as
 geometric._matrix, so a renamed helper would go unnoticed by every other
-test.  Each script is parsed, not imported or run.  The committed table of
-tools/geometric_cost_times.py must record the cost model as it is, and
+test.  Each script is parsed, not imported or run, except that
+tools/src_lines.py's counter is run on a sample file.  The committed table
+of tools/geometric_cost_times.py must record the cost model as it is, and
 README "Limits" must state the time a unit that table records.
 """
 
 import ast
 import csv
 import importlib
+import importlib.util
 import re
 import statistics
 from fractions import Fraction
@@ -93,3 +95,23 @@ def test_readme_states_the_recorded_time_a_unit():
     assert units
     assert most - 0.1 < max(units) <= most
     assert round(statistics.median(units), 1) == median
+
+
+def test_src_lines_counts_code_outside_docstrings_and_comments(tmp_path):
+    spec = importlib.util.spec_from_file_location("src_lines", TOOLS / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        '"""Module\n\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "x = 1  # a trailing comment\n"
+        "\n"
+        "def f():\n"
+        '    """Function docstring."""\n'
+        '    return """a string\n'
+        'that is not a docstring"""\n'
+    )
+    # x = 1, def f(): and the two lines of the returned string.
+    assert src_lines.code_lines(sample) == 4
