@@ -248,56 +248,42 @@ def _cmd_chartable(args) -> int:
     return 0
 
 
-class _Refused(Exception):
-    """A usage error, or a help request, that a chain parser leaves to the full parser."""
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI's parser: every command registered, complete where argv names it.
 
-
-class _ChainParser(argparse.ArgumentParser):
-    """A parser whose usage errors raise _Refused instead of printing and exiting."""
-
-    def error(self, message):
-        raise _Refused(message)
-
-
-def build_parser(chain=None) -> argparse.ArgumentParser:
-    """The CLI's parser: every command, or only the subparser chain that ``chain`` names.
-
-    chain is the first words of an argv.  Its parser builds only the command
-    and subcommand named there, has no -h, and raises _Refused on any usage
-    error, so main can fall back to the full parser, whose help texts,
-    usage lines and exit 2 are the CLI's.  An argv that a chain parser
-    accepts parses as it does under the full parser: the two differ only in
-    the subparsers the chain leaves out and in -h, and no other option
-    starts with "-h" or "--h", so no abbreviation resolves differently.
+    Every command and subcommand is registered with its help, so every choice
+    list, usage line and help text is the full parser's.  One rule decides
+    the rest: a (sub)command gets its -h, its subparsers, its arguments and
+    its func exactly when its name is a word of argv, or always when argv is
+    None.  argparse descends only into a (sub)command whose exact name is an
+    argv word, so every parser a parse of argv reaches is complete, and the
+    parse prints, exits and returns byte for byte what the full parser's
+    does; the parsers it never reaches are only a choice and a help line.
     """
-    if chain is None:
-        parser_class, options = argparse.ArgumentParser, {}
-    else:
-        parser_class, options = _ChainParser, {"add_help": False}
 
-    def wanted(name: str) -> bool:
-        return chain is None or name in chain
+    def add(subparsers, name: str, help: str):
+        """name's parser, complete when argv names it; None when it stays a choice only."""
+        complete = argv is None or name in argv
+        sub = subparsers.add_parser(name, help=help, add_help=complete)
+        return sub if complete else None
 
-    parser = parser_class(
+    parser = argparse.ArgumentParser(
         prog="qhurwitz",
         description="Exact quantum and multispecies weighted Hurwitz numbers.",
-        **options,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    if wanted("compute"):
-        compute = subparsers.add_parser("compute", help="compute Hurwitz numbers or tables", **options)
+    if compute := add(subparsers, "compute", "compute Hurwitz numbers or tables"):
         compute_sub = compute.add_subparsers(dest="pipeline", required=True)
-        for pipeline in filter(wanted, ("geometric", "combinatorial")):
-            sub = compute_sub.add_parser(pipeline, help=f"{pipeline} pipeline value", **options)
-            sub.add_argument("--n", type=int, required=True)
-            sub.add_argument("--mu", required=True)
-            sub.add_argument("--nu", required=True)
-            sub.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
-            sub.add_argument("--degrees", required=True)
-            sub.set_defaults(func=_cmd_compute)
-        if wanted("tau"):
-            tau_sub = compute_sub.add_parser("tau", help="tau coefficient table", **options)
+        for pipeline in ("geometric", "combinatorial"):
+            if sub := add(compute_sub, pipeline, f"{pipeline} pipeline value"):
+                sub.add_argument("--n", type=int, required=True)
+                sub.add_argument("--mu", required=True)
+                sub.add_argument("--nu", required=True)
+                sub.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
+                sub.add_argument("--degrees", required=True)
+                sub.set_defaults(func=_cmd_compute)
+        if tau_sub := add(compute_sub, "tau", "tau coefficient table"):
             tau_sub.add_argument("--n", type=int, required=True)
             tau_sub.add_argument("--mu", default=None)
             tau_sub.add_argument("--nu", default=None)
@@ -307,29 +293,24 @@ def build_parser(chain=None) -> argparse.ArgumentParser:
             tau_sub.add_argument("--format", choices=("json", "csv"), default="json")
             tau_sub.set_defaults(func=_cmd_compute)
 
-    if wanted("verify"):
-        verify = subparsers.add_parser("verify", help="run cross-pipeline verification", **options)
+    if verify := add(subparsers, "verify", "run cross-pipeline verification"):
         verify_sub = verify.add_subparsers(dest="suite", required=True)
-        if wanted("triangle"):
-            triangle = verify_sub.add_parser("triangle", help="three-pipeline equality suite", **options)
+        if triangle := add(verify_sub, "triangle", "three-pipeline equality suite"):
             triangle.add_argument("--n-max", type=int, required=True, dest="n_max")
             triangle.add_argument("--deg-max", type=int, required=True, dest="deg_max")
             triangle.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
             triangle.set_defaults(func=_cmd_verify)
 
-    if wanted("oracle"):
-        oracle = subparsers.add_parser("oracle", help="brute-force oracles", **options)
+    if oracle := add(subparsers, "oracle", "brute-force oracles"):
         oracle_sub = oracle.add_subparsers(dest="oracle_kind", required=True)
-        if wanted("paths"):
-            paths = oracle_sub.add_parser("paths", help="path counts by signature", **options)
+        if paths := add(oracle_sub, "paths", "path counts by signature"):
             paths.add_argument("--n", type=int, required=True)
             paths.add_argument("--d", type=int, required=True)
             paths.add_argument("--mu", required=True)
             paths.add_argument("--nu", required=True)
             paths.set_defaults(func=_cmd_oracle)
 
-    if wanted("chartable"):
-        chartable = subparsers.add_parser("chartable", help="exact character table", **options)
+    if chartable := add(subparsers, "chartable", "exact character table"):
         chartable.add_argument("--n", type=int, required=True)
         chartable.add_argument("--format", choices=("json", "csv"), default="json")
         chartable.set_defaults(func=_cmd_chartable)
@@ -340,14 +321,10 @@ def build_parser(chain=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv[:2]).parse_args(argv)
-    except _Refused:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser(argv).parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -84,7 +84,7 @@ from .characters import character_table
 from .errors import CapacityError
 from .partitions import Partition, check_partition, colength
 from .qweights import Species, WeightConfig, level_factor
-from .scalars import RATIONAL, Immutable
+from .scalars import RATIONAL, Immutable, sized_text
 
 #: Largest _geometric_cost a geometric sum may have.
 GEOMETRIC_COST_LIMIT = 10**6
@@ -335,8 +335,8 @@ def _check_cost(cost: int) -> None:
     """Raise CapacityError when a geometric cost exceeds GEOMETRIC_COST_LIMIT."""
     if cost > GEOMETRIC_COST_LIMIT:
         raise CapacityError(
-            f"geometric sum costs about {cost} (walk steps and matrix terms scaled by "
-            f"weight bits), over the limit of {GEOMETRIC_COST_LIMIT}"
+            f"geometric sum costs about {sized_text(cost, 'a number')} (walk steps and matrix terms "
+            f"scaled by weight bits), over the limit of {GEOMETRIC_COST_LIMIT}"
         )
 
 

@@ -55,7 +55,7 @@ from math import factorial
 
 from . import series
 from .partitions import _is_int
-from .scalars import RATIONAL, Immutable, reciprocal
+from .scalars import RATIONAL, Immutable, reciprocal, sized_text
 
 #: Weight generating function families usable as branch-point species.
 FAMILIES = ("E", "E'", "H")
@@ -98,11 +98,7 @@ class Species(Immutable):
         if isinstance(parameter, (int, Fraction)):
             parameter = Fraction(parameter)
             if not -1 < parameter < 1:
-                # Past 1000 bits (about 300 digits) a value is named by its
-                # size: its text could pass sys.get_int_max_str_digits(),
-                # which is 640 at the lowest.  |numerator| >= denominator here.
-                bits = parameter.numerator.bit_length()
-                text = parameter if bits <= 1000 else f"a rational of {bits} bits"
+                text = sized_text(parameter, "a rational")
                 raise ValueError(f"rational parameter must lie in (-1, 1): {text}")
         elif not isinstance(parameter, series.TruncatedSeries):
             raise ValueError("parameter must be a rational or a TruncatedSeries")

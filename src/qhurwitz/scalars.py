@@ -1,4 +1,4 @@
-"""Scalar helpers of both modes that need no series: value types, rational text, reciprocals.
+"""Scalar helpers of both modes that need no series: value types, rational and sized text, reciprocals.
 
 Rational mode, which is every CLI request, reads these and never runs
 ``series``: a rational is an int or a Fraction, and anything else is a
@@ -71,6 +71,18 @@ def format_rational(value) -> str:
         return "%d/%d" % ratio
     except ValueError:
         return "%s/%s" % tuple(map(Decimal, ratio))
+
+
+def sized_text(value, noun: str) -> str:
+    """str of an int or Fraction whose terms fit in 1000 bits, else "<noun> of <bits> bits".
+
+    Messages that name a value grown from outside input use it.  1000 bits
+    is about 300 digits, under sys.get_int_max_str_digits() (640 at the
+    lowest), past which str raises ValueError; bits is the bit length of
+    the larger term.
+    """
+    bits = max(map(int.bit_length, value.as_integer_ratio()))
+    return str(value) if bits <= 1000 else f"{noun} of {bits} bits"
 
 
 def reciprocal(x):

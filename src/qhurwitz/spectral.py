@@ -42,7 +42,7 @@ from .characters import CharacterTable, character_table
 from .errors import CapacityError
 from .partitions import _is_int, check_partition, colength, partition_count
 from .qweights import Species, WeightConfig, level_factor, multidegrees
-from .scalars import RATIONAL
+from .scalars import RATIONAL, sized_text
 
 
 def spectral_sum(table: CharacterTable, blocks) -> list:
@@ -319,6 +319,6 @@ def check_spectral_cost(
     cost = spectral_cost(config, maxdeg, blocks, shift)
     if cost > SPECTRAL_COST_LIMIT:
         raise CapacityError(
-            f"spectral sum costs about {cost} (kernel products), "
+            f"spectral sum costs about {sized_text(cost, 'a number')} (kernel products), "
             f"over the limit of {SPECTRAL_COST_LIMIT}"
         )

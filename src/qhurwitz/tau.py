@@ -46,7 +46,7 @@ from .characters import character_table
 from .errors import CapacityError
 from .partitions import Partition, check_partition, format_partition
 from .qweights import WeightConfig, multidegrees
-from .scalars import RATIONAL, Immutable, format_rational
+from .scalars import RATIONAL, Immutable, format_rational, sized_text
 from .spectral import (
     SPECTRAL_COST_LIMIT,
     eigenvalue_blocks,
@@ -197,9 +197,9 @@ def check_triangle_bounds(
         spectral_total += 2 * spectral_cost(suite_config, maxdeg, blocks)
         if geometric_total > geometric.GEOMETRIC_COST_LIMIT or spectral_total > SPECTRAL_COST_LIMIT:
             raise CapacityError(
-                f"triangle suite costs at least {geometric_total} (walk steps and matrix terms "
-                f"scaled by weight bits) and {spectral_total} (kernel products), over the limit of "
-                f"{geometric.GEOMETRIC_COST_LIMIT} or {SPECTRAL_COST_LIMIT}"
+                f"triangle suite costs at least {sized_text(geometric_total, 'a number')} (walk steps and "
+                f"matrix terms scaled by weight bits) and {sized_text(spectral_total, 'a number')} (kernel "
+                f"products), over the limit of {geometric.GEOMETRIC_COST_LIMIT} or {SPECTRAL_COST_LIMIT}"
             )
 
 

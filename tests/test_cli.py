@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -376,6 +377,21 @@ class TestLargeValues:
         assert captured.out == ""
         assert captured.err == f"error: rational parameter must lie in (-1, 1): {text}\n"
 
+    @pytest.mark.parametrize("argv, reason", [
+        (f"compute tau --n 3 --species H:q=1/2 --maxdeg {'9' * 1200}", "spectral sum costs"),
+        (f"compute combinatorial --n 3 --mu 3 --nu 3 --species H:q=1/2 --degrees {'9' * 1200}", "spectral sum costs"),
+        (f"compute geometric --n 3 --mu 3 --nu 3 --species H:q=1/2 --degrees {'9' * 2500}", "geometric sum costs"),
+        (f"verify triangle --n-max 3 --deg-max {'9' * 1200} --species H:q=1/2", "triangle suite costs"),
+    ], ids=["tau", "combinatorial", "geometric", "triangle"])
+    def test_refused_cost_past_the_digit_limit_is_named_by_its_size(self, capsys, argv, reason):
+        start = time.perf_counter()
+        code = main(argv.split())
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.match(rf"error: {reason} (about|at least) a number of \d+ bits \(", captured.err)
+
 
 class TestSpectralAdmission:
     @pytest.mark.parametrize("argv", [
@@ -595,11 +611,18 @@ PARSE_FAILURES = [
     "verify triangle --n-max 3 --deg-max 1 --species H:q=1/2 more", "oracle paths --n 2 --d 1 --mu 2 --nu 2 x",
     "compute geometric --n 3 --mu -h --nu 3 --species H:q=1/2 --degrees 1", "chartable --n 3 --unknown 1",
     "chartable --n", "compute tau --n 3 --species", "chartable compute --n 3",
+    f"-x compute tau {TAU}", "compute -x tau --n 3", f"compute --n 3 tau {TAU}", "--n 3 chartable --n 3",
+    "-h compute tau", "--he compute", "compute tau -h geometric",
 ]
 
 
+def subparser_choices(parser) -> dict:
+    """The subparsers of parser by name, in registration order; {} for a parser without any."""
+    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+
 class TestParseIdentity:
-    """main parses with only the subparser chain argv names, and falls back to the full parser."""
+    """main parses once, with a parser complete only where argv names it, as the full parser does."""
 
     @pytest.mark.parametrize("argv", PARSE_FAILURES)
     def test_help_and_usage_errors_are_the_full_parsers(self, argv):
@@ -617,15 +640,20 @@ class TestParseIdentity:
     ])
     def test_an_accepted_request_parses_as_under_the_full_parser(self, argv):
         argv = argv.split()
-        chain = qhurwitz.cli.build_parser(argv[:2])
-        assert vars(chain.parse_args(argv)) == vars(qhurwitz.cli.build_parser().parse_args(argv))
+        parsed = qhurwitz.cli.build_parser(argv).parse_args(argv)
+        assert vars(parsed) == vars(qhurwitz.cli.build_parser().parse_args(argv))
 
-    def test_the_chain_parser_builds_only_its_subparsers(self):
-        parser = qhurwitz.cli.build_parser(["compute", "tau"])
-        [commands] = [a for a in parser._actions if a.dest == "command"]
-        assert list(commands.choices) == ["compute"]
-        [pipelines] = [a for a in commands.choices["compute"]._actions if a.dest == "pipeline"]
-        assert list(pipelines.choices) == ["tau"]
+    @pytest.mark.parametrize("argv", ["chartable --n 1", f"compute tau {TAU}"])
+    def test_every_name_is_a_choice_and_only_named_parsers_hold_arguments(self, argv):
+        argv = argv.split()
+        pairs = [(qhurwitz.cli.build_parser(argv), qhurwitz.cli.build_parser())]
+        while pairs:
+            parser, full = pairs.pop()
+            assert list(subparser_choices(parser)) == list(subparser_choices(full))
+            for name, sub in subparser_choices(parser).items():
+                assert bool(sub._actions) == (name in argv), name
+                if name in argv:
+                    pairs.append((sub, subparser_choices(full)[name]))
 
 
 class TestEntryPoint:
