@@ -42,19 +42,18 @@ _EXPORTS = {
         "partition_count",
     ),
     "scalars": ("reciprocal",),
-    "series": ("TruncatedSeries", "poly_exp", "poly_mul"),
+    "series": ("TruncatedSeries", "poly_mul"),
     "qweights": (
         "FAMILIES",
         "Species",
         "WeightConfig",
         "parse_rational",
         "parse_species_flag",
-        "quantum_dilog_coeffs",
         "symmetrized_weight",
         "weight_coefficient",
         "weight_coefficients",
     ),
-    "characters": ("CharacterTable", "character_table", "character_value", "dimension"),
+    "characters": ("CharacterTable", "character_table", "dimension"),
     "spectral": ("species_content_coeffs",),
     "sn": (),
     "combinatorial": (

@@ -87,19 +87,6 @@ def _strip_sum(strips: list[tuple[int, int]], rest: Partition) -> int:
     return total
 
 
-def character_value(lam: Partition, mu: Partition) -> int:
-    """Irreducible character of shape lam evaluated on the class of type mu.
-
-    Read from character_table(n), the one evaluation path, so n past
-    TABLE_LIMIT raises CapacityError.
-    """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("lam and mu must have equal weight")
-    return character_table(sum(lam)).value(lam, mu)
-
-
 def dimension(lam: Partition) -> int:
     """Dimension n!/hook_product of the irreducible representation of shape lam."""
     lam = check_partition(lam)

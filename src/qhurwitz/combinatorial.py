@@ -178,9 +178,6 @@ class TransferMatrix(Immutable):
         )
         return TransferMatrix(n=self.n, rows=rows)
 
-    def commutes_with(self, other: "TransferMatrix") -> bool:
-        return (self @ other).rows == (other @ self).rows
-
 
 def transfer_matrix(species: qweights.Species, degree: int, n: int) -> TransferMatrix:
     """Matrix of the degree-``degree`` part of the species' central element.

@@ -217,16 +217,6 @@ def weight_coefficient(family: str, params, i: int):
     return weight_coefficients(family, params, i)[i]
 
 
-def quantum_dilog_coeffs(q, degree: int) -> tuple:
-    """Coefficients of z^k, k = 1..degree, of Li2(q, z) = sum z^k / (k (1 - q^k)).
-
-    degree must be a positive int; a bool or any other number raises ValueError.
-    """
-    if not _is_int(degree) or degree < 1:
-        raise ValueError(f"degree must be a positive int, got {degree!r}")
-    return tuple(Fraction(1, k) * reciprocal(1 - q**k) for k in range(1, degree + 1))
-
-
 def level_factor(family: str, q, partial: int, last: bool) -> tuple:
     """(numerator, denominator): the factor of one prefix with sum partial >= 1 in a level weight.
 

@@ -195,18 +195,3 @@ def poly_mul(a: list, b: list, maxdeg: int) -> list:
                 continue
             out[i + j] = out[i + j] + ca * cb
     return out
-
-
-def poly_exp(a: list, maxdeg: int) -> list:
-    """Exponential of a coefficient list with zero constant term.
-
-    b = exp(a) satisfies b' = a' b, that is m b_m = sum_{k=1..m} k a_k b_{m-k},
-    which gives each coefficient from the earlier ones in O(maxdeg^2) in all.
-    """
-    if a and a[0]:
-        raise ValueError("exp requires a zero constant term")
-    out = [1] + [0] * maxdeg
-    for m in range(1, maxdeg + 1):
-        total = sum((k * a[k] * out[m - k] for k in range(1, min(m, len(a) - 1) + 1)), 0)
-        out[m] = total * Fraction(1, m)
-    return out

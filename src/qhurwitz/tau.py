@@ -107,9 +107,6 @@ class HurwitzTable(Immutable):
         values = itertools.chain.from_iterable(itertools.chain.from_iterable(self.matrices.values()))
         return dict(zip(itertools.product(self.matrices, parts, parts), values))
 
-    def multidegrees(self):
-        return multidegrees(self.maxdeg)
-
 
 def tau_coefficients(
     config: WeightConfig, maxdeg: tuple[int, ...], shift: int = 0

@@ -12,10 +12,8 @@ from qhurwitz import (
     Species,
     TruncatedSeries,
     character_table,
-    character_value,
     colength,
     dimension,
-    enumerate_partitions,
     species_content_coeffs,
 )
 from qhurwitz.characters import TABLE_LIMIT
@@ -57,29 +55,32 @@ def reference_border_strip_character(lam, mu):
 class TestCharacterValue:
     def test_trivial_representation(self):
         for n in range(1, 7):
-            for mu in enumerate_partitions(n):
-                assert character_value((n,), mu) == 1
+            table = character_table(n)
+            for mu in table.partitions:
+                assert table.value((n,), mu) == 1
 
     def test_sign_representation(self):
         for n in range(1, 7):
-            for mu in enumerate_partitions(n):
-                assert character_value((1,) * n, mu) == (-1) ** colength(mu)
+            table = character_table(n)
+            for mu in table.partitions:
+                assert table.value((1,) * n, mu) == (-1) ** colength(mu)
 
     def test_standard_two_one(self):
-        assert character_value((2, 1), (1, 1, 1)) == 2
-        assert character_value((2, 1), (3,)) == -1
-        assert character_value((2, 1), (2, 1)) == 0
+        table = character_table(3)
+        assert table.value((2, 1), (1, 1, 1)) == 2
+        assert table.value((2, 1), (3,)) == -1
+        assert table.value((2, 1), (2, 1)) == 0
 
     def test_weight_mismatch(self):
-        with pytest.raises(ValueError):
-            character_value((2,), (3,))
+        with pytest.raises(ValueError, match=r"\(3,\) is not a partition of 2"):
+            character_table(2).value((2,), (3,))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_pair_equals_the_reference_recursion(self, n):
-        parts = enumerate_partitions(n)
-        for lam in parts:
-            for mu in parts:
-                assert character_value(lam, mu) == reference_border_strip_character(lam, mu), (lam, mu)
+        table = character_table(n)
+        for lam in table.partitions:
+            for mu in table.partitions:
+                assert table.value(lam, mu) == reference_border_strip_character(lam, mu), (lam, mu)
 
     @pytest.mark.parametrize("lam, mu", [
         ((13,), (1,) * 13),
@@ -87,9 +88,9 @@ class TestCharacterValue:
         ((1200,), (1,) * 1200),
     ])
     def test_past_the_table_limit_is_capacity_error(self, lam, mu):
-        # Read from character_table(n), so the table's bound is the value's.
+        # The table of n is refused before any value is read from it.
         with pytest.raises(CapacityError, match=f"limited to n <= {TABLE_LIMIT}"):
-            character_value(lam, mu)
+            character_table(sum(lam)).value(lam, mu)
 
 
 class TestCharacterTable:
@@ -113,7 +114,7 @@ class TestCharacterTable:
             for lam in table.partitions
         )
         middle = len(table.partitions) // 2
-        column = [character_value(lam, table.partitions[middle]) for lam in table.partitions]
+        column = [table.value(lam, table.partitions[middle]) for lam in table.partitions]
         assert column == [row[middle] for row in table.values]
 
     @pytest.mark.parametrize("n", TABLE_SIZES)
@@ -212,7 +213,7 @@ class TestDimension:
         assert dimension((4,)) == 1
         assert dimension((2, 1)) == 2
         assert dimension((2, 2)) == 2
-        assert dimension((2, 2)) == character_value((2, 2), (1, 1, 1, 1))
+        assert dimension((2, 2)) == character_table(4).value((2, 2), (1, 1, 1, 1))
 
 
 def reference_transfer_rows(table, coeffs):

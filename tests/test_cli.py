@@ -40,7 +40,7 @@ def reference_tau_output(table, mu_filter, nu_filter, fmt):
     """
     parts = enumerate_partitions(table.n)
     records = []
-    for degrees in table.multidegrees():
+    for degrees in multidegrees(table.maxdeg):
         for mu in parts:
             if mu_filter is not None and mu != mu_filter:
                 continue
@@ -256,7 +256,7 @@ class TestTauWriter:
         table = tau_coefficients(WeightConfig(species, 4), _parse_degree_blocks(maxdeg, species))
         parts = enumerate_partitions(4)
         assert list(table.entries) == [
-            (degrees, mu, nu) for degrees in table.multidegrees() for mu in parts for nu in parts
+            (degrees, mu, nu) for degrees in multidegrees(table.maxdeg) for mu in parts for nu in parts
         ]
 
     @pytest.mark.parametrize("key", sorted(PINS))

@@ -146,7 +146,7 @@ class TestTransferMatrix:
     def test_commutativity_sample(self):
         a = transfer_matrix(Species("E", HALF), 1, 4)
         b = transfer_matrix(Species("H", FIFTH), 2, 4)
-        assert a.commutes_with(b)
+        assert (a @ b).rows == (b @ a).rows
 
     def test_raw_entries_swap_with_centralizer_scaling(self):
         # z_mu * F(mu, nu) = z_nu * F(nu, mu): both sides equal the symmetric

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import qhurwitz
+from test_readme_limits import code_block
+from test_traced_contract import CACHES, TARGETS
 
 SOURCES = Path(qhurwitz.__file__).resolve().parent
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCES.glob("*.py"))}
@@ -40,6 +42,70 @@ def test_all_names_exactly_the_public_attributes():
     }
     assert len(qhurwitz.__all__) == len(set(qhurwitz.__all__))
     assert set(qhurwitz.__all__) == public
+
+
+ORACLE = "oracle: a brute-force or reference computation that guards a pipeline"
+PIPELINE = "pipeline helper: a value type, error, parser or scalar helper the pipelines or the CLI run"
+PINNED = "pinned by bench/traced.py"
+
+#: Every public name that README's Library sketch does not import, with the
+#: reason it stays public.
+UNDOCUMENTED_PUBLIC = {
+    "BranchConfiguration": ORACLE,
+    "CapacityError": PIPELINE,
+    "CharacterTable": PIPELINE,
+    "FAMILIES": PIPELINE,
+    "HurwitzTable": PIPELINE,
+    "Partition": PIPELINE,
+    "PoleError": PIPELINE,
+    "TransferMatrix": PIPELINE,
+    "TriangleReport": PIPELINE,
+    "TruncatedSeries": PIPELINE,
+    "centralizer_order": PIPELINE,
+    "check_partition": PIPELINE,
+    "colength": PIPELINE,
+    "content_product_coeffs": PINNED,
+    "dimension": ORACLE,
+    "enumerate_factorizations": ORACLE,
+    "enumerate_partitions": PIPELINE,
+    "format_partition": PIPELINE,
+    "frobenius_hurwitz": PINNED,
+    "hook_product": PIPELINE,
+    "jucys_murphy_eigenvalue_check": ORACLE,
+    "multispecies_hurwitz_entry": PIPELINE,
+    "multispecies_hurwitz_matrix": ORACLE,
+    "multispecies_hurwitz_number": PIPELINE,
+    "multispecies_transfer_matrix": PINNED,
+    "parse_partition": PIPELINE,
+    "parse_rational": PIPELINE,
+    "parse_species_flag": PIPELINE,
+    "partition_count": PIPELINE,
+    "path_counts": ORACLE,
+    "poly_mul": PIPELINE,
+    "reciprocal": PIPELINE,
+    "signature_of": ORACLE,
+    "symmetrized_weight": PINNED,
+    "transfer_matrix": PINNED,
+    "weight_coefficient": PINNED,
+    "weight_coefficients": PIPELINE,
+}
+
+
+def test_every_public_name_is_documented_or_has_a_reason():
+    # README's Library sketch documents the public API; any other public
+    # name needs a reason to stay, and a pinned one must be a tracer target.
+    sketch = {
+        alias.name
+        for node in ast.walk(ast.parse(code_block("## Library sketch")))
+        if isinstance(node, ast.ImportFrom) and node.module == "qhurwitz"
+        for alias in node.names
+    }
+    public = set(qhurwitz.__all__)
+    assert sketch <= public
+    assert sorted(public - sketch - set(UNDOCUMENTED_PUBLIC)) == [], "public, undocumented and given no reason"
+    assert sorted(set(UNDOCUMENTED_PUBLIC) - (public - sketch)) == [], "given a reason, but not public or documented"
+    traced = {attribute.partition(".")[0] for *_, attribute in TARGETS + CACHES}
+    assert {name for name, reason in UNDOCUMENTED_PUBLIC.items() if reason == PINNED} <= traced
 
 
 def package_imports(tree) -> dict[str, set]:

@@ -9,13 +9,8 @@ dilogarithm through the same machinery.
 
 from fractions import Fraction
 
-from qhurwitz import (
-    TruncatedSeries,
-    poly_exp,
-    poly_mul,
-    quantum_dilog_coeffs,
-    weight_coefficient,
-)
+from qhurwitz import TruncatedSeries, poly_mul, reciprocal, weight_coefficient
+from test_series import poly_exp
 
 CAP = 12
 ZDEG = 8
@@ -81,10 +76,29 @@ class TestProductExpansions:
             assert expanded[i] == closed_form("Q", i), f"coefficient {i}"
 
 
+def quantum_dilog_coeffs(q, degree):
+    """Coefficients of z^k, k = 1..degree, of Li2(q, z) = sum z^k / (k (1 - q^k)), in either scalar mode."""
+    return tuple(Fraction(1, k) * reciprocal(1 - q**k) for k in range(1, degree + 1))
+
+
 def dilog_poly(parameter, zdeg, sign=1):
     """Li2(parameter, sign*z) as a z-coefficient list with zero constant term."""
     coeffs = quantum_dilog_coeffs(parameter, zdeg)
     return [0] + [c * Fraction(sign) ** k for k, c in enumerate(coeffs, start=1)]
+
+
+class TestQuantumDilog:
+    def test_leading_coefficients(self):
+        half = Fraction(1, 2)
+        coeffs = quantum_dilog_coeffs(half, 3)
+        assert coeffs[0] == 1 / (1 - half)
+        assert coeffs[1] == Fraction(1, 2) / (1 - half**2)
+        assert coeffs[2] == Fraction(1, 3) / (1 - half**3)
+
+    def test_series_mode(self):
+        q = TruncatedSeries.variable("q", 6)
+        coeffs = quantum_dilog_coeffs(q, 2)
+        assert coeffs[0] == (1 - q).inverse()
 
 
 class TestDilogExponentials:

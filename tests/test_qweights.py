@@ -14,7 +14,6 @@ from qhurwitz import (
     WeightConfig,
     parse_rational,
     parse_species_flag,
-    quantum_dilog_coeffs,
     reciprocal,
     symmetrized_weight,
     weight_coefficient,
@@ -178,27 +177,6 @@ class TestWeightCoefficient:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             weight_coefficient("X", HALF, 1)
-
-
-class TestQuantumDilog:
-    def test_leading_coefficients(self):
-        coeffs = quantum_dilog_coeffs(HALF, 3)
-        assert coeffs[0] == 1 / (1 - HALF)
-        assert coeffs[1] == Fraction(1, 2) / (1 - HALF**2)
-        assert coeffs[2] == Fraction(1, 3) / (1 - HALF**3)
-
-    def test_series_mode(self):
-        q = TruncatedSeries.variable("q", 6)
-        coeffs = quantum_dilog_coeffs(q, 2)
-        assert coeffs[0] == (1 - q).inverse()
-
-    def test_degree_must_be_an_int(self):
-        # True was taken as degree 1 and 2.0 raised TypeError inside range().
-        for degree in (True, False, 2.0, 1.5, "2", Fraction(2), None):
-            with pytest.raises(ValueError, match="degree must be a positive int"):
-                quantum_dilog_coeffs(HALF, degree)
-        with pytest.raises(ValueError, match="degree must be a positive int"):
-            quantum_dilog_coeffs(HALF, 0)
 
 
 class TestSymmetrizedWeight:
