@@ -77,7 +77,12 @@ class TestProductExpansions:
 
 
 def quantum_dilog_coeffs(q, degree):
-    """Coefficients of z^k, k = 1..degree, of Li2(q, z) = sum z^k / (k (1 - q^k)), in either scalar mode."""
+    """Coefficients of z^k, k = 1..degree, of Li2(q, z) = sum z^k / (k (1 - q^k)), in either scalar mode.
+
+    degree must be a positive int; a bool or any other number raises ValueError.
+    """
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+        raise ValueError(f"degree must be a positive int, got {degree!r}")
     return tuple(Fraction(1, k) * reciprocal(1 - q**k) for k in range(1, degree + 1))
 
 
@@ -85,20 +90,6 @@ def dilog_poly(parameter, zdeg, sign=1):
     """Li2(parameter, sign*z) as a z-coefficient list with zero constant term."""
     coeffs = quantum_dilog_coeffs(parameter, zdeg)
     return [0] + [c * Fraction(sign) ** k for k, c in enumerate(coeffs, start=1)]
-
-
-class TestQuantumDilog:
-    def test_leading_coefficients(self):
-        half = Fraction(1, 2)
-        coeffs = quantum_dilog_coeffs(half, 3)
-        assert coeffs[0] == 1 / (1 - half)
-        assert coeffs[1] == Fraction(1, 2) / (1 - half**2)
-        assert coeffs[2] == Fraction(1, 3) / (1 - half**3)
-
-    def test_series_mode(self):
-        q = TruncatedSeries.variable("q", 6)
-        coeffs = quantum_dilog_coeffs(q, 2)
-        assert coeffs[0] == (1 - q).inverse()
 
 
 class TestDilogExponentials:

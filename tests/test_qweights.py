@@ -20,6 +20,7 @@ from qhurwitz import (
     weight_coefficients,
 )
 from qhurwitz.qweights import level_factor
+from test_qseries import quantum_dilog_coeffs
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -177,6 +178,27 @@ class TestWeightCoefficient:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             weight_coefficient("X", HALF, 1)
+
+
+class TestQuantumDilog:
+    def test_leading_coefficients(self):
+        coeffs = quantum_dilog_coeffs(HALF, 3)
+        assert coeffs[0] == 1 / (1 - HALF)
+        assert coeffs[1] == Fraction(1, 2) / (1 - HALF**2)
+        assert coeffs[2] == Fraction(1, 3) / (1 - HALF**3)
+
+    def test_series_mode(self):
+        q = TruncatedSeries.variable("q", 6)
+        coeffs = quantum_dilog_coeffs(q, 2)
+        assert coeffs[0] == (1 - q).inverse()
+
+    def test_degree_must_be_an_int(self):
+        # True would be taken as degree 1, and 2.0 would raise TypeError inside range().
+        for degree in (True, False, 2.0, 1.5, "2", Fraction(2), None):
+            with pytest.raises(ValueError, match="degree must be a positive int"):
+                quantum_dilog_coeffs(HALF, degree)
+        with pytest.raises(ValueError, match="degree must be a positive int"):
+            quantum_dilog_coeffs(HALF, 0)
 
 
 class TestSymmetrizedWeight:

@@ -32,8 +32,11 @@ def poly_exp(a, maxdeg):
     """exp(a) for a coefficient list with zero constant term, the exponential of the dilogarithm identities.
 
     b = exp(a) satisfies b' = a' b, that is m b_m = sum_{k=1..m} k a_k b_{m-k},
-    which gives each coefficient from the earlier ones.
+    which gives each coefficient from the earlier ones.  That recurrence drops
+    a constant term, so a nonzero one raises ValueError.
     """
+    if a and a[0]:
+        raise ValueError("exp requires a zero constant term")
     out = [1] + [0] * maxdeg
     for m in range(1, maxdeg + 1):
         total = sum((k * a[k] * out[m - k] for k in range(1, min(m, len(a) - 1) + 1)), 0)
@@ -100,6 +103,10 @@ class TestInverseAndExp:
         q = TruncatedSeries.variable("q", 5)
         expected = TruncatedSeries("q", 5, {(k,): 1 for k in range(6)})
         assert (1 - q).inverse() == expected
+
+    def test_exp_needs_zero_constant(self):
+        with pytest.raises(ValueError, match="zero constant term"):
+            poly_exp([1, 1], 4)
 
     @settings(max_examples=40)
     @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), max_size=6))
