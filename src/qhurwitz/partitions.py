@@ -125,10 +125,10 @@ def centralizer_order(mu: Partition) -> int:
 
     Product over distinct part sizes i of i**m_i * m_i! where m_i is the
     multiplicity of i; the conjugacy class of type mu has n!/centralizer_order
-    elements.
+    elements.  mu that check_partition refuses raises ValueError.
     """
     order = 1
-    for part, mult in Counter(mu).items():
+    for part, mult in Counter(check_partition(mu)).items():
         order *= part**mult * factorial(mult)
     return order
 
@@ -137,9 +137,10 @@ def hook_product(lam: Partition) -> int:
     """Product of the hook lengths of all cells of lam.
 
     Satisfies hook_product(lam) * dim(lam) = n! for the irreducible
-    representation dimension dim(lam).
+    representation dimension dim(lam).  lam that check_partition refuses
+    raises ValueError.
     """
-    lam = tuple(lam)
+    lam = check_partition(lam)
     product = 1
     for i, row in enumerate(lam):
         for j in range(row):

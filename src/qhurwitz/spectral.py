@@ -150,8 +150,8 @@ def spectral_sum(table: CharacterTable, blocks) -> list:
 def spectral_row(table: CharacterTable, blocks, mu: int, nus=None) -> list:
     """Per block, the entries (mu, nu), nu in nus, of the matrix spectral_sum returns: a row, or one entry.
 
-    mu and each nu (nus defaults to every index) index table.partitions, and
-    blocks are as spectral_sum takes them.  The products
+    mu and each nu (nus, any iterable, defaults to every index) index
+    table.partitions, and blocks are as spectral_sum takes them.  The products
     chi_lam(mu) chi_lam(nu) over the shapes are formed once per nu, and each
     block takes one p(n)-term dot product of its coefficients with them per
     nu, over D z_mu z_nu: p(n) products per block for one entry, p(n)^2 for
@@ -159,7 +159,7 @@ def spectral_row(table: CharacterTable, blocks, mu: int, nus=None) -> list:
     by 1 / (D z_mu z_nu), so every value equals spectral_sum's.
     """
     z = table.centralizer_orders
-    nus = range(len(z)) if nus is None else nus
+    nus = range(len(z)) if nus is None else tuple(nus)
     characters = [[row[mu] * row[nu] for row in table.values] for nu in nus]
     rows = []
     for coeffs, denominator in blocks:

@@ -204,6 +204,15 @@ class TestHooksAndContents:
         assert contents(transposed) == tuple(sorted(-c for c in contents(lam)))
 
 
+@pytest.mark.parametrize("function", [centralizer_order, hook_product])
+@pytest.mark.parametrize("bad", [(1, 2), "3", "21", (2, 0), (2.0, 1)])
+def test_centralizer_order_and_hook_product_refuse_non_partitions(function, bad):
+    # (1, 2) is not (2, 1): both used to answer for it (2 and 4), and to
+    # raise TypeError for a str.
+    with pytest.raises(ValueError):
+        function(bad)
+
+
 class TestSerialization:
     def test_round_trip(self):
         for text in ("", "3", "3,1,1", "2,2"):

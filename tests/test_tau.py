@@ -655,6 +655,12 @@ class TestRowAndEntryForms:
                 entries = spectral_module.spectral_row(tbl, blocks, i, [j])
                 assert entries == [(rows[i][j],) for rows in matrices]
 
+    def test_nus_may_be_a_one_pass_iterator(self):
+        tbl, _, blocks = spectral_module.eigenvalue_blocks(single_species("H", HALF, 4), (2,), 0)
+        expected = spectral_module.spectral_row(tbl, blocks, 0, [0, 1])
+        assert len(expected) == 3 and all(len(entries) == 2 for entries in expected)
+        assert spectral_module.spectral_row(tbl, blocks, 0, iter([0, 1])) == expected
+
     @pytest.mark.parametrize("shift", [0, 2])
     @pytest.mark.parametrize("q", [HALF, -THIRD, Fraction(-1, 2)])
     @pytest.mark.parametrize("family", ["E", "E'", "H"])

@@ -5,7 +5,9 @@ geometric._matrix, so a renamed helper would go unnoticed by every other
 test.  Each script is parsed, not imported or run, except that
 tools/src_lines.py's counter is run on a sample file.  The committed table
 of tools/geometric_cost_times.py must record the cost model as it is, and
-README "Limits" must state the time a unit that table records.
+README "Limits" must state the time a unit that table records.  The rows of
+tools/frontiers.txt, which tools/frontiers.sh runs, are parsed here without
+running a request.
 """
 
 import ast
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from qhurwitz import Species, WeightConfig
+from qhurwitz.cli import build_parser
 from qhurwitz.geometric import GEOMETRIC_COST_LIMIT, _geometric_cost
 from test_readme_limits import limits_rows
 
@@ -115,3 +118,32 @@ def test_src_lines_counts_code_outside_docstrings_and_comments(tmp_path):
     )
     # x = 1, def f(): and the two lines of the returned string.
     assert src_lines.code_lines(sample) == 4
+
+
+def _frontier_rows():
+    """(digest, marker, argv) for each row of tools/frontiers.txt, split as the script's bash splits it."""
+    rows = []
+    for line in (TOOLS / "frontiers.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            digest, marker, request = line.split(None, 2)
+            rows.append((digest, marker, request.split()))
+    return rows
+
+
+FRONTIER_ROWS = _frontier_rows()
+
+
+def test_the_frontier_table_has_every_row():
+    # 6 compute tau tables, 5 point or filtered requests, 6 compute geometric
+    # requests and 5 verify triangle suites.
+    assert len(FRONTIER_ROWS) == 22
+
+
+@pytest.mark.parametrize("digest, marker, argv", FRONTIER_ROWS)
+def test_frontier_row_is_well_formed(digest, marker, argv):
+    assert re.fullmatch(r"[0-9a-f]{64}", digest), digest
+    assert marker in ("frontier", "inside"), marker
+    assert hasattr(build_parser(argv).parse_args(argv), "func"), argv
+    if marker == "frontier":
+        # The script asks for one degree more by adding 1 to the last word.
+        assert argv[-2] in ("--maxdeg", "--degrees", "--deg-max") and argv[-1].isdigit(), argv
