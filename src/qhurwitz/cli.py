@@ -15,14 +15,20 @@ H-type block separated by ";" ("1,2;1"); the semicolon may be omitted when
 only one family is present.  Every rational in the output is an exact
 "numerator/denominator" string in lowest terms with positive denominator.
 
-Exit codes: 0 success, 1 verification discrepancy, 2 usage error, 3 capacity
-or pole error.  Output is deterministic for identical requests.
+Exit codes: 0 success, 1 verification discrepancy, 2 usage error, 3 capacity,
+pole or output error.  Output is deterministic for identical requests.
+
+``run`` is the process entry of every launch form (``python -m qhurwitz``,
+``python -m qhurwitz.cli`` and the ``qhurwitz`` script); ``main`` is the same
+request without the process-exit steps, for callers that stay in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
+import os
 import sys
 
 from . import combinatorial, geometric, qweights, scalars, tau
@@ -319,10 +325,20 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Answer one request on stdout and return its exit code.
+
+    A closed stdout (None) is refused before any work, and a write or flush
+    of stdout that fails exits 3; each prints one error line.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
+    if sys.stdout is None:
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        return 3
     try:
         args = build_parser(argv).parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:
@@ -331,7 +347,33 @@ def main(argv=None) -> int:
     except (CapacityError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 3
+
+
+def run(argv=None) -> int:
+    """The process entry: main, then what the process needs before it exits.
+
+    Finalization flushes stdout once more, so after a failed flush fd 1 is
+    pointed at os.devnull: the exit code stays main's, not 120.  gc.freeze()
+    then moves every live object out of the collector's reach, so the full
+    collections of finalization skip the modules, functions and classes that
+    start-up made.  Finalization itself still runs: atexit handlers, stream
+    flushes and profiler output.  Only a process that is about to exit calls
+    this; main never freezes, because frozen objects are never collected.
+    """
+    code = main(argv)
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

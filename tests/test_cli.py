@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -656,6 +657,32 @@ class TestParseIdentity:
                     pairs.append((sub, subparser_choices(full)[name]))
 
 
+#: The environment of a launched request: stdout block-buffered, as for a user.
+LAUNCH_ENV = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"}
+
+#: The three ways the CLI starts, each followed by the request's words.
+LAUNCH_FORMS = {
+    "module": ["-m", "qhurwitz"],
+    "cli module": ["-m", "qhurwitz.cli"],
+    "script target": ["-c", "import sys; from qhurwitz.cli import run; sys.exit(run())"],
+}
+
+#: One success, one usage error and one refusal, with their exit codes.
+LAUNCH_REQUESTS = (
+    (("chartable", "--n", "3"), 0),
+    (("chartable", "--n", "3", "--format", "xml"), 2),
+    (("compute", "tau", "--n", "2", "--species", "H:q=1/2", "--maxdeg", "999999999"), 3),
+)
+
+
+def launch(args, env=LAUNCH_ENV, **kwargs):
+    """Run the interpreter with args in the checkout's root and capture stderr."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *args], stderr=subprocess.PIPE, cwd=ROOT, env=env, timeout=60, **kwargs
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(
@@ -668,3 +695,90 @@ class TestEntryPoint:
         assert result.returncode == 0
         document = json.loads(result.stdout)
         assert document["labels"] == ["3", "2,1", "1,1,1"]
+
+    @pytest.mark.parametrize("argv, code", LAUNCH_REQUESTS, ids=[" ".join(argv) for argv, _ in LAUNCH_REQUESTS])
+    def test_launch_forms_agree(self, argv, code):
+        results = {name: launch([*form, *argv]) for name, form in LAUNCH_FORMS.items()}
+        seen = {(r.returncode, r.stdout, r.stderr) for r in results.values()}
+        assert len(seen) == 1, results
+        (returncode, stdout, stderr), = seen
+        assert returncode == code
+        assert bool(stdout) == (code == 0) and bool(stderr) == (code != 0)
+
+    def test_script_target_is_run(self):
+        # Read as text: tomllib exists only from Python 3.11.
+        lines = (ROOT / "pyproject.toml").read_text().splitlines()
+        section = lines[lines.index("[project.scripts]") + 1:]
+        assert section[0] == 'qhurwitz = "qhurwitz.cli:run"'
+
+    def test_main_never_freezes(self, capsys):
+        # Tests and bench/traced.py call main many times in one process.
+        before = gc.get_freeze_count()
+        assert main(["chartable", "--n", "3"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_run_freezes(self):
+        code = (
+            "import gc, sys; from qhurwitz.cli import run; code = run(['chartable', '--n', '1']); "
+            "print(gc.get_freeze_count() > 0, file=sys.stderr); sys.exit(code)"
+        )
+        result = launch(["-c", code])
+        assert (result.returncode, result.stderr) == (0, b"True\n")
+
+    def test_atexit_handlers_run(self):
+        code = (
+            "import atexit, runpy, sys; atexit.register(lambda: print('atexit ran', file=sys.stderr)); "
+            "runpy.run_module('qhurwitz', run_name='__main__')"
+        )
+        result = launch(["-c", code, "chartable", "--n", "3"])
+        assert (result.returncode, result.stderr) == (0, b"atexit ran\n")
+        assert json.loads(result.stdout)["n"] == 3
+
+    def test_profiler_output_is_written(self, tmp_path):
+        profile = tmp_path / "chartable.prof"
+        result = launch(["-m", "cProfile", "-o", str(profile), "-m", "qhurwitz", "chartable", "--n", "3"])
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["n"] == 3
+        assert profile.stat().st_size > 0
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+def test_full_stdout_exits_3(unbuffered):
+    # Buffered, the write succeeds and the flush fails; unbuffered, the write fails.
+    env = dict(LAUNCH_ENV, PYTHONUNBUFFERED="1") if unbuffered else LAUNCH_ENV
+    with open("/dev/full", "wb") as full:
+        result = launch(["-m", "qhurwitz", "chartable", "--n", "3"], env=env, stdout=full)
+    assert result.returncode == 3
+    assert result.stderr == b"error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_closed_stdout_exits_3():
+    # The request starts with fd 1 closed, so its sys.stdout is None.
+    code = (
+        "import os, sys; os.close(1); "
+        "os.execv(sys.executable, [sys.executable, '-m', 'qhurwitz', 'chartable', '--n', '3'])"
+    )
+    result = launch(["-c", code])
+    assert (result.returncode, result.stderr) == (3, b"error: cannot write output: stdout is closed\n")
+
+
+class FailingStream(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_write_exits_3_in_process(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FailingStream())
+    assert main(["chartable", "--n", "3"]) == 3
+    assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_closed_stdout_is_refused_before_any_work(capsys, monkeypatch):
+    def no_work(argv=None):
+        raise AssertionError("parsed a request for a closed stdout")
+
+    monkeypatch.setattr(qhurwitz.cli, "build_parser", no_work)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["chartable", "--n", "3"]) == 3
+    assert capsys.readouterr().err == "error: cannot write output: stdout is closed\n"
