@@ -254,6 +254,17 @@ def _cmd_chartable(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a help text that cannot be written raises OSError, as any output does.
+
+    argparse's own print_help drops an OSError of the write, and its exit
+    comes before main's flush, so the text is written and flushed here.
+    """
+
+    def print_help(self, file=None):
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The CLI's parser: every command registered, complete where argv names it.
 
@@ -273,7 +284,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help, add_help=complete)
         return sub if complete else None
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qhurwitz",
         description="Exact quantum and multispecies weighted Hurwitz numbers.",
     )
@@ -328,7 +339,8 @@ def main(argv=None) -> int:
     """Answer one request on stdout and return its exit code.
 
     A closed stdout (None) is refused before any work, and a write or flush
-    of stdout that fails exits 3; each prints one error line.
+    of stdout that fails exits 3, a help text's too; each prints one error
+    line.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     if sys.stdout is None:

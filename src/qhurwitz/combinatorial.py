@@ -28,8 +28,8 @@ the pipeline-comparison value.  ``spectral.spectral_sum`` sums that
 symmetric matrix, as in the tau pipeline, and a TransferMatrix holds it as
 returned; its class-basis entry multiplies by z_nu.  The matrices commute;
 multispecies counts multiply eigenvalues.  One entry, as a point request
-asks for it, is the entry form ``spectral.spectral_row``: one p(n)-term dot
-product per block instead of the whole matrix.
+asks for it, is the same kernel given mu and [nu]: one dot product over
+one shape per conjugate pair per block instead of the whole matrix.
 
 The brute-force oracles run only ``sn`` and the character tables: the
 weights, the spectral layer and series mode are reached as module objects
@@ -226,14 +226,15 @@ def multispecies_hurwitz_entry(
 ):
     """multispecies_transfer_matrix(config, degrees).hurwitz_entry(mu, nu), by the entry form.
 
-    The entry is one p(n)-term dot product (spectral.spectral_row), not a
-    matrix, and it is admitted by the same spectral_cost as that matrix, so
-    a request is refused exactly where the matrix would be.  mu and nu are
+    The entry is one dot product per monomial (spectral.spectral_sum given
+    mu and [nu]), not a matrix, and it is admitted by the same spectral_cost
+    as that matrix, so a request is refused exactly where the matrix would
+    be.  mu and nu are
     partitions of n (anything else raises ValueError after admission).
     """
     degrees = config.degrees(degrees)
     tbl, _, blocks = spectral.eigenvalue_blocks(config, degrees, degree_list=[degrees])
-    [[value]] = spectral.spectral_row(tbl, blocks, tbl.index(mu), [tbl.index(nu)])
+    [[value]] = spectral.spectral_sum(tbl, blocks, tbl.index(mu), [tbl.index(nu)])
     return value
 
 

@@ -19,13 +19,12 @@ character sum over them.  The character tables themselves are in
   list of multidegrees, admitted by spectral_cost before any content list;
 * spectral_sum: the one kernel, sum_lam c_lam chi_lam(mu) chi_lam(nu) /
   (z_mu z_nu) for a whole list of (numerators, denominator) blocks
-  (multidegrees) in one pass: each (block, monomial) slot goes over the
-  block's denominator, is biased into whole bytes by the
-  column-orthogonality bound, and rides in one packed integer per shape, so
-  one integer dot product per (mu, nu) serves every block.  In rational
-  mode its output entries are the first Fractions made from the lists;
-* spectral_row: the same sum for one row of mu, or one (mu, nu) entry, per
-  block, which point requests read instead of a whole matrix;
+  (multidegrees): per block the symmetric matrix, or the entries (mu, nu)
+  of one mu, a row or one entry, which point requests read.  Each
+  (block, monomial) slot goes over its lcm denominator as integer weights,
+  and each entry is one integer dot product over one shape per conjugate
+  pair with the paired weights.  In rational mode its output entries are
+  the first Fractions made from the lists;
 * spectral_cost and check_spectral_cost: the work estimate that refuses a
   request past SPECTRAL_COST_LIMIT before any content coefficient.
 """
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from . import series
@@ -45,130 +44,81 @@ from .qweights import Species, WeightConfig, level_factor, multidegrees
 from .scalars import RATIONAL, sized_text
 
 
-def spectral_sum(table: CharacterTable, blocks) -> list:
-    """Per block, the symmetric matrix over (mu, nu) of sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu).
+def spectral_sum(table: CharacterTable, blocks, mu: int | None = None, nus=None) -> list:
+    """Per block, sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu): the whole matrix, or a row or entries of it.
 
     blocks: (coefficients, denominator) pairs, as content_eigenvalues
     returns them: c_lam is coefficients[lam] / denominator, one coefficient
     per shape in table order, each all rational (int in rational mode) or
     all TruncatedSeries (zeros may be plain 0), over a positive int
-    denominator.  Each (block, monomial) pair is a slot: its coefficients
-    go over their lcm denominator (1 for ints) as integer weights w, and its
-    D is that lcm times the block's denominator.  Column orthogonality
-    bounds every S = sum_lam w_lam chi_lam(mu) chi_lam(nu) by
-    |S| <= max|w| * n!, so the slot takes that bound as its bias and the
-    whole bytes that hold S + bias.  One packed integer per shape carries
-    every slot.
+    denominator.  With mu None, each block's value is its symmetric matrix,
+    a tuple of rows over table.partitions.  With mu an index of
+    table.partitions, it is the tuple of the entries (mu, nu) for nu in nus
+    (any iterable of indices, every index by default): a row, or one entry.
 
-    The conjugate shape lam' has chi_lam'(mu) = (-1)^colength(mu) chi_lam(mu),
-    so a (mu, nu), j >= i, whose colengths have even sum takes the packed
-    weight w_lam + w_lam' of each pair, one with odd sum w_lam - w_lam', and a
-    self-conjugate shape counts in the even sums only.  One integer dot
-    product over one shape per pair covers every block.  The biased slots
-    make the packed form unique, so a dot product of 0 has every slot 0;
-    otherwise one to_bytes cuts apart the slots whose paired weights are not
-    all 0 for that parity, and each slot's entry is one Fraction
-    S / (D z_mu z_nu), mirrored to (j, i).  Entries with S = 0 share one
-    Fraction(0).
-
-    A point request reads one row or one entry per block, and its forms are
-    spectral_row: the same sum as plain dot products over the shapes, p(n)
-    products per block for an entry and p(n)^2 for a row, where this whole
-    matrix takes p(n)^3.
+    Each (block, monomial) pair is a slot: its coefficients go over their
+    lcm denominator (1 for ints) as integer weights w, and its D is that
+    lcm times the block's denominator.  The conjugate shape lam' has
+    chi_lam'(rho) = (-1)^colength(rho) chi_lam(rho), so a (mu, nu) whose
+    colengths have even sum takes the paired weight w_lam + w_lam' of each
+    conjugate pair, one with odd sum w_lam - w_lam', and a self-conjugate
+    shape counts in the even sums only.  Each entry is then one integer dot
+    product over one shape per pair, S / (D z_mu z_nu); a parity whose
+    paired weights are all 0 (at shift 0, where conjugation negates the
+    contents, the odd-degree blocks for even sums and the even-degree ones
+    for odd sums) is not summed.  A whole matrix sums the pairs j >= i and
+    mirrors them: about p(n)^3 / 4 products per slot, a row p(n)^2 / 2 and
+    an entry p(n).  Entries with S = 0 share one Fraction(0), and in
+    rational mode the output entries are the first Fractions made.
     """
     z = table.centralizer_orders
     size = len(z)
-    bound = factorial(table.n)
+    nus = range(size) if nus is None else tuple(nus)
+    rows = {i: range(i, size) for i in range(size)} if mu is None else {mu: list(dict.fromkeys(nus))}
+    parity = [colength(rho) & 1 for rho in table.partitions]
+    halves = []  # per parity of colength(mu) + colength(nu) asked for: sign, pairs, character columns, its (i, [j])
+    for odd, sign in enumerate((1, -1)):
+        pairs = [(k, c) for k, c in table.conjugate_pairs if k < c or not odd]
+        own = [(i, [j for j in js if parity[i] ^ parity[j] == odd]) for i, js in rows.items()]
+        if any(js for _, js in own):
+            halves.append((sign, pairs, list(zip(*(table.values[k] for k, _ in pairs))), own))
     zero = Fraction(0)
-    slots = []  # (values, D, weights, bias, first byte, end byte) over all blocks
-    layout = []  # per block: its first series coefficient (None if rational), [(monomial, values)]
-    length = 0
+    results = []
     for coeffs, denominator in blocks:
-        monomials: dict[tuple, dict[int, Fraction | int]] = {}
-        for k, c in enumerate(coeffs):
-            for expo, value in [((), c)] if isinstance(c, RATIONAL) else c.coeffs.items():
-                if value:
-                    monomials.setdefault(expo, {})[k] = value
-        own = []
-        for expo, column in monomials.items():
-            scale = lcm(*(value.denominator for value in column.values()))
-            weights = {k: value.numerator * (scale // value.denominator) for k, value in column.items()}
-            bias = max(map(abs, weights.values())) * bound
-            start, length = length, length + ((2 * bias).bit_length() + 7) // 8
-            values = [[zero] * size for _ in z]
-            own.append((expo, values))
-            slots.append((values, scale * denominator, weights, bias, start, length))
-        layout.append((next((c for c in coeffs if not isinstance(c, RATIONAL)), None), own))
-    # Signed weights pack as the difference of two nonnegative byte strings.
-    positive = [bytearray(length) for _ in z]
-    negative = [bytearray(length) for _ in z]
-    biases = bytearray(length)
-    for _, _, weights, bias, start, stop in slots:
-        for k, w in weights.items():
-            (positive if w > 0 else negative)[k][start:stop] = abs(w).to_bytes(stop - start, "little")
-        biases[start:stop] = bias.to_bytes(stop - start, "little")
-    packed = [int.from_bytes(p, "little") - int.from_bytes(m, "little") for p, m in zip(positive, negative)]
-    offset = int.from_bytes(biases, "little")
-    parity = [colength(mu) & 1 for mu in table.partitions]
-    halves = []  # per parity of colength(mu) + colength(nu): paired weights, their columns, live slots
-    for sign in (1, -1):
-        pairs = [(k, c) for k, c in table.conjugate_pairs if k < c or sign > 0]
-        paired = [packed[k] + sign * packed[c] if k < c else packed[k] for k, c in pairs]
-        columns = [[table.values[k][i] for k, _ in pairs] for i in range(size)]
-        live = [
-            (values, scale, bias, start, stop)
-            for values, scale, weights, bias, start, stop in slots
-            if any(weights.get(k, 0) + sign * weights.get(c, 0) if k < c else weights.get(k, 0) for k, c in pairs)
-        ]
-        halves.append((paired, columns, live))
-    for i in range(size):
-        weighted = [list(map(mul, paired, columns[i])) for paired, columns, _ in halves]
-        for j in range(i, size):
-            odd = parity[i] ^ parity[j]
-            _, columns, live = halves[odd]
-            total = sum(map(mul, weighted[odd], columns[j]))
-            if not total:
-                continue
-            raw = memoryview((total + offset).to_bytes(length, "little"))
-            pair = z[i] * z[j]
-            for values, scale, bias, start, stop in live:
-                total = int.from_bytes(raw[start:stop], "little") - bias
-                if total:
-                    values[i][j] = values[j][i] = Fraction(total, scale * pair)
-    matrices = []
-    for first, own in layout:
+        first = next((c for c in coeffs if not isinstance(c, RATIONAL)), None)
         if first is None:
-            matrices.append(tuple(map(tuple, own[0][1] if own else [[zero] * size for _ in z])))
+            monomials = {(): coeffs}
         else:
-            matrices.append(tuple(
-                tuple(series.TruncatedSeries(first.vars, first.cap, {e: v[i][j] for e, v in own}) for j in range(size))
-                for i in range(size)
-            ))
-    return matrices
-
-
-def spectral_row(table: CharacterTable, blocks, mu: int, nus=None) -> list:
-    """Per block, the entries (mu, nu), nu in nus, of the matrix spectral_sum returns: a row, or one entry.
-
-    mu and each nu (nus, any iterable, defaults to every index) index
-    table.partitions, and blocks are as spectral_sum takes them.  The products
-    chi_lam(mu) chi_lam(nu) over the shapes are formed once per nu, and each
-    block takes one p(n)-term dot product of its coefficients with them per
-    nu, over D z_mu z_nu: p(n) products per block for one entry, p(n)^2 for
-    a row.  A rational sum becomes one Fraction and a series sum is scaled
-    by 1 / (D z_mu z_nu), so every value equals spectral_sum's.
-    """
-    z = table.centralizer_orders
-    nus = range(len(z)) if nus is None else tuple(nus)
-    characters = [[row[mu] * row[nu] for row in table.values] for nu in nus]
-    rows = []
-    for coeffs, denominator in blocks:
-        entries = []
-        for nu, products in zip(nus, characters):
-            total, scale = sum(map(mul, coeffs, products)), denominator * z[mu] * z[nu]
-            entries.append(Fraction(total, scale) if isinstance(total, RATIONAL) else total * Fraction(1, scale))
-        rows.append(tuple(entries))
-    return rows
+            monomials = {}
+            for k, c in enumerate(coeffs):
+                for expo, value in c.coeffs.items() if c else ():
+                    monomials.setdefault(expo, [0] * size)[k] = value
+        slots = []  # (monomial, values): values[i][j] is the slot's entry of (i, j)
+        for expo, column in monomials.items():
+            scale = lcm(*(value.denominator for value in column))
+            w = [value.numerator * (scale // value.denominator) for value in column]
+            scale *= denominator
+            slots.append((expo, values := [[zero] * size for _ in z]))
+            for sign, pairs, columns, own in halves:
+                weights = [w[k] + sign * w[c] if k < c else w[k] for k, c in pairs]
+                if not any(weights):
+                    continue
+                for i, js in own:
+                    weighted = list(map(mul, weights, columns[i]))
+                    for j in js:
+                        total = sum(map(mul, weighted, columns[j]))
+                        if total:
+                            values[i][j] = values[j][i] = Fraction(total, scale * z[i] * z[j])
+        if first is None:
+            matrix = slots[0][1]
+        else:
+            matrix = [[None] * size for _ in z]
+            for i, js in rows.items():
+                for j in js:
+                    terms = {expo: values[i][j] for expo, values in slots}
+                    matrix[i][j] = matrix[j][i] = series.TruncatedSeries(first.vars, first.cap, terms)
+        results.append(tuple(map(tuple, matrix)) if mu is None else tuple(matrix[mu][nu] for nu in nus))
+    return results
 
 
 def check_shift(shift: int) -> None:

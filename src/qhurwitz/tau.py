@@ -26,7 +26,7 @@ exceeds SPECTRAL_COST_LIMIT raises CapacityError before any content
 coefficient is computed.
 
 tau_row answers a filtered request: per multidegree one row of the table,
-or one entry, by the row and entry form spectral_row, admitted by the
+or one entry, by spectral_sum's selection of mu and nus, admitted by the
 whole table's spectral_cost.
 
 verify_triangle compares the table with the geometric and combinatorial
@@ -51,7 +51,6 @@ from .spectral import (
     SPECTRAL_COST_LIMIT,
     eigenvalue_blocks,
     spectral_cost,
-    spectral_row,
     spectral_sum,
     species_content_coeffs,
 )
@@ -131,15 +130,16 @@ def tau_row(
     A row is the tuple of the entries of (mu, nu) over
     character_table(n).partitions, or, with nu given, the 1-tuple of that
     one entry.  The table is symmetric, so the row of mu is its column too.
-    It takes p(n)^2 kernel products per multidegree, one entry p(n)
-    (spectral_row), and is admitted by the whole table's spectral_cost, so
-    a request is refused exactly where its table would be.  A partition not
+    It takes about p(n)^2 / 2 kernel products per multidegree, one entry
+    p(n) (spectral_sum given mu and nus), and is admitted by the whole
+    table's spectral_cost, so a request is refused exactly where its table
+    would be.  A partition not
     of n raises ValueError once admitted.
     """
     maxdeg = config.degrees(maxdeg)
     tbl, degree_list, blocks = eigenvalue_blocks(config, maxdeg, shift)
     nus = None if nu is None else [tbl.index(nu)]
-    return dict(zip(degree_list, spectral_row(tbl, blocks, tbl.index(mu), nus)))
+    return dict(zip(degree_list, spectral_sum(tbl, blocks, tbl.index(mu), nus)))
 
 
 class TriangleReport(Immutable):

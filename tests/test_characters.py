@@ -259,10 +259,10 @@ class TestSpectralSum:
 def reference_spectral_sum(table, coeffs):
     """One block's matrix, one integer dot product per monomial and (mu, nu).
 
-    The kernel with no packing, one block at a time: per monomial, the
-    coefficients over their lcm denominator D, the weighted character columns
-    dotted in integers over j >= i, and one Fraction S / (D z_mu z_nu) per
-    entry, mirrored to (j, i).
+    The kernel one block at a time and over every shape, with no conjugate
+    pairing: per monomial, the coefficients over their lcm denominator D,
+    the weighted character columns dotted in integers over j >= i, and one
+    Fraction S / (D z_mu z_nu) per entry, mirrored to (j, i).
     """
     series = next((c for c in coeffs if isinstance(c, TruncatedSeries)), None)
     monomials = {}
@@ -286,11 +286,34 @@ def reference_spectral_sum(table, coeffs):
     return tuple(tuple(TruncatedSeries(series.vars, series.cap, t) for t in row) for row in terms)
 
 
+def assert_kernel_matches(table, blocks, references):
+    """spectral_sum's matrices, and every row and entry it selects, are the reference matrices'.
+
+    Each mu is asked for its whole row, for every nu in descending order
+    (mu after nu for every nu < mu) with mu and 0 repeated, as a list and as
+    a one-pass iterator, and for the single entries (mu, 0), (mu, mu) and
+    (mu, last).
+    """
+    matrices = spectral_sum(table, blocks)
+    assert matrices == references
+    size = len(table.partitions)
+    for mu in range(size):
+        assert spectral_sum(table, blocks, mu) == [matrix[mu] for matrix in references]
+        nus = [*range(size - 1, -1, -1), mu, 0]
+        expected = [tuple(matrix[mu][nu] for nu in nus) for matrix in references]
+        assert spectral_sum(table, blocks, mu, nus) == expected
+        assert spectral_sum(table, blocks, mu, iter(nus)) == expected
+        for nu in {0, mu, size - 1}:
+            assert spectral_sum(table, blocks, mu, [nu]) == [(matrix[mu][nu],) for matrix in references]
+    return matrices
+
+
 def sign_blocks(table, magnitude):
     """Blocks +-magnitude * sign(chi_lam(mu) chi_lam(nu)) for two (mu, nu).
 
     At mu = nu = (1^n) every sign is +1 and the entry is magnitude * n!,
-    the bound the kernel sizes its slots by; the minus block reaches -bound.
+    the largest |S| column orthogonality allows; the minus block reaches
+    -magnitude * n!.
     """
     last = len(table.partitions) - 1
     blocks = []
@@ -345,14 +368,14 @@ def content_blocks(table, shift):
 
 
 class TestPackedSpectralSum:
-    """Many blocks in one spectral_sum call equal the per-block reference."""
+    """Many blocks in one spectral_sum call, and its rows and entries, equal the per-block reference."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_entries_at_the_bound(self, n):
         table = character_table(n)
         blocks = sign_blocks(table, Fraction(10**25 + 3, 7)) + sign_blocks(table, 1)
-        matrices = spectral_sum(table, [(b, 1) for b in blocks])
-        assert matrices == [reference_spectral_sum(table, b) for b in blocks]
+        references = [reference_spectral_sum(table, b) for b in blocks]
+        matrices = assert_kernel_matches(table, [(b, 1) for b in blocks], references)
         # S = magnitude * n! over D z_mu z_nu = 7 (n!)^2.
         assert matrices[0][-1][-1] == Fraction(10**25 + 3, 7 * factorial(n))
 
@@ -365,7 +388,7 @@ class TestPackedSpectralSum:
         ]
         tiny = [Fraction((-1) ** k * (k + 1), 13) for k in range(size)]
         blocks = [huge_and_tiny, [0] * size, tiny, [Fraction(0)] * size, huge_and_tiny[::-1]]
-        assert spectral_sum(table, [(b, 1) for b in blocks]) == [reference_spectral_sum(table, b) for b in blocks]
+        assert_kernel_matches(table, [(b, 1) for b in blocks], [reference_spectral_sum(table, b) for b in blocks])
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rational_and_series_blocks_in_one_call(self, n):
@@ -379,14 +402,14 @@ class TestPackedSpectralSum:
             [TruncatedSeries("q", 4)] * size,
             sign_blocks(table, 5)[1],
         ]
-        assert spectral_sum(table, [(b, 1) for b in blocks]) == [reference_spectral_sum(table, b) for b in blocks]
+        assert_kernel_matches(table, [(b, 1) for b in blocks], [reference_spectral_sum(table, b) for b in blocks])
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("n", range(1, 10))
     def test_conjugate_symmetric_and_antisymmetric_blocks(self, n, sign):
         table = character_table(n)
         blocks = conjugate_blocks(table, sign)
-        assert spectral_sum(table, [(b, 1) for b in blocks]) == [reference_spectral_sum(table, b) for b in blocks]
+        assert_kernel_matches(table, [(b, 1) for b in blocks], [reference_spectral_sum(table, b) for b in blocks])
 
     @pytest.mark.parametrize("shift", [0, 2])
     @pytest.mark.parametrize("n", range(1, 10))
@@ -399,7 +422,7 @@ class TestPackedSpectralSum:
             conjugates = conjugate_indices(table)
             for (block, _), degrees in zip(blocks, itertools.product(range(4), range(3))):
                 assert [block[c] for c in conjugates] == [(-1) ** sum(degrees) * c for c in block]
-        assert spectral_sum(table, blocks) == [reference_spectral_sum(table, values(b)) for b in blocks]
+        assert_kernel_matches(table, blocks, [reference_spectral_sum(table, values(b)) for b in blocks])
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_all_zero_blocks(self, n):
@@ -407,8 +430,8 @@ class TestPackedSpectralSum:
         size = len(table.partitions)
         zeros = [[0] * size, [Fraction(0)] * size, [TruncatedSeries("q", 3)] * size]
         blocks = zeros[:2] + conjugate_blocks(table, -1)[:2] + zeros[2:]
-        matrices = spectral_sum(table, [(b, 1) for b in blocks])
-        assert matrices == [reference_spectral_sum(table, b) for b in blocks]
+        references = [reference_spectral_sum(table, b) for b in blocks]
+        matrices = assert_kernel_matches(table, [(b, 1) for b in blocks], references)
         assert all(not value for matrix in matrices[:2] + matrices[4:] for row in matrix for value in row)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -422,9 +445,19 @@ class TestPackedSpectralSum:
             (rational_coeffs(size), 4),
             ([2 * k for k in range(size)], 2),
         ]
-        matrices = spectral_sum(table, blocks)
-        assert matrices == [reference_spectral_sum(table, values(b)) for b in blocks]
+        matrices = assert_kernel_matches(table, blocks, [reference_spectral_sum(table, values(b)) for b in blocks])
         assert not any(value for row in matrices[1] for value in row)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_many_blocks(self, n):
+        # Every multidegree of six species up to degree 2 each, 729 blocks,
+        # as a many-species triangle suite hands them to the kernel.
+        table = character_table(n)
+        species = [Species(f, Fraction(1, p)) for f, p in zip(("E", "E", "H", "H", "H", "E'"), (2, 3, 5, 7, 11, 13))]
+        lists = [species_content_coeffs(s, table.partitions, 2) for s in species]
+        blocks = [content_eigenvalues(lists, degrees) for degrees in itertools.product(range(3), repeat=6)]
+        assert_kernel_matches(table, blocks, [reference_spectral_sum(table, values(b)) for b in blocks])
 
     def test_no_blocks(self):
         assert spectral_sum(character_table(3), []) == []
+        assert spectral_sum(character_table(3), [], 1, [0, 2]) == []

@@ -745,12 +745,14 @@ class TestEntryPoint:
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
 @pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
 def test_full_stdout_exits_3(unbuffered):
-    # Buffered, the write succeeds and the flush fails; unbuffered, the write fails.
+    # Buffered, the write succeeds and the flush fails; unbuffered, the write
+    # fails.  A help text, which argparse prints and then exits, fails alike.
     env = dict(LAUNCH_ENV, PYTHONUNBUFFERED="1") if unbuffered else LAUNCH_ENV
-    with open("/dev/full", "wb") as full:
-        result = launch(["-m", "qhurwitz", "chartable", "--n", "3"], env=env, stdout=full)
-    assert result.returncode == 3
-    assert result.stderr == b"error: cannot write output: [Errno 28] No space left on device\n"
+    for argv in (["chartable", "--n", "3"], ["--help"], ["compute", "tau", "--help"], ["verify", "triangle", "-h"]):
+        with open("/dev/full", "wb") as full:
+            result = launch(["-m", "qhurwitz", *argv], env=env, stdout=full)
+        assert result.returncode == 3, argv
+        assert result.stderr == b"error: cannot write output: [Errno 28] No space left on device\n", argv
 
 
 def test_closed_stdout_exits_3():

@@ -134,9 +134,9 @@ FRONTIER_ROWS = _frontier_rows()
 
 
 def test_the_frontier_table_has_every_row():
-    # 6 compute tau tables, 5 point or filtered requests, 6 compute geometric
+    # 6 compute tau tables, 7 point or filtered requests, 6 compute geometric
     # requests and 5 verify triangle suites.
-    assert len(FRONTIER_ROWS) == 22
+    assert len(FRONTIER_ROWS) == 24
 
 
 @pytest.mark.parametrize("digest, marker, argv", FRONTIER_ROWS)

@@ -1,24 +1,34 @@
 #!/usr/bin/env bash
 # Run every request of tools/frontiers.txt under a 20 s timeout and print its
-# wall time.  A request fails when it exits nonzero (a timeout included),
-# when its stdout's SHA-256 is not the recorded one, or, for `verify`, when
-# the top-level status is not "ok".  A `frontier` row fails too unless the
-# same request one degree higher exits 3 and prints nothing.  Every row is
-# run; the exit status is 1 if any failed.  Run from any directory:
+# wall time, then the total wall of those requests.  A request fails when it
+# exits nonzero (a timeout included), when its stdout's SHA-256 is not the
+# recorded one, or, for `verify`, when the top-level status is not "ok".  A
+# `frontier` row fails too unless the same request one degree higher exits 3
+# and prints nothing; those refusals are not timed.  Every row is run; the
+# exit status is 1 if any failed.  Requests run as the benchmark runs them:
+# unbuffered, and writing no bytecode cache.  Run from any directory:
 #   bash tools/frontiers.sh
 set -fu
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
-TIMEFORMAT="wall %R s"
+export PYTHONDONTWRITEBYTECODE=1 PYTHONUNBUFFERED=1
 out=$(mktemp) && trap 'rm -f "$out"' EXIT
 ok='import json, sys; sys.exit(json.load(sys.stdin)["status"] != "ok")'
 failed=0
+total=0
 fail() { echo "FAIL: $*"; failed=1; }
+# Microseconds since the epoch, whatever the locale's decimal separator.
+now() { echo "${EPOCHREALTIME//[.,]/}"; }
+seconds() { printf '%d.%03d s\n' $(($1 / 1000000)) $(($1 / 1000 % 1000)); }
 while read -r digest marker request; do
   [[ -z $digest || $digest == "#"* ]] && continue
   echo "$request"
   code=0
-  time timeout 20 python3 -m qhurwitz $request < /dev/null > "$out" || code=$?
+  start=$(now)
+  timeout 20 python3 -m qhurwitz $request < /dev/null > "$out" || code=$?
+  wall=$(($(now) - start))
+  total=$((total + wall))
+  echo "wall $(seconds $wall)"
   [[ $code == 0 ]] || fail "exit $code"
   [[ $(sha256sum < "$out") == "$digest  -" ]] || fail "stdout SHA-256 is not $digest"
   [[ $request != verify* ]] || python3 -c "$ok" < "$out" || fail 'status is not "ok"'
@@ -29,5 +39,6 @@ while read -r digest marker request; do
   timeout 20 python3 -m qhurwitz $next < /dev/null > "$out" || code=$?
   [[ $code == 3 && ! -s $out ]] || fail "one degree more: exit $code, $(wc -c < "$out") bytes of stdout"
 done < tools/frontiers.txt
+echo "total wall $(seconds $total)"
 [[ $failed == 0 ]] && echo "every row passes"
 exit $failed
