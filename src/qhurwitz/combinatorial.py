@@ -195,7 +195,7 @@ def multispecies_transfer_matrix(config: qweights.WeightConfig, degrees: tuple[i
     the left-to-right ``@`` chain exactly; the factors commute.
     """
     degrees = config.degrees(degrees)
-    return _transfer_matrices(config, degrees, [degrees])[degrees]
+    return _transfer_matrices(config, [(d,) for d in degrees])[degrees]
 
 
 def multispecies_transfer_matrices(config: qweights.WeightConfig, maxdeg: tuple[int, ...]) -> dict:
@@ -204,21 +204,18 @@ def multispecies_transfer_matrices(config: qweights.WeightConfig, maxdeg: tuple[
     Each species' content lists are built once, at its maxdeg: the list of a
     lower degree is a prefix of that one.
     """
-    maxdeg = config.degrees(maxdeg)
-    return _transfer_matrices(config, maxdeg)
+    return _transfer_matrices(config, [range(m + 1) for m in config.degrees(maxdeg)])
 
 
-def _transfer_matrices(config: qweights.WeightConfig, maxdeg: tuple[int, ...], degree_list=None) -> dict:
-    """One TransferMatrix per multidegree of degree_list (every one up to maxdeg by default).
+def _transfer_matrices(config: qweights.WeightConfig, degrees: list) -> dict:
+    """One TransferMatrix per multidegree of the per-species degree sets (spectral.eigenvalue_blocks).
 
-    The matrices are admitted by one spectral_cost before any content list
-    (spectral.eigenvalue_blocks); one spectral_sum makes them all.
+    The matrices are admitted by one spectral_cost before any content list;
+    one spectral_sum makes them all.
     """
-    tbl, degree_list, blocks = spectral.eigenvalue_blocks(config, maxdeg, degree_list=degree_list)
+    tbl, keys, blocks = spectral.eigenvalue_blocks(config, degrees)
     matrices = spectral.spectral_sum(tbl, blocks)
-    return {
-        degrees: TransferMatrix(n=config.n, rows=rows) for degrees, rows in zip(degree_list, matrices)
-    }
+    return {key: TransferMatrix(n=config.n, rows=rows) for key, rows in zip(keys, matrices)}
 
 
 def multispecies_hurwitz_entry(
@@ -232,8 +229,7 @@ def multispecies_hurwitz_entry(
     be.  mu and nu are
     partitions of n (anything else raises ValueError after admission).
     """
-    degrees = config.degrees(degrees)
-    tbl, _, blocks = spectral.eigenvalue_blocks(config, degrees, degree_list=[degrees])
+    tbl, _, blocks = spectral.eigenvalue_blocks(config, [(d,) for d in config.degrees(degrees)])
     [[value]] = spectral.spectral_sum(tbl, blocks, tbl.index(mu), [tbl.index(nu)])
     return value
 

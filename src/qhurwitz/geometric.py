@@ -52,12 +52,17 @@ and since chi_lam'(rho) = (-1)^colength(rho) chi_lam(rho), it is 0 unless
 colength(mu) + colength(nu) + D is even; otherwise each conjugate pair
 counts twice.  It is taken per monomial (one for rationals) as one integer
 dot product of the numerators over the product of the species' D_(d_s),
-one Fraction per output entry.  multispecies_hurwitz_number is its
-one-pair call, multispecies_hurwitz_matrix sums the symmetric half of the
-pairs and returns the rows over character_table(n).partitions that
-spectral_sum returns for the other legs, multispecies_hurwitz_matrices does
-that for every multidegree up to maxdeg with each species walked once, and
-quantum_hurwitz_number is the one-species call.  The leg reads only
+one Fraction per output entry.  Each call does this in one pass over its
+multidegrees: _eigenvalues walks each species once and forms every
+multidegree's numerators as successive per-species outer products, and
+_character_sums sets up the character columns, conjugate-pair factors,
+parities and pairs once and returns each multidegree's rows over
+character_table(n).partitions, the form spectral_sum returns for the
+other legs.  multispecies_hurwitz_number is its one-pair call,
+multispecies_hurwitz_matrix sums the symmetric half of the pairs for one
+multidegree, multispecies_hurwitz_matrices does that for every
+multidegree up to maxdeg, and quantum_hurwitz_number is the one-species
+call.  The leg reads only
 character_table (whose conjugate_pairs come from partitions.conjugate) and
 qweights.level_factor, whose denominators give D_t: it uses neither the
 contents, their elementary symmetric functions, the content coefficients
@@ -292,43 +297,57 @@ def _species_eigenvalues(species: Species, degrees, classes: list[list[int]], sh
     return values
 
 
-def _character_sums(tbl, eigenvalues: tuple, degree: int, pairs) -> dict:
-    """{(i, j): sum over all shapes lam of G(lam) chi_lam(i) chi_lam(j) / (z_i z_j)} over index pairs.
+def _character_sums(tbl, eigenvalues: dict, pairs=None) -> list:
+    """Per multidegree, the rows over tbl.partitions of sum over all shapes lam of G(lam) chi_lam(i) chi_lam(j) / (z_i z_j).
 
-    eigenvalues is (numerators, D): G = numerator / D over the first shape
-    of each of tbl.conjugate_pairs, ints in rational mode, and
-    G(lam') = (-1)^degree G(lam).  Since chi_lam'(mu) = (-1)^colength(mu)
+    eigenvalues maps each multidegree to (numerators, D): G = numerator / D
+    over the first shape of each of tbl.conjugate_pairs, ints in rational
+    mode, and G(lam') = (-1)^degree G(lam), degree the multidegree's sum.
+    The index pairs (i, j) asked for, by default those with j >= i, are
+    summed, each entered at (i, j) and (j, i); every other entry is 0.  Since chi_lam'(mu) = (-1)^colength(mu)
     chi_lam(mu), a pair whose colengths and degree have odd sum is 0, and
     every other pair counts a conjugate pair twice and a self-conjugate
-    shape once.  Per monomial of the numerators (one for rationals) they go
-    over their lcm denominator (1 for ints), the character column of each
-    first index i is weighted by them once, and each nonzero pair is one
-    integer dot product over that lcm times D z_i z_j: one Fraction per
-    output entry, none per eigenvalue.
+    shape once.  The character columns, those factors and the pairs of each
+    parity are set up once for all the multidegrees.  Per monomial of the
+    numerators (one for rationals) they go over their lcm denominator (1 for
+    ints), the character column of each first index i is weighted by them
+    once, and each pair is one integer dot product over that lcm times
+    D z_i z_j: one Fraction per summed entry, none per eigenvalue.
     """
-    numerators, denominator = eigenvalues
-    first = next((g for g in numerators if not isinstance(g, RATIONAL)), None)
-    monomials: dict[tuple, list] = {}
-    for k, g in enumerate(numerators):
-        for expo, value in [((), g)] if isinstance(g, RATIONAL) else g.coeffs.items():
-            monomials.setdefault(expo, [0] * len(numerators))[k] = value
+    size = len(tbl.partitions)
+    pairs = [(i, j) for i in range(size) for j in range(i, size)] if pairs is None else pairs
     columns = list(zip(*(tbl.values[k] for k, _ in tbl.conjugate_pairs)))
     twice = [1 + (k != c) for k, c in tbl.conjugate_pairs]
     z = tbl.centralizer_orders
     odd = [colength(mu) % 2 for mu in tbl.partitions]
-    sums = {pair: {} for pair in pairs}
-    live = [(i, j) for i, j in sums if (odd[i] + odd[j] + degree) % 2 == 0]
-    rows = {i for i, _ in live}
-    for expo, values in monomials.items():
-        scale = lcm(*(v.denominator for v in values))
-        weights = [m * v.numerator * (scale // v.denominator) for m, v in zip(twice, values)]
-        weighted = {i: list(map(mul, weights, columns[i])) for i in rows}
-        for i, j in live:
-            sums[i, j][expo] = Fraction(sum(map(mul, weighted[i], columns[j])), scale * denominator * z[i] * z[j])
-    if first is None:
-        zero = Fraction(0)
-        return {pair: terms.get((), zero) for pair, terms in sums.items()}
-    return {pair: series.TruncatedSeries(first.vars, first.cap, terms) for pair, terms in sums.items()}
+    live = ({}, {})  # per parity of the degree: {i: [j]} of the pairs that parity sums
+    for i, j in pairs:
+        live[(odd[i] + odd[j]) % 2].setdefault(i, []).append(j)
+    zero = Fraction(0)
+    results = []
+    for degrees, (numerators, denominator) in eigenvalues.items():
+        first = next((g for g in numerators if not isinstance(g, RATIONAL)), None)
+        monomials = {(): numerators} if first is None else {}
+        for k, g in enumerate(() if first is None else numerators):
+            for expo, value in [((), g)] if isinstance(g, RATIONAL) else g.coeffs.items():
+                monomials.setdefault(expo, [0] * len(numerators))[k] = value
+        grids = []
+        for expo, values in monomials.items():
+            scale = lcm(*(v.denominator for v in values))
+            weights = [m * v.numerator * (scale // v.denominator) for m, v in zip(twice, values)]
+            scale *= denominator
+            grids.append((expo, grid := [[zero] * size for _ in z]))
+            for i, js in live[sum(degrees) % 2].items():
+                weighted = list(map(mul, weights, columns[i]))
+                for j in js:
+                    grid[i][j] = grid[j][i] = Fraction(sum(map(mul, weighted, columns[j])), scale * z[i] * z[j])
+        if first is not None:
+            grid = [[zero] * size for _ in z]
+            for i, j in pairs:
+                terms = {expo: values[i][j] for expo, values in grids}
+                grid[i][j] = grid[j][i] = series.TruncatedSeries(first.vars, first.cap, terms)
+        results.append(tuple(map(tuple, grid)))
+    return results
 
 
 def _check_cost(cost: int) -> None:
@@ -344,33 +363,25 @@ def _eigenvalues(config: WeightConfig, degrees: list, entry: bool = False) -> tu
     """character_table(n) and {multidegree: (numerators, D)} over the first shape of each conjugate pair.
 
     degrees holds the degrees of each species, as _geometric_cost takes
-    them; the multidegrees are their product.  Admitted before any work by
-    the _geometric_cost of their walks and matrices (entry: of one entry).
-    Each species is walked once, and a multidegree's eigenvalue of a shape
-    is the product of its species' numerators over the product of their
-    D_(d_s): ints in rational mode.
+    them; the multidegrees are their product, in itertools.product order.
+    Admitted before any work by the _geometric_cost of their walks and
+    matrices (entry: of one entry).  Each species is walked once, and the
+    eigenvalues are its outer products with those of the species before it:
+    a multidegree's eigenvalue of a shape is the product of its species'
+    numerators over the product of their D_(d_s), ints in rational mode.
     """
     _check_cost(_geometric_cost(config, degrees, entry))
     tbl = character_table(config.n)
     shapes = [k for k, _ in tbl.conjugate_pairs]
     classes = _colength_characters(tbl)
-    values = [
-        _species_eigenvalues(species, set(ds), classes, shapes)
-        for species, ds in zip(config.species, degrees)
-    ]
-    eigenvalues = {}
-    for multidegree in itertools.product(*degrees):
-        numerators, denominators = zip(*(values[s][d] for s, d in enumerate(multidegree)))
-        eigenvalues[multidegree] = [prod(v) for v in zip(*numerators)], prod(denominators)
-    return tbl, eigenvalues
-
-
-def _matrix(tbl, degrees: tuple, eigenvalues: list) -> tuple:
-    """Rows over tbl.partitions of the symmetric matrix: the upper half summed, then mirrored."""
-    size = len(tbl.partitions)
-    pairs = [(i, j) for i in range(size) for j in range(i, size)]
-    sums = _character_sums(tbl, eigenvalues, sum(degrees), pairs)
-    return tuple(tuple(sums[min(i, j), max(i, j)] for j in range(size)) for i in range(size))
+    keys, blocks = [()], [([1] * len(shapes), 1)]
+    for species, ds in zip(config.species, degrees):
+        values = _species_eigenvalues(species, set(ds), classes, shapes)
+        picked = [values[d] for d in ds]
+        keys = [key + (d,) for key in keys for d in ds]
+        blocks = [(list(map(mul, numerators, walked)), denominator * scale)
+                  for numerators, denominator in blocks for walked, scale in picked]
+    return tbl, dict(zip(keys, blocks))
 
 
 def quantum_hurwitz_number(family: str, q, d: int, mu: Partition, nu: Partition):
@@ -397,10 +408,9 @@ def multispecies_hurwitz_number(
     nu = check_partition(nu)
     if sum(mu) != config.n or sum(nu) != config.n:
         raise ValueError("mu and nu must be partitions of the configuration degree")
-    degrees = config.degrees(degrees)
-    tbl, eigenvalues = _eigenvalues(config, [(d,) for d in degrees], entry=True)
-    pair = (tbl.index(mu), tbl.index(nu))
-    return _character_sums(tbl, eigenvalues[degrees], sum(degrees), [pair])[pair]
+    tbl, eigenvalues = _eigenvalues(config, [(d,) for d in config.degrees(degrees)], entry=True)
+    i, j = tbl.index(mu), tbl.index(nu)
+    return _character_sums(tbl, eigenvalues, [(i, j)])[0][i][j]
 
 
 def multispecies_hurwitz_matrix(config: WeightConfig, degrees: tuple[int, ...]) -> tuple:
@@ -412,9 +422,8 @@ def multispecies_hurwitz_matrix(config: WeightConfig, degrees: tuple[int, ...]) 
     the symmetric half of the pairs is summed and mirrored.  Admitted by
     the _geometric_cost of its walks and one matrix.
     """
-    degrees = config.degrees(degrees)
-    tbl, eigenvalues = _eigenvalues(config, [(d,) for d in degrees])
-    return _matrix(tbl, degrees, eigenvalues[degrees])
+    tbl, eigenvalues = _eigenvalues(config, [(d,) for d in config.degrees(degrees)])
+    return _character_sums(tbl, eigenvalues)[0]
 
 
 def multispecies_hurwitz_matrices(config: WeightConfig, maxdeg: tuple[int, ...]) -> dict:
@@ -425,4 +434,4 @@ def multispecies_hurwitz_matrices(config: WeightConfig, maxdeg: tuple[int, ...])
     """
     maxdeg = config.degrees(maxdeg)
     tbl, eigenvalues = _eigenvalues(config, [range(m + 1) for m in maxdeg])
-    return {degrees: _matrix(tbl, degrees, values) for degrees, values in eigenvalues.items()}
+    return dict(zip(eigenvalues, _character_sums(tbl, eigenvalues)))

@@ -12,19 +12,23 @@ character sum over them.  The character tables themselves are in
   its shifted contents, one qweights.level_factor per degree, returned with
   their denominators: in rational mode integer numerators over the known
   P_k, in series mode series over 1;
-* content_eigenvalues: per shape, their product over species at one
-  multidegree, integer numerators over the one block denominator
-  prod_s P_{s,d_s} in rational mode;
-* eigenvalue_blocks: the character table and the content_eigenvalues of a
-  list of multidegrees, admitted by spectral_cost before any content list;
+* eigenvalue_blocks: the character table and, for every multidegree of
+  per-species degree sets (range(m + 1) for a table, (d,) for a point),
+  the per-shape products of those lists over species, integer numerators
+  over the one block denominator prod_s P_{s,d_s} in rational mode.  They
+  are formed as successive per-species outer products, one list product
+  per block and species, and admitted by spectral_cost before any content
+  list;
 * spectral_sum: the one kernel, sum_lam c_lam chi_lam(mu) chi_lam(nu) /
   (z_mu z_nu) for a whole list of (numerators, denominator) blocks
   (multidegrees): per block the symmetric matrix, or the entries (mu, nu)
-  of one mu, a row or one entry, which point requests read.  Each
-  (block, monomial) slot goes over its lcm denominator as integer weights,
-  and each entry is one integer dot product over one shape per conjugate
-  pair with the paired weights.  In rational mode its output entries are
-  the first Fractions made from the lists;
+  of one mu, a row or one entry, which point requests read.  Its character
+  columns and the pairs each parity sums are set up once per call.  A
+  rational block's int numerators are its weights; each monomial of a
+  series block goes over its lcm denominator as integer weights.  Each
+  entry is one integer dot product over one shape per conjugate pair with
+  the paired weights.  In rational mode its output entries are the first
+  Fractions made from the lists;
 * spectral_cost and check_spectral_cost: the work estimate that refuses a
   request past SPECTRAL_COST_LIMIT before any content coefficient.
 """
@@ -40,14 +44,14 @@ from . import series
 from .characters import CharacterTable, character_table
 from .errors import CapacityError
 from .partitions import _is_int, check_partition, colength, partition_count
-from .qweights import Species, WeightConfig, level_factor, multidegrees
+from .qweights import Species, WeightConfig, level_factor
 from .scalars import RATIONAL, sized_text
 
 
 def spectral_sum(table: CharacterTable, blocks, mu: int | None = None, nus=None) -> list:
     """Per block, sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu): the whole matrix, or a row or entries of it.
 
-    blocks: (coefficients, denominator) pairs, as content_eigenvalues
+    blocks: (coefficients, denominator) pairs, as eigenvalue_blocks
     returns them: c_lam is coefficients[lam] / denominator, one coefficient
     per shape in table order, each all rational (int in rational mode) or
     all TruncatedSeries (zeros may be plain 0), over a positive int
@@ -56,8 +60,11 @@ def spectral_sum(table: CharacterTable, blocks, mu: int | None = None, nus=None)
     table.partitions, it is the tuple of the entries (mu, nu) for nu in nus
     (any iterable of indices, every index by default): a row, or one entry.
 
-    Each (block, monomial) pair is a slot: its coefficients go over their
-    lcm denominator (1 for ints) as integer weights w, and its D is that
+    Each (block, monomial) pair is a slot with weights w and a D.  A
+    rational block is one slot: w are its coefficients, ints in rational
+    mode (other rationals are summed as they are), and D is its
+    denominator.  A series block has a slot per monomial: its coefficients
+    go over their lcm denominator as integer weights w, and its D is that
     lcm times the block's denominator.  The conjugate shape lam' has
     chi_lam'(rho) = (-1)^colength(rho) chi_lam(rho), so a (mu, nu) whose
     colengths have even sum takes the paired weight w_lam + w_lam' of each
@@ -66,10 +73,14 @@ def spectral_sum(table: CharacterTable, blocks, mu: int | None = None, nus=None)
     product over one shape per pair, S / (D z_mu z_nu); a parity whose
     paired weights are all 0 (at shift 0, where conjugation negates the
     contents, the odd-degree blocks for even sums and the even-degree ones
-    for odd sums) is not summed.  A whole matrix sums the pairs j >= i and
-    mirrors them: about p(n)^3 / 4 products per slot, a row p(n)^2 / 2 and
-    an entry p(n).  Entries with S = 0 share one Fraction(0), and in
-    rational mode the output entries are the first Fractions made.
+    for odd sums) is not summed.  The character columns, the pairs and
+    the (mu, nu) of each parity are set up once for all the blocks.  A
+    whole matrix sums the pairs j >= i into a p(n) x p(n) grid and mirrors
+    them: about p(n)^3 / 4 products per slot, a row p(n)^2 / 2 and an
+    entry p(n), which fill the one row of mu (the mirrored writes land in a
+    shared spare row that is never read).  Entries with S = 0 share one
+    Fraction(0), and in rational mode the output entries are the first
+    Fractions made.
     """
     z = table.centralizer_orders
     size = len(z)
@@ -83,41 +94,43 @@ def spectral_sum(table: CharacterTable, blocks, mu: int | None = None, nus=None)
         if any(js for _, js in own):
             halves.append((sign, pairs, list(zip(*(table.values[k] for k, _ in pairs))), own))
     zero = Fraction(0)
+    spare = [zero] * size  # every row but mu's in the selection form: mirrored entries land there unread
+
+    def blank():
+        return [[zero] * size for _ in z] if mu is None else [spare] * mu + [[zero] * size] + [spare] * (size - 1 - mu)
+
     results = []
     for coeffs, denominator in blocks:
         first = next((c for c in coeffs if not isinstance(c, RATIONAL)), None)
-        if first is None:
-            monomials = {(): coeffs}
-        else:
-            monomials = {}
-            for k, c in enumerate(coeffs):
-                for expo, value in c.coeffs.items() if c else ():
-                    monomials.setdefault(expo, [0] * size)[k] = value
-        slots = []  # (monomial, values): values[i][j] is the slot's entry of (i, j)
+        slots = [((), coeffs, denominator)] if first is None else []  # (monomial, weights, D)
+        monomials = {}
+        for k, c in enumerate(() if first is None else coeffs):
+            for expo, value in c.coeffs.items() if c else ():
+                monomials.setdefault(expo, [0] * size)[k] = value
         for expo, column in monomials.items():
             scale = lcm(*(value.denominator for value in column))
-            w = [value.numerator * (scale // value.denominator) for value in column]
-            scale *= denominator
-            slots.append((expo, values := [[zero] * size for _ in z]))
+            slots.append((expo, [value.numerator * (scale // value.denominator) for value in column], scale * denominator))
+        grids = []  # (monomial, grid): grid[i][j] is the slot's entry of (i, j)
+        for expo, w, scale in slots:
+            grids.append((expo, grid := blank()))
             for sign, pairs, columns, own in halves:
                 weights = [w[k] + sign * w[c] if k < c else w[k] for k, c in pairs]
                 if not any(weights):
                     continue
                 for i, js in own:
                     weighted = list(map(mul, weights, columns[i]))
+                    row = grid[i]
                     for j in js:
                         total = sum(map(mul, weighted, columns[j]))
                         if total:
-                            values[i][j] = values[j][i] = Fraction(total, scale * z[i] * z[j])
-        if first is None:
-            matrix = slots[0][1]
-        else:
-            matrix = [[None] * size for _ in z]
+                            row[j] = grid[j][i] = Fraction(total, scale * z[i] * z[j])
+        if first is not None:
+            grid = blank()
             for i, js in rows.items():
                 for j in js:
-                    terms = {expo: values[i][j] for expo, values in slots}
-                    matrix[i][j] = matrix[j][i] = series.TruncatedSeries(first.vars, first.cap, terms)
-        results.append(tuple(map(tuple, matrix)) if mu is None else tuple(matrix[mu][nu] for nu in nus))
+                    terms = {expo: values[i][j] for expo, values in grids}
+                    grid[i][j] = grid[j][i] = series.TruncatedSeries(first.vars, first.cap, terms)
+        results.append(tuple(map(tuple, grid)) if mu is None else tuple(grid[mu][nu] for nu in nus))
     return results
 
 
@@ -189,38 +202,35 @@ def species_content_coeffs(
     return lists, denominators
 
 
-def content_eigenvalues(lists: list, degrees: tuple[int, ...]) -> tuple[list, int]:
-    """(numerators, denominator): per shape, the product over species s of lists[s][0][shape][degrees[s]].
+def eigenvalue_blocks(config: WeightConfig, degrees: list, shift: int = 0) -> tuple:
+    """(table, keys, blocks): character_table(n), the multidegrees and their spectral_sum blocks.
 
-    ``lists`` holds one species_content_coeffs result per species, so the
-    denominator is the product over s of lists[s][1][degrees[s]]:
-    prod_s P_{s, d_s} in rational mode, where every numerator is an int, and
-    1 in series mode.
-    """
-    coefficient_lists, denominators = zip(*lists)
-    numerators = [prod(coeffs[d] for coeffs, d in zip(shape, degrees)) for shape in zip(*coefficient_lists)]
-    return numerators, prod(p[d] for p, d in zip(denominators, degrees))
-
-
-def eigenvalue_blocks(
-    config: WeightConfig, maxdeg: tuple[int, ...], shift: int = 0, degree_list: list | None = None
-) -> tuple:
-    """(table, degree_list, blocks): character_table(n), the multidegrees and their spectral_sum blocks.
-
-    Each block is the content_eigenvalues of one multidegree of degree_list,
-    which defaults to every multidegree up to maxdeg.  The shift is checked,
-    the table fetched and the blocks admitted by one spectral_cost before
-    any multidegree is listed or any content list built.  Each species'
-    lists are built once, at its maxdeg: the list of a lower degree is a
-    prefix of that one.
+    degrees holds, per species, the degrees it takes, an ascending run of
+    consecutive degrees: range(m_s + 1) for every multidegree up to maxdeg,
+    (d_s,) for one.  The multidegrees are their product, in
+    itertools.product order, and their count is taken from each run's
+    ends, so a range past 2^63 degrees is refused, not measured by len.
+    Each block is
+    (numerators, denominator): per shape the product over species s of its
+    content coefficient of degree d_s, over prod_s P_{s,d_s} in rational
+    mode, where every numerator is an int, and over 1 in series mode.  The
+    shift is checked, the table fetched and the blocks admitted by one
+    spectral_cost before any content list is built.  Each species' lists are
+    built once, at its largest degree (the list of a lower degree is a
+    prefix of that one), and the blocks are its outer products with the
+    blocks of the species before it: one list product per block and species.
     """
     check_shift(shift)
     tbl = character_table(config.n)
-    count = prod(m + 1 for m in maxdeg) if degree_list is None else len(degree_list)
-    check_spectral_cost(config, maxdeg, count, shift)
-    degree_list = list(multidegrees(maxdeg)) if degree_list is None else degree_list
-    lists = [species_content_coeffs(s, tbl.partitions, m, shift) for s, m in zip(config.species, maxdeg)]
-    return tbl, degree_list, [content_eigenvalues(lists, degrees) for degrees in degree_list]
+    check_spectral_cost(config, tuple(ds[-1] for ds in degrees), prod(ds[-1] - ds[0] + 1 for ds in degrees), shift)
+    keys, blocks = [()], [([1] * len(tbl.partitions), 1)]
+    for species, ds in zip(config.species, degrees):
+        lists, denominators = species_content_coeffs(species, tbl.partitions, ds[-1], shift)
+        picked = [([coeffs[d] for coeffs in lists], denominators[d]) for d in ds]
+        keys = [key + (d,) for key in keys for d in ds]
+        blocks = [(list(map(mul, numerators, column)), denominator * p)
+                  for numerators, denominator in blocks for column, p in picked]
+    return tbl, keys, blocks
 
 
 #: Largest spectral_cost a tau table or transfer matrix may have.
@@ -247,10 +257,12 @@ def spectral_cost(
     term models the gcds of Fraction products, which no longer happen: the
     content lists, the eigenvalues and the kernel's weights are integer
     numerators over known denominators, and the first Fraction made from
-    them is an output entry, so this term over-estimates as well.  The blocks * p(n) * S
-    integer products of content_eigenvalues are not charged.  The constants
-    are fitted to measured times of tau_coefficients before those changes
-    and stay, which keeps every admission; the refit is open in ROADMAP.md.
+    them is an output entry, so this term over-estimates as well.  The
+    outer products of eigenvalue_blocks, about blocks * p(n) integer
+    products (those of the last species; each species before it adds fewer),
+    are not charged.  The constants are fitted to measured times of
+    tau_coefficients before those changes and stay, which keeps every
+    admission; the refit is open in ROADMAP.md.
     """
     n = config.n
     parts = partition_count(n)

@@ -15,8 +15,10 @@ pipeline, assembles from the per-species content lists:
     entry(degrees, mu, nu) =
         sum_lam [u^degrees] r_lam * chi_lam(mu) chi_lam(nu) / (z_mu z_nu).
 
-A table holds every multidegree componentwise at most maxdeg, each as the
-symmetric matrix spectral_sum returns: a tuple of rows over
+A table holds every multidegree componentwise at most maxdeg.  One
+eigenvalue_blocks call over the degree sets range(m_s + 1) forms all their
+blocks as per-species outer products, and one spectral_sum call sums them,
+each as the symmetric matrix spectral_sum returns: a tuple of rows over
 character_table(n).partitions, the one form of a Hurwitz matrix that all
 three legs, the triangle judge and the CLI writer share.  The shift
 defaults to 0, which is the value at which the coefficients are Hurwitz
@@ -26,8 +28,8 @@ exceeds SPECTRAL_COST_LIMIT raises CapacityError before any content
 coefficient is computed.
 
 tau_row answers a filtered request: per multidegree one row of the table,
-or one entry, by spectral_sum's selection of mu and nus, admitted by the
-whole table's spectral_cost.
+or one entry, from the same blocks by spectral_sum's selection of mu and
+nus, admitted by the whole table's spectral_cost.
 
 verify_triangle compares the table with the geometric and combinatorial
 pipelines row by row, and entry by entry only in a row that differs.
@@ -118,8 +120,8 @@ def tau_coefficients(
     raises ValueError.
     """
     maxdeg = config.degrees(maxdeg)
-    tbl, degree_list, blocks = eigenvalue_blocks(config, maxdeg, shift)
-    return HurwitzTable(n=config.n, maxdeg=maxdeg, matrices=dict(zip(degree_list, spectral_sum(tbl, blocks))))
+    tbl, keys, blocks = eigenvalue_blocks(config, [range(m + 1) for m in maxdeg], shift)
+    return HurwitzTable(n=config.n, maxdeg=maxdeg, matrices=dict(zip(keys, spectral_sum(tbl, blocks))))
 
 
 def tau_row(
@@ -136,10 +138,9 @@ def tau_row(
     would be.  A partition not
     of n raises ValueError once admitted.
     """
-    maxdeg = config.degrees(maxdeg)
-    tbl, degree_list, blocks = eigenvalue_blocks(config, maxdeg, shift)
+    tbl, keys, blocks = eigenvalue_blocks(config, [range(m + 1) for m in config.degrees(maxdeg)], shift)
     nus = None if nu is None else [tbl.index(nu)]
-    return dict(zip(degree_list, spectral_sum(tbl, blocks, tbl.index(mu), nus)))
+    return dict(zip(keys, spectral_sum(tbl, blocks, tbl.index(mu), nus)))
 
 
 class TriangleReport(Immutable):

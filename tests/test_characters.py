@@ -2,7 +2,7 @@ import itertools
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import mul
 
 import pytest
@@ -11,13 +11,14 @@ from qhurwitz import (
     CapacityError,
     Species,
     TruncatedSeries,
+    WeightConfig,
     character_table,
     colength,
     dimension,
     species_content_coeffs,
 )
 from qhurwitz.characters import TABLE_LIMIT
-from qhurwitz.spectral import content_eigenvalues, spectral_sum
+from qhurwitz.spectral import eigenvalue_blocks, spectral_sum
 
 TABLE_SIZES = range(1, TABLE_LIMIT + 1)
 
@@ -360,11 +361,21 @@ def values(block):
 def content_blocks(table, shift):
     """Products of two species' content coefficients, one block per multidegree up to (3, 2).
 
-    Each block is the (numerators, denominator) pair content_eigenvalues returns.
+    Each block is the (numerators, denominator) pair eigenvalue_blocks returns.
     """
     species = (Species("H", Fraction(1, 2)), Species("E'", Fraction(-2, 5)))
-    lists = [species_content_coeffs(s, table.partitions, 3, shift) for s in species]
-    return [content_eigenvalues(lists, degrees) for degrees in itertools.product(range(4), range(3))]
+    return multidegree_blocks(species, table, [range(4), range(3)], shift)
+
+
+def multidegree_blocks(species, table, degrees, shift=0):
+    """eigenvalue_blocks over the per-species degree sets, checked against products of the content lists."""
+    tbl, keys, blocks = eigenvalue_blocks(WeightConfig(tuple(species), table.n), degrees, shift)
+    assert tbl is table and keys == list(itertools.product(*degrees))
+    lists = [species_content_coeffs(s, table.partitions, ds[-1], shift) for s, ds in zip(species, degrees)]
+    for key, (numerators, denominator) in zip(keys, blocks):
+        assert denominator == prod(p[d] for (_, p), d in zip(lists, key))
+        assert numerators == [prod(coeffs[d] for coeffs, d in zip(shape, key)) for shape in zip(*(c for c, _ in lists))]
+    return blocks
 
 
 class TestPackedSpectralSum:
@@ -454,8 +465,7 @@ class TestPackedSpectralSum:
         # as a many-species triangle suite hands them to the kernel.
         table = character_table(n)
         species = [Species(f, Fraction(1, p)) for f, p in zip(("E", "E", "H", "H", "H", "E'"), (2, 3, 5, 7, 11, 13))]
-        lists = [species_content_coeffs(s, table.partitions, 2) for s in species]
-        blocks = [content_eigenvalues(lists, degrees) for degrees in itertools.product(range(3), repeat=6)]
+        blocks = multidegree_blocks(species, table, [range(3)] * 6)
         assert_kernel_matches(table, blocks, [reference_spectral_sum(table, values(b)) for b in blocks])
 
     def test_no_blocks(self):

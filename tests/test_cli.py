@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -657,8 +658,13 @@ class TestParseIdentity:
                     pairs.append((sub, subparser_choices(full)[name]))
 
 
-#: The environment of a launched request: stdout block-buffered, as for a user.
-LAUNCH_ENV = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"}
+#: The environment of a launched request: stdout block-buffered, as for a user,
+#: and bytecode written where conftest.py puts it, outside the checkout.
+LAUNCH_ENV = {
+    "PYTHONPATH": "src",
+    "PATH": "/usr/bin:/bin:/usr/local/bin",
+    "PYTHONPYCACHEPREFIX": os.environ["PYTHONPYCACHEPREFIX"],
+}
 
 #: The three ways the CLI starts, each followed by the request's words.
 LAUNCH_FORMS = {
@@ -690,7 +696,7 @@ class TestEntryPoint:
             capture_output=True,
             text=True,
             cwd=ROOT,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"},
+            env=LAUNCH_ENV,
         )
         assert result.returncode == 0
         document = json.loads(result.stdout)

@@ -539,20 +539,24 @@ class TestMatrix:
 
 
 class TestMatrices:
-    """Every multidegree up to maxdeg at once, against one matrix per multidegree."""
+    """Every multidegree up to maxdeg at once, against one matrix and one number per multidegree."""
 
-    @pytest.mark.parametrize("species, maxdeg", [
-        ((Species("E", HALF), Species("H", FIFTH)), (3, 2)),
-        ((Species("E'", THIRD),), (4,)),
-        ((Species("H", TruncatedSeries.variable("q", 4)), Species("E", HALF)), (2, 1)),
-    ])
-    def test_equal_the_single_matrices(self, species, maxdeg):
-        for n in range(1, 6):
+    @pytest.mark.parametrize("species, ns, maxdeg", [
+        ((Species("E", HALF), Species("H", FIFTH)), range(1, 6), (3, 2)),
+        ((Species("E'", THIRD),), range(1, 6), (4,)),
+        ((Species("H", TruncatedSeries.variable("q", 4)), Species("E", HALF)), range(1, 6), (2, 1)),
+        (tuple(Species(f, Fraction(1, b)) for f, b in zip("EEHHHE", (2, 3, 5, 7, 11, 13))), (2,), (2, 1, 2, 1, 1, 2)),
+    ], ids=["two species", "one species", "series", "six species"])
+    def test_equal_the_single_matrices(self, species, ns, maxdeg):
+        for n in ns:
             config = WeightConfig(species=species, n=n)
+            parts = character_table(n).partitions
             matrices = multispecies_hurwitz_matrices(config, maxdeg)
             assert list(matrices) == list(itertools.product(*(range(m + 1) for m in maxdeg)))
             for degrees, matrix in matrices.items():
                 assert matrix == multispecies_hurwitz_matrix(config, degrees)
+                for (i, mu), (j, nu) in itertools.product(enumerate(parts), repeat=2):
+                    assert matrix[i][j] == multispecies_hurwitz_number(config, degrees, mu, nu), (n, degrees, mu, nu)
 
     def test_refused_by_the_summed_cost_before_any_work(self, monkeypatch):
         def refuse(*args):
@@ -747,13 +751,13 @@ class TestIntegerWalk:
         size = len(tbl.partitions)
         pairs = [(i, j) for i in range(size) for j in range(i, size)]
         monkeypatch.setattr(qhurwitz.geometric, "Fraction", counting)
-        sums = _character_sums(tbl, eigenvalues[3, 2], 5, pairs)
+        [rows] = _character_sums(tbl, eigenvalues, pairs)
         odd = [colength(mu) % 2 for mu in tbl.partitions]
         live = [(i, j) for i, j in pairs if (odd[i] + odd[j] + 5) % 2 == 0]
         # One Fraction per live entry, over its denominator, and the shared zero.
-        assert len(made) == len(live) + 1 and made[-1] == (0,)
-        assert all(len(args) == 2 for args in made[:-1])
-        assert sorted(sums) == pairs
+        assert len(made) == len(live) + 1 and made[0] == (0,)
+        assert all(len(args) == 2 for args in made[1:])
+        assert len(rows) == size and all(len(row) == size for row in rows)
 
 
 class TestColengthClasses:
@@ -790,14 +794,14 @@ class TestColengthClasses:
             pairs = [(tbl.index(mu), j) for mu in mus for j in range(len(parts))]
             for key in colength_multisets(n, 3):
                 vector = [prod(classes[c][i] for c in key) for i, _ in tbl.conjugate_pairs]
-                counts = _character_sums(tbl, (vector, 1), sum(key), pairs)
+                [counts] = _character_sums(tbl, {key: (vector, 1)}, pairs)
                 pools = [[p for p in parts if colength(p) == c] for c in key]
                 for i, j in pairs:
                     total = sum(
                         enumerate_factorizations(BranchConfiguration(extra, parts[i], parts[j]))
                         for extra in itertools.product(*pools)
                     )
-                    assert counts[i, j] == Fraction(total, factorial(n)), (key, i, j)
+                    assert counts[i][j] == Fraction(total, factorial(n)), (key, i, j)
 
     @pytest.mark.parametrize("species, n, degrees", [
         ((Species("H", HALF),), 12, (12,)),

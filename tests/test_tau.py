@@ -298,11 +298,11 @@ class TestIntegerForm:
     def test_eigenvalues_are_ints_over_the_product_of_denominators(self):
         config = WeightConfig(species=(Species("E", HALF), Species("H", Fraction(-2, 5))), n=6)
         parts = enumerate_partitions(6)
-        lists = [species_content_coeffs(s, parts, 4) for s in config.species]
         tables = [content_product_coeffs(config, lam, (4, 4)) for lam in parts]
         euler = [euler_product_denominators(s.parameter, 4) for s in config.species]
-        for degrees in itertools.product(range(5), range(5)):
-            numerators, denominator = spectral_module.content_eigenvalues(lists, degrees)
+        tbl, keys, blocks = spectral_module.eigenvalue_blocks(config, [range(5), range(5)])
+        assert tbl.partitions == tuple(parts) and keys == list(itertools.product(range(5), range(5)))
+        for degrees, (numerators, denominator) in zip(keys, blocks, strict=True):
             assert type(denominator) is int
             assert denominator == euler[0][degrees[0]] * euler[1][degrees[1]]
             assert all(type(c) is int for c in numerators)
@@ -641,12 +641,23 @@ class TestTriangleSuiteCost:
         assert built == list(range(2, 14))
 
 
+#: (species, n, maxdeg) of many-block calls that are checked block by block
+#: against the one-block paths.
+MANY_BLOCKS = [
+    pytest.param(tuple(Species(f, Fraction(1, b)) for f, b in zip("EEHHHE", (2, 3, 5, 7, 11, 13))), 2,
+                 (2, 1, 2, 1, 1, 2), id="six species n=2"),
+    pytest.param((Species("E", -THIRD), Species("H", FIFTH)), 5, (2, 1), id="two species n=5"),
+    pytest.param((Species("E'", HALF), Species("H", Fraction(-2, 5))), 1, (3, 2), id="n=1"),
+    pytest.param((Species("H", TruncatedSeries.variable("q", 4)), Species("E", HALF)), 4, (2, 1), id="series"),
+]
+
+
 class TestRowAndEntryForms:
     """spectral_sum given mu, tau_row and multispecies_hurwitz_entry read what the whole matrices hold."""
 
     @staticmethod
     def assert_rows_and_entries(config, maxdeg, shift=0):
-        tbl, _, blocks = spectral_module.eigenvalue_blocks(config, maxdeg, shift)
+        tbl, _, blocks = spectral_module.eigenvalue_blocks(config, [range(m + 1) for m in maxdeg], shift)
         matrices = spectral_module.spectral_sum(tbl, blocks)
         size = len(tbl.partitions)
         for i in range(size):
@@ -656,7 +667,7 @@ class TestRowAndEntryForms:
                 assert entries == [(rows[i][j],) for rows in matrices]
 
     def test_nus_may_be_a_one_pass_iterator(self):
-        tbl, _, blocks = spectral_module.eigenvalue_blocks(single_species("H", HALF, 4), (2,), 0)
+        tbl, _, blocks = spectral_module.eigenvalue_blocks(single_species("H", HALF, 4), [range(3)], 0)
         expected = spectral_module.spectral_sum(tbl, blocks, 0, [0, 1])
         assert len(expected) == 3 and all(len(entries) == 2 for entries in expected)
         assert spectral_module.spectral_sum(tbl, blocks, 0, iter([0, 1])) == expected
@@ -680,18 +691,32 @@ class TestRowAndEntryForms:
             self.assert_rows_and_entries(config, (3,), 1)
 
     @pytest.mark.parametrize("shift", [0, 1, -2])
-    def test_tau_row_is_the_row_of_the_table(self, shift):
-        config = WeightConfig((Species("E", -THIRD), Species("H", FIFTH)), 5)
-        table = tau_coefficients(config, (2, 1), shift)
-        parts = character_table(5).partitions
+    @pytest.mark.parametrize("species, n, maxdeg", MANY_BLOCKS)
+    def test_tau_row_is_the_row_of_the_table(self, species, n, maxdeg, shift):
+        config = WeightConfig(species, n)
+        table = tau_coefficients(config, maxdeg, shift)
+        assert list(table.matrices) == list(multidegrees(maxdeg))
+        parts = character_table(n).partitions
         for i, mu in enumerate(parts):
-            assert tau_module.tau_row(config, (2, 1), mu, shift=shift) == {
+            assert tau_module.tau_row(config, maxdeg, mu, shift=shift) == {
                 degrees: rows[i] for degrees, rows in table.matrices.items()
             }
             for j, nu in enumerate(parts):
-                assert tau_module.tau_row(config, (2, 1), mu, nu, shift) == {
+                assert tau_module.tau_row(config, maxdeg, mu, nu, shift) == {
                     degrees: (rows[i][j],) for degrees, rows in table.matrices.items()
                 }
+
+    @pytest.mark.parametrize("species, n, maxdeg", MANY_BLOCKS)
+    def test_transfer_matrices_hold_each_entry(self, species, n, maxdeg):
+        config = WeightConfig(species, n)
+        matrices = combinatorial_module.multispecies_transfer_matrices(config, maxdeg)
+        assert list(matrices) == list(multidegrees(maxdeg))
+        parts = character_table(n).partitions
+        for degrees, matrix in matrices.items():
+            assert matrix == multispecies_transfer_matrix(config, degrees)
+            for mu, nu in itertools.product(parts, repeat=2):
+                value = combinatorial_module.multispecies_hurwitz_entry(config, degrees, mu, nu)
+                assert value == matrix.hurwitz_entry(mu, nu), (degrees, mu, nu)
 
     @pytest.mark.parametrize("family, q", [("E", HALF), ("E'", -THIRD), ("H", Fraction(999, 1000))])
     def test_combinatorial_entry_is_the_matrix_entry(self, family, q):

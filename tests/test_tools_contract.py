@@ -44,8 +44,7 @@ IMPORTS = _imports()
 
 def test_the_private_helpers_are_among_the_imports():
     names = {name for script, _, name in IMPORTS if script == "geometric_cost_times.py"}
-    assert {"_character_sums", "_colength_characters", "_geometric_cost", "_matrix",
-            "_species_eigenvalues"} <= names
+    assert {"_character_sums", "_colength_characters", "_geometric_cost", "_species_eigenvalues"} <= names
 
 
 @pytest.mark.parametrize("script, module, name", IMPORTS)

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Run every request of tools/frontiers.txt under a 20 s timeout and print its
-# wall time, then the total wall of those requests.  A request fails when it
+# wall time, then the total wall of those requests and every request slower
+# than README's 3 s bound, slowest first (information only: it fails
+# nothing).  A request fails when it
 # exits nonzero (a timeout included), when its stdout's SHA-256 is not the
 # recorded one, or, for `verify`, when the top-level status is not "ok".  A
 # `frontier` row fails too unless the same request one degree higher exits 3
@@ -16,6 +18,7 @@ out=$(mktemp) && trap 'rm -f "$out"' EXIT
 ok='import json, sys; sys.exit(json.load(sys.stdin)["status"] != "ok")'
 failed=0
 total=0
+slow=()
 fail() { echo "FAIL: $*"; failed=1; }
 # Microseconds since the epoch, whatever the locale's decimal separator.
 now() { echo "${EPOCHREALTIME//[.,]/}"; }
@@ -29,6 +32,7 @@ while read -r digest marker request; do
   wall=$(($(now) - start))
   total=$((total + wall))
   echo "wall $(seconds $wall)"
+  ((wall <= 3000000)) || slow+=("$wall $request")
   [[ $code == 0 ]] || fail "exit $code"
   [[ $(sha256sum < "$out") == "$digest  -" ]] || fail "stdout SHA-256 is not $digest"
   [[ $request != verify* ]] || python3 -c "$ok" < "$out" || fail 'status is not "ok"'
@@ -40,5 +44,9 @@ while read -r digest marker request; do
   [[ $code == 3 && ! -s $out ]] || fail "one degree more: exit $code, $(wc -c < "$out") bytes of stdout"
 done < tools/frontiers.txt
 echo "total wall $(seconds $total)"
+echo "${#slow[@]} requests over 3 s, slowest first"
+for row in "${slow[@]}"; do echo "$row"; done | sort -rn | while read -r wall request; do
+  echo "$(seconds "$wall") $request"
+done
 [[ $failed == 0 ]] && echo "every row passes"
 exit $failed

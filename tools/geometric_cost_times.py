@@ -8,9 +8,9 @@ For each n and species the degree d grows by half from 2 until one walk or
 one entry passes 1.5 s, or the weight bits pass the limit.  Each row holds
 the in-process seconds of the walk (_species_eigenvalues up to d), of one
 matrix entry (_character_sums on one pair whose parity is live) and of one
-whole matrix (_matrix, measured while it stays under 1.5 s), each the best
-of up to three runs, next to the estimates _geometric_cost gives a single
-entry and one matrix.  The walk,
+whole matrix (_character_sums on the symmetric half, measured while it
+stays under 1.5 s), each the best of up to three runs, next to the
+estimates _geometric_cost gives a single entry and one matrix.  The walk,
 entry and matrix terms of _geometric_cost are fitted to these seconds; an
 empty cost is past the weight-bit limit.  One process, one core; the whole
 table takes about 8 minutes on a 2-CPU Xeon with Python 3.11.7.
@@ -26,7 +26,6 @@ from qhurwitz.geometric import (
     _character_sums,
     _colength_characters,
     _geometric_cost,
-    _matrix,
     _species_eigenvalues,
 )
 
@@ -64,11 +63,11 @@ def main() -> None:
             d, matrix_s = 2, 0.0
             while True:
                 walk_s, values = best(lambda: _species_eigenvalues(species, {d}, classes, shapes), 2)
-                values = values[d]
+                values = {(d,): values[d]}
                 pair = (0, tbl.index((n,) if d % 2 == 0 else (n - 1, 1)))
-                entry_s, _ = best(lambda: _character_sums(tbl, values, d, [pair]))
+                entry_s, _ = best(lambda: _character_sums(tbl, values, [pair]))
                 if matrix_s is not None and matrix_s < STOP:
-                    matrix_s, _ = best(lambda: _matrix(tbl, (d,), values))
+                    matrix_s, _ = best(lambda: _character_sums(tbl, values))
                 else:
                     matrix_s = None
                 config = WeightConfig((species,), n)
