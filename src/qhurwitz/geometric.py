@@ -50,15 +50,17 @@ tuples, so a multispecies value of total degree D is
 
 and since chi_lam'(rho) = (-1)^colength(rho) chi_lam(rho), it is 0 unless
 colength(mu) + colength(nu) + D is even; otherwise each conjugate pair
-counts twice.  It is taken per monomial (one for rationals) as one integer
-dot product of the numerators over the product of the species' D_(d_s),
-one Fraction per output entry.  Each call does this in one pass over its
-multidegrees: _eigenvalues walks each species once and forms every
-multidegree's numerators as successive per-species outer products, and
-_character_sums sets up the character columns, conjugate-pair factors,
-parities and pairs once and returns each multidegree's rows over
-character_table(n).partitions, the form spectral_sum returns for the
-other legs.  multispecies_hurwitz_number is its one-pair call,
+counts twice.  It is one integer dot product of the numerators over the
+product of the species' D_(d_s), one Fraction per output entry.  Each call
+does this in one pass over its multidegrees: _eigenvalues walks each
+species once and forms every multidegree's block, its numerators as
+successive per-species outer products with its denominator and degree
+parity, and _character_sums sets up the character columns,
+conjugate-pair factors, parities and pairs once and returns each block's
+rows over character_table(n).partitions, the form spectral_sum returns
+for the other legs.  Its core is rational only: series mode goes through
+series.by_monomial, one int block per monomial, joined back into series.
+multispecies_hurwitz_number is its one-pair call,
 multispecies_hurwitz_matrix sums the symmetric half of the pairs for one
 multidegree, multispecies_hurwitz_matrices does that for every
 multidegree up to maxdeg, and quantum_hurwitz_number is the one-species
@@ -275,14 +277,15 @@ def _species_eigenvalues(species: Species, degrees, classes: list[list[int]], sh
     integer combination over D_(P-1), and each level scales the kept ones by
     its denominator.  The seed is the int 1 in rational mode, so no Fraction
     is made.  One sheet has no colength, so the walk takes no step and G_s
-    is 0 at every positive degree.
+    is the mode's 0 at every positive degree: a zero series in series mode.
     """
     family, q = species.family, species.parameter
     sign = -1 if family == "H" else 1
     steps = [[sign ** (c + 1) * row[i] for i in shapes] for c, row in enumerate(classes) if c]
-    window = [[1 if isinstance(q, RATIONAL) else q**0] * len(shapes)]
+    one = 1 if isinstance(q, RATIONAL) else q**0
+    window = [[one] * len(shapes)]
     denominator = 1
-    values = {t: ([0] * len(shapes), 1) if t else (window[0], 1) for t in degrees}
+    values = {t: ([0 * one] * len(shapes), 1) if t else (window[0], 1) for t in degrees}
     top = max(degrees) if steps else 0
     for level in range(1, top + 1):
         b = [sum(step[k] * a[k] for step, a in zip(steps, window)) for k in range(len(shapes))]
@@ -297,25 +300,28 @@ def _species_eigenvalues(species: Species, degrees, classes: list[list[int]], sh
     return values
 
 
-def _character_sums(tbl, eigenvalues: dict, pairs=None) -> list:
-    """Per multidegree, the rows over tbl.partitions of sum over all shapes lam of G(lam) chi_lam(i) chi_lam(j) / (z_i z_j).
+def _character_sums(tbl, blocks, pairs=None) -> list:
+    """Per block, the rows over tbl.partitions of sum over all shapes lam of G(lam) chi_lam(i) chi_lam(j) / (z_i z_j).
 
-    eigenvalues maps each multidegree to (numerators, D): G = numerator / D
-    over the first shape of each of tbl.conjugate_pairs, ints in rational
-    mode, and G(lam') = (-1)^degree G(lam), degree the multidegree's sum.
-    The index pairs (i, j) asked for, by default those with j >= i, are
-    summed, each entered at (i, j) and (j, i); every other entry is 0.  Since chi_lam'(mu) = (-1)^colength(mu)
-    chi_lam(mu), a pair whose colengths and degree have odd sum is 0, and
-    every other pair counts a conjugate pair twice and a self-conjugate
-    shape once.  The character columns, those factors and the pairs of each
-    parity are set up once for all the multidegrees.  Per monomial of the
-    numerators (one for rationals) they go over their lcm denominator (1 for
-    ints), the character column of each first index i is weighted by them
-    once, and each pair is one integer dot product over that lcm times
-    D z_i z_j: one Fraction per summed entry, none per eigenvalue.
+    blocks are (numerators, D, parity) triples, as _eigenvalues returns
+    them: G = numerator / D over the first shape of each of
+    tbl.conjugate_pairs, and G(lam') = (-1)^degree G(lam), parity the
+    degree's.  The index pairs (i, j) asked for, by default those with
+    j >= i, are summed, each entered at (i, j) and (j, i); every other entry
+    is 0.  Since chi_lam'(mu) = (-1)^colength(mu) chi_lam(mu), a pair whose
+    colengths and degree have odd sum is 0, and every other pair counts a
+    conjugate pair twice and a self-conjugate shape once.  The character
+    columns, those factors and the pairs of each parity are set up once for
+    all the blocks.  The character column of each first index i is weighted
+    by a block's numerators once, and each pair is one integer dot product
+    over D z_i z_j: one Fraction per summed entry, none per eigenvalue.  A
+    call holding any series runs through series.by_monomial, which hands
+    this core one block of int numerators per monomial.
     """
     size = len(tbl.partitions)
     pairs = [(i, j) for i in range(size) for j in range(i, size)] if pairs is None else pairs
+    if any(not isinstance(g, RATIONAL) for numerators, _, _ in blocks for g in numerators):
+        return series.by_monomial(lambda split: _character_sums(tbl, split, pairs), blocks)
     columns = list(zip(*(tbl.values[k] for k, _ in tbl.conjugate_pairs)))
     twice = [1 + (k != c) for k, c in tbl.conjugate_pairs]
     z = tbl.centralizer_orders
@@ -325,27 +331,13 @@ def _character_sums(tbl, eigenvalues: dict, pairs=None) -> list:
         live[(odd[i] + odd[j]) % 2].setdefault(i, []).append(j)
     zero = Fraction(0)
     results = []
-    for degrees, (numerators, denominator) in eigenvalues.items():
-        first = next((g for g in numerators if not isinstance(g, RATIONAL)), None)
-        monomials = {(): numerators} if first is None else {}
-        for k, g in enumerate(() if first is None else numerators):
-            for expo, value in [((), g)] if isinstance(g, RATIONAL) else g.coeffs.items():
-                monomials.setdefault(expo, [0] * len(numerators))[k] = value
-        grids = []
-        for expo, values in monomials.items():
-            scale = lcm(*(v.denominator for v in values))
-            weights = [m * v.numerator * (scale // v.denominator) for m, v in zip(twice, values)]
-            scale *= denominator
-            grids.append((expo, grid := [[zero] * size for _ in z]))
-            for i, js in live[sum(degrees) % 2].items():
-                weighted = list(map(mul, weights, columns[i]))
-                for j in js:
-                    grid[i][j] = grid[j][i] = Fraction(sum(map(mul, weighted, columns[j])), scale * z[i] * z[j])
-        if first is not None:
-            grid = [[zero] * size for _ in z]
-            for i, j in pairs:
-                terms = {expo: values[i][j] for expo, values in grids}
-                grid[i][j] = grid[j][i] = series.TruncatedSeries(first.vars, first.cap, terms)
+    for numerators, denominator, parity in blocks:
+        weights = list(map(mul, twice, numerators))
+        grid = [[zero] * size for _ in z]
+        for i, js in live[parity].items():
+            weighted = list(map(mul, weights, columns[i]))
+            for j in js:
+                grid[i][j] = grid[j][i] = Fraction(sum(map(mul, weighted, columns[j])), denominator * z[i] * z[j])
         results.append(tuple(map(tuple, grid)))
     return results
 
@@ -360,28 +352,30 @@ def _check_cost(cost: int) -> None:
 
 
 def _eigenvalues(config: WeightConfig, degrees: list, entry: bool = False) -> tuple:
-    """character_table(n) and {multidegree: (numerators, D)} over the first shape of each conjugate pair.
+    """(table, keys, blocks): character_table(n), the multidegrees and their _character_sums blocks.
 
     degrees holds the degrees of each species, as _geometric_cost takes
     them; the multidegrees are their product, in itertools.product order.
     Admitted before any work by the _geometric_cost of their walks and
     matrices (entry: of one entry).  Each species is walked once, and the
-    eigenvalues are its outer products with those of the species before it:
-    a multidegree's eigenvalue of a shape is the product of its species'
-    numerators over the product of their D_(d_s), ints in rational mode.
+    blocks are its outer products with those of the species before it: a
+    multidegree's block is (numerators, D, parity), its eigenvalue of the
+    first shape of each conjugate pair the product of its species'
+    numerators over the product D of their D_(d_s), ints in rational mode,
+    and parity that of its total degree.
     """
     _check_cost(_geometric_cost(config, degrees, entry))
     tbl = character_table(config.n)
     shapes = [k for k, _ in tbl.conjugate_pairs]
     classes = _colength_characters(tbl)
-    keys, blocks = [()], [([1] * len(shapes), 1)]
+    keys, blocks = [()], [([1] * len(shapes), 1, 0)]
     for species, ds in zip(config.species, degrees):
         values = _species_eigenvalues(species, set(ds), classes, shapes)
-        picked = [values[d] for d in ds]
+        picked = [(*values[d], d & 1) for d in ds]
         keys = [key + (d,) for key in keys for d in ds]
-        blocks = [(list(map(mul, numerators, walked)), denominator * scale)
-                  for numerators, denominator in blocks for walked, scale in picked]
-    return tbl, dict(zip(keys, blocks))
+        blocks = [(list(map(mul, numerators, walked)), denominator * scale, parity ^ odd)
+                  for numerators, denominator, parity in blocks for walked, scale, odd in picked]
+    return tbl, keys, blocks
 
 
 def quantum_hurwitz_number(family: str, q, d: int, mu: Partition, nu: Partition):
@@ -408,9 +402,9 @@ def multispecies_hurwitz_number(
     nu = check_partition(nu)
     if sum(mu) != config.n or sum(nu) != config.n:
         raise ValueError("mu and nu must be partitions of the configuration degree")
-    tbl, eigenvalues = _eigenvalues(config, [(d,) for d in config.degrees(degrees)], entry=True)
+    tbl, _, blocks = _eigenvalues(config, [(d,) for d in config.degrees(degrees)], entry=True)
     i, j = tbl.index(mu), tbl.index(nu)
-    return _character_sums(tbl, eigenvalues, [(i, j)])[0][i][j]
+    return _character_sums(tbl, blocks, [(i, j)])[0][i][j]
 
 
 def multispecies_hurwitz_matrix(config: WeightConfig, degrees: tuple[int, ...]) -> tuple:
@@ -422,8 +416,8 @@ def multispecies_hurwitz_matrix(config: WeightConfig, degrees: tuple[int, ...]) 
     the symmetric half of the pairs is summed and mirrored.  Admitted by
     the _geometric_cost of its walks and one matrix.
     """
-    tbl, eigenvalues = _eigenvalues(config, [(d,) for d in config.degrees(degrees)])
-    return _character_sums(tbl, eigenvalues)[0]
+    tbl, _, blocks = _eigenvalues(config, [(d,) for d in config.degrees(degrees)])
+    return _character_sums(tbl, blocks)[0]
 
 
 def multispecies_hurwitz_matrices(config: WeightConfig, maxdeg: tuple[int, ...]) -> dict:
@@ -433,5 +427,5 @@ def multispecies_hurwitz_matrices(config: WeightConfig, maxdeg: tuple[int, ...])
     of one matrix per multidegree, which it counts in closed form.
     """
     maxdeg = config.degrees(maxdeg)
-    tbl, eigenvalues = _eigenvalues(config, [range(m + 1) for m in maxdeg])
-    return dict(zip(eigenvalues, _character_sums(tbl, eigenvalues)))
+    tbl, keys, blocks = _eigenvalues(config, [range(m + 1) for m in maxdeg])
+    return dict(zip(keys, _character_sums(tbl, blocks)))

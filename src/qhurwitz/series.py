@@ -15,6 +15,12 @@ The two modes are chosen per computation context and never mixed: series over
 different variable tuples or caps refuse to combine.  Plain ints and
 Fractions coerce into either mode as constants.
 
+The character-sum kernels of both legs (spectral.spectral_sum and the
+geometric leg's _character_sums) have rational cores only.  A call that
+holds series goes through :func:`by_monomial`, the one place series mode
+meets them: it splits each block into one int block per monomial, runs the
+kernel once over all of them and joins the results back into series.
+
 Rational mode needs none of this module: the rational text, the
 reciprocal of either mode and the value-type base are in ``scalars``, so a
 rational request never runs series mode.
@@ -23,6 +29,7 @@ rational request never runs series mode.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class TruncatedSeries:
@@ -195,3 +202,50 @@ def poly_mul(a: list, b: list, maxdeg: int) -> list:
                 continue
             out[i + j] = out[i + j] + ca * cb
     return out
+
+
+def by_monomial(kernel, blocks) -> list:
+    """kernel's results for blocks of series, from one run of kernel over one int block per monomial.
+
+    blocks are (values, denominator, *extra) tuples of the kind kernel
+    takes, holding at least one TruncatedSeries; every value is read as a
+    series of that one's variables and cap (an int or Fraction as a
+    constant).  Per block and monomial, the monomial's coefficients go over
+    their lcm L as int numerators, in the block (numerators, L *
+    denominator, *extra); the constant monomial always has a block, so an
+    all-zero block has one too.  kernel(blocks) runs once over all of them
+    and returns one result per block, a tuple of entries (a row, or one
+    entry) or a symmetric matrix as a tuple of rows, which _joined turns
+    into one series per entry.
+    """
+    # The zero series of the call's variables and cap.
+    zero = 0 * next(v for values, *_ in blocks for v in values if isinstance(v, TruncatedSeries))
+    split, monomials = [], []
+    for values, denominator, *extra in blocks:
+        columns = {(0,) * len(zero.vars): [0] * len(values)}
+        for k, value in enumerate(values):
+            for expo, c in zero._coerce(value).coeffs.items():
+                columns.setdefault(expo, [0] * len(values))[k] = c
+        monomials.append(list(columns))
+        for column in columns.values():
+            scale = lcm(*(c.denominator for c in column))
+            split.append(([c.numerator * (scale // c.denominator) for c in column], scale * denominator, *extra))
+    results = iter(kernel(split))
+    return [_joined(zero, expos, [next(results) for _ in expos]) for expos in monomials]
+
+
+def _joined(zero, expos, parts) -> tuple:
+    """One block's kernel results, one per monomial of expos, as one series per entry.
+
+    parts are tuples of entries or symmetric matrices; a matrix's entries
+    j >= i are joined and mirrored to (j, i).  Entries that are 0 in every
+    part share the one zero series.
+    """
+    def join(values):
+        return TruncatedSeries(zero.vars, zero.cap, dict(zip(expos, values))) if any(values) else zero
+
+    if not (parts[0] and isinstance(parts[0][0], tuple)):
+        return tuple(map(join, zip(*parts)))
+    size = range(len(parts[0]))
+    half = {(i, j): join([part[i][j] for part in parts]) for i in size for j in size[i:]}
+    return tuple(tuple(half[min(i, j), max(i, j)] for j in size) for i in size)

@@ -23,12 +23,13 @@ character sum over them.  The character tables themselves are in
   (z_mu z_nu) for a whole list of (numerators, denominator) blocks
   (multidegrees): per block the symmetric matrix, or the entries (mu, nu)
   of one mu, a row or one entry, which point requests read.  Its character
-  columns and the pairs each parity sums are set up once per call.  A
-  rational block's int numerators are its weights; each monomial of a
-  series block goes over its lcm denominator as integer weights.  Each
+  columns and the pairs each parity sums are set up once per call.  Its
+  core is rational only: a block's numerators are its weights, and each
   entry is one integer dot product over one shape per conjugate pair with
-  the paired weights.  In rational mode its output entries are the first
-  Fractions made from the lists;
+  the paired weights, the first Fraction made from the lists.  A call
+  holding any series runs through series.by_monomial, which splits each
+  block into int blocks, one per monomial, and joins the core's results
+  back into series;
 * spectral_cost and check_spectral_cost: the work estimate that refuses a
   request past SPECTRAL_COST_LIMIT before any content coefficient.
 """
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm, prod
+from math import prod
 from operator import mul
 
 from . import series
@@ -53,19 +54,18 @@ def spectral_sum(table: CharacterTable, blocks, mu: int | None = None, nus=None)
 
     blocks: (coefficients, denominator) pairs, as eigenvalue_blocks
     returns them: c_lam is coefficients[lam] / denominator, one coefficient
-    per shape in table order, each all rational (int in rational mode) or
-    all TruncatedSeries (zeros may be plain 0), over a positive int
-    denominator.  With mu None, each block's value is its symmetric matrix,
-    a tuple of rows over table.partitions.  With mu an index of
-    table.partitions, it is the tuple of the entries (mu, nu) for nu in nus
-    (any iterable of indices, every index by default): a row, or one entry.
+    per shape in table order, over a positive int denominator.  With mu
+    None, each block's value is its symmetric matrix, a tuple of rows over
+    table.partitions.  With mu an index of table.partitions, it is the
+    tuple of the entries (mu, nu) for nu in nus (any iterable of indices,
+    every index by default): a row, or one entry.
 
-    Each (block, monomial) pair is a slot with weights w and a D.  A
-    rational block is one slot: w are its coefficients, ints in rational
-    mode (other rationals are summed as they are), and D is its
-    denominator.  A series block has a slot per monomial: its coefficients
-    go over their lcm denominator as integer weights w, and its D is that
-    lcm times the block's denominator.  The conjugate shape lam' has
+    The call's mode is tested once.  If any coefficient is a series, the
+    call goes through series.by_monomial, which hands this core one block
+    of int coefficients per monomial and joins its results into series:
+    then every output value is a series.  Otherwise each block's weights w
+    are its coefficients, ints in rational mode (other rationals are summed
+    as they are), over D, its denominator.  The conjugate shape lam' has
     chi_lam'(rho) = (-1)^colength(rho) chi_lam(rho), so a (mu, nu) whose
     colengths have even sum takes the paired weight w_lam + w_lam' of each
     conjugate pair, one with odd sum w_lam - w_lam', and a self-conjugate
@@ -76,15 +76,16 @@ def spectral_sum(table: CharacterTable, blocks, mu: int | None = None, nus=None)
     for odd sums) is not summed.  The character columns, the pairs and
     the (mu, nu) of each parity are set up once for all the blocks.  A
     whole matrix sums the pairs j >= i into a p(n) x p(n) grid and mirrors
-    them: about p(n)^3 / 4 products per slot, a row p(n)^2 / 2 and an
+    them: about p(n)^3 / 4 products per block, a row p(n)^2 / 2 and an
     entry p(n), which fill the one row of mu (the mirrored writes land in a
     shared spare row that is never read).  Entries with S = 0 share one
-    Fraction(0), and in rational mode the output entries are the first
-    Fractions made.
+    Fraction(0), and the output entries are the first Fractions made.
     """
     z = table.centralizer_orders
     size = len(z)
     nus = range(size) if nus is None else tuple(nus)
+    if any(not isinstance(c, RATIONAL) for values, _ in blocks for c in values):
+        return series.by_monomial(lambda split: spectral_sum(table, split, mu, nus), blocks)
     rows = {i: range(i, size) for i in range(size)} if mu is None else {mu: list(dict.fromkeys(nus))}
     parity = [colength(rho) & 1 for rho in table.partitions]
     halves = []  # per parity of colength(mu) + colength(nu) asked for: sign, pairs, character columns, its (i, [j])
@@ -100,36 +101,19 @@ def spectral_sum(table: CharacterTable, blocks, mu: int | None = None, nus=None)
         return [[zero] * size for _ in z] if mu is None else [spare] * mu + [[zero] * size] + [spare] * (size - 1 - mu)
 
     results = []
-    for coeffs, denominator in blocks:
-        first = next((c for c in coeffs if not isinstance(c, RATIONAL)), None)
-        slots = [((), coeffs, denominator)] if first is None else []  # (monomial, weights, D)
-        monomials = {}
-        for k, c in enumerate(() if first is None else coeffs):
-            for expo, value in c.coeffs.items() if c else ():
-                monomials.setdefault(expo, [0] * size)[k] = value
-        for expo, column in monomials.items():
-            scale = lcm(*(value.denominator for value in column))
-            slots.append((expo, [value.numerator * (scale // value.denominator) for value in column], scale * denominator))
-        grids = []  # (monomial, grid): grid[i][j] is the slot's entry of (i, j)
-        for expo, w, scale in slots:
-            grids.append((expo, grid := blank()))
-            for sign, pairs, columns, own in halves:
-                weights = [w[k] + sign * w[c] if k < c else w[k] for k, c in pairs]
-                if not any(weights):
-                    continue
-                for i, js in own:
-                    weighted = list(map(mul, weights, columns[i]))
-                    row = grid[i]
-                    for j in js:
-                        total = sum(map(mul, weighted, columns[j]))
-                        if total:
-                            row[j] = grid[j][i] = Fraction(total, scale * z[i] * z[j])
-        if first is not None:
-            grid = blank()
-            for i, js in rows.items():
+    for w, denominator in blocks:
+        grid = blank()
+        for sign, pairs, columns, own in halves:
+            weights = [w[k] + sign * w[c] if k < c else w[k] for k, c in pairs]
+            if not any(weights):
+                continue
+            for i, js in own:
+                weighted = list(map(mul, weights, columns[i]))
+                row = grid[i]
                 for j in js:
-                    terms = {expo: values[i][j] for expo, values in grids}
-                    grid[i][j] = grid[j][i] = series.TruncatedSeries(first.vars, first.cap, terms)
+                    total = sum(map(mul, weighted, columns[j]))
+                    if total:
+                        row[j] = grid[j][i] = Fraction(total, denominator * z[i] * z[j])
         results.append(tuple(map(tuple, grid)) if mu is None else tuple(grid[mu][nu] for nu in nus))
     return results
 

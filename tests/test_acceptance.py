@@ -8,6 +8,7 @@ lines as they complete.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from qhurwitz import (
@@ -23,14 +24,17 @@ from qhurwitz import (
     enumerate_partitions,
     frobenius_hurwitz,
     jucys_murphy_eigenvalue_check,
+    multispecies_hurwitz_entry,
     path_counts,
     poly_mul,
     tau_coefficients,
     transfer_matrix,
     verify_triangle,
     weight_coefficient,
+    weight_coefficients,
     weighted_path_count,
 )
+from qhurwitz import sn
 from test_geometric import reference_profile_tuples
 from test_qseries import quantum_dilog_coeffs
 from test_series import poly_exp
@@ -189,6 +193,75 @@ def test_criterion_5_path_count_oracle():
                         if via_paths != via_matrix:
                             failures.append((family, n, d, mu, nu))
     report("criterion 5: path count oracle vs spectral", failures)
+
+
+@lru_cache(maxsize=None)
+def species_paths(n: int, species: Species, d: int) -> dict:
+    """{element index of S_n: weight}: one species' weighted monotone paths of d steps, summed by their product.
+
+    A path is d transpositions (a b), a < b, weakly increasing in b; it
+    weighs the product over its runs of equal b of g[run length], g the
+    species' weight_coefficients.  Each path's product is formed once per
+    (n, species, d), by the dense multiplication table of sn.
+    """
+    group = sn.symmetric_group(n)
+    g = weight_coefficients(species.family, species.parameter, d)
+    sums = {}
+    for path in itertools.product(group.transpositions(), repeat=d):
+        seconds = [b for _, b, _ in path]
+        if any(x > y for x, y in zip(seconds, seconds[1:])):
+            continue
+        product = group.identity
+        for *_, step in path:
+            product = group.table[product][step]
+        weight = prod(g[len(list(run))] for _, run in itertools.groupby(seconds))
+        sums[product] = sums.get(product, 0) + weight
+    return sums
+
+
+def multispecies_path_entries(config: WeightConfig, degrees) -> dict:
+    """{(mu, nu): the paper's multispecies path count at degrees}, by brute force.
+
+    A path of degrees (d_1..d_S) is sum_s d_s transpositions cut into
+    consecutive segments of d_s steps, segment s one species' weighted
+    monotone path (species_paths); the path weighs the product of its
+    segments' weights.  The entry of (mu, nu) is 1/n! times the weighted
+    count of the pairs (path, h), h in the class of mu, whose product lies
+    in the class of nu.
+    """
+    group = sn.symmetric_group(config.n)
+    paths = {group.identity: 1}
+    for species, d in zip(config.species, degrees):
+        paths = sn.algebra_mul(paths, species_paths(config.n, species, d), group)
+    entries = {}
+    for mu, members in group.classes.items():
+        for product, weight in paths.items():
+            for h in members:
+                key = mu, group.type_of[group.table[product][h]]
+                entries[key] = entries.get(key, 0) + weight * Fraction(1, factorial(config.n))
+    return entries
+
+
+def test_criterion_5b_multispecies_path_oracle():
+    """Brute-force multispecies weighted path counts equal the spectral entries."""
+    failures = []
+    configs = [
+        (Species("E", HALF), Species("H", THIRD)),
+        (Species("H", FIFTH), Species("E'", Fraction(2, 7)), Species("E", -THIRD)),
+    ]
+    for species in configs:
+        for n in (2, 3, 4, 5):
+            config = WeightConfig(species, n)
+            parts = enumerate_partitions(n)
+            for degrees in itertools.product(range(3), repeat=len(species)):
+                if sum(degrees) > 4:
+                    continue
+                paths = multispecies_path_entries(config, degrees)
+                for mu in parts:
+                    for nu in parts:
+                        if paths.get((mu, nu), 0) != multispecies_hurwitz_entry(config, degrees, mu, nu):
+                            failures.append((config, degrees, mu, nu))
+    report("criterion 5b: multispecies path oracle vs spectral", failures)
 
 
 def test_criterion_6_transfer_matrix_commutativity():

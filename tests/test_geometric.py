@@ -644,8 +644,9 @@ class TestPrefixSumWalk:
     @pytest.mark.parametrize("q", [HALF, Fraction(-1, 3), Fraction(2, 5), Fraction(-2, 5), Fraction(999, 1000),
                                    Fraction(0), TruncatedSeries.variable("q", 3)], ids=str)
     def test_walk_equals_the_multiset_sum(self, family, q):
-        # In rational mode every numerator is an int over D_d; the walk takes
-        # no step on one sheet, whose values stay over 1.
+        # In rational mode every numerator is an int over D_d, in series mode
+        # a series; the walk takes no step on one sheet, whose values stay
+        # over 1 and are the mode's zero at every positive degree.
         species = Species(family, q)
         rational = isinstance(q, Fraction)
         for n in range(1, 9):
@@ -659,7 +660,7 @@ class TestPrefixSumWalk:
                 expected = [reference[i] for i in shapes]
                 numerators, denominator = walked[d]
                 assert [v * Fraction(1, denominator) for v in numerators] == expected, (n, d)
-                assert list(map(type, numerators)) == [int if rational else type(e) for e in expected], (n, d)
+                assert list(map(type, numerators)) == [int if rational else TruncatedSeries] * len(expected), (n, d)
                 assert denominator == (level_denominator(q, d) if rational and n > 1 else 1), (n, d)
             assert _species_eigenvalues(species, {8}, classes, shapes) == {8: walked[8]}
 
@@ -672,7 +673,8 @@ class TestPrefixSumWalk:
             for k, c in tbl.conjugate_pairs:
                 assert k <= c and tbl.partitions[c] == conjugate(tbl.partitions[k])
             config = WeightConfig((Species("H", HALF),), n)
-            assert len(_eigenvalues(config, [(0,)])[1][(0,)][0]) == len(pairs)
+            [(numerators, _, _)] = _eigenvalues(config, [(0,)])[2]
+            assert len(numerators) == len(pairs)
         assert len(character_table(12).conjugate_pairs) == 40
 
     @pytest.mark.parametrize("family, q", [("E", HALF), ("E'", THIRD), ("H", FIFTH)])
@@ -727,12 +729,13 @@ class TestIntegerWalk:
         # product it enters into Fraction arithmetic.
         species = (Species("E", HALF), Species("H", Fraction(-1, 3)), Species("E'", Fraction(999, 1000)))
         config = WeightConfig(species, 5)
-        tbl, eigenvalues = _eigenvalues(config, [range(3), (0, 2), range(2)])
+        tbl, keys, blocks = _eigenvalues(config, [range(3), (0, 2), range(2)])
         classes = _colength_characters(tbl)
         shapes = [k for k, _ in tbl.conjugate_pairs]
-        assert (0, 0, 0) in eigenvalues and (2, 0, 1) in eigenvalues
-        for multidegree, (numerators, denominator) in eigenvalues.items():
+        assert keys == list(itertools.product(range(3), (0, 2), range(2)))
+        for multidegree, (numerators, denominator, parity) in zip(keys, blocks):
             assert all(type(v) is int for v in numerators) and type(denominator) is int
+            assert parity == sum(multidegree) % 2
             assert denominator == prod(level_denominator(s.parameter, d) for s, d in zip(species, multidegree))
             references = [reference_species_eigenvalues(s, d, classes) for s, d in zip(species, multidegree)]
             assert [Fraction(v, denominator) for v in numerators] == [
@@ -747,17 +750,68 @@ class TestIntegerWalk:
             return Fraction(*args)
 
         config = WeightConfig((Species("E'", Fraction(999, 1000)), Species("H", HALF)), 6)
-        tbl, eigenvalues = _eigenvalues(config, [(3,), (2,)])
+        tbl, _, blocks = _eigenvalues(config, [(3,), (2,)])
         size = len(tbl.partitions)
         pairs = [(i, j) for i in range(size) for j in range(i, size)]
         monkeypatch.setattr(qhurwitz.geometric, "Fraction", counting)
-        [rows] = _character_sums(tbl, eigenvalues, pairs)
+        [rows] = _character_sums(tbl, blocks, pairs)
         odd = [colength(mu) % 2 for mu in tbl.partitions]
         live = [(i, j) for i, j in pairs if (odd[i] + odd[j] + 5) % 2 == 0]
         # One Fraction per live entry, over its denominator, and the shared zero.
         assert len(made) == len(live) + 1 and made[0] == (0,)
         assert all(len(args) == 2 for args in made[1:])
         assert len(rows) == size and all(len(row) == size for row in rows)
+
+
+def reference_character_sums(tbl, numerators, denominator, parity):
+    """One _character_sums block's matrix, term by term over every shape, conjugates included.
+
+    G(lam) is numerators[k] / denominator on the first shape lam of each
+    conjugate pair k and (-1)^parity times that on its conjugate; each entry
+    is the sum of G(lam) chi_lam(i) chi_lam(j) / (z_i z_j) in the values'
+    own arithmetic.
+    """
+    g = [0] * len(tbl.partitions)
+    for (k, c), value in zip(tbl.conjugate_pairs, numerators):
+        g[k] = value
+        if c != k:
+            g[c] = (-1) ** parity * value
+    z = tbl.centralizer_orders
+    return tuple(
+        tuple(
+            sum((value * row[i] * row[j] for value, row in zip(g, tbl.values)), Fraction(0))
+            * Fraction(1, denominator * z[i] * z[j])
+            for j in range(len(z))
+        )
+        for i in range(len(z))
+    )
+
+
+class TestCharacterSums:
+    """_character_sums over many blocks in one call against the per-block reference."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rational_and_series_blocks_in_one_call(self, n):
+        tbl = character_table(n)
+        q = TruncatedSeries.variable("q", 4)
+        pairs = tbl.conjugate_pairs
+        # An odd-degree block is 0 on a self-conjugate shape, whose
+        # conjugate takes the opposite sign.
+        odd = [0 if k == c else 1 for k, c in pairs]
+        blocks = [
+            ([Fraction(k + 1, 3) + (-1) ** k * q ** (k % 3 + 1) * Fraction(1, k + 2) for k in range(len(pairs))], 1, 0),
+            ([m * (-1) ** k * (3**k + 1) for k, m in enumerate(odd)], 7**20, 1),
+            ([m * (q**4 * Fraction(-(10**40), k + 1) + Fraction(1, 3**k)) for k, m in enumerate(odd)], 9, 1),
+            ([TruncatedSeries("q", 4)] * len(pairs), 5, 0),
+            ([2 * k - 3 for k in range(len(pairs))], 4, 0),
+        ]
+        references = [reference_character_sums(tbl, *block) for block in blocks]
+        assert _character_sums(tbl, blocks) == references
+        size = len(tbl.partitions)
+        for i, j in [(0, 0), (0, size - 1), (size - 1, size // 2)]:
+            rows = _character_sums(tbl, blocks, [(i, j)])
+            assert [matrix[i][j] for matrix in rows] == [matrix[i][j] for matrix in references]
+            assert [matrix[j][i] for matrix in rows] == [matrix[i][j] for matrix in references]
 
 
 class TestColengthClasses:
@@ -794,7 +848,7 @@ class TestColengthClasses:
             pairs = [(tbl.index(mu), j) for mu in mus for j in range(len(parts))]
             for key in colength_multisets(n, 3):
                 vector = [prod(classes[c][i] for c in key) for i, _ in tbl.conjugate_pairs]
-                [counts] = _character_sums(tbl, {key: (vector, 1)}, pairs)
+                [counts] = _character_sums(tbl, [(vector, 1, sum(key) % 2)], pairs)
                 pools = [[p for p in parts if colength(p) == c] for c in key]
                 for i, j in pairs:
                     total = sum(

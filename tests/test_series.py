@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhurwitz import TruncatedSeries, poly_mul
+from qhurwitz.series import by_monomial
 from qhurwitz.scalars import format_rational
 
 
@@ -145,6 +146,122 @@ class TestPolyHelpers:
         q = TruncatedSeries.variable("q", 4)
         product = poly_mul([1, q], [1, -q], 2)
         assert product == [1, 0, -(q * q)]
+
+
+class Recording:
+    """A stub kernel of by_monomial: linear in each block's values, recording the blocks it is given.
+
+    Per block it returns, by form, the block's values over its denominator
+    as a tuple of entries (the round trip), their sum as a 1-tuple (an
+    entry), or the symmetric matrix of the pairwise sums; a block's extra
+    fields scale its result by their product.
+    """
+
+    def __init__(self, form):
+        self.form = form
+        self.calls = []
+
+    def __call__(self, blocks):
+        self.calls.append(blocks)
+        results = []
+        for values, denominator, *extra in blocks:
+            assert all(type(v) is int for v in values) and type(denominator) is int
+            scale = prod(extra)
+            row = tuple(Fraction(scale * v, denominator) for v in values)
+            if self.form == "row":
+                results.append(row)
+            elif self.form == "entry":
+                results.append((sum(row, Fraction(0)),))
+            else:
+                results.append(tuple(tuple(a + b for b in row) for a in row))
+        return results
+
+
+def expected_form(form, values, denominator, scale=1):
+    """What by_monomial over Recording(form) returns for a block, as series and Fraction arithmetic give it."""
+    row = tuple(v * Fraction(scale, denominator) for v in values)
+    if form == "row":
+        return row
+    if form == "entry":
+        return (sum(row, Fraction(0)),)
+    return tuple(tuple(a + b for b in row) for a in row)
+
+
+def series_types(result):
+    """Whether every value of a result (a tuple of entries or of rows) is a TruncatedSeries."""
+    if isinstance(result, tuple):
+        return all(map(series_types, result))
+    return isinstance(result, TruncatedSeries)
+
+
+class TestByMonomial:
+    """series.by_monomial: one int block per monomial through one kernel run, joined back into series."""
+
+    q = TruncatedSeries.variable("q", 4, ("q", "p"))
+    p = TruncatedSeries.variable("p", 4, ("q", "p"))
+
+    @pytest.mark.parametrize("form", ["row", "entry", "matrix"])
+    def test_split_and_join_round_trip(self, form):
+        q, p = self.q, self.p
+        blocks = [
+            ([q * Fraction(1, 2) + Fraction(1, 3), q * Fraction(1, 3)], 5),
+            ([q * p * Fraction(-7, 4) + q**3, p**2 * Fraction(10**30, 3), 1 + q], 2),
+        ]
+        kernel = Recording(form)
+        results = by_monomial(kernel, blocks)
+        assert len(kernel.calls) == 1
+        assert results == [expected_form(form, values, d) for values, d in blocks]
+        assert all(map(series_types, results))
+        # The first block's monomials 1 and q, each over its lcm denominator.
+        assert kernel.calls[0][:2] == [([1, 0], 15), ([3, 2], 30)]
+        assert len(kernel.calls[0]) == 2 + 5
+
+    def test_matrix_halves_are_mirrored(self):
+        q = self.q
+        blocks = [([q + 1, q**2 * 3, Fraction(1, 2)], 1)]
+        [matrix] = by_monomial(Recording("matrix"), blocks)
+        assert all(matrix[i][j] is matrix[j][i] for i in range(3) for j in range(3))
+
+    @pytest.mark.parametrize("form", ["row", "entry", "matrix"])
+    def test_all_zero_block(self, form):
+        q = self.q
+        zero = TruncatedSeries(q.vars, q.cap)
+        blocks = [([q, 2 * q], 3), ([0, zero], 7), ([zero, Fraction(0)], 1)]
+        kernel = Recording(form)
+        results = by_monomial(kernel, blocks)
+        # Each zero block still reaches the kernel once, as its constant monomial.
+        assert kernel.calls[0][2:] == [([0, 0], 7), ([0, 0], 1)]
+        assert results[1:] == [expected_form(form, [zero, zero], 1)] * 2
+        assert all(map(series_types, results))
+
+    @pytest.mark.parametrize("form", ["row", "entry", "matrix"])
+    def test_rational_and_series_blocks_in_one_call(self, form):
+        q, p = self.q, self.p
+        blocks = [
+            ([Fraction(2, 3), 5, 0], 4),
+            ([q * Fraction(1, 6), p, Fraction(1, 5)], 1),
+            ([Fraction(-(10**40), 3), 1, Fraction(1, 7)], 9),
+        ]
+        results = by_monomial(Recording(form), blocks)
+        assert results == [expected_form(form, values, d) for values, d in blocks]
+        # Every value of the call is read as a series: rational blocks give series too.
+        assert all(map(series_types, results))
+
+    def test_extra_block_fields_pass_through(self):
+        q = self.q
+        blocks = [([q + Fraction(1, 2), q**2], 3, 2, 5), ([Fraction(1, 4), 0], 1, -1, 1)]
+        kernel = Recording("row")
+        results = by_monomial(kernel, blocks)
+        assert [extra for _, _, *extra in kernel.calls[0]] == [[2, 5]] * 3 + [[-1, 1]]
+        assert results == [expected_form("row", values, d, prod(extra)) for values, d, *extra in blocks]
+
+    def test_empty_tuples_of_entries(self):
+        assert by_monomial(lambda blocks: [()] * len(blocks), [([self.q], 1)]) == [()]
+
+    def test_mixed_variables_or_caps_are_refused(self):
+        other = TruncatedSeries.variable("q", 3)
+        with pytest.raises(ValueError, match="cannot mix"):
+            by_monomial(Recording("row"), [([self.q], 1), ([other], 1)])
 
 
 class TestFormatRational:

@@ -424,6 +424,31 @@ class TestSpectralKernel:
         assert table.entries == reference_tau_entries(config, (2,))
         assert all(isinstance(value, TruncatedSeries) for value in table.entries.values())
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_form_gives_series_in_series_mode(self, n):
+        # At n = 1 every positive degree is 0, and each form returns it as a
+        # zero series, as it returns every other value of series mode.
+        config = single_species("H", TruncatedSeries.variable("q", 4), n)
+        parts = character_table(n).partitions
+        mu, nu = parts[0], parts[-1]
+        values = [
+            *tau_coefficients(config, (3,)).entries.values(),
+            *(value for row in tau_module.tau_row(config, (3,), mu).values() for value in row),
+            *(combinatorial_module.multispecies_hurwitz_entry(config, (d,), mu, nu) for d in range(4)),
+            *(geometric_module.multispecies_hurwitz_number(config, (d,), mu, nu) for d in range(4)),
+            *(value for d in range(4) for row in geometric_module.multispecies_hurwitz_matrix(config, (d,))
+              for value in row),
+            *(value for rows in geometric_module.multispecies_hurwitz_matrices(config, (3,)).values()
+              for row in rows for value in row),
+            *(value for d in range(4) for row in multispecies_transfer_matrix(config, (d,)).rows for value in row),
+            *(value for matrix in combinatorial_module.multispecies_transfer_matrices(config, (3,)).values()
+              for row in matrix.rows for value in row),
+        ]
+        assert all(isinstance(value, TruncatedSeries) for value in values)
+        if n == 1:
+            assert [geometric_module.multispecies_hurwitz_number(config, (d,), mu, nu) for d in range(4)] == [
+                TruncatedSeries.one(("q",), 4), *[TruncatedSeries(("q",), 4)] * 3]
+
     def test_vanishing_h_coefficients(self):
         # n = 1: the single cell has content 0, so every positive-degree
         # coefficient vanishes and the kernel sums an all-zero column.

@@ -63,7 +63,7 @@ def main() -> None:
             d, matrix_s = 2, 0.0
             while True:
                 walk_s, values = best(lambda: _species_eigenvalues(species, {d}, classes, shapes), 2)
-                values = {(d,): values[d]}
+                values = [(*values[d], d % 2)]
                 pair = (0, tbl.index((n,) if d % 2 == 0 else (n - 1, 1)))
                 entry_s, _ = best(lambda: _character_sums(tbl, values, [pair]))
                 if matrix_s is not None and matrix_s < STOP:
