@@ -21,15 +21,22 @@ pole or output error.  Output is deterministic for identical requests.
 ``run`` is the process entry of every launch form (``python -m qhurwitz``,
 ``python -m qhurwitz.cli`` and the ``qhurwitz`` script); ``main`` is the same
 request without the process-exit steps, for callers that stay in the process.
+
+The commands and their flags are declared once, in the table ``_SURFACE``.
+``_read_exact`` reads a well-formed request straight from it: one command's
+words, then that command's own flags spelled in full, each with a valid
+value.  Every other argv goes to ``build_parser``, the full argparse parser
+built from the same table, which writes every help text and usage error;
+argparse is imported only there.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import itertools
 import os
 import sys
+import types
 
 from . import combinatorial, geometric, qweights, scalars, tau
 from .characters import character_table
@@ -254,85 +261,134 @@ def _cmd_chartable(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a help text that cannot be written raises OSError, as any output does.
+#: Options that several commands share, each a flag and its add_argument keywords.
+_N = {"--n": {"type": int, "required": True}}
+_MU_NU = {"--mu": {"required": True}, "--nu": {"required": True}}
+_SPECIES = {"--species": {"action": "append", "default": [], "metavar": "FAMILY:name=value"}}
+_FORMAT = {"--format": {"choices": ("json", "csv"), "default": "json"}}
+_VALUE = {**_N, **_MU_NU, **_SPECIES, "--degrees": {"required": True}}
 
-    argparse's own print_help drops an OSError of the write, and its exit
-    comes before main's flush, so the text is written and flushed here.
+#: The CLI surface, which _read_exact and build_parser both read.  A command
+#: is (help, dest, subcommands) when a subcommand follows its word, dest
+#: naming the attribute that holds that word, and (help, func, options) when
+#: it answers requests: func(args) answers it, and options maps each flag to
+#: its add_argument keywords, in help order.  The keywords use type int,
+#: choices, required, default, metavar, help and one action, append; a
+#: value's attribute is the one argparse derives from its flag.  The root is
+#: the program, its help the description.
+_SURFACE = ("Exact quantum and multispecies weighted Hurwitz numbers.", "command", {
+    "compute": ("compute Hurwitz numbers or tables", "pipeline", {
+        "geometric": ("geometric pipeline value", _cmd_compute, _VALUE),
+        "combinatorial": ("combinatorial pipeline value", _cmd_compute, _VALUE),
+        "tau": ("tau coefficient table", _cmd_compute, {
+            **_N, "--mu": {}, "--nu": {}, **_SPECIES, "--maxdeg": {"required": True},
+            "--N": {"type": int, "default": 0, "help": "content shift (0 for Hurwitz numbers)"},
+            **_FORMAT,
+        }),
+    }),
+    "verify": ("run cross-pipeline verification", "suite", {
+        "triangle": ("three-pipeline equality suite", _cmd_verify, {
+            "--n-max": {"type": int, "required": True},
+            "--deg-max": {"type": int, "required": True},
+            **_SPECIES,
+        }),
+    }),
+    "oracle": ("brute-force oracles", "oracle_kind", {
+        "paths": ("path counts by signature", _cmd_oracle, {
+            **_N, "--d": {"type": int, "required": True}, **_MU_NU,
+        }),
+    }),
+    "chartable": ("exact character table", _cmd_chartable, {**_N, **_FORMAT}),
+})
+
+
+def _read_exact(argv: list[str]):
+    """The request of argv, read straight from _SURFACE, or None when argparse must read it.
+
+    argv must be exactly one command's words followed by flag-value pairs of
+    that command's own flags, each flag spelled in full: a flag that does
+    not append appears once, every required flag appears, an int is ASCII
+    decimal with an optional leading "-" that int() accepts, a choice is one
+    of its choices, and a value starts with "-" only when it is such an int.
+    Every argv that passes is one that the full parser accepts, and the
+    request holds exactly the attributes its parse_args sets.  Any other
+    argv, a help request or a usage error among them, gives None.
     """
+    _, target, commands = _SURFACE
+    request = {}
+    words = iter(argv)
+    while isinstance(target, str):
+        word = next(words, None)
+        if word not in commands:
+            return None
+        request[target] = word
+        _, target, commands = commands[word]
+    func, options = target, commands
+    values = {}
+    # The words left, two at a time: a last word without a value pairs with None.
+    for flag, text in itertools.zip_longest(words, words):
+        keywords = options.get(flag)
+        if keywords is None or text is None or (flag in values and "action" not in keywords):
+            return None
+        negative = text[:1] == "-"
+        plain = text[negative:].isascii() and text[negative:].isdigit()
+        if negative and not plain:
+            return None
+        if keywords.get("type") is int:
+            if not plain:
+                return None
+            try:
+                value = int(text)
+            except ValueError:  # past int()'s digit limit
+                return None
+        else:
+            value = text
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values.setdefault(flag, []).append(value)
+    for flag, keywords in options.items():
+        appends = "action" in keywords
+        if flag in values:
+            value = values[flag] if appends else values[flag][0]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = list(keywords["default"]) if appends else keywords.get("default")
+        request[flag.lstrip("-").replace("-", "_")] = value
+    return types.SimpleNamespace(**request, func=func)
 
-    def print_help(self, file=None):
-        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
 
+def build_parser():
+    """The full argparse parser of _SURFACE: the one writer of help texts and usage errors.
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The CLI's parser: every command registered, complete where argv names it.
-
-    Every command and subcommand is registered with its help, so every choice
-    list, usage line and help text is the full parser's.  One rule decides
-    the rest: a (sub)command gets its -h, its subparsers, its arguments and
-    its func exactly when its name is a word of argv, or always when argv is
-    None.  argparse descends only into a (sub)command whose exact name is an
-    argv word, so every parser a parse of argv reaches is complete, and the
-    parse prints, exits and returns byte for byte what the full parser's
-    does; the parsers it never reaches are only a choice and a help line.
+    argparse is imported here, so a request that _read_exact reads never
+    loads it.
     """
+    import argparse
 
-    def add(subparsers, name: str, help: str):
-        """name's parser, complete when argv names it; None when it stays a choice only."""
-        complete = argv is None or name in argv
-        sub = subparsers.add_parser(name, help=help, add_help=complete)
-        return sub if complete else None
+    class _Parser(argparse.ArgumentParser):
+        """argparse's parser, but a help text that cannot be written raises OSError, as any output does.
 
-    parser = _Parser(
-        prog="qhurwitz",
-        description="Exact quantum and multispecies weighted Hurwitz numbers.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+        argparse's own print_help drops an OSError of the write, and its exit
+        comes before main's flush, so the text is written and flushed here.
+        """
 
-    if compute := add(subparsers, "compute", "compute Hurwitz numbers or tables"):
-        compute_sub = compute.add_subparsers(dest="pipeline", required=True)
-        for pipeline in ("geometric", "combinatorial"):
-            if sub := add(compute_sub, pipeline, f"{pipeline} pipeline value"):
-                sub.add_argument("--n", type=int, required=True)
-                sub.add_argument("--mu", required=True)
-                sub.add_argument("--nu", required=True)
-                sub.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
-                sub.add_argument("--degrees", required=True)
-                sub.set_defaults(func=_cmd_compute)
-        if tau_sub := add(compute_sub, "tau", "tau coefficient table"):
-            tau_sub.add_argument("--n", type=int, required=True)
-            tau_sub.add_argument("--mu", default=None)
-            tau_sub.add_argument("--nu", default=None)
-            tau_sub.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
-            tau_sub.add_argument("--maxdeg", required=True)
-            tau_sub.add_argument("--N", type=int, default=0, help="content shift (0 for Hurwitz numbers)")
-            tau_sub.add_argument("--format", choices=("json", "csv"), default="json")
-            tau_sub.set_defaults(func=_cmd_compute)
+        def print_help(self, file=None):
+            print(self.format_help(), end="", file=file or sys.stdout, flush=True)
 
-    if verify := add(subparsers, "verify", "run cross-pipeline verification"):
-        verify_sub = verify.add_subparsers(dest="suite", required=True)
-        if triangle := add(verify_sub, "triangle", "three-pipeline equality suite"):
-            triangle.add_argument("--n-max", type=int, required=True, dest="n_max")
-            triangle.add_argument("--deg-max", type=int, required=True, dest="deg_max")
-            triangle.add_argument("--species", action="append", default=[], metavar="FAMILY:name=value")
-            triangle.set_defaults(func=_cmd_verify)
+    def fill(parser, command):
+        _, target, commands = command
+        if isinstance(target, str):
+            subparsers = parser.add_subparsers(dest=target, required=True)
+            for word, sub in commands.items():
+                fill(subparsers.add_parser(word, help=sub[0]), sub)
+        else:
+            for flag, keywords in commands.items():
+                parser.add_argument(flag, **keywords)
+            parser.set_defaults(func=target)
+        return parser
 
-    if oracle := add(subparsers, "oracle", "brute-force oracles"):
-        oracle_sub = oracle.add_subparsers(dest="oracle_kind", required=True)
-        if paths := add(oracle_sub, "paths", "path counts by signature"):
-            paths.add_argument("--n", type=int, required=True)
-            paths.add_argument("--d", type=int, required=True)
-            paths.add_argument("--mu", required=True)
-            paths.add_argument("--nu", required=True)
-            paths.set_defaults(func=_cmd_oracle)
-
-    if chartable := add(subparsers, "chartable", "exact character table"):
-        chartable.add_argument("--n", type=int, required=True)
-        chartable.add_argument("--format", choices=("json", "csv"), default="json")
-        chartable.set_defaults(func=_cmd_chartable)
-
-    return parser
+    return fill(_Parser(prog="qhurwitz", description=_SURFACE[0]), _SURFACE)
 
 
 def main(argv=None) -> int:
@@ -347,7 +403,7 @@ def main(argv=None) -> int:
         print("error: cannot write output: stdout is closed", file=sys.stderr)
         return 3
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _read_exact(argv) or build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -20,7 +20,7 @@ import qhurwitz.geometric
 import qhurwitz.partitions
 import qhurwitz.tau
 from qhurwitz import WeightConfig, enumerate_partitions, format_partition, tau_coefficients
-from qhurwitz.cli import _parse_degree_blocks, _parse_species_list, main
+from qhurwitz.cli import _parse_degree_blocks, _parse_species_list, _read_exact, main
 from qhurwitz.qweights import multidegrees
 from qhurwitz.scalars import format_rational
 
@@ -618,13 +618,13 @@ PARSE_FAILURES = [
 ]
 
 
-def subparser_choices(parser) -> dict:
-    """The subparsers of parser by name, in registration order; {} for a parser without any."""
-    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+def full_parse(argv):
+    """vars of the full parser's parse of argv."""
+    return vars(qhurwitz.cli.build_parser().parse_args(argv))
 
 
 class TestParseIdentity:
-    """main parses once, with a parser complete only where argv names it, as the full parser does."""
+    """main reads a well-formed request straight from the CLI table, and leaves the rest to argparse."""
 
     @pytest.mark.parametrize("argv", PARSE_FAILURES)
     def test_help_and_usage_errors_are_the_full_parsers(self, argv):
@@ -633,29 +633,63 @@ class TestParseIdentity:
         assert expected[2] in (0, 2), "the case must be a help request or a usage error"
         assert captured(main, argv) == expected
 
-    @pytest.mark.parametrize("argv", [
-        f"compute geometric {VALUE}", f"compute combinatorial {VALUE} --species E:p=1/3",
-        f"compute tau {TAU} --mu 3 --N -1 --format csv", f"compute tau {TAU} --nu 2,1",
-        "verify triangle --n-max 3 --deg-max 1 --species H:q=1/2", "oracle paths --n 3 --d 1 --mu 3 --nu 2,1",
-        "chartable --n 3", "chartable --n=3 --format csv", "chartable --format json --n 2",
-        "compute tau --maxdeg 1 --species H:q=1/2 --n 3",
-    ])
-    def test_an_accepted_request_parses_as_under_the_full_parser(self, argv):
-        argv = argv.split()
-        parsed = qhurwitz.cli.build_parser(argv).parse_args(argv)
-        assert vars(parsed) == vars(qhurwitz.cli.build_parser().parse_args(argv))
+    @pytest.mark.parametrize("argv", PARSE_FAILURES)
+    def test_the_reader_leaves_help_and_usage_errors_to_argparse(self, argv):
+        assert _read_exact(argv.split()) is None
 
-    @pytest.mark.parametrize("argv", ["chartable --n 1", f"compute tau {TAU}"])
-    def test_every_name_is_a_choice_and_only_named_parsers_hold_arguments(self, argv):
-        argv = argv.split()
-        pairs = [(qhurwitz.cli.build_parser(argv), qhurwitz.cli.build_parser())]
-        while pairs:
-            parser, full = pairs.pop()
-            assert list(subparser_choices(parser)) == list(subparser_choices(full))
-            for name, sub in subparser_choices(parser).items():
-                assert bool(sub._actions) == (name in argv), name
-                if name in argv:
-                    pairs.append((sub, subparser_choices(full)[name]))
+    @pytest.mark.parametrize("argv, direct", [
+        *((text.split(), True) for text in (
+            f"compute geometric {VALUE}", f"compute combinatorial {VALUE} --species E:p=1/3",
+            f"compute tau {TAU} --mu 3 --N -1 --format csv", f"compute tau {TAU} --nu 2,1",
+            "verify triangle --n-max 3 --deg-max 1 --species H:q=1/2", "oracle paths --n 3 --d 1 --mu 3 --nu 2,1",
+            "chartable --n 3", "chartable --format json --n 2", "compute tau --maxdeg 1 --species H:q=1/2 --n 3",
+            "oracle paths --n -3 --d 0003 --mu -1 --nu 3",
+        )),
+        (["oracle", "paths", "--n", "0", "--d", "0", "--mu", "", "--nu", ""], True),
+        # Spellings that argparse accepts and the reader leaves to it.
+        *((text.split(), False) for text in (
+            "chartable --n=3 --format csv", "chartable --n 3 --n 4", "chartable --n +3", "chartable --n 1_0",
+            f"compute tau {TAU} --fo csv", "verify triangle --n-max 3 --deg-max 1 --species H:q=1/2 --n 4",
+            f"compute tau {TAU} --mu -1.5", "oracle paths --n 3 --d 1 --mu 3 --nu -",
+        )),
+        (["chartable", "--n", "\u0663"], False),
+    ])
+    def test_an_accepted_request_parses_as_under_the_full_parser(self, argv, direct):
+        expected = full_parse(argv)
+        read = _read_exact(argv)
+        assert (read is not None) == direct
+        assert read is None or vars(read) == expected
+
+    def test_a_default_list_is_never_shared(self):
+        first = _read_exact(["verify", "triangle", "--n-max", "2", "--deg-max", "1"])
+        first.species.append("H:q=1/2")
+        assert _read_exact(["verify", "triangle", "--n-max", "2", "--deg-max", "1"]).species == []
+
+    @pytest.mark.parametrize("key", sorted(PINS))
+    def test_every_pinned_request_is_read_directly(self, key):
+        argv = shlex.split(key)
+        read = _read_exact(argv)
+        assert read is not None and vars(read) == full_parse(argv)
+
+    def test_the_table_is_the_full_parsers_surface(self):
+        """Every command of the table, and only those, with its flags in table order."""
+        def leaves(parser, words=()):
+            subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subparsers:
+                yield words, [a.option_strings[0] for a in parser._actions if a.dest != "help"]
+            for action in subparsers:
+                for word, sub in action.choices.items():
+                    yield from leaves(sub, words + (word,))
+
+        def table(command, words=()):
+            _, target, commands = command
+            if not isinstance(target, str):
+                yield words, list(commands)
+                return
+            for word, sub in commands.items():
+                yield from table(sub, words + (word,))
+
+        assert list(leaves(qhurwitz.cli.build_parser())) == list(table(qhurwitz.cli._SURFACE))
 
 
 #: The environment of a launched request: stdout block-buffered, as for a user,
@@ -783,9 +817,10 @@ def test_failed_write_exits_3_in_process(capsys, monkeypatch):
 
 
 def test_closed_stdout_is_refused_before_any_work(capsys, monkeypatch):
-    def no_work(argv=None):
+    def no_work(*args):
         raise AssertionError("parsed a request for a closed stdout")
 
+    monkeypatch.setattr(qhurwitz.cli, "_read_exact", no_work)
     monkeypatch.setattr(qhurwitz.cli, "build_parser", no_work)
     monkeypatch.setattr(sys, "stdout", None)
     assert main(["chartable", "--n", "3"]) == 3

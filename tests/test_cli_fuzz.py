@@ -9,6 +9,10 @@ main, and finish within DEADLINE_S.  Three species at most: an admitted
 triangle suite of one to three of these species, n_max 2..12 and deg_max
 0..4 took at most about 1.5 s in process (2-CPU Xeon, Python 3.11.7),
 while four or more species admit suites of several seconds.
+
+The same argv check the CLI's direct reader against the full argparse
+parser: a well-formed request is read directly, and any argv is either read
+exactly as the full parser parses it or left to that parser.
 """
 
 import contextlib
@@ -17,7 +21,7 @@ import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qhurwitz.cli import main
+from qhurwitz.cli import _read_exact, build_parser, main
 
 #: Past Python's 4300-digit limit on int() of text.
 HUGE_DIGITS = "7" * 5000
@@ -109,3 +113,23 @@ def test_every_request_ends_with_a_documented_exit_code(args):
     assert code in (0, 1, 2, 3), (args, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert elapsed < DEADLINE_S, (args, elapsed)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(argv())
+def test_the_reader_never_disagrees_with_argparse(args):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(build_parser().parse_args(args))
+        except SystemExit:
+            expected = None
+    read = _read_exact(args)
+    assert read is None or vars(read) == expected, args
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(request())
+def test_a_well_formed_request_is_read_directly(args):
+    read = _read_exact(args)
+    assert read is not None, args
+    assert vars(read) == vars(build_parser().parse_args(args))

@@ -628,6 +628,31 @@ class TestCoveringSums:
         assert multispecies_hurwitz_number(config, (2, 1), (2, 2), (4,)) == matrix[((2, 2), (4,))]
 
 
+def test_two_species_value_meets_exhaustive_factorizations():
+    """The multispecies value against covers counted by brute force in S_n.
+
+    Every weight comes from symmetrized_weight and every covering count from
+    enumerate_factorizations divided by n!, so no character sum is on the
+    reference side.  Each configuration is counted once.
+    """
+    counts = {}
+
+    def count(branch):
+        if branch not in counts:
+            counts[branch] = Fraction(enumerate_factorizations(branch), factorial(sum(branch.mu)))
+        return counts[branch]
+
+    species = (Species("E", HALF), Species("H", THIRD))
+    for n in range(2, 6):
+        config = WeightConfig(species=species, n=n)
+        parts = enumerate_partitions(n)
+        for degrees in itertools.product(range(3), repeat=2):
+            for mu in parts:
+                for nu in parts:
+                    expected = reference_hurwitz_number(config, degrees, mu, nu, count=count)
+                    assert multispecies_hurwitz_number(config, degrees, mu, nu) == expected, (n, degrees, mu, nu)
+
+
 def colength_multisets(n, most):
     """Descending tuples of colengths 1..n-1 with sum at most most."""
     found = [()]

@@ -132,10 +132,11 @@ def package_imports(tree) -> dict[str, set]:
     return imported
 
 
-#: The one import inside a function, as (function, statement) per module: the
+#: The imports inside a function, as (function, statement) per module: the
 #: CLI loads json only to write a JSON document, so compute tau and CSV
-#: chartables never load it.
-NESTED_IMPORTS = {"cli": {("_emit_json", "import json")}}
+#: chartables never load it, and argparse only to build the full parser, for
+#: help texts and usage errors.
+NESTED_IMPORTS = {"cli": {("_emit_json", "import json"), ("build_parser", "import argparse")}}
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))
@@ -254,6 +255,14 @@ RATIONAL_REQUESTS = {
 def test_no_command_runs_series_mode(argv):
     _, ran = cold_request(argv)
     assert "qhurwitz.series" not in ran
+
+
+@pytest.mark.parametrize("argv", ["chartable --n 1", *RATIONAL_REQUESTS.values()], ids=["chartable", *RATIONAL_REQUESTS])
+def test_a_well_formed_request_loads_no_argparse(argv):
+    # The CLI reads it straight from its table; argparse, and the gettext and
+    # locale that argparse's messages load, are only for help and usage errors.
+    loaded, _ = cold_request(argv)
+    assert not {"argparse", "gettext", "locale"} & loaded
 
 
 @pytest.mark.parametrize("argv", [
