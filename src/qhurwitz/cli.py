@@ -28,6 +28,14 @@ words, then that command's own flags spelled in full, each with a valid
 value.  Every other argv goes to ``build_parser``, the full argparse parser
 built from the same table, which writes every help text and usage error;
 argparse is imported only there.
+
+``compute tau`` reads the spectral layer's integer numerators directly, in
+every form (table, row and entry), and makes no Fraction: an entry (mu, nu)
+is S / (D z_mu z_nu), written reduced by one gcd, and every S = 0 is the
+one text "0/1".  The kernel sums only the (mu, nu) with |colength(mu) -
+colength(nu)| <= the multidegree's total degree: by Jucys (1974) a content
+product's coefficient of total degree t lies in the span of the class sums
+of colength <= t, so every other entry is 0.
 """
 
 from __future__ import annotations
@@ -37,8 +45,9 @@ import itertools
 import os
 import sys
 import types
+from math import gcd
 
-from . import combinatorial, geometric, qweights, scalars, tau
+from . import combinatorial, geometric, qweights, scalars, spectral, tau
 from .characters import character_table
 from .errors import CapacityError, PoleError
 from .partitions import format_partition, parse_partition
@@ -104,19 +113,12 @@ def _csv_field(text: str) -> str:
     return f'"{text}"' if "," in text else text
 
 
-def _matrix_texts(matrices) -> list[str]:
-    """The value texts of whole symmetric matrices, in matrix, then row, then column order.
-
-    Each upper-triangle value is formatted once, from its row: row i takes
-    its first i texts from column i of the rows above it.
-    """
-    texts = []
-    for rows in matrices:
-        above = []
-        for i, row in enumerate(rows):
-            above.append([done[i] for done in above] + list(map(scalars.format_rational, row[i:])))
-        texts += itertools.chain.from_iterable(above)
-    return texts
+def _entry_text(numerator: int, denominator: int) -> str:
+    """The text of numerator / denominator, reduced by one gcd: "0/1" for every 0."""
+    if not numerator:
+        return "0/1"
+    common = gcd(numerator, denominator)
+    return scalars.ratio_text(numerator // common, denominator // common)
 
 
 def _write_tau_table(n: int, blocks: list, mu_filter, nu_filter, texts: list[str], fmt: str) -> None:
@@ -170,16 +172,21 @@ def _cmd_compute(args) -> int:
         maxdeg = _parse_degree_blocks(args.maxdeg, species)
         mu_filter = _partition_arg(args.mu, args.n, "mu") if args.mu is not None else None
         nu_filter = _partition_arg(args.nu, args.n, "nu") if args.nu is not None else None
+        tbl, keys, blocks = spectral.eigenvalue_blocks(config, [range(m + 1) for m in config.degrees(maxdeg)], args.N)
         if mu_filter is None and nu_filter is None:
-            blocks = tau.tau_coefficients(config, maxdeg, shift=args.N).matrices
-            texts = _matrix_texts(blocks.values())
+            mu = nus = None
         else:
             # One row, or one entry, per multidegree; the table is symmetric,
             # so a --nu filter alone reads the row of nu.
             first, second = (nu_filter, None) if mu_filter is None else (mu_filter, nu_filter)
-            blocks = tau.tau_row(config, maxdeg, first, second, shift=args.N)
-            texts = [scalars.format_rational(value) for row in blocks.values() for value in row]
-        _write_tau_table(args.n, list(blocks), mu_filter, nu_filter, texts, args.format)
+            mu, nus = tbl.index(first), None if second is None else [tbl.index(second)]
+        scales, layout, sums = spectral.spectral_numerators(tbl, blocks, mu, nus)
+        order = list(itertools.chain.from_iterable(layout))
+        texts = []
+        for (_, denominator, _), numerators in zip(blocks, sums):
+            entry_texts = [_entry_text(s, denominator * scale) for s, scale in zip(numerators, scales)]
+            texts += map(entry_texts.__getitem__, order)
+        _write_tau_table(args.n, keys, mu_filter, nu_filter, texts, args.format)
         return 0
     mu = _partition_arg(args.mu, args.n, "mu")
     nu = _partition_arg(args.nu, args.n, "nu")

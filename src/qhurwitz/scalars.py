@@ -59,18 +59,22 @@ class Immutable:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def format_rational(value) -> str:
-    """Exact "numerator/denominator" text of an int or Fraction, in lowest terms, at any size.
+def ratio_text(numerator: int, denominator: int) -> str:
+    """Exact "numerator/denominator" text of two ints, at any size; the caller reduces them.
 
-    Python's int_max_str_digits limit guards int() on outside text.  A value
+    Python's int_max_str_digits limit guards int() on outside text.  A term
     past it prints through decimal.Decimal, which converts an int exactly
     without that limit, so the process-wide limit is never touched.
     """
-    ratio = value.as_integer_ratio()
     try:
-        return "%d/%d" % ratio
+        return "%d/%d" % (numerator, denominator)
     except ValueError:
-        return "%s/%s" % tuple(map(Decimal, ratio))
+        return "%s/%s" % (Decimal(numerator), Decimal(denominator))
+
+
+def format_rational(value) -> str:
+    """Exact "numerator/denominator" text of an int or Fraction, in lowest terms, at any size (ratio_text)."""
+    return ratio_text(*value.as_integer_ratio())
 
 
 def sized_text(value, noun: str) -> str:

@@ -15,21 +15,24 @@ character sum over them.  The character tables themselves are in
 * eigenvalue_blocks: the character table and, for every multidegree of
   per-species degree sets (range(m + 1) for a table, (d,) for a point),
   the per-shape products of those lists over species, integer numerators
-  over the one block denominator prod_s P_{s,d_s} in rational mode.  They
-  are formed as successive per-species outer products, one list product
-  per block and species, and admitted by spectral_cost before any content
-  list;
-* spectral_sum: the one kernel, sum_lam c_lam chi_lam(mu) chi_lam(nu) /
-  (z_mu z_nu) for a whole list of (numerators, denominator) blocks
-  (multidegrees): per block the symmetric matrix, or the entries (mu, nu)
-  of one mu, a row or one entry, which point requests read.  Its character
-  columns and the pairs each parity sums are set up once per call.  Its
-  core is rational only: a block's numerators are its weights, and each
-  entry is one integer dot product over one shape per conjugate pair with
-  the paired weights, the first Fraction made from the lists.  A call
-  holding any series runs through series.by_monomial, which splits each
-  block into int blocks, one per monomial, and joins the core's results
-  back into series;
+  over the one block denominator prod_s P_{s,d_s} in rational mode, each
+  block with its total degree.  They are formed as successive per-species
+  outer products, one list product per block and species, and admitted by
+  spectral_cost before any content list;
+* spectral_numerators: the one kernel core, rational only.  Per block of
+  (numerators, denominator, degree), the integer numerators S of
+  sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu) = S / (D z_mu z_nu):
+  the symmetric matrix, or the entries (mu, nu) of one mu, a row or one
+  entry, which point requests read.  Each S is one integer dot product over
+  one shape per conjugate pair with the paired weights, and only the
+  (mu, nu) inside the block's colength window are summed: by Jucys (1974)
+  a content-product block of total degree t is 0 wherever
+  |colength(mu) - colength(nu)| > t.  The compute tau writer reads these
+  numerators directly;
+* spectral_sum: the same sums as Fractions, the form the pipelines, the
+  triangle judge and the library return.  A call holding any series runs
+  through series.by_monomial, which splits each block into int blocks, one
+  per monomial, and joins the Fractions back into series;
 * spectral_cost and check_spectral_cost: the work estimate that refuses a
   request past SPECTRAL_COST_LIMIT before any content coefficient.
 """
@@ -39,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 
 from . import series
 from .characters import CharacterTable, character_table
@@ -52,70 +55,128 @@ from .scalars import RATIONAL, sized_text
 def spectral_sum(table: CharacterTable, blocks, mu: int | None = None, nus=None) -> list:
     """Per block, sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu): the whole matrix, or a row or entries of it.
 
-    blocks: (coefficients, denominator) pairs, as eigenvalue_blocks
-    returns them: c_lam is coefficients[lam] / denominator, one coefficient
-    per shape in table order, over a positive int denominator.  With mu
-    None, each block's value is its symmetric matrix, a tuple of rows over
-    table.partitions.  With mu an index of table.partitions, it is the
-    tuple of the entries (mu, nu) for nu in nus (any iterable of indices,
-    every index by default): a row, or one entry.
+    blocks: (coefficients, denominator) pairs, or (coefficients,
+    denominator, degree) triples as eigenvalue_blocks returns them: c_lam is
+    coefficients[lam] / denominator, one coefficient per shape in table
+    order, over a positive int denominator.  With mu None, each block's
+    value is its symmetric matrix, a tuple of rows over table.partitions.
+    With mu an index of table.partitions, it is the tuple of the entries
+    (mu, nu) for nu in nus (any iterable of indices, every index by
+    default): a row, or one entry.
 
     The call's mode is tested once.  If any coefficient is a series, the
-    call goes through series.by_monomial, which hands this core one block
-    of int coefficients per monomial and joins its results into series:
-    then every output value is a series.  Otherwise each block's weights w
-    are its coefficients, ints in rational mode (other rationals are summed
-    as they are), over D, its denominator.  The conjugate shape lam' has
-    chi_lam'(rho) = (-1)^colength(rho) chi_lam(rho), so a (mu, nu) whose
-    colengths have even sum takes the paired weight w_lam + w_lam' of each
-    conjugate pair, one with odd sum w_lam - w_lam', and a self-conjugate
-    shape counts in the even sums only.  Each entry is then one integer dot
-    product over one shape per pair, S / (D z_mu z_nu); a parity whose
-    paired weights are all 0 (at shift 0, where conjugation negates the
-    contents, the odd-degree blocks for even sums and the even-degree ones
-    for odd sums) is not summed.  The character columns, the pairs and
-    the (mu, nu) of each parity are set up once for all the blocks.  A
-    whole matrix sums the pairs j >= i into a p(n) x p(n) grid and mirrors
-    them: about p(n)^3 / 4 products per block, a row p(n)^2 / 2 and an
-    entry p(n), which fill the one row of mu (the mirrored writes land in a
-    shared spare row that is never read).  Entries with S = 0 share one
-    Fraction(0), and the output entries are the first Fractions made.
+    call goes through series.by_monomial, which hands this function one
+    block of int coefficients per monomial, its degree kept, and joins its
+    results into series: then every output value is a series.  Otherwise
+    each entry is the Fraction of spectral_numerators' S / (D z_mu z_nu),
+    made once per distinct entry (a matrix's (nu, mu) is its (mu, nu));
+    entries with S = 0 share one Fraction(0).  These are the first
+    Fractions made.
     """
-    z = table.centralizer_orders
-    size = len(z)
-    nus = range(size) if nus is None else tuple(nus)
-    if any(not isinstance(c, RATIONAL) for values, _ in blocks for c in values):
+    if nus is not None:
+        nus = tuple(nus)  # an iterator is read once, and the series split calls back with it
+    if any(not isinstance(c, RATIONAL) for values, *_ in blocks for c in values):
         return series.by_monomial(lambda split: spectral_sum(table, split, mu, nus), blocks)
-    rows = {i: range(i, size) for i in range(size)} if mu is None else {mu: list(dict.fromkeys(nus))}
-    parity = [colength(rho) & 1 for rho in table.partitions]
-    halves = []  # per parity of colength(mu) + colength(nu) asked for: sign, pairs, character columns, its (i, [j])
+    scales, layout, sums = spectral_numerators(table, blocks, mu, nus)
+    pickers = list(map(_picker, layout))
+    zero = Fraction(0)
+    entries = (
+        [Fraction(s, block[1] * scale) if s else zero for s, scale in zip(numerators, scales)]
+        for block, numerators in zip(blocks, sums)
+    )
+    if mu is not None:
+        return list(map(pickers[0], entries))
+    return [tuple([pick(values) for pick in pickers]) for values in entries]
+
+
+def _picker(indices):
+    """The function of a list that returns the tuple of its items at indices, in that order."""
+    if len(indices) == 1:
+        [index] = indices
+        return lambda items: (items[index],)
+    return itemgetter(*indices) if indices else lambda items: ()
+
+
+def spectral_numerators(table: CharacterTable, blocks, mu: int | None = None, nus=None) -> tuple:
+    """(scales, layout, sums): the integer numerators of spectral_sum's entries, each summed once.
+
+    blocks are spectral_sum's, their coefficients the weights w, every one
+    an int (other rationals are summed as they are, and S is then their
+    sum), and mu and nus select as there.  The entries summed are the (i, j) with j >= i for a whole
+    matrix, and (mu, nu) for each distinct nu of nus for a selection.  Entry
+    k of a block with denominator D is S / (D * scales[k]), S =
+    sums[block][k] and scales[k] = z_i z_j, and an S that sums to 0, or is
+    not summed, is the int 0.  layout holds spectral_sum's output rows (a
+    matrix's rows, or the one row of nus), each the list of the indices k
+    of its entries: the matrix's (j, i) reads the entry (i, j).
+
+    The conjugate shape lam' has chi_lam'(rho) = (-1)^colength(rho)
+    chi_lam(rho), so a (mu, nu) whose colengths have even sum takes the
+    paired weight w_lam + w_lam' of each conjugate pair, one with odd sum
+    w_lam - w_lam', and a self-conjugate shape counts in the even sums
+    only.  Each S is then one integer dot product over one shape per pair.
+    A parity whose paired weights are all 0 (at shift 0, where conjugation
+    negates the contents, the odd-degree blocks for even sums and the
+    even-degree ones for odd sums) is not summed.
+
+    A block's third field, its total degree t, sets its colength window:
+    only the (mu, nu) with |colength(mu) - colength(nu)| <= t are summed.
+    That is exact for a content-product block.  Its coefficient of total
+    degree t in the u variables is a symmetric polynomial of degree <= t in
+    the contents, so its central element is that polynomial in the
+    Jucys-Murphy elements, which lies in the span of the class sums of
+    colength <= t (Jucys 1974).  Colength is the least number of
+    transpositions of a cycle type, so the product of the class sum of mu
+    with one of colength <= t has no class nu outside the window.  A block
+    without a degree, whose coefficients may be any, sums every entry.
+    The character columns and the pairs of each parity are set up once per
+    call, and the (i, [j]) lists of each parity once per call and degree.
+    A whole matrix takes at most about p(n)^3 / 4 products per block, a row
+    p(n)^2 / 2 and an entry p(n).
+    """
+    size = len(table.partitions)
+    z = table.centralizer_orders
+    if mu is None:
+        starts = [i * size - i * (i + 1) // 2 for i in range(size)]  # entry (i, j >= i) is starts[i] + j
+        rows = {i: (range(i, size), range(starts[i] + i, starts[i] + size)) for i in range(size)}
+        layout = [[starts[j] + i for j in range(i)] + list(ks) for i, (_, ks) in rows.items()]
+    else:
+        nus = range(size) if nus is None else tuple(nus)
+        position = {nu: k for k, nu in enumerate(dict.fromkeys(nus))}
+        rows = {mu: (list(position), range(len(position)))}
+        layout = [[position[nu] for nu in nus]]
+    colengths = [colength(rho) for rho in table.partitions]
+    widest = max(colengths)
+    halves = []  # per parity of colength(i) + colength(j): sign, pairs, character columns
     for odd, sign in enumerate((1, -1)):
         pairs = [(k, c) for k, c in table.conjugate_pairs if k < c or not odd]
-        own = [(i, [j for j in js if parity[i] ^ parity[j] == odd]) for i, js in rows.items()]
-        if any(js for _, js in own):
-            halves.append((sign, pairs, list(zip(*(table.values[k] for k, _ in pairs))), own))
-    zero = Fraction(0)
-    spare = [zero] * size  # every row but mu's in the selection form: mirrored entries land there unread
+        halves.append((sign, pairs, list(zip(*(table.values[k] for k, _ in pairs)))))
+    windows = {}
 
-    def blank():
-        return [[zero] * size for _ in z] if mu is None else [spare] * mu + [[zero] * size] + [spare] * (size - 1 - mu)
+    def window(reach, odd):
+        """This parity's (i, [(j, k)]) with |colength(i) - colength(j)| <= reach, k the entry's index."""
+        if (reach, odd) not in windows:
+            windows[reach, odd] = [(i, kept) for i, (js, ks) in rows.items() if (kept := [
+                (j, k) for j, k in zip(js, ks)
+                if (colengths[i] + colengths[j]) & 1 == odd and abs(colengths[i] - colengths[j]) <= reach
+            ])]
+        return windows[reach, odd]
 
-    results = []
-    for w, denominator in blocks:
-        grid = blank()
-        for sign, pairs, columns, own in halves:
+    scales = [z[i] * z[j] for i, (js, _) in rows.items() for j in js]
+    sums = []
+    for w, _, *degree in blocks:
+        reach = min(degree[0], widest) if degree else widest
+        numerators = [0] * len(scales)
+        for odd, (sign, pairs, columns) in enumerate(halves):
             weights = [w[k] + sign * w[c] if k < c else w[k] for k, c in pairs]
             if not any(weights):
                 continue
-            for i, js in own:
+            for i, targets in window(reach, odd):
                 weighted = list(map(mul, weights, columns[i]))
-                row = grid[i]
-                for j in js:
-                    total = sum(map(mul, weighted, columns[j]))
-                    if total:
-                        row[j] = grid[j][i] = Fraction(total, denominator * z[i] * z[j])
-        results.append(tuple(map(tuple, grid)) if mu is None else tuple(grid[mu][nu] for nu in nus))
-    return results
+                for j, k in targets:
+                    numerators[k] = sum(map(mul, weighted, columns[j]))
+        sums.append(numerators)
+    return scales, layout, sums
 
 
 def check_shift(shift: int) -> None:
@@ -195,9 +256,11 @@ def eigenvalue_blocks(config: WeightConfig, degrees: list, shift: int = 0) -> tu
     itertools.product order, and their count is taken from each run's
     ends, so a range past 2^63 degrees is refused, not measured by len.
     Each block is
-    (numerators, denominator): per shape the product over species s of its
-    content coefficient of degree d_s, over prod_s P_{s,d_s} in rational
-    mode, where every numerator is an int, and over 1 in series mode.  The
+    (numerators, denominator, degree): per shape the product over species s
+    of its content coefficient of degree d_s, over prod_s P_{s,d_s} in
+    rational mode, where every numerator is an int, and over 1 in series
+    mode, and the total degree sum_s d_s, which sets the block's colength
+    window in spectral_numerators.  The
     shift is checked, the table fetched and the blocks admitted by one
     spectral_cost before any content list is built.  Each species' lists are
     built once, at its largest degree (the list of a lower degree is a
@@ -207,13 +270,13 @@ def eigenvalue_blocks(config: WeightConfig, degrees: list, shift: int = 0) -> tu
     check_shift(shift)
     tbl = character_table(config.n)
     check_spectral_cost(config, tuple(ds[-1] for ds in degrees), prod(ds[-1] - ds[0] + 1 for ds in degrees), shift)
-    keys, blocks = [()], [([1] * len(tbl.partitions), 1)]
+    keys, blocks = [()], [([1] * len(tbl.partitions), 1, 0)]
     for species, ds in zip(config.species, degrees):
         lists, denominators = species_content_coeffs(species, tbl.partitions, ds[-1], shift)
-        picked = [([coeffs[d] for coeffs in lists], denominators[d]) for d in ds]
+        picked = [([coeffs[d] for coeffs in lists], denominators[d], d) for d in ds]
         keys = [key + (d,) for key in keys for d in ds]
-        blocks = [(list(map(mul, numerators, column)), denominator * p)
-                  for numerators, denominator in blocks for column, p in picked]
+        blocks = [(list(map(mul, numerators, column)), denominator * p, degree + d)
+                  for numerators, denominator, degree in blocks for column, p, d in picked]
     return tbl, keys, blocks
 
 

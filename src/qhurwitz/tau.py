@@ -20,7 +20,17 @@ eigenvalue_blocks call over the degree sets range(m_s + 1) forms all their
 blocks as per-species outer products, and one spectral_sum call sums them,
 each as the symmetric matrix spectral_sum returns: a tuple of rows over
 character_table(n).partitions, the one form of a Hurwitz matrix that all
-three legs, the triangle judge and the CLI writer share.  The shift
+three legs and the triangle judge share.  The CLI's compute tau does not
+run this module: it writes the texts of spectral_numerators' integer
+numerators, the core that spectral_sum wraps into these Fractions.
+
+The degree-t coefficient of r_lam in the u variables is a symmetric
+polynomial of degree <= t in the contents of lam, so its central element
+is a polynomial of degree <= t in the Jucys-Murphy elements, which lies in
+the span of the class sums of colength <= t (Jucys 1974).  So
+entry(degrees, mu, nu) is 0 whenever |colength(mu) - colength(nu)| >
+sum(degrees), and the kernel sums only inside that window.  The geometric
+leg sums every colength class, so the triangle checks the window.  The shift
 defaults to 0, which is the value at which the coefficients are Hurwitz
 numbers; nonzero shifts are supported for the content products and tables
 only, with no enumerative meaning claimed.  A table whose spectral_cost

@@ -1,4 +1,5 @@
 import itertools
+import random
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +19,7 @@ from qhurwitz import (
     species_content_coeffs,
 )
 from qhurwitz.characters import TABLE_LIMIT
-from qhurwitz.spectral import eigenvalue_blocks, spectral_sum
+from qhurwitz.spectral import eigenvalue_blocks, spectral_numerators, spectral_sum
 
 TABLE_SIZES = range(1, TABLE_LIMIT + 1)
 
@@ -353,15 +354,15 @@ def conjugate_blocks(table, sign):
 
 
 def values(block):
-    """A (coefficients, denominator) kernel block read as one value per shape."""
-    coeffs, denominator = block
+    """A (coefficients, denominator[, degree]) kernel block read as one value per shape."""
+    coeffs, denominator, *_ = block
     return [c / Fraction(denominator) for c in coeffs]
 
 
 def content_blocks(table, shift):
     """Products of two species' content coefficients, one block per multidegree up to (3, 2).
 
-    Each block is the (numerators, denominator) pair eigenvalue_blocks returns.
+    Each block is the (numerators, denominator, degree) triple eigenvalue_blocks returns.
     """
     species = (Species("H", Fraction(1, 2)), Species("E'", Fraction(-2, 5)))
     return multidegree_blocks(species, table, [range(4), range(3)], shift)
@@ -372,7 +373,8 @@ def multidegree_blocks(species, table, degrees, shift=0):
     tbl, keys, blocks = eigenvalue_blocks(WeightConfig(tuple(species), table.n), degrees, shift)
     assert tbl is table and keys == list(itertools.product(*degrees))
     lists = [species_content_coeffs(s, table.partitions, ds[-1], shift) for s, ds in zip(species, degrees)]
-    for key, (numerators, denominator) in zip(keys, blocks):
+    for key, (numerators, denominator, degree) in zip(keys, blocks):
+        assert degree == sum(key)
         assert denominator == prod(p[d] for (_, p), d in zip(lists, key))
         assert numerators == [prod(coeffs[d] for coeffs, d in zip(shape, key)) for shape in zip(*(c for c, _ in lists))]
     return blocks
@@ -431,7 +433,7 @@ class TestPackedSpectralSum:
             # Conjugation negates contents, so a block of total degree d has
             # c_lam' = (-1)^d c_lam: only one parity's sums can be nonzero.
             conjugates = conjugate_indices(table)
-            for (block, _), degrees in zip(blocks, itertools.product(range(4), range(3))):
+            for (block, _, _), degrees in zip(blocks, itertools.product(range(4), range(3))):
                 assert [block[c] for c in conjugates] == [(-1) ** sum(degrees) * c for c in block]
         assert_kernel_matches(table, blocks, [reference_spectral_sum(table, values(b)) for b in blocks])
 
@@ -471,3 +473,80 @@ class TestPackedSpectralSum:
     def test_no_blocks(self):
         assert spectral_sum(character_table(3), []) == []
         assert spectral_sum(character_table(3), [], 1, [0, 2]) == []
+
+
+def random_parameter(rng):
+    """A rational a/b in (-1, 1), 0 < |a| < b <= 9, of either sign."""
+    b = rng.randint(2, 9)
+    return Fraction(rng.choice((1, -1)) * rng.randint(1, b - 1), b)
+
+
+def random_window_case(rng, n_max, series):
+    """(species, n, degree sets, shift) of one random content-product table: 1-3 species of E, E' and H, n >= 3.
+
+    In series mode the first species' parameter is the series variable q
+    (cap 3) and the others are rational.  The degrees keep the table at
+    most 16 blocks.
+    """
+    count = rng.randint(1, 3)
+    parameters = [random_parameter(rng) for _ in range(count)]
+    if series:
+        parameters[0] = TruncatedSeries.variable("q", 3)
+    species = [Species(rng.choice(("E", "E'", "H")), q) for q in parameters]
+    maxdeg = [rng.randint(0, 3) for _ in species]
+    while prod(m + 1 for m in maxdeg) > 16:
+        maxdeg[maxdeg.index(max(maxdeg))] -= 1
+    return species, rng.randint(3, n_max), [range(m + 1) for m in maxdeg], rng.randint(-2, 2)
+
+
+class TestColengthWindow:
+    """A content-product block of total degree t is 0 off |colength(mu) - colength(nu)| <= t (Jucys 1974).
+
+    The degree-t coefficient of a content product is a symmetric polynomial
+    of degree <= t in the Jucys-Murphy elements, which lies in the span of
+    the class sums of colength <= t.  The kernel sums only that window; the
+    reference sums every entry.
+    """
+
+    @staticmethod
+    def edge_entries(seed, n_max, series):
+        """Check one random table against the reference; return its nonzero entries on a window's edge.
+
+        Every entry outside its block's window must be 0 in the reference,
+        and the windowed kernel (its matrices, rows and entries, and in
+        rational mode its numerators) must equal the reference everywhere.
+        An edge entry has |colength(mu) - colength(nu)| equal to the block's
+        degree t >= 1; a window one degree too narrow would drop it.
+        """
+        species, n, degrees, shift = random_window_case(random.Random(seed), n_max, series)
+        table = character_table(n)
+        blocks = multidegree_blocks(species, table, degrees, shift)
+        references = [reference_spectral_sum(table, values(b)) for b in blocks]
+        assert_kernel_matches(table, blocks, references)
+        colengths = [colength(rho) for rho in table.partitions]
+        edge = 0
+        for (_, _, degree), reference in zip(blocks, references):
+            for (i, ci), (j, cj) in itertools.product(enumerate(colengths), repeat=2):
+                if abs(ci - cj) > degree:
+                    assert not reference[i][j], (seed, degree, i, j)
+                elif abs(ci - cj) == degree > 0 and reference[i][j]:
+                    edge += 1
+        if not series:
+            scales, layout, sums = spectral_numerators(table, blocks)
+            for (_, denominator, _), numerators, reference in zip(blocks, sums, references):
+                entries = [Fraction(s, denominator * scale) for s, scale in zip(numerators, scales)]
+                assert [[entries[k] for k in row] for row in layout] == [list(row) for row in reference]
+        if edge:
+            narrowed = [(coeffs, denominator, degree - 1) for coeffs, denominator, degree in blocks]
+            assert spectral_sum(table, narrowed) != references
+        return edge
+
+    def test_rational_tables(self):
+        # 40 tables, n <= 8, shifts -2..2, q of either sign.
+        edges = [self.edge_entries(seed, 8, series=False) for seed in range(40)]
+        assert sum(map(bool, edges)) >= 30, edges
+
+    def test_series_tables(self):
+        # 12 tables, n <= 6, the first species' parameter the series q.
+        edges = [self.edge_entries(seed, 6, series=True) for seed in range(100, 112)]
+        assert sum(map(bool, edges)) >= 9, edges

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ import qhurwitz.cli
 import qhurwitz.geometric
 import qhurwitz.partitions
 import qhurwitz.tau
-from qhurwitz import WeightConfig, enumerate_partitions, format_partition, tau_coefficients
+from qhurwitz import WeightConfig, enumerate_partitions, format_partition, tau_coefficients, tau_row
 from qhurwitz.cli import _parse_degree_blocks, _parse_species_list, _read_exact, main
 from qhurwitz.qweights import multidegrees
 from qhurwitz.scalars import format_rational
@@ -66,6 +67,24 @@ def reference_tau_output(table, mu_filter, nu_filter, fmt):
     for row in rows:
         writer.writerow([row[c] for c in columns])
     return buffer.getvalue()
+
+
+def reference_row_output(config, maxdeg, mu_filter, nu_filter, shift, fmt):
+    """reference_tau_output of a filtered request, its values read from tau_row.
+
+    The row of --mu (or of --nu alone, the table being symmetric), or the
+    one entry of both, per multidegree.
+    """
+    parts = enumerate_partitions(config.n)
+    first, second = (nu_filter, None) if mu_filter is None else (mu_filter, nu_filter)
+    rows = tau_row(config, maxdeg, first, second, shift)
+
+    def entry(degrees, mu, nu):
+        if second is not None:
+            return rows[degrees][0]
+        return rows[degrees][parts.index(nu if mu_filter is not None else mu)]
+
+    return reference_tau_output(types.SimpleNamespace(n=config.n, maxdeg=maxdeg, entry=entry), mu_filter, nu_filter, fmt)
 
 
 #: Species flags and the --maxdeg string of one, two and three species.
@@ -252,6 +271,25 @@ class TestTauWriter:
                 assert code == 0
                 assert out == reference_tau_output(table, mu, nu, fmt)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("shift", range(-3, 4))
+    def test_integer_path_equals_the_fraction_forms(self, capsys, shift, fmt):
+        # The writer formats the kernel's numerators itself; its bytes are
+        # those of tau_coefficients and tau_row formatted by format_rational,
+        # at every shift and with q < 0.
+        flags, maxdeg = ("E':q=-1/3", "H:p=-2/5"), "2;1"
+        species = _parse_species_list(list(flags))
+        config = WeightConfig(species, 5)
+        degrees = _parse_degree_blocks(maxdeg, species)
+        parts = enumerate_partitions(5)
+        base = ["compute", "tau", "--n", "5", "--species", flags[0], "--species", flags[1], "--maxdeg", maxdeg,
+                "--N", str(shift), "--format", fmt]
+        table = tau_coefficients(config, degrees, shift)
+        assert run_cli(capsys, *base) == (0, reference_tau_output(table, None, None, fmt))
+        for mu, nu in ((parts[2], None), (None, parts[4]), (parts[1], parts[5]), (parts[6], parts[6])):
+            argv = base + (["--mu", format_partition(mu)] if mu else []) + (["--nu", format_partition(nu)] if nu else [])
+            assert run_cli(capsys, *argv) == (0, reference_row_output(config, degrees, mu, nu, shift, fmt))
+
     @pytest.mark.parametrize("flags,maxdeg", TAU_SPECIES)
     def test_entries_are_in_output_order(self, flags, maxdeg):
         species = _parse_species_list(list(flags))
@@ -339,6 +377,20 @@ class TestLargeValues:
         assert out == reference_tau_output(table, None, None, fmt)
         assert max(v.denominator for v in table.entries.values()) > 10**limit
         assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_h_table_past_int_string_limit_equals_the_fraction_forms(self, capsys, fmt):
+        # H(1/2) at maxdeg 201, the n = 2 frontier: its denominators pass
+        # 4,300 digits, and the writer's reduced texts of the kernel's
+        # numerators are format_rational's of the Fraction forms.
+        config = WeightConfig(_parse_species_list(["H:q=1/2"]), 2)
+        table = tau_coefficients(config, (201,))
+        assert max(v.denominator for v in table.entries.values()) > 10**4300
+        base = ["compute", "tau", "--n", "2", "--species", "H:q=1/2", "--maxdeg", "201", "--format", fmt]
+        assert run_cli(capsys, *base) == (0, reference_tau_output(table, None, None, fmt))
+        for mu, nu in (((2,), None), ((1, 1), (2,))):
+            argv = base + ["--mu", format_partition(mu)] + (["--nu", format_partition(nu)] if nu else [])
+            assert run_cli(capsys, *argv) == (0, reference_row_output(config, (201,), mu, nu, 0, fmt))
 
     def test_huge_integer_argument_is_usage_error(self, capsys):
         code = main(["compute", "tau", "--n", "9" * 5000, "--species", "E:q=1/2", "--maxdeg", "1"])

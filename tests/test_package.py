@@ -227,13 +227,16 @@ def test_cold_request_loads_neither_dataclasses_nor_inspect():
 
 
 @pytest.mark.parametrize("argv, idle", [
-    ("compute tau --n 4 --species H:q=1/2 --maxdeg 2", {"geometric", "combinatorial", "sn"}),
+    # The tau writer reads the spectral layer's numerators; tau.py holds the
+    # library's Fraction forms and the triangle.
+    ("compute tau --n 4 --species H:q=1/2 --maxdeg 2", {"geometric", "combinatorial", "tau", "sn"}),
+    ("compute tau --n 4 --species H:q=1/2 --maxdeg 2 --mu 2,2", {"geometric", "combinatorial", "tau", "sn"}),
     (
         "compute geometric --n 4 --mu 2,2 --nu 4 --species H:q=1/2 --degrees 2",
         {"spectral", "combinatorial", "tau", "sn"},
     ),
     ("oracle paths --n 4 --d 2 --mu 2,2 --nu 4", {"spectral", "qweights", "series", "geometric", "tau"}),
-], ids=["tau", "geometric", "oracle"])
+], ids=["tau", "tau-row", "geometric", "oracle"])
 def test_a_leg_runs_no_other_leg(argv, idle):
     _, ran = cold_request(argv)
     assert not {f"qhurwitz.{module}" for module in idle} & ran

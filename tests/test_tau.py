@@ -302,7 +302,8 @@ class TestIntegerForm:
         euler = [euler_product_denominators(s.parameter, 4) for s in config.species]
         tbl, keys, blocks = spectral_module.eigenvalue_blocks(config, [range(5), range(5)])
         assert tbl.partitions == tuple(parts) and keys == list(itertools.product(range(5), range(5)))
-        for degrees, (numerators, denominator) in zip(keys, blocks, strict=True):
+        for degrees, (numerators, denominator, degree) in zip(keys, blocks, strict=True):
+            assert degree == sum(degrees)
             assert type(denominator) is int
             assert denominator == euler[0][degrees[0]] * euler[1][degrees[1]]
             assert all(type(c) is int for c in numerators)
@@ -325,7 +326,7 @@ class TestIntegerForm:
         config = WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=5)
         build(config, (2, 3))
         assert len(seen) == 12
-        for numerators, denominator in seen:
+        for numerators, denominator, _ in seen:
             assert type(denominator) is int and denominator > 0
             assert all(type(c) is int for c in numerators)
 
@@ -555,6 +556,31 @@ class TestVerifyTriangle:
         assert discrepancy["degrees"] == [1, 2]
         assert (discrepancy["mu"], discrepancy["nu"]) == (format_partition(parts[1]), format_partition(parts[3]))
         assert discrepancy["combinatorial"] == discrepancy["tau"] != discrepancy["geometric"]
+
+    def test_a_window_one_degree_too_narrow_is_caught_by_the_geometric_leg(self, monkeypatch):
+        # The tau and combinatorial legs share the kernel's colength window;
+        # the geometric leg sums every colength class.  Blocks that claim one
+        # degree less than they hold lose the nonzero entries on the window's
+        # edge in both shared legs, and only the geometric leg disagrees.
+        config = WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=4)
+        honest = tau_coefficients(config, (2, 2))
+        original = spectral_module.eigenvalue_blocks
+
+        def narrowed(*args, **kwargs):
+            tbl, keys, blocks = original(*args, **kwargs)
+            return tbl, keys, [(numerators, denominator, degree - 1) for numerators, denominator, degree in blocks]
+
+        monkeypatch.setattr(spectral_module, "eigenvalue_blocks", narrowed)
+        monkeypatch.setattr(tau_module, "eigenvalue_blocks", narrowed)
+        report = verify_triangle(config, (2, 2))
+        edge = [
+            (list(degrees), format_partition(mu), format_partition(nu))
+            for (degrees, mu, nu), value in honest.entries.items()
+            if value and abs(colength(mu) - colength(nu)) == sum(degrees)
+        ]
+        assert len(edge) > 9  # every multidegree has one, degree 0 its diagonal
+        assert [(d["degrees"], d["mu"], d["nu"]) for d in report.discrepancies] == edge
+        assert all(d["combinatorial"] == d["tau"] == "0/1" != d["geometric"] for d in report.discrepancies)
 
     def test_past_the_desk_box(self):
         # Suites at n = 6..12 and low degree, which no bound of n <= 5 or

@@ -1,4 +1,4 @@
-"""Print the code lines of each src/qhurwitz/*.py module and their total.
+"""Print the code lines and the compile time of each src/qhurwitz/*.py module, and their totals.
 
 Run from the repository root:
 
@@ -7,9 +7,14 @@ Run from the repository root:
 A code line holds at least one token that is not a comment.  Blank lines,
 comment lines and the lines of module, class and function docstrings are
 left out: the docstrings are found with ast, the tokens with tokenize.
+
+The compile time is the best of 20 in-process compile() calls of the
+module's source.  With no bytecode cache (PYTHONDONTWRITEBYTECODE=1, as the
+benchmark runs), every request pays it once for each module it runs.
 """
 
 import ast
+import time
 import tokenize
 from pathlib import Path
 
@@ -45,10 +50,23 @@ def code_lines(path: Path) -> int:
     return len(lines - docstring_lines(ast.parse(path.read_bytes())))
 
 
+def compile_seconds(path: Path, repeats: int = 20) -> float:
+    """The best of repeats wall times of compile() of path's source, in seconds."""
+    source = path.read_bytes()
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        compile(source, str(path), "exec")
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 if __name__ == "__main__":
-    total = 0
+    total_lines = total_seconds = 0
+    print(f"{'module':<18} {'lines':>5} {'compile':>10}")
     for path in sorted(SRC.glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{path.name:<18} {count:>5}")
-    print(f"{'total':<18} {total:>5}")
+        count, seconds = code_lines(path), compile_seconds(path)
+        total_lines += count
+        total_seconds += seconds
+        print(f"{path.name:<18} {count:>5} {seconds * 1000:>7.2f} ms")
+    print(f"{'total':<18} {total_lines:>5} {total_seconds * 1000:>7.2f} ms")
