@@ -42,12 +42,10 @@ _EXPORTS = {
         "partition_count",
     ),
     "scalars": ("reciprocal",),
-    "series": ("TruncatedSeries", "poly_mul"),
+    "series": ("TruncatedSeries",),
     "qweights": (
-        "FAMILIES",
         "Species",
         "WeightConfig",
-        "parse_rational",
         "parse_species_flag",
         "symmetrized_weight",
         "weight_coefficient",
@@ -63,7 +61,6 @@ _EXPORTS = {
         "multispecies_hurwitz_entry",
         "multispecies_transfer_matrix",
         "path_counts",
-        "signature_of",
         "transfer_matrix",
         "weighted_path_count",
     ),

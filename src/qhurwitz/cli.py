@@ -121,22 +121,19 @@ def _entry_text(numerator: int, denominator: int) -> str:
     return scalars.ratio_text(numerator // common, denominator // common)
 
 
-def _write_tau_table(n: int, blocks: list, mu_filter, nu_filter, texts: list[str], fmt: str) -> None:
+def _write_tau_table(n: int, labels: list[str], blocks: list, mus, nus, texts: list[str], fmt: str) -> None:
     """Write the records of a tau table to stdout in one write, in multidegree, then mu, then nu order.
 
-    blocks lists the multidegrees and texts the value texts in that order,
-    over the partitions of n that the filters keep, each order canonical.
-    A record is the head text of its (multidegree, mu), the tail text of its
-    nu and its value, so the document is one join over precomputed texts.
+    labels are the partition labels of n in canonical order, mus and nus
+    the indices into them of the rows and columns written, blocks lists the
+    multidegrees and texts the value texts in that order.  A record is the
+    head text of its (multidegree, mu), the tail text of its nu and its
+    value, so the document is one join over precomputed texts.
     The JSON text is json.dumps(records, indent=2, sort_keys=True) of the
     scalar records: the keys are fixed, and every string is a partition
     label or "a/b" text, which JSON never escapes.  The CSV text is
     csv.writer's, with a newline as line terminator.
     """
-    tbl = character_table(n)
-    labels = list(map(format_partition, tbl.partitions))
-    mus = range(len(labels)) if mu_filter is None else (tbl.index(mu_filter),)
-    nus = range(len(labels)) if nu_filter is None else (tbl.index(nu_filter),)
     if fmt == "csv":
         degree_fields = [_csv_field(",".join(map(str, degrees))) for degrees in blocks]
         heads = [
@@ -173,20 +170,20 @@ def _cmd_compute(args) -> int:
         mu_filter = _partition_arg(args.mu, args.n, "mu") if args.mu is not None else None
         nu_filter = _partition_arg(args.nu, args.n, "nu") if args.nu is not None else None
         tbl, keys, blocks = spectral.eigenvalue_blocks(config, [range(m + 1) for m in config.degrees(maxdeg)], args.N)
-        if mu_filter is None and nu_filter is None:
-            mu = nus = None
-        else:
-            # One row, or one entry, per multidegree; the table is symmetric,
-            # so a --nu filter alone reads the row of nu.
-            first, second = (nu_filter, None) if mu_filter is None else (mu_filter, nu_filter)
-            mu, nus = tbl.index(first), None if second is None else [tbl.index(second)]
-        scales, layout, sums = spectral.spectral_numerators(tbl, blocks, mu, nus)
+        mus = None if mu_filter is None else [tbl.index(mu_filter)]
+        nus = None if nu_filter is None else [tbl.index(nu_filter)]
+        # Under a filter, one row or one entry per multidegree; the table is
+        # symmetric, so a --nu filter alone reads the row of nu.
+        row, columns = (nus, None) if mus is None else (mus, nus)
+        scales, layout, sums = spectral.spectral_numerators(tbl, blocks, None if row is None else row[0], columns)
         order = list(itertools.chain.from_iterable(layout))
         texts = []
         for (_, denominator, _), numerators in zip(blocks, sums):
             entry_texts = [_entry_text(s, denominator * scale) for s, scale in zip(numerators, scales)]
             texts += map(entry_texts.__getitem__, order)
-        _write_tau_table(args.n, keys, mu_filter, nu_filter, texts, args.format)
+        labels = list(map(format_partition, tbl.partitions))
+        everything = range(len(labels))
+        _write_tau_table(args.n, labels, keys, mus or everything, nus or everything, texts, args.format)
         return 0
     mu = _partition_arg(args.mu, args.n, "mu")
     nu = _partition_arg(args.nu, args.n, "nu")

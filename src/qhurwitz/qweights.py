@@ -1,18 +1,16 @@
 """Weight generating function coefficients and branch-point weights.
 
-Four families of weight generating functions drive everything here, each an
+Three families of weight generating functions drive everything here, each an
 infinite product in an expansion variable z with quantum deformation
-parameter q (and p for the hybrid):
+parameter q:
 
     E:  prod_{k>=0} (1 + q^k z)            coefficients E_i = q^(i(i-1)/2) / prod_{j<=i} (1-q^j)
     E': prod_{k>=1} (1 + q^k z)            coefficients E'_i = q^(i(i+1)/2) / prod_{j<=i} (1-q^j)
     H:  prod_{k>=0} (1 - q^k z)^(-1)       coefficients H_i = 1 / prod_{j<=i} (1-q^j)
-    Q:  prod_{k>=0} (1 + q^k z)(1 - p^k z)^(-1)
-        coefficients Q_i = sum_{m<=i} q^(m(m-1)/2) / (prod_{j<=m}(1-q^j) prod_{j<=i-m}(1-p^j))
 
 The closed forms are pinned down by series-mode expansion of the products
 (see the test suite); the displayed product bounds follow the closed forms.
-All four are exponentials of the quantum dilogarithm
+All three are exponentials of the quantum dilogarithm
 Li2(q, z) = sum_{k>=1} z^k / (k (1 - q^k)).
 
 The symmetrized branch-point weight of an ordered list of colengths
@@ -59,9 +57,6 @@ from .scalars import RATIONAL, Immutable, reciprocal, sized_text
 
 #: Weight generating function families usable as branch-point species.
 FAMILIES = ("E", "E'", "H")
-
-#: Families accepted by weight_coefficients (Q is the single-variable hybrid).
-COEFFICIENT_FAMILIES = ("E", "E'", "H", "Q")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -177,29 +172,21 @@ def parse_species_flag(text: str) -> Species:
     return Species(family=family, parameter=parse_rational(value), label=label)
 
 
-def weight_coefficients(family: str, params, maxdeg: int) -> list:
+def weight_coefficients(family: str, q, maxdeg: int) -> list:
     """Coefficients of z^0, ..., z^maxdeg of the named weight generating function.
 
-    ``params`` is a single scalar for families E, E', H (a tuple or list
-    raises ValueError) and a (q, p) tuple or list for the hybrid Q (anything
-    else raises ValueError).  maxdeg must be a nonnegative int (a bool or any
-    other number raises ValueError).  The Euler product
-    prod_{j<=i} (1 - q^j) grows by one factor per degree; Q is the product of
-    the E series in q and the H series in p.  Works in both scalar modes; a
-    vanishing rational denominator raises PoleError.
+    ``family`` is one of FAMILIES and ``q`` one scalar: any other family, or
+    a tuple or list for q, raises ValueError.  maxdeg must be a nonnegative
+    int (a bool or any other number raises ValueError).  The Euler product
+    prod_{j<=i} (1 - q^j) grows by one factor per degree.  Works in both
+    scalar modes; a vanishing rational denominator raises PoleError.
     """
-    if family not in COEFFICIENT_FAMILIES:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if not _is_int(maxdeg) or maxdeg < 0:
         raise ValueError(f"maxdeg must be a nonnegative int, got {maxdeg!r}")
-    if family == "Q":
-        if not isinstance(params, (tuple, list)) or len(params) != 2:
-            raise ValueError(f"family Q takes a (q, p) pair, got {params!r}")
-        q, p = params
-        return series.poly_mul(weight_coefficients("E", q, maxdeg), weight_coefficients("H", p, maxdeg), maxdeg)
-    if isinstance(params, (tuple, list)):
-        raise ValueError(f"family {family} takes one parameter, got {params!r}")
-    q = params
+    if isinstance(q, (tuple, list)):
+        raise ValueError(f"family {family} takes one parameter, got {q!r}")
     euler = q**0
     coefficients = [reciprocal(euler)]
     for i in range(1, maxdeg + 1):
@@ -212,9 +199,9 @@ def weight_coefficients(family: str, params, maxdeg: int) -> list:
     return coefficients
 
 
-def weight_coefficient(family: str, params, i: int):
+def weight_coefficient(family: str, q, i: int):
     """Coefficient of z^i of the named weight generating function (see weight_coefficients)."""
-    return weight_coefficients(family, params, i)[i]
+    return weight_coefficients(family, q, i)[i]
 
 
 def level_factor(family: str, q, partial: int, last: bool) -> tuple:

@@ -191,19 +191,6 @@ class TruncatedSeries:
         return "TruncatedSeries(" + " + ".join(terms) + ")"
 
 
-def poly_mul(a: list, b: list, maxdeg: int) -> list:
-    """Product of coefficient lists, truncated at degree maxdeg."""
-    out = [0] * (maxdeg + 1)
-    for i, ca in enumerate(a[: maxdeg + 1]):
-        if not ca:
-            continue
-        for j, cb in enumerate(b[: maxdeg + 1 - i]):
-            if not cb:
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return out
-
-
 def by_monomial(kernel, blocks) -> list:
     """kernel's results for blocks of series, from one run of kernel over one int block per monomial.
 

@@ -292,24 +292,20 @@ def spectral_cost(
     products * (1 + bits / 2^13)^2, where products counts
       * blocks * p(n)^3 integer products of the kernel, and
       * p(n) * (16 (n - 2)^+ + 1) * sum_s (d_s + 1)^2 products that
-        build the content coefficients, fitted to a per-cell product of
-        weight lists that no longer runs.  species_content_coeffs walks a
-        recurrence of order at most n, about p(n) * n * d products per
-        species, so this term over-charges it.  It stays as fitted, which
-        keeps every request's admission; its refit is an open ROADMAP.md
-        item;
+        build the content coefficients;
     and bits = sum_s d_s * (b_s * d_s + bit length of |shift| + n) is about
     the size of the largest coefficient: b_s * d_s^2 from the weights
-    (Species.bits) and d_s factors of a shifted content.  The squared bits
-    term models the gcds of Fraction products, which no longer happen: the
+    (Species.bits) and d_s factors of a shifted content.
+
+    The model over-charges the kernel that runs: species_content_coeffs
+    walks a recurrence of order at most n, about p(n) * n * d products per
+    species; the kernel sums only each block's colength window; and the
     content lists, the eigenvalues and the kernel's weights are integer
-    numerators over known denominators, and the first Fraction made from
-    them is an output entry, so this term over-estimates as well.  The
-    outer products of eigenvalue_blocks, about blocks * p(n) integer
-    products (those of the last species; each species before it adds fewer),
-    are not charged.  The constants are fitted to measured times of
-    tau_coefficients before those changes and stay, which keeps every
-    admission; the refit is open in ROADMAP.md.
+    numerators over known denominators, reduced by no gcd, so the squared
+    bits term over-estimates their arithmetic.  The outer products of
+    eigenvalue_blocks, about blocks * p(n) integer products, are not
+    charged.  The constants stay as fitted so that no request's admission
+    moves; their refit is ROADMAP.md item 5.
     """
     n = config.n
     parts = partition_count(n)

@@ -37,9 +37,9 @@ only, with no enumerative meaning claimed.  A table whose spectral_cost
 exceeds SPECTRAL_COST_LIMIT raises CapacityError before any content
 coefficient is computed.
 
-tau_row answers a filtered request: per multidegree one row of the table,
-or one entry, from the same blocks by spectral_sum's selection of mu and
-nus, admitted by the whole table's spectral_cost.
+tau_row gives per multidegree one row of the table, or one entry, from the
+same blocks by spectral_sum's selection of mu and nus, admitted by the
+whole table's spectral_cost.
 
 verify_triangle compares the table with the geometric and combinatorial
 pipelines row by row, and entry by entry only in a row that differs.

@@ -26,7 +26,6 @@ from qhurwitz import (
     jucys_murphy_eigenvalue_check,
     multispecies_hurwitz_entry,
     path_counts,
-    poly_mul,
     tau_coefficients,
     transfer_matrix,
     verify_triangle,
@@ -37,7 +36,7 @@ from qhurwitz import (
 from qhurwitz import sn
 from test_geometric import reference_profile_tuples
 from test_qseries import quantum_dilog_coeffs
-from test_series import poly_exp
+from test_series import poly_exp, poly_mul
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -102,22 +101,15 @@ def test_criterion_3_qseries_identities():
         return [base**j for j in range(zdeg + 1)]
 
     q = TruncatedSeries.variable("q", cap)
-    q2 = TruncatedSeries.variable("q", cap, ("q", "p"))
-    p2 = TruncatedSeries.variable("p", cap, ("q", "p"))
 
-    products = {"E": [1] + [0] * zdeg, "E'": [1] + [0] * zdeg,
-                "H": [1] + [0] * zdeg, "Q": [1] + [0] * zdeg}
+    products = {"E": [1] + [0] * zdeg, "E'": [1] + [0] * zdeg, "H": [1] + [0] * zdeg}
     for k in range(cap + 1):
         products["E"] = poly_mul(products["E"], [1, q**k], zdeg)
         if k >= 1:
             products["E'"] = poly_mul(products["E'"], [1, q**k], zdeg)
         products["H"] = poly_mul(products["H"], geometric(q**k), zdeg)
-        products["Q"] = poly_mul(products["Q"], [1, q2**k], zdeg)
-        products["Q"] = poly_mul(products["Q"], geometric(p2**k), zdeg)
 
     def closed(family, i):
-        if family == "Q":
-            return weight_coefficient("Q", (q2, p2), i)
         return weight_coefficient(family, q, i)
 
     for family, coeffs in products.items():
@@ -131,13 +123,7 @@ def test_criterion_3_qseries_identities():
     exp_h = poly_exp(dilog, zdeg)
     alternating = [Fraction(-1) ** j for j in range(zdeg + 1)]
     exp_eprime = poly_mul(alternating, exp_e, zdeg)
-    dilog_p = [0] + list(quantum_dilog_coeffs(p2, zdeg))
-    dilog_q_minus = [
-        c * Fraction(-1) ** k
-        for k, c in enumerate([0] + list(quantum_dilog_coeffs(q2, zdeg)))
-    ]
-    exp_q = poly_exp([a - b for a, b in zip(dilog_p, dilog_q_minus)], zdeg)
-    for family, side in (("E", exp_e), ("H", exp_h), ("E'", exp_eprime), ("Q", exp_q)):
+    for family, side in (("E", exp_e), ("H", exp_h), ("E'", exp_eprime)):
         for i in range(zdeg + 1):
             if side[i] != closed(family, i):
                 failures.append(("exponential", family, i))

@@ -15,15 +15,15 @@ from qhurwitz import (
     combinatorial_hurwitz_number,
     enumerate_partitions,
     jucys_murphy_eigenvalue_check,
+    multispecies_hurwitz_entry,
     multispecies_transfer_matrix,
     path_counts,
     quantum_hurwitz_number,
-    signature_of,
     transfer_matrix,
     weight_coefficient,
     weighted_path_count,
 )
-from qhurwitz.combinatorial import multispecies_transfer_matrices
+from qhurwitz.combinatorial import multispecies_transfer_matrices, signature_of
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -235,6 +235,29 @@ class TestCombinatorialHurwitzNumber:
                         for lam, (ordered, _) in counts.items()
                     )
                     assert ordered_form == weighted_path_count(family, q, d, mu, nu)
+
+    @pytest.mark.parametrize("q", [HALF, Fraction(-1, 3), Fraction(2, 5), Fraction(3, 4)])
+    def test_diagonal_of_e_times_h_is_the_one_variable_hybrid(self, q):
+        # Setting both expansion variables of the two-species weight E(q) H(p)
+        # to z gives E(q; z) H(p; z), whose coefficients are
+        # sum_m q^(m(m-1)/2) / ((q; q)_m (p; p)_(i-m)): the numbers of the
+        # multidegrees (a, d - a) sum to the path count weighted by them.
+        p, n = FIFTH, 4
+        config = WeightConfig((Species("E", q), Species("H", p, label="p")), n)
+
+        def euler(x, m):
+            return prod(1 - x**j for j in range(1, m + 1))
+
+        hybrid = [sum(q ** (m * (m - 1) // 2) / (euler(q, m) * euler(p, i - m)) for m in range(i + 1)) for i in range(5)]
+        for d in range(5):
+            for mu in enumerate_partitions(n):
+                for nu in enumerate_partitions(n):
+                    diagonal = sum(multispecies_hurwitz_entry(config, (a, d - a), mu, nu) for a in range(d + 1))
+                    ordered_form = sum(
+                        prod(hybrid[part] for part in lam) * ordered
+                        for lam, (ordered, _) in path_counts(n, d, mu, nu).items()
+                    )
+                    assert diagonal == ordered_form, (d, mu, nu)
 
     def test_both_routes_validate_family_and_parameter(self):
         for family, q in (("H", Fraction(2)), ("E", Fraction(-1)), ("E'", 1), ("Q", HALF)):

@@ -1,6 +1,7 @@
 """Series-mode identities pinning down the closed-form coefficients.
 
-The oracles here expand the four weight generating products directly by
+The oracles here expand the three weight generating products, and the
+two-parameter product E(q) H(p) on its diagonal, directly by
 polynomial multiplication in the expansion variable z, with coefficients in a
 truncated power series ring over the deformation parameters, and compare
 against the closed forms.  The exponential identities run the quantum
@@ -9,8 +10,8 @@ dilogarithm through the same machinery.
 
 from fractions import Fraction
 
-from qhurwitz import TruncatedSeries, poly_mul, reciprocal, weight_coefficient
-from test_series import poly_exp
+from qhurwitz import TruncatedSeries, reciprocal, weight_coefficient
+from test_series import poly_exp, poly_mul
 
 CAP = 12
 ZDEG = 8
@@ -27,15 +28,6 @@ def geometric_factor(base, zdeg):
 
 def expand_product(family, cap=CAP, zdeg=ZDEG):
     """z-coefficients of the truncated weight generating product."""
-    if family == "Q":
-        variables = ("q", "p")
-        q = TruncatedSeries.variable("q", cap, variables)
-        p = TruncatedSeries.variable("p", cap, variables)
-        coeffs = [1] + [0] * zdeg
-        for k in range(cap + 1):
-            coeffs = poly_mul(coeffs, [1, q**k], zdeg)
-            coeffs = poly_mul(coeffs, geometric_factor(p**k, zdeg), zdeg)
-        return coeffs
     q = q_variable(cap)
     start = 1 if family == "E'" else 0
     coeffs = [1] + [0] * zdeg
@@ -46,12 +38,18 @@ def expand_product(family, cap=CAP, zdeg=ZDEG):
 
 
 def closed_form(family, i, cap=CAP):
-    if family == "Q":
-        variables = ("q", "p")
-        q = TruncatedSeries.variable("q", cap, variables)
-        p = TruncatedSeries.variable("p", cap, variables)
-        return weight_coefficient("Q", (q, p), i)
     return weight_coefficient(family, q_variable(cap), i)
+
+
+def two_variables(cap=CAP):
+    """q and p, the parameters of E(q) H(p), as the variables of one series ring."""
+    return tuple(TruncatedSeries.variable(name, cap, ("q", "p")) for name in ("q", "p"))
+
+
+def diagonal_closed_form(i, cap=CAP):
+    """Coefficient of z^i of E(q; z) H(p; z), the two-species weight E(q) H(p) on its diagonal."""
+    q, p = two_variables(cap)
+    return sum(weight_coefficient("E", q, m) * weight_coefficient("H", p, i - m) for m in range(i + 1))
 
 
 class TestProductExpansions:
@@ -70,10 +68,14 @@ class TestProductExpansions:
         for i in range(ZDEG + 1):
             assert expanded[i] == closed_form("H", i), f"coefficient {i}"
 
-    def test_q_hybrid(self):
-        expanded = expand_product("Q")
+    def test_e_times_h_in_two_variables(self):
+        q, p = two_variables()
+        expanded = [1] + [0] * ZDEG
+        for k in range(CAP + 1):
+            expanded = poly_mul(expanded, [1, q**k], ZDEG)
+            expanded = poly_mul(expanded, geometric_factor(p**k, ZDEG), ZDEG)
         for i in range(ZDEG + 1):
-            assert expanded[i] == closed_form("Q", i), f"coefficient {i}"
+            assert expanded[i] == diagonal_closed_form(i), f"coefficient {i}"
 
 
 def quantum_dilog_coeffs(q, degree):
@@ -113,14 +115,9 @@ class TestDilogExponentials:
         for i in range(ZDEG + 1):
             assert exp_side[i] == closed_form("E'", i)
 
-    def test_q_combines_both_dilogs(self):
-        variables = ("q", "p")
-        q = TruncatedSeries.variable("q", CAP, variables)
-        p = TruncatedSeries.variable("p", CAP, variables)
-        exponent = [
-            a - b
-            for a, b in zip(dilog_poly(p, ZDEG), dilog_poly(q, ZDEG, sign=-1))
-        ]
+    def test_e_times_h_combines_both_dilogs(self):
+        q, p = two_variables()
+        exponent = [a - b for a, b in zip(dilog_poly(p, ZDEG), dilog_poly(q, ZDEG, sign=-1))]
         exp_side = poly_exp(exponent, ZDEG)
         for i in range(ZDEG + 1):
-            assert exp_side[i] == closed_form("Q", i)
+            assert exp_side[i] == diagonal_closed_form(i)

@@ -12,14 +12,13 @@ from qhurwitz import (
     Species,
     TruncatedSeries,
     WeightConfig,
-    parse_rational,
     parse_species_flag,
     reciprocal,
     symmetrized_weight,
     weight_coefficient,
     weight_coefficients,
 )
-from qhurwitz.qweights import level_factor
+from qhurwitz.qweights import level_factor, parse_rational
 from test_qseries import quantum_dilog_coeffs
 
 HALF = Fraction(1, 2)
@@ -57,23 +56,13 @@ def _euler_factor(q, m):
     return acc
 
 
-def reference_weight_coefficient(family, params, i):
+def reference_weight_coefficient(family, q, i):
     """The closed form of one coefficient, each Euler product built on its own."""
-    if family == "Q":
-        q, p = params
-        total = 0
-        for m in range(i + 1):
-            total = total + (
-                q ** (m * (m - 1) // 2)
-                * reciprocal(_euler_factor(q, m))
-                * reciprocal(_euler_factor(p, i - m))
-            )
-        return total
     if family == "E":
-        return params ** (i * (i - 1) // 2) * reciprocal(_euler_factor(params, i))
+        return q ** (i * (i - 1) // 2) * reciprocal(_euler_factor(q, i))
     if family == "E'":
-        return params ** (i * (i + 1) // 2) * reciprocal(_euler_factor(params, i))
-    return reciprocal(_euler_factor(params, i))
+        return q ** (i * (i + 1) // 2) * reciprocal(_euler_factor(q, i))
+    return reciprocal(_euler_factor(q, i))
 
 
 WEIGHT_PARAMETERS = (HALF, Fraction(-1, 3), Fraction(2, 5), Fraction(3, 4))
@@ -86,21 +75,11 @@ class TestWeightCoefficients:
         expected = [reference_weight_coefficient(family, q, i) for i in range(16)]
         assert weight_coefficients(family, q, 15) == expected
 
-    @pytest.mark.parametrize("q", WEIGHT_PARAMETERS)
-    def test_q_hybrid_matches_closed_forms(self, q):
-        for p in WEIGHT_PARAMETERS:
-            expected = [reference_weight_coefficient("Q", (q, p), i) for i in range(16)]
-            assert weight_coefficients("Q", (q, p), 15) == expected
-
     def test_series_mode_matches_closed_forms(self):
         q = TruncatedSeries.variable("q", 8)
         for family in ("E", "E'", "H"):
             expected = [reference_weight_coefficient(family, q, i) for i in range(16)]
             assert weight_coefficients(family, q, 15) == expected
-        variables = ("q", "p")
-        pair = (TruncatedSeries.variable("q", 8, variables), TruncatedSeries.variable("p", 8, variables))
-        expected = [reference_weight_coefficient("Q", pair, i) for i in range(16)]
-        assert weight_coefficients("Q", pair, 15) == expected
 
     def test_validation(self):
         assert weight_coefficients("H", HALF, 0) == [1]
@@ -113,15 +92,14 @@ class TestWeightCoefficients:
         with pytest.raises(PoleError):
             weight_coefficients("E", Fraction(-1), 3)
 
-    @pytest.mark.parametrize("family", ["E", "E'", "H", "Q"])
+    @pytest.mark.parametrize("family", ["E", "E'", "H"])
     def test_maxdeg_must_be_an_int(self, family):
         # True was taken as degree 1 and 2.0 raised TypeError inside range().
-        params = (HALF, FIFTH) if family == "Q" else HALF
         for maxdeg in (True, False, 2.0, 1.5, "2", Fraction(2), None):
             with pytest.raises(ValueError, match="maxdeg must be a nonnegative int"):
-                weight_coefficients(family, params, maxdeg)
+                weight_coefficients(family, HALF, maxdeg)
             with pytest.raises(ValueError, match="maxdeg must be a nonnegative int"):
-                weight_coefficient(family, params, maxdeg)
+                weight_coefficient(family, HALF, maxdeg)
 
     @pytest.mark.parametrize("family", ["E", "E'", "H"])
     def test_one_parameter_families_refuse_a_pair(self, family):
@@ -131,18 +109,19 @@ class TestWeightCoefficients:
             with pytest.raises(ValueError, match="takes one parameter"):
                 weight_coefficient(family, params, 2)
 
-    def test_hybrid_refuses_anything_but_a_pair(self):
-        for params in (HALF, (HALF,), [HALF], (HALF, FIFTH, THIRD)):
-            with pytest.raises(ValueError, match="takes a \\(q, p\\) pair"):
+    def test_the_one_variable_hybrid_is_no_family(self):
+        # E(q; z) H(p; z) is the diagonal of the two-species weight E(q) H(p).
+        for params in ((HALF, FIFTH), [HALF, FIFTH], HALF):
+            with pytest.raises(ValueError, match="unknown family 'Q'"):
                 weight_coefficients("Q", params, 2)
-        assert weight_coefficients("Q", [HALF, FIFTH], 2) == weight_coefficients("Q", (HALF, FIFTH), 2)
+            with pytest.raises(ValueError, match="unknown family 'Q'"):
+                weight_coefficient("Q", params, 2)
 
 
 class TestWeightCoefficient:
     def test_degree_zero_is_one(self):
         for family in ("E", "E'", "H"):
             assert weight_coefficient(family, HALF, 0) == 1
-        assert weight_coefficient("Q", (HALF, FIFTH), 0) == 1
 
     def test_h_degree_one(self):
         for q in (HALF, THIRD, Fraction(-1, 3)):
@@ -154,17 +133,6 @@ class TestWeightCoefficient:
         assert weight_coefficient("E", q, 2) == q / ((1 - q) * (1 - q**2))
         assert weight_coefficient("E'", q, 1) == q / (1 - q)
         assert weight_coefficient("E'", q, 2) == q**3 / ((1 - q) * (1 - q**2))
-
-    def test_q_hybrid_degree_one(self):
-        assert weight_coefficient("Q", (HALF, FIFTH), 1) == 1 / (1 - HALF) + 1 / (1 - FIFTH)
-
-    def test_q_hybrid_is_convolution_of_e_and_h(self):
-        for i in range(6):
-            expected = sum(
-                weight_coefficient("E", HALF, m) * weight_coefficient("H", FIFTH, i - m)
-                for m in range(i + 1)
-            )
-            assert weight_coefficient("Q", (HALF, FIFTH), i) == expected
 
     def test_h_values_positive_for_small_q(self):
         for q in (HALF, THIRD, Fraction(1, 7)):

@@ -15,7 +15,7 @@ from qhurwitz.combinatorial import JM_LIMIT, PATH_LIMIT_D, PATH_LIMIT_N
 from qhurwitz.geometric import GEOMETRIC_COST_LIMIT
 from qhurwitz.partitions import ENUMERATION_LIMIT
 from qhurwitz.sn import GROUP_LIMIT
-from qhurwitz.tau import SPECTRAL_COST_LIMIT
+from qhurwitz.spectral import SPECTRAL_COST_LIMIT
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

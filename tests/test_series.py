@@ -5,7 +5,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhurwitz import TruncatedSeries, poly_mul
+from qhurwitz import TruncatedSeries
 from qhurwitz.series import by_monomial
 from qhurwitz.scalars import format_rational
 
@@ -27,6 +27,19 @@ def random_series(cap=6, variables=("q",)):
     return st.dictionaries(exponent, coefficient, max_size=5).map(
         lambda coeffs: TruncatedSeries(variables, cap, coeffs)
     )
+
+
+def poly_mul(a: list, b: list, maxdeg: int) -> list:
+    """Product of coefficient lists, truncated at degree maxdeg, the product expansion of the identity oracles."""
+    out = [0] * (maxdeg + 1)
+    for i, ca in enumerate(a[: maxdeg + 1]):
+        if not ca:
+            continue
+        for j, cb in enumerate(b[: maxdeg + 1 - i]):
+            if not cb:
+                continue
+            out[i + j] = out[i + j] + ca * cb
+    return out
 
 
 def poly_exp(a, maxdeg):

@@ -12,7 +12,9 @@ import qhurwitz.spectral as spectral_module
 import qhurwitz.tau as tau_module
 from qhurwitz import (
     CapacityError,
+    HurwitzTable,
     Species,
+    TransferMatrix,
     TruncatedSeries,
     WeightConfig,
     centralizer_order,
@@ -23,7 +25,6 @@ from qhurwitz import (
     format_partition,
     multispecies_transfer_matrix,
     parse_species_flag,
-    poly_mul,
     quantum_hurwitz_number,
     species_content_coeffs,
     tau_coefficients,
@@ -35,7 +36,7 @@ from qhurwitz.partitions import conjugate
 from qhurwitz.qweights import multidegrees
 from qhurwitz.tau import check_triangle_bounds
 from test_partitions import contents
-from test_series import evaluate
+from test_series import evaluate, poly_mul
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -533,29 +534,55 @@ class TestVerifyTriangle:
         with pytest.raises(CapacityError, match="triangle suite costs at least"):
             verify_triangle(single_species("E", HALF, 2), (178,))
 
-    def test_one_perturbed_geometric_entry_is_the_one_discrepancy(self, monkeypatch):
-        # The judge walks the three legs' rows; an entry changed in one
-        # geometric row, and not mirrored, is reported alone.
+    @staticmethod
+    def planted_discrepancy(monkeypatch, module, name, plant):
+        """The one discrepancy of a suite in which plant changes one entry of the leg that module.name computes.
+
+        plant takes the leg's matrices and raises entry (1, 3) of block
+        (1, 2) by 1 with raised, leaving its mirror (3, 1) as it was: the
+        judge walks the three legs' rows and must report that entry alone,
+        with the suite's checked count unchanged.
+        """
         config = WeightConfig(species=(Species("E", HALF), Species("H", FIFTH)), n=4)
         parts = character_table(4).partitions
         honest = verify_triangle(config, (2, 2))
         assert honest.ok
-        original = geometric_module.multispecies_hurwitz_matrices
-
-        def perturbed(config, maxdeg):
-            matrices = original(config, maxdeg)
-            rows = [list(row) for row in matrices[(1, 2)]]
-            rows[1][3] += 1
-            matrices[(1, 2)] = tuple(map(tuple, rows))
-            return matrices
-
-        monkeypatch.setattr(geometric_module, "multispecies_hurwitz_matrices", perturbed)
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda config, maxdeg: plant(original(config, maxdeg)))
         report = verify_triangle(config, (2, 2))
         assert report.checked == honest.checked == 9 * len(parts) ** 2
         [discrepancy] = report.discrepancies
         assert discrepancy["degrees"] == [1, 2]
         assert (discrepancy["mu"], discrepancy["nu"]) == (format_partition(parts[1]), format_partition(parts[3]))
-        assert discrepancy["combinatorial"] == discrepancy["tau"] != discrepancy["geometric"]
+        return discrepancy
+
+    @staticmethod
+    def raised(rows) -> tuple:
+        rows = [list(row) for row in rows]
+        rows[1][3] += 1
+        return tuple(map(tuple, rows))
+
+    def test_one_perturbed_geometric_entry_is_the_one_discrepancy(self, monkeypatch):
+        def plant(matrices):
+            return {**matrices, (1, 2): self.raised(matrices[(1, 2)])}
+
+        found = self.planted_discrepancy(monkeypatch, geometric_module, "multispecies_hurwitz_matrices", plant)
+        assert found["combinatorial"] == found["tau"] != found["geometric"]
+
+    def test_one_perturbed_combinatorial_entry_is_the_one_discrepancy(self, monkeypatch):
+        def plant(matrices):
+            return {**matrices, (1, 2): TransferMatrix(n=4, rows=self.raised(matrices[(1, 2)].rows))}
+
+        found = self.planted_discrepancy(monkeypatch, combinatorial_module, "multispecies_transfer_matrices", plant)
+        assert found["geometric"] == found["tau"] != found["combinatorial"]
+
+    def test_one_perturbed_tau_entry_is_the_one_discrepancy(self, monkeypatch):
+        def plant(table):
+            matrices = {**table.matrices, (1, 2): self.raised(table.matrices[(1, 2)])}
+            return HurwitzTable(n=table.n, maxdeg=table.maxdeg, matrices=matrices)
+
+        found = self.planted_discrepancy(monkeypatch, tau_module, "tau_coefficients", plant)
+        assert found["geometric"] == found["combinatorial"] != found["tau"]
 
     def test_a_window_one_degree_too_narrow_is_caught_by_the_geometric_leg(self, monkeypatch):
         # The tau and combinatorial legs share the kernel's colength window;

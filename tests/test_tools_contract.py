@@ -3,7 +3,7 @@
 Nothing runs those scripts, and they import private helpers such as
 geometric._matrix, so a renamed helper would go unnoticed by every other
 test.  Each script is parsed, not imported or run, except that
-tools/src_lines.py's counter is run on a sample file.  The committed table
+tools/src_lines.py's counters are run on sample files.  The committed table
 of tools/geometric_cost_times.py must record the cost model as it is, and
 README "Limits" must state the time a unit that table records.  The rows of
 tools/frontiers.txt, which tools/frontiers.sh runs, are parsed here without
@@ -99,10 +99,16 @@ def test_readme_states_the_recorded_time_a_unit():
     assert round(statistics.median(units), 1) == median
 
 
-def test_src_lines_counts_code_outside_docstrings_and_comments(tmp_path):
+@pytest.fixture
+def src_lines():
+    """tools/src_lines.py as a module, its __main__ block not run."""
     spec = importlib.util.spec_from_file_location("src_lines", TOOLS / "src_lines.py")
-    src_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(src_lines)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_src_lines_counts_code_outside_docstrings_and_comments(tmp_path, src_lines):
     sample = tmp_path / "sample.py"
     sample.write_text(
         '"""Module\n\ndocstring."""\n'
@@ -117,6 +123,23 @@ def test_src_lines_counts_code_outside_docstrings_and_comments(tmp_path):
     )
     # x = 1, def f(): and the two lines of the returned string.
     assert src_lines.code_lines(sample) == 4
+
+
+def test_src_lines_counts_the_names_of_exports(tmp_path, src_lines):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        '"""Package docstring."""\n'
+        "import sys\n"
+        "\n"
+        "#: A comment.\n"
+        '_EXPORTS = {\n    "errors": ("CapacityError", "PoleError"),\n    "sn": (),\n    "scalars": ("reciprocal",),\n}\n'
+        "def f():\n"
+        '    _EXPORTS = {"inner": ("not", "counted")}\n'
+    )
+    assert src_lines.exported_names(sample) == 3
+    sample.write_text("EXPORTS = {}\n")
+    with pytest.raises(ValueError, match="no module-level _EXPORTS"):
+        src_lines.exported_names(sample)
 
 
 def _frontier_rows():

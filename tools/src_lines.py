@@ -1,4 +1,4 @@
-"""Print the code lines and the compile time of each src/qhurwitz/*.py module, and their totals.
+"""Print the code lines and the compile time of each src/qhurwitz/*.py module, their totals, and the root's public names.
 
 Run from the repository root:
 
@@ -11,6 +11,10 @@ left out: the docstrings are found with ast, the tokens with tokenize.
 The compile time is the best of 20 in-process compile() calls of the
 module's source.  With no bytecode cache (PYTHONDONTWRITEBYTECODE=1, as the
 benchmark runs), every request pays it once for each module it runs.
+
+The last line counts the names the package root exports: those listed in
+the _EXPORTS dict of __init__.py, read with ast, without importing the
+package.
 """
 
 import ast
@@ -61,6 +65,14 @@ def compile_seconds(path: Path, repeats: int = 20) -> float:
     return best
 
 
+def exported_names(path: Path) -> int:
+    """How many names the tuples of path's module-level _EXPORTS dict list."""
+    for node in ast.parse(path.read_bytes()).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets):
+            return sum(len(names) for names in ast.literal_eval(node.value).values())
+    raise ValueError(f"{path}: no module-level _EXPORTS")
+
+
 if __name__ == "__main__":
     total_lines = total_seconds = 0
     print(f"{'module':<18} {'lines':>5} {'compile':>10}")
@@ -70,3 +82,4 @@ if __name__ == "__main__":
         total_seconds += seconds
         print(f"{path.name:<18} {count:>5} {seconds * 1000:>7.2f} ms")
     print(f"{'total':<18} {total_lines:>5} {total_seconds * 1000:>7.2f} ms")
+    print(f"{'exported names':<18} {exported_names(SRC / '__init__.py'):>5}")
