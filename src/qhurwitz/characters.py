@@ -17,7 +17,7 @@ nothing but this module, ``partitions`` and ``errors``.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from operator import mul
 
@@ -108,6 +108,10 @@ class CharacterTable:
     A row finds the strips of each length once and recurses on the rest of
     each class, so only the smaller shapes enter the memo.
     Each hook product is n! over the dimension, the value on the class 1^n.
+    A symmetric matrix over the classes, such as a Hurwitz matrix, is
+    computed as its entries at ``upper_pairs`` and laid out as rows by
+    ``symmetric``: the one place that maps (i, j) and (j, i) to one entry.
+    ``upper_pairs`` and the layout ``symmetric`` reads are built on first use.
     """
 
     def __init__(self, n: int):
@@ -128,6 +132,33 @@ class CharacterTable:
                 rows.append(tuple(_strip_sum(strips[mu[0]], mu[1:]) for mu in self.partitions))
         self.values = tuple(rows)
         self.hook_products = tuple(factorial(n) // row[-1] for row in self.values)
+
+    @cached_property
+    def upper_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The index pairs (i, j) with j >= i, row by row: the distinct entries of a symmetric matrix over partitions."""
+        size = len(self.partitions)
+        return tuple((i, j) for i in range(size) for j in range(i, size))
+
+    @cached_property
+    def _mirror(self) -> tuple[tuple[int, ...], ...]:
+        """Per row i and column j, the position in upper_pairs of (min(i, j), max(i, j)).
+
+        upper_pairs runs row by row, so row j's positions arrive in column
+        order: those of (i, j), i < j, from the rows before it, then its own.
+        """
+        rows = [[] for _ in self.partitions]
+        for k, (i, j) in enumerate(self.upper_pairs):
+            rows[i].append(k)
+            if j > i:
+                rows[j].append(k)
+        return tuple(map(tuple, rows))
+
+    def symmetric(self, values) -> tuple[tuple, ...]:
+        """The rows over partitions of the symmetric matrix whose entries at upper_pairs are values, in that order.
+
+        Entry (j, i) is the same object as entry (i, j).
+        """
+        return tuple(tuple(map(values.__getitem__, row)) for row in self._mirror)
 
     def index(self, mu: Partition) -> int:
         try:

@@ -174,15 +174,16 @@ def _cmd_compute(args) -> int:
         nus = None if nu_filter is None else [tbl.index(nu_filter)]
         # Under a filter, one row or one entry per multidegree; the table is
         # symmetric, so a --nu filter alone reads the row of nu.
+        # Without one, one text per distinct entry, laid out by tbl.symmetric.
         row, columns = (nus, None) if mus is None else (mus, nus)
-        scales, layout, sums = spectral.spectral_numerators(tbl, blocks, None if row is None else row[0], columns)
-        order = list(itertools.chain.from_iterable(layout))
+        everything = range(len(tbl.partitions))
+        pairs = None if row is None else [(row[0], j) for j in columns or everything]
+        scales, sums = spectral.spectral_numerators(tbl, blocks, pairs)
         texts = []
         for (_, denominator, _), numerators in zip(blocks, sums):
             entry_texts = [_entry_text(s, denominator * scale) for s, scale in zip(numerators, scales)]
-            texts += map(entry_texts.__getitem__, order)
+            texts += itertools.chain.from_iterable(tbl.symmetric(entry_texts)) if pairs is None else entry_texts
         labels = list(map(format_partition, tbl.partitions))
-        everything = range(len(labels))
         _write_tau_table(args.n, labels, keys, mus or everything, nus or everything, texts, args.format)
         return 0
     mu = _partition_arg(args.mu, args.n, "mu")

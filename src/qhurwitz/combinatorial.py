@@ -24,12 +24,14 @@ central element, its matrix on the class-sum basis is
     F^c(mu, nu) = sum_lam [u^c] r_lam * chi_lam(mu) chi_lam(nu) / z_mu
 
 with r_lam the content product, and the Hurwitz-normalized entry F^c/z_nu is
-the pipeline-comparison value.  ``spectral.spectral_sum`` sums that
-symmetric matrix, as in the tau pipeline, and a TransferMatrix holds it as
-returned; its class-basis entry multiplies by z_nu.  The matrices commute;
+the pipeline-comparison value.  ``spectral.spectral_sum`` sums the upper
+triangle of that symmetric matrix, as in the tau pipeline, and a
+TransferMatrix holds the rows CharacterTable.symmetric lays out from it;
+its class-basis entry multiplies by z_nu.  The matrices commute;
 multispecies counts multiply eigenvalues.  One entry, as a point request
-asks for it, is the same kernel given mu and [nu]: one dot product over
-one shape per conjugate pair per block instead of the whole matrix.
+asks for it, is the same kernel given the one pair (mu, nu): one dot
+product over one shape per conjugate pair per block instead of the whole
+matrix.
 
 The brute-force oracles run only ``sn`` and the character tables: the
 weights, the spectral layer and series mode are reached as module objects
@@ -143,9 +145,10 @@ class TransferMatrix(Immutable):
     """Symmetric Hurwitz matrix of a central element, canonical order.
 
     rows[i][j] is the Hurwitz-normalized entry of mu = partitions[i] and
-    nu = partitions[j], partitions those of character_table(n): the matrix
-    spectral_sum returns.  On the class-sum basis the element's matrix is
-    that times z_nu (entry).  Matrices over a fixed n commute with each other.
+    nu = partitions[j], partitions those of character_table(n), as
+    CharacterTable.symmetric lays out spectral_sum's values.  On the
+    class-sum basis the element's matrix is that times z_nu (entry).
+    Matrices over a fixed n commute with each other.
     """
 
     _fields = ("n", "rows")
@@ -215,7 +218,7 @@ def _transfer_matrices(config: qweights.WeightConfig, degrees: list) -> dict:
     """
     tbl, keys, blocks = spectral.eigenvalue_blocks(config, degrees)
     matrices = spectral.spectral_sum(tbl, blocks)
-    return {key: TransferMatrix(n=config.n, rows=rows) for key, rows in zip(keys, matrices)}
+    return {key: TransferMatrix(n=config.n, rows=tbl.symmetric(values)) for key, values in zip(keys, matrices)}
 
 
 def multispecies_hurwitz_entry(
@@ -224,13 +227,13 @@ def multispecies_hurwitz_entry(
     """multispecies_transfer_matrix(config, degrees).hurwitz_entry(mu, nu), by the entry form.
 
     The entry is one dot product per monomial (spectral.spectral_sum given
-    mu and [nu]), not a matrix, and it is admitted by the same spectral_cost
+    the one pair (mu, nu)), not a matrix, and it is admitted by the same spectral_cost
     as that matrix, so a request is refused exactly where the matrix would
     be.  mu and nu are
     partitions of n (anything else raises ValueError after admission).
     """
     tbl, _, blocks = spectral.eigenvalue_blocks(config, [(d,) for d in config.degrees(degrees)])
-    [[value]] = spectral.spectral_sum(tbl, blocks, tbl.index(mu), [tbl.index(nu)])
+    [[value]] = spectral.spectral_sum(tbl, blocks, [(tbl.index(mu), tbl.index(nu))])
     return value
 
 

@@ -57,14 +57,14 @@ species once and forms every multidegree's block, its numerators as
 successive per-species outer products with its denominator and degree
 parity, and _character_sums sets up the character columns,
 conjugate-pair factors, parities and pairs once and returns each block's
-rows over character_table(n).partitions, the form spectral_sum returns
-for the other legs.  Its core is rational only: series mode goes through
-series.by_monomial, one int block per monomial, joined back into series.
-multispecies_hurwitz_number is its one-pair call,
-multispecies_hurwitz_matrix sums the symmetric half of the pairs for one
-multidegree, multispecies_hurwitz_matrices does that for every
-multidegree up to maxdeg, and quantum_hurwitz_number is the one-species
-call.  The leg reads only
+values over the asked index pairs (mu, nu), in the order asked, as
+spectral_sum does for the other legs.  Its core is rational only: series
+mode goes through series.by_monomial, one int block per monomial, joined
+back into series.  multispecies_hurwitz_number is its one-pair call,
+multispecies_hurwitz_matrix sums the upper triangle of the pairs for one
+multidegree, laid out as a matrix by CharacterTable.symmetric,
+multispecies_hurwitz_matrices does that for every multidegree up to
+maxdeg, and quantum_hurwitz_number is the one-species call.  The leg reads only
 character_table (whose conjugate_pairs come from partitions.conjugate) and
 qweights.level_factor, whose denominators give D_t: it uses neither the
 contents, their elementary symmetric functions, the content coefficients
@@ -301,44 +301,44 @@ def _species_eigenvalues(species: Species, degrees, classes: list[list[int]], sh
 
 
 def _character_sums(tbl, blocks, pairs=None) -> list:
-    """Per block, the rows over tbl.partitions of sum over all shapes lam of G(lam) chi_lam(i) chi_lam(j) / (z_i z_j).
+    """Per block, the tuple of sum over all shapes lam of G(lam) chi_lam(i) chi_lam(j) / (z_i z_j) over the pairs (i, j).
 
     blocks are (numerators, D, parity) triples, as _eigenvalues returns
     them: G = numerator / D over the first shape of each of
     tbl.conjugate_pairs, and G(lam') = (-1)^degree G(lam), parity the
-    degree's.  The index pairs (i, j) asked for, by default those with
-    j >= i, are summed, each entered at (i, j) and (j, i); every other entry
-    is 0.  Since chi_lam'(mu) = (-1)^colength(mu) chi_lam(mu), a pair whose
-    colengths and degree have odd sum is 0, and every other pair counts a
-    conjugate pair twice and a self-conjugate shape once.  The character
-    columns, those factors and the pairs of each parity are set up once for
-    all the blocks.  The character column of each first index i is weighted
-    by a block's numerators once, and each pair is one integer dot product
-    over D z_i z_j: one Fraction per summed entry, none per eigenvalue.  A
-    call holding any series runs through series.by_monomial, which hands
-    this core one block of int numerators per monomial.
+    degree's.  pairs is a sequence of index pairs into tbl.partitions, in
+    any order, repeats and j < i allowed; by default tbl.upper_pairs, whose
+    values tbl.symmetric lays out as the matrix.  Since chi_lam'(mu) =
+    (-1)^colength(mu) chi_lam(mu), a pair whose colengths and degree have
+    odd sum is 0, and every other pair counts a conjugate pair twice and a
+    self-conjugate shape once.  The character columns, those factors and
+    the pairs of each parity, grouped by first index, are set up once for
+    all the blocks.  The character column of each first index i is
+    weighted by a block's numerators once, and each pair is one integer
+    dot product over D z_i z_j: one Fraction per summed value, none per
+    eigenvalue.  A call holding any series runs through series.by_monomial,
+    which hands this core one block of int numerators per monomial.
     """
-    size = len(tbl.partitions)
-    pairs = [(i, j) for i in range(size) for j in range(i, size)] if pairs is None else pairs
+    pairs = tbl.upper_pairs if pairs is None else pairs
     if any(not isinstance(g, RATIONAL) for numerators, _, _ in blocks for g in numerators):
         return series.by_monomial(lambda split: _character_sums(tbl, split, pairs), blocks)
     columns = list(zip(*(tbl.values[k] for k, _ in tbl.conjugate_pairs)))
     twice = [1 + (k != c) for k, c in tbl.conjugate_pairs]
     z = tbl.centralizer_orders
     odd = [colength(mu) % 2 for mu in tbl.partitions]
-    live = ({}, {})  # per parity of the degree: {i: [j]} of the pairs that parity sums
-    for i, j in pairs:
-        live[(odd[i] + odd[j]) % 2].setdefault(i, []).append(j)
+    live = ({}, {})  # per parity of the degree: {i: [(j, k)]}, k the index of the pair (i, j) it sums
+    for k, (i, j) in enumerate(pairs):
+        live[(odd[i] + odd[j]) % 2].setdefault(i, []).append((j, k))
     zero = Fraction(0)
     results = []
     for numerators, denominator, parity in blocks:
         weights = list(map(mul, twice, numerators))
-        grid = [[zero] * size for _ in z]
-        for i, js in live[parity].items():
+        values = [zero] * len(pairs)
+        for i, targets in live[parity].items():
             weighted = list(map(mul, weights, columns[i]))
-            for j in js:
-                grid[i][j] = grid[j][i] = Fraction(sum(map(mul, weighted, columns[j])), denominator * z[i] * z[j])
-        results.append(tuple(map(tuple, grid)))
+            for j, k in targets:
+                values[k] = Fraction(sum(map(mul, weighted, columns[j])), denominator * z[i] * z[j])
+        results.append(tuple(values))
     return results
 
 
@@ -403,21 +403,22 @@ def multispecies_hurwitz_number(
     if sum(mu) != config.n or sum(nu) != config.n:
         raise ValueError("mu and nu must be partitions of the configuration degree")
     tbl, _, blocks = _eigenvalues(config, [(d,) for d in config.degrees(degrees)], entry=True)
-    i, j = tbl.index(mu), tbl.index(nu)
-    return _character_sums(tbl, blocks, [(i, j)])[0][i][j]
+    [[value]] = _character_sums(tbl, blocks, [(tbl.index(mu), tbl.index(nu))])
+    return value
 
 
 def multispecies_hurwitz_matrix(config: WeightConfig, degrees: tuple[int, ...]) -> tuple:
     """multispecies_hurwitz_number for every pair of partitions of n, as rows.
 
-    Rows and columns run over character_table(n).partitions, as
-    spectral_sum returns a matrix: rows[i][j] is the value of
-    (partitions[i], partitions[j]).  The eigenvalues are formed once, and
-    the symmetric half of the pairs is summed and mirrored.  Admitted by
-    the _geometric_cost of its walks and one matrix.
+    Rows and columns run over character_table(n).partitions, as the other
+    legs hold a matrix: rows[i][j] is the value of (partitions[i],
+    partitions[j]).  The eigenvalues are formed once, and the upper
+    triangle of the pairs is summed and laid out by tbl.symmetric.
+    Admitted by the _geometric_cost of its walks and one matrix.
     """
     tbl, _, blocks = _eigenvalues(config, [(d,) for d in config.degrees(degrees)])
-    return _character_sums(tbl, blocks)[0]
+    [values] = _character_sums(tbl, blocks)
+    return tbl.symmetric(values)
 
 
 def multispecies_hurwitz_matrices(config: WeightConfig, maxdeg: tuple[int, ...]) -> dict:
@@ -428,4 +429,4 @@ def multispecies_hurwitz_matrices(config: WeightConfig, maxdeg: tuple[int, ...])
     """
     maxdeg = config.degrees(maxdeg)
     tbl, keys, blocks = _eigenvalues(config, [range(m + 1) for m in maxdeg])
-    return dict(zip(keys, _character_sums(tbl, blocks)))
+    return {key: tbl.symmetric(values) for key, values in zip(keys, _character_sums(tbl, blocks))}

@@ -201,9 +201,9 @@ def by_monomial(kernel, blocks) -> list:
     their lcm L as int numerators, in the block (numerators, L *
     denominator, *extra); the constant monomial always has a block, so an
     all-zero block has one too.  kernel(blocks) runs once over all of them
-    and returns one result per block, a tuple of entries (a row, or one
-    entry) or a symmetric matrix as a tuple of rows, which _joined turns
-    into one series per entry.
+    and returns one result per block, a tuple of entries (one per asked
+    index pair), and each block's results are joined into one series per
+    entry.  Entries that are 0 in every monomial share the one zero series.
     """
     # The zero series of the call's variables and cap.
     zero = 0 * next(v for values, *_ in blocks for v in values if isinstance(v, TruncatedSeries))
@@ -218,21 +218,8 @@ def by_monomial(kernel, blocks) -> list:
             scale = lcm(*(c.denominator for c in column))
             split.append(([c.numerator * (scale // c.denominator) for c in column], scale * denominator, *extra))
     results = iter(kernel(split))
-    return [_joined(zero, expos, [next(results) for _ in expos]) for expos in monomials]
 
-
-def _joined(zero, expos, parts) -> tuple:
-    """One block's kernel results, one per monomial of expos, as one series per entry.
-
-    parts are tuples of entries or symmetric matrices; a matrix's entries
-    j >= i are joined and mirrored to (j, i).  Entries that are 0 in every
-    part share the one zero series.
-    """
-    def join(values):
+    def join(expos, values):
         return TruncatedSeries(zero.vars, zero.cap, dict(zip(expos, values))) if any(values) else zero
 
-    if not (parts[0] and isinstance(parts[0][0], tuple)):
-        return tuple(map(join, zip(*parts)))
-    size = range(len(parts[0]))
-    half = {(i, j): join([part[i][j] for part in parts]) for i in size for j in size[i:]}
-    return tuple(tuple(half[min(i, j), max(i, j)] for j in size) for i in size)
+    return [tuple(join(expos, values) for values in zip(*[next(results) for _ in expos])) for expos in monomials]

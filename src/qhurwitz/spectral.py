@@ -21,15 +21,16 @@ character sum over them.  The character tables themselves are in
   spectral_cost before any content list;
 * spectral_numerators: the one kernel core, rational only.  Per block of
   (numerators, denominator, degree), the integer numerators S of
-  sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu) = S / (D z_mu z_nu):
-  the symmetric matrix, or the entries (mu, nu) of one mu, a row or one
-  entry, which point requests read.  Each S is one integer dot product over
-  one shape per conjugate pair with the paired weights, and only the
-  (mu, nu) inside the block's colength window are summed: by Jucys (1974)
-  a content-product block of total degree t is 0 wherever
-  |colength(mu) - colength(nu)| > t.  The compute tau writer reads these
-  numerators directly;
-* spectral_sum: the same sums as Fractions, the form the pipelines, the
+  sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu) = S / (D z_mu z_nu)
+  for each asked index pair (mu, nu), in the order asked: by default the
+  upper triangle CharacterTable.upper_pairs, which CharacterTable.symmetric
+  lays out as the matrix, and for a point request a row or one entry.
+  Each S is one integer dot product over one shape per conjugate pair with
+  the paired weights, and only the (mu, nu) inside the block's colength
+  window are summed: by Jucys (1974) a content-product block of total
+  degree t is 0 wherever |colength(mu) - colength(nu)| > t.  The compute
+  tau writer reads these numerators directly;
+* spectral_sum: the same values as Fractions, the form the pipelines, the
   triangle judge and the library return.  A call holding any series runs
   through series.by_monomial, which splits each block into int blocks, one
   per monomial, and joins the Fractions back into series;
@@ -42,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
-from operator import itemgetter, mul
+from operator import mul
 
 from . import series
 from .characters import CharacterTable, character_table
@@ -52,63 +53,43 @@ from .qweights import Species, WeightConfig, level_factor
 from .scalars import RATIONAL, sized_text
 
 
-def spectral_sum(table: CharacterTable, blocks, mu: int | None = None, nus=None) -> list:
-    """Per block, sum_lam c_lam chi_lam(mu) chi_lam(nu) / (z_mu z_nu): the whole matrix, or a row or entries of it.
+def spectral_sum(table: CharacterTable, blocks, pairs=None) -> list:
+    """Per block, the tuple of sum_lam c_lam chi_lam(i) chi_lam(j) / (z_i z_j) over the index pairs (i, j) of pairs.
 
     blocks: (coefficients, denominator) pairs, or (coefficients,
     denominator, degree) triples as eigenvalue_blocks returns them: c_lam is
     coefficients[lam] / denominator, one coefficient per shape in table
-    order, over a positive int denominator.  With mu None, each block's
-    value is its symmetric matrix, a tuple of rows over table.partitions.
-    With mu an index of table.partitions, it is the tuple of the entries
-    (mu, nu) for nu in nus (any iterable of indices, every index by
-    default): a row, or one entry.
+    order, over a positive int denominator.  pairs is a sequence of index
+    pairs into table.partitions, in any order, repeats and j < i allowed;
+    by default table.upper_pairs, whose values table.symmetric lays out as
+    the symmetric matrix.
 
     The call's mode is tested once.  If any coefficient is a series, the
     call goes through series.by_monomial, which hands this function one
     block of int coefficients per monomial, its degree kept, and joins its
     results into series: then every output value is a series.  Otherwise
-    each entry is the Fraction of spectral_numerators' S / (D z_mu z_nu),
-    made once per distinct entry (a matrix's (nu, mu) is its (mu, nu));
-    entries with S = 0 share one Fraction(0).  These are the first
+    each value is the Fraction of spectral_numerators' S / (D z_i z_j);
+    values with S = 0 share one Fraction(0).  These are the first
     Fractions made.
     """
-    if nus is not None:
-        nus = tuple(nus)  # an iterator is read once, and the series split calls back with it
     if any(not isinstance(c, RATIONAL) for values, *_ in blocks for c in values):
-        return series.by_monomial(lambda split: spectral_sum(table, split, mu, nus), blocks)
-    scales, layout, sums = spectral_numerators(table, blocks, mu, nus)
-    pickers = list(map(_picker, layout))
+        return series.by_monomial(lambda split: spectral_sum(table, split, pairs), blocks)
+    scales, sums = spectral_numerators(table, blocks, pairs)
     zero = Fraction(0)
-    entries = (
-        [Fraction(s, block[1] * scale) if s else zero for s, scale in zip(numerators, scales)]
+    return [
+        tuple([Fraction(s, block[1] * scale) if s else zero for s, scale in zip(numerators, scales)])
         for block, numerators in zip(blocks, sums)
-    )
-    if mu is not None:
-        return list(map(pickers[0], entries))
-    return [tuple([pick(values) for pick in pickers]) for values in entries]
+    ]
 
 
-def _picker(indices):
-    """The function of a list that returns the tuple of its items at indices, in that order."""
-    if len(indices) == 1:
-        [index] = indices
-        return lambda items: (items[index],)
-    return itemgetter(*indices) if indices else lambda items: ()
+def spectral_numerators(table: CharacterTable, blocks, pairs=None) -> tuple:
+    """(scales, sums): the integer numerators of spectral_sum's values, one per asked pair.
 
-
-def spectral_numerators(table: CharacterTable, blocks, mu: int | None = None, nus=None) -> tuple:
-    """(scales, layout, sums): the integer numerators of spectral_sum's entries, each summed once.
-
-    blocks are spectral_sum's, their coefficients the weights w, every one
-    an int (other rationals are summed as they are, and S is then their
-    sum), and mu and nus select as there.  The entries summed are the (i, j) with j >= i for a whole
-    matrix, and (mu, nu) for each distinct nu of nus for a selection.  Entry
-    k of a block with denominator D is S / (D * scales[k]), S =
-    sums[block][k] and scales[k] = z_i z_j, and an S that sums to 0, or is
-    not summed, is the int 0.  layout holds spectral_sum's output rows (a
-    matrix's rows, or the one row of nus), each the list of the indices k
-    of its entries: the matrix's (j, i) reads the entry (i, j).
+    blocks and pairs are spectral_sum's, the coefficients the weights w,
+    every one an int (other rationals are summed as they are, and S is then
+    their sum).  Value k of a block with denominator D is S / (D *
+    scales[k]), S = sums[block][k] and scales[k] = z_i z_j of pair k, and
+    an S that sums to 0, or is not summed, is the int 0.
 
     The conjugate shape lam' has chi_lam'(rho) = (-1)^colength(rho)
     chi_lam(rho), so a (mu, nu) whose colengths have even sum takes the
@@ -128,47 +109,43 @@ def spectral_numerators(table: CharacterTable, blocks, mu: int | None = None, nu
     colength <= t (Jucys 1974).  Colength is the least number of
     transpositions of a cycle type, so the product of the class sum of mu
     with one of colength <= t has no class nu outside the window.  A block
-    without a degree, whose coefficients may be any, sums every entry.
-    The character columns and the pairs of each parity are set up once per
-    call, and the (i, [j]) lists of each parity once per call and degree.
-    A whole matrix takes at most about p(n)^3 / 4 products per block, a row
-    p(n)^2 / 2 and an entry p(n).
+    without a degree, whose coefficients may be any, sums every pair.
+    The character columns and the conjugate pairs of each parity are set up
+    once per call, and the asked pairs of each parity and window, grouped by
+    first index, once per call and degree.  The column of each first index
+    i is weighted once per block, and each pair is one dot product with it:
+    the upper triangle takes at most about p(n)^3 / 4 products per block, a
+    row of one i p(n)^2 / 2 and an entry p(n).
     """
-    size = len(table.partitions)
+    pairs = table.upper_pairs if pairs is None else pairs
     z = table.centralizer_orders
-    if mu is None:
-        starts = [i * size - i * (i + 1) // 2 for i in range(size)]  # entry (i, j >= i) is starts[i] + j
-        rows = {i: (range(i, size), range(starts[i] + i, starts[i] + size)) for i in range(size)}
-        layout = [[starts[j] + i for j in range(i)] + list(ks) for i, (_, ks) in rows.items()]
-    else:
-        nus = range(size) if nus is None else tuple(nus)
-        position = {nu: k for k, nu in enumerate(dict.fromkeys(nus))}
-        rows = {mu: (list(position), range(len(position)))}
-        layout = [[position[nu] for nu in nus]]
     colengths = [colength(rho) for rho in table.partitions]
     widest = max(colengths)
-    halves = []  # per parity of colength(i) + colength(j): sign, pairs, character columns
+    halves = []  # per parity of colength(i) + colength(j): sign, conjugate pairs, character columns
     for odd, sign in enumerate((1, -1)):
-        pairs = [(k, c) for k, c in table.conjugate_pairs if k < c or not odd]
-        halves.append((sign, pairs, list(zip(*(table.values[k] for k, _ in pairs)))))
+        conjugates = [(k, c) for k, c in table.conjugate_pairs if k < c or not odd]
+        halves.append((sign, conjugates, list(zip(*(table.values[k] for k, _ in conjugates)))))
+    rows = {}  # per first index i: [(j, k)], k the index of pair (i, j)
+    for k, (i, j) in enumerate(pairs):
+        rows.setdefault(i, []).append((j, k))
     windows = {}
 
     def window(reach, odd):
-        """This parity's (i, [(j, k)]) with |colength(i) - colength(j)| <= reach, k the entry's index."""
+        """This parity's (i, [(j, k)]) with |colength(i) - colength(j)| <= reach."""
         if (reach, odd) not in windows:
-            windows[reach, odd] = [(i, kept) for i, (js, ks) in rows.items() if (kept := [
-                (j, k) for j, k in zip(js, ks)
+            windows[reach, odd] = [(i, kept) for i, targets in rows.items() if (kept := [
+                (j, k) for j, k in targets
                 if (colengths[i] + colengths[j]) & 1 == odd and abs(colengths[i] - colengths[j]) <= reach
             ])]
         return windows[reach, odd]
 
-    scales = [z[i] * z[j] for i, (js, _) in rows.items() for j in js]
+    scales = [z[i] * z[j] for i, j in pairs]
     sums = []
     for w, _, *degree in blocks:
         reach = min(degree[0], widest) if degree else widest
         numerators = [0] * len(scales)
-        for odd, (sign, pairs, columns) in enumerate(halves):
-            weights = [w[k] + sign * w[c] if k < c else w[k] for k, c in pairs]
+        for odd, (sign, conjugates, columns) in enumerate(halves):
+            weights = [w[k] + sign * w[c] if k < c else w[k] for k, c in conjugates]
             if not any(weights):
                 continue
             for i, targets in window(reach, odd):
@@ -176,7 +153,7 @@ def spectral_numerators(table: CharacterTable, blocks, mu: int | None = None, nu
                 for j, k in targets:
                     numerators[k] = sum(map(mul, weighted, columns[j]))
         sums.append(numerators)
-    return scales, layout, sums
+    return scales, sums
 
 
 def check_shift(shift: int) -> None:

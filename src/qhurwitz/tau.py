@@ -17,12 +17,13 @@ pipeline, assembles from the per-species content lists:
 
 A table holds every multidegree componentwise at most maxdeg.  One
 eigenvalue_blocks call over the degree sets range(m_s + 1) forms all their
-blocks as per-species outer products, and one spectral_sum call sums them,
-each as the symmetric matrix spectral_sum returns: a tuple of rows over
-character_table(n).partitions, the one form of a Hurwitz matrix that all
-three legs and the triangle judge share.  The CLI's compute tau does not
-run this module: it writes the texts of spectral_numerators' integer
-numerators, the core that spectral_sum wraps into these Fractions.
+blocks as per-species outer products, and one spectral_sum call sums the
+upper triangle of each, which CharacterTable.symmetric lays out as a tuple
+of rows over character_table(n).partitions, the one form of a Hurwitz
+matrix that all three legs and the triangle judge share.  The CLI's
+compute tau does not run this module: it writes the texts of
+spectral_numerators' integer numerators, the core that spectral_sum wraps
+into these Fractions.
 
 The degree-t coefficient of r_lam in the u variables is a symmetric
 polynomial of degree <= t in the contents of lam, so its central element
@@ -38,7 +39,7 @@ exceeds SPECTRAL_COST_LIMIT raises CapacityError before any content
 coefficient is computed.
 
 tau_row gives per multidegree one row of the table, or one entry, from the
-same blocks by spectral_sum's selection of mu and nus, admitted by the
+same blocks by spectral_sum given the pairs (mu, nu), admitted by the
 whole table's spectral_cost.
 
 verify_triangle compares the table with the geometric and combinatorial
@@ -91,7 +92,7 @@ def content_product_coeffs(
 
 
 class HurwitzTable(Immutable):
-    """Hurwitz numbers per multidegree, each block a symmetric matrix as spectral_sum returns it.
+    """Hurwitz numbers per multidegree, each block a symmetric matrix as CharacterTable.symmetric lays it out.
 
     ``matrices`` maps every multidegree componentwise at most maxdeg, in
     multidegrees(maxdeg) order, to a tuple of rows over
@@ -131,7 +132,8 @@ def tau_coefficients(
     """
     maxdeg = config.degrees(maxdeg)
     tbl, keys, blocks = eigenvalue_blocks(config, [range(m + 1) for m in maxdeg], shift)
-    return HurwitzTable(n=config.n, maxdeg=maxdeg, matrices=dict(zip(keys, spectral_sum(tbl, blocks))))
+    matrices = {key: tbl.symmetric(values) for key, values in zip(keys, spectral_sum(tbl, blocks))}
+    return HurwitzTable(n=config.n, maxdeg=maxdeg, matrices=matrices)
 
 
 def tau_row(
@@ -143,14 +145,14 @@ def tau_row(
     character_table(n).partitions, or, with nu given, the 1-tuple of that
     one entry.  The table is symmetric, so the row of mu is its column too.
     It takes about p(n)^2 / 2 kernel products per multidegree, one entry
-    p(n) (spectral_sum given mu and nus), and is admitted by the whole
-    table's spectral_cost, so a request is refused exactly where its table
-    would be.  A partition not
-    of n raises ValueError once admitted.
+    p(n) (spectral_sum given the pairs (mu, nu)), and is admitted by the
+    whole table's spectral_cost, so a request is refused exactly where its
+    table would be.  A partition not of n raises ValueError once admitted.
     """
     tbl, keys, blocks = eigenvalue_blocks(config, [range(m + 1) for m in config.degrees(maxdeg)], shift)
-    nus = None if nu is None else [tbl.index(nu)]
-    return dict(zip(keys, spectral_sum(tbl, blocks, tbl.index(mu), nus)))
+    i = tbl.index(mu)
+    pairs = [(i, j) for j in (range(len(tbl.partitions)) if nu is None else [tbl.index(nu)])]
+    return dict(zip(keys, spectral_sum(tbl, blocks, pairs)))
 
 
 class TriangleReport(Immutable):

@@ -19,7 +19,9 @@ from qhurwitz import (
     species_content_coeffs,
 )
 from qhurwitz.characters import TABLE_LIMIT
+from qhurwitz.geometric import _character_sums
 from qhurwitz.spectral import eigenvalue_blocks, spectral_numerators, spectral_sum
+from test_geometric import reference_character_sums
 
 TABLE_SIZES = range(1, TABLE_LIMIT + 1)
 
@@ -253,7 +255,8 @@ class TestSpectralSum:
         table = character_table(n)
         coeffs = make(len(table.partitions))
         z = table.centralizer_orders
-        [matrix] = spectral_sum(table, [(coeffs, 1)])
+        [values] = spectral_sum(table, [(coeffs, 1)])
+        matrix = table.symmetric(values)
         scaled = [[value * z[j] for j, value in enumerate(row)] for row in matrix]
         assert scaled == reference_transfer_rows(table, coeffs)
 
@@ -289,24 +292,22 @@ def reference_spectral_sum(table, coeffs):
 
 
 def assert_kernel_matches(table, blocks, references):
-    """spectral_sum's matrices, and every row and entry it selects, are the reference matrices'.
+    """spectral_sum's upper triangles, laid out by table.symmetric, and its values over other pairs are the references'.
 
     Each mu is asked for its whole row, for every nu in descending order
-    (mu after nu for every nu < mu) with mu and 0 repeated, as a list and as
-    a one-pass iterator, and for the single entries (mu, 0), (mu, mu) and
-    (mu, last).
+    (mu after nu for every nu < mu) with mu and 0 repeated, and for the
+    single entries (mu, 0), (mu, mu), (mu, last) and (last, mu).  Returns
+    the matrices.
     """
-    matrices = spectral_sum(table, blocks)
+    matrices = [table.symmetric(values) for values in spectral_sum(table, blocks)]
     assert matrices == references
     size = len(table.partitions)
     for mu in range(size):
-        assert spectral_sum(table, blocks, mu) == [matrix[mu] for matrix in references]
         nus = [*range(size - 1, -1, -1), mu, 0]
-        expected = [tuple(matrix[mu][nu] for nu in nus) for matrix in references]
-        assert spectral_sum(table, blocks, mu, nus) == expected
-        assert spectral_sum(table, blocks, mu, iter(nus)) == expected
-        for nu in {0, mu, size - 1}:
-            assert spectral_sum(table, blocks, mu, [nu]) == [(matrix[mu][nu],) for matrix in references]
+        singles = [[(mu, nu)] for nu in {0, mu, size - 1}] + [[(size - 1, mu)]]
+        for pairs in [[(mu, nu) for nu in range(size)], [(mu, nu) for nu in nus], *singles]:
+            expected = [tuple(matrix[i][j] for i, j in pairs) for matrix in references]
+            assert spectral_sum(table, blocks, pairs) == expected
     return matrices
 
 
@@ -472,7 +473,13 @@ class TestPackedSpectralSum:
 
     def test_no_blocks(self):
         assert spectral_sum(character_table(3), []) == []
-        assert spectral_sum(character_table(3), [], 1, [0, 2]) == []
+        assert spectral_sum(character_table(3), [], [(1, 0), (1, 2)]) == []
+
+    def test_no_pairs(self):
+        table = character_table(3)
+        blocks = [([1, 2, 3], 1), (series_coeffs(3), 2), ([0, 0, 0], 1, 2)]
+        assert spectral_sum(table, blocks, []) == [()] * 3
+        assert spectral_numerators(table, blocks[::2], []) == ([], [[], []])
 
 
 def random_parameter(rng):
@@ -532,13 +539,13 @@ class TestColengthWindow:
                 elif abs(ci - cj) == degree > 0 and reference[i][j]:
                     edge += 1
         if not series:
-            scales, layout, sums = spectral_numerators(table, blocks)
+            scales, sums = spectral_numerators(table, blocks)
             for (_, denominator, _), numerators, reference in zip(blocks, sums, references):
                 entries = [Fraction(s, denominator * scale) for s, scale in zip(numerators, scales)]
-                assert [[entries[k] for k in row] for row in layout] == [list(row) for row in reference]
+                assert table.symmetric(entries) == reference
         if edge:
             narrowed = [(coeffs, denominator, degree - 1) for coeffs, denominator, degree in blocks]
-            assert spectral_sum(table, narrowed) != references
+            assert [table.symmetric(values) for values in spectral_sum(table, narrowed)] != references
         return edge
 
     def test_rational_tables(self):
@@ -550,3 +557,72 @@ class TestColengthWindow:
         # 12 tables, n <= 6, the first species' parameter the series q.
         edges = [self.edge_entries(seed, 6, series=True) for seed in range(100, 112)]
         assert sum(map(bool, edges)) >= 9, edges
+
+
+def random_pairs(rng, size):
+    """Index pairs into a table of size classes in a random order: j < i, repeats and the corner (last, 0) among them."""
+    pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(1, 12))]
+    pairs += rng.sample(pairs, min(2, len(pairs))) + [(size - 1, 0)]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def random_value(rng, q=None):
+    """An int, a Fraction or 0, or with a series q that plus a multiple of a power of q, as a series."""
+    value = rng.choice((0, rng.randint(-50, 50), Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 99))))
+    return value if q is None else value + rng.choice((0, rng.randint(-9, 9))) * q ** rng.randint(1, 3)
+
+
+class TestOneForm:
+    """Both character-sum kernels return one value per asked index pair, in the order asked, whatever the pairs."""
+
+    def test_random_pairs_against_the_references(self):
+        rng = random.Random(44)
+        for case in range(24):
+            series = case % 3 == 2
+            q = TruncatedSeries.variable("q", 3) if series else None
+            if case % 2:  # content-product blocks, each with its degree
+                species, n, degrees, shift = random_window_case(rng, 8, series)
+                table = character_table(n)
+                blocks = multidegree_blocks(species, table, degrees, shift)
+            else:  # any coefficients, no degree
+                table = character_table(rng.randint(1, 8))
+                size = len(table.partitions)
+                blocks = [([random_value(rng, q) for _ in range(size)], rng.randint(1, 30)) for _ in range(4)]
+            pairs = random_pairs(rng, len(table.partitions))
+            references = [reference_spectral_sum(table, values(b)) for b in blocks]
+            expected = [tuple(reference[i][j] for i, j in pairs) for reference in references]
+            assert spectral_sum(table, blocks, pairs) == expected, case
+            if not series:
+                scales, sums = spectral_numerators(table, blocks, pairs)
+                assert [
+                    tuple(Fraction(s, block[1] * scale) for s, scale in zip(numerators, scales))
+                    for block, numerators in zip(blocks, sums)
+                ] == expected, case
+            # An odd-degree block is 0 on a self-conjugate shape, whose conjugate
+            # takes the opposite sign.  In series mode only the first block
+            # holds series, and the call's rational blocks come back as series
+            # too.
+            geometric_blocks = [
+                ([random_value(rng, q if block == 0 else None) if k != c or not parity else 0
+                  for k, c in table.conjugate_pairs], rng.randint(1, 30), parity)
+                for block, parity in enumerate((0, 1, 0, 1))
+            ]
+            expected = [reference_character_sums(table, *block, pairs) for block in geometric_blocks]
+            assert _character_sums(table, geometric_blocks, pairs) == expected, case
+
+    @pytest.mark.parametrize("n", TABLE_SIZES)
+    def test_symmetric_mirrors_the_upper_triangle(self, n):
+        table = character_table(n)
+        size = len(table.partitions)
+        assert table.upper_pairs == tuple((i, j) for i in range(size) for j in range(size) if j >= i)
+        values = [f"entry {k}" for k in range(len(table.upper_pairs))]
+        expected = [[None] * size for _ in range(size)]
+        k = 0
+        for i in range(size):
+            for j in range(i, size):
+                expected[i][j] = expected[j][i] = values[k]
+                k += 1
+        rows = table.symmetric(values)
+        assert rows == tuple(map(tuple, expected))
+        assert all(rows[i][j] is rows[j][i] for i in range(size) for j in range(size))

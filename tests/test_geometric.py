@@ -776,20 +776,18 @@ class TestIntegerWalk:
 
         config = WeightConfig((Species("E'", Fraction(999, 1000)), Species("H", HALF)), 6)
         tbl, _, blocks = _eigenvalues(config, [(3,), (2,)])
-        size = len(tbl.partitions)
-        pairs = [(i, j) for i in range(size) for j in range(i, size)]
         monkeypatch.setattr(qhurwitz.geometric, "Fraction", counting)
-        [rows] = _character_sums(tbl, blocks, pairs)
+        [values] = _character_sums(tbl, blocks)
         odd = [colength(mu) % 2 for mu in tbl.partitions]
-        live = [(i, j) for i, j in pairs if (odd[i] + odd[j] + 5) % 2 == 0]
+        live = [(i, j) for i, j in tbl.upper_pairs if (odd[i] + odd[j] + 5) % 2 == 0]
         # One Fraction per live entry, over its denominator, and the shared zero.
         assert len(made) == len(live) + 1 and made[0] == (0,)
         assert all(len(args) == 2 for args in made[1:])
-        assert len(rows) == size and all(len(row) == size for row in rows)
+        assert len(values) == len(tbl.upper_pairs)
 
 
-def reference_character_sums(tbl, numerators, denominator, parity):
-    """One _character_sums block's matrix, term by term over every shape, conjugates included.
+def reference_character_sums(tbl, numerators, denominator, parity, pairs=None):
+    """One _character_sums block's matrix, or its values over pairs, term by term over every shape, conjugates included.
 
     G(lam) is numerators[k] / denominator on the first shape lam of each
     conjugate pair k and (-1)^parity times that on its conjugate; each entry
@@ -802,14 +800,15 @@ def reference_character_sums(tbl, numerators, denominator, parity):
         if c != k:
             g[c] = (-1) ** parity * value
     z = tbl.centralizer_orders
-    return tuple(
-        tuple(
-            sum((value * row[i] * row[j] for value, row in zip(g, tbl.values)), Fraction(0))
-            * Fraction(1, denominator * z[i] * z[j])
-            for j in range(len(z))
+
+    def entry(i, j):
+        return sum((value * row[i] * row[j] for value, row in zip(g, tbl.values)), Fraction(0)) * Fraction(
+            1, denominator * z[i] * z[j]
         )
-        for i in range(len(z))
-    )
+
+    if pairs is not None:
+        return tuple(entry(i, j) for i, j in pairs)
+    return tuple(tuple(entry(i, j) for j in range(len(z))) for i in range(len(z)))
 
 
 class TestCharacterSums:
@@ -831,12 +830,11 @@ class TestCharacterSums:
             ([2 * k - 3 for k in range(len(pairs))], 4, 0),
         ]
         references = [reference_character_sums(tbl, *block) for block in blocks]
-        assert _character_sums(tbl, blocks) == references
+        assert [tbl.symmetric(values) for values in _character_sums(tbl, blocks)] == references
         size = len(tbl.partitions)
-        for i, j in [(0, 0), (0, size - 1), (size - 1, size // 2)]:
-            rows = _character_sums(tbl, blocks, [(i, j)])
-            assert [matrix[i][j] for matrix in rows] == [matrix[i][j] for matrix in references]
-            assert [matrix[j][i] for matrix in rows] == [matrix[i][j] for matrix in references]
+        for pairs in [[(0, 0)], [(0, size - 1)], [(size - 1, size // 2)], [(size // 2, size - 1), (0, 0)] * 2]:
+            expected = [tuple(matrix[i][j] for i, j in pairs) for matrix in references]
+            assert _character_sums(tbl, blocks, pairs) == expected
 
 
 class TestColengthClasses:
@@ -875,12 +873,12 @@ class TestColengthClasses:
                 vector = [prod(classes[c][i] for c in key) for i, _ in tbl.conjugate_pairs]
                 [counts] = _character_sums(tbl, [(vector, 1, sum(key) % 2)], pairs)
                 pools = [[p for p in parts if colength(p) == c] for c in key]
-                for i, j in pairs:
+                for count, (i, j) in zip(counts, pairs, strict=True):
                     total = sum(
                         enumerate_factorizations(BranchConfiguration(extra, parts[i], parts[j]))
                         for extra in itertools.product(*pools)
                     )
-                    assert counts[i][j] == Fraction(total, factorial(n)), (key, i, j)
+                    assert count == Fraction(total, factorial(n)), (key, i, j)
 
     @pytest.mark.parametrize("species, n, degrees", [
         ((Species("H", HALF),), 12, (12,)),

@@ -5,7 +5,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhurwitz import TruncatedSeries
+from qhurwitz import TruncatedSeries, character_table
 from qhurwitz.series import by_monomial
 from qhurwitz.scalars import format_rational
 
@@ -166,8 +166,9 @@ class Recording:
 
     Per block it returns, by form, the block's values over its denominator
     as a tuple of entries (the round trip), their sum as a 1-tuple (an
-    entry), or the symmetric matrix of the pairwise sums; a block's extra
-    fields scale its result by their product.
+    entry), or the pairwise sums a + b over the upper triangle of index
+    pairs, row by row (a matrix's entries at CharacterTable.upper_pairs); a
+    block's extra fields scale its result by their product.
     """
 
     def __init__(self, form):
@@ -186,12 +187,22 @@ class Recording:
             elif self.form == "entry":
                 results.append((sum(row, Fraction(0)),))
             else:
-                results.append(tuple(tuple(a + b for b in row) for a in row))
+                results.append(tuple(a + b for k, a in enumerate(row) for b in row[k:]))
         return results
 
 
+def laid_out(form, result):
+    """A by_monomial result over Recording(form), a matrix form's laid out by CharacterTable.symmetric.
+
+    The blocks hold 1 to 3 values, as many as the classes of S_1 to S_3.
+    """
+    if form != "matrix":
+        return result
+    return character_table({1: 1, 3: 2, 6: 3}[len(result)]).symmetric(result)
+
+
 def expected_form(form, values, denominator, scale=1):
-    """What by_monomial over Recording(form) returns for a block, as series and Fraction arithmetic give it."""
+    """What by_monomial over Recording(form) returns for a block, laid_out, as series and Fraction arithmetic give it."""
     row = tuple(v * Fraction(scale, denominator) for v in values)
     if form == "row":
         return row
@@ -221,7 +232,7 @@ class TestByMonomial:
             ([q * p * Fraction(-7, 4) + q**3, p**2 * Fraction(10**30, 3), 1 + q], 2),
         ]
         kernel = Recording(form)
-        results = by_monomial(kernel, blocks)
+        results = [laid_out(form, result) for result in by_monomial(kernel, blocks)]
         assert len(kernel.calls) == 1
         assert results == [expected_form(form, values, d) for values, d in blocks]
         assert all(map(series_types, results))
@@ -232,7 +243,8 @@ class TestByMonomial:
     def test_matrix_halves_are_mirrored(self):
         q = self.q
         blocks = [([q + 1, q**2 * 3, Fraction(1, 2)], 1)]
-        [matrix] = by_monomial(Recording("matrix"), blocks)
+        [values] = by_monomial(Recording("matrix"), blocks)
+        matrix = laid_out("matrix", values)
         assert all(matrix[i][j] is matrix[j][i] for i in range(3) for j in range(3))
 
     @pytest.mark.parametrize("form", ["row", "entry", "matrix"])
@@ -241,7 +253,7 @@ class TestByMonomial:
         zero = TruncatedSeries(q.vars, q.cap)
         blocks = [([q, 2 * q], 3), ([0, zero], 7), ([zero, Fraction(0)], 1)]
         kernel = Recording(form)
-        results = by_monomial(kernel, blocks)
+        results = [laid_out(form, result) for result in by_monomial(kernel, blocks)]
         # Each zero block still reaches the kernel once, as its constant monomial.
         assert kernel.calls[0][2:] == [([0, 0], 7), ([0, 0], 1)]
         assert results[1:] == [expected_form(form, [zero, zero], 1)] * 2
@@ -255,7 +267,7 @@ class TestByMonomial:
             ([q * Fraction(1, 6), p, Fraction(1, 5)], 1),
             ([Fraction(-(10**40), 3), 1, Fraction(1, 7)], 9),
         ]
-        results = by_monomial(Recording(form), blocks)
+        results = [laid_out(form, result) for result in by_monomial(Recording(form), blocks)]
         assert results == [expected_form(form, values, d) for values, d in blocks]
         # Every value of the call is read as a series: rational blocks give series too.
         assert all(map(series_types, results))

@@ -731,24 +731,19 @@ MANY_BLOCKS = [
 
 
 class TestRowAndEntryForms:
-    """spectral_sum given mu, tau_row and multispecies_hurwitz_entry read what the whole matrices hold."""
+    """spectral_sum given a row's or an entry's pairs, tau_row and multispecies_hurwitz_entry read what the whole matrices hold."""
 
     @staticmethod
     def assert_rows_and_entries(config, maxdeg, shift=0):
         tbl, _, blocks = spectral_module.eigenvalue_blocks(config, [range(m + 1) for m in maxdeg], shift)
-        matrices = spectral_module.spectral_sum(tbl, blocks)
+        matrices = [tbl.symmetric(values) for values in spectral_module.spectral_sum(tbl, blocks)]
         size = len(tbl.partitions)
         for i in range(size):
-            assert spectral_module.spectral_sum(tbl, blocks, i) == [rows[i] for rows in matrices]
+            row = [(i, j) for j in range(size)]
+            assert spectral_module.spectral_sum(tbl, blocks, row) == [rows[i] for rows in matrices]
             for j in range(size):
-                entries = spectral_module.spectral_sum(tbl, blocks, i, [j])
+                entries = spectral_module.spectral_sum(tbl, blocks, [(i, j)])
                 assert entries == [(rows[i][j],) for rows in matrices]
-
-    def test_nus_may_be_a_one_pass_iterator(self):
-        tbl, _, blocks = spectral_module.eigenvalue_blocks(single_species("H", HALF, 4), [range(3)], 0)
-        expected = spectral_module.spectral_sum(tbl, blocks, 0, [0, 1])
-        assert len(expected) == 3 and all(len(entries) == 2 for entries in expected)
-        assert spectral_module.spectral_sum(tbl, blocks, 0, iter([0, 1])) == expected
 
     @pytest.mark.parametrize("shift", [0, 2])
     @pytest.mark.parametrize("q", [HALF, -THIRD, Fraction(-1, 2)])

@@ -4,9 +4,12 @@
 # than README's 3 s bound, slowest first (information only: it fails
 # nothing).  A request fails when it
 # exits nonzero (a timeout included), when its stdout's SHA-256 is not the
-# recorded one, or, for `verify`, when the top-level status is not "ok".  A
-# `frontier` row fails too unless the same request one degree higher exits 3
-# and prints nothing; those refusals are not timed.  Every row is run; the
+# recorded one, when it writes anything to stderr, or, for `verify`, when the
+# top-level status is not "ok".  A `frontier` row fails too unless the same
+# request one degree higher exits 3, prints nothing to stdout and states its
+# reason on stderr in exactly one line that starts with `error: ` and says
+# `over the limit of`; those refusals are not timed, and a passing one prints
+# nothing.  Every row is run; the
 # exit status is 1 if any failed.  Requests run as the benchmark runs them:
 # unbuffered, and writing no bytecode cache.  Run from any directory:
 #   bash tools/frontiers.sh [OTHER_CHECKOUT]
@@ -25,7 +28,7 @@ fi
 cd "$(dirname "$0")/.."
 base=${PYTHONPATH:+:$PYTHONPATH}
 export PYTHONDONTWRITEBYTECODE=1 PYTHONUNBUFFERED=1
-out=$(mktemp) && trap 'rm -f "$out"' EXIT
+out=$(mktemp) && err=$(mktemp) && trap 'rm -f "$out" "$err"' EXIT
 ok='import json, sys; sys.exit(json.load(sys.stdin)["status"] != "ok")'
 failed=0
 totals=(0 0)
@@ -36,10 +39,17 @@ fail() { echo "FAIL: $*${at[side]}"; failed=1; }
 # Microseconds since the epoch, whatever the locale's decimal separator.
 now() { echo "${EPOCHREALTIME//[.,]/}"; }
 seconds() { printf '%d.%03d s\n' $(($1 / 1000000)) $(($1 / 1000 % 1000)); }
-# Run the request of the words "$@" against the src/ of $side, stdout to $out.
+# Run the request of the words "$@" against the src/ of $side, stdout to
+# $out and stderr to $err.
 ask() {
   code=0
-  PYTHONPATH=${sides[side]}$base timeout 20 python3 -m qhurwitz "$@" < /dev/null > "$out" || code=$?
+  PYTHONPATH=${sides[side]}$base timeout 20 python3 -m qhurwitz "$@" < /dev/null > "$out" 2> "$err" || code=$?
+}
+# Whether $err holds one stated refusal: one line, "error: ... over the limit of ...".
+refused() {
+  local lines
+  mapfile -t lines < "$err"
+  ((${#lines[@]} == 1)) && [[ ${lines[0]} == "error: "* && ${lines[0]} == *"over the limit of"* ]]
 }
 if ((${#sides[@]} == 1)); then
   at=("")
@@ -59,6 +69,7 @@ while read -r digest marker request; do
     walls[side]=$(($(now) - start))
     totals[side]=$((totals[side] + walls[side]))
     [[ $code == 0 ]] || fail "exit $code"
+    [[ ! -s $err ]] || fail "stderr is not empty: $(head -c 300 "$err")"
     [[ $(sha256sum < "$out") == "$digest  -" ]] || fail "stdout SHA-256 is not $digest"
     [[ $request != verify* ]] || python3 -c "$ok" < "$out" || fail 'status is not "ok"'
   done
@@ -76,6 +87,7 @@ while read -r digest marker request; do
   for side in "${!sides[@]}"; do
     ask $next
     [[ $code == 3 && ! -s $out ]] || fail "one degree more: exit $code, $(wc -c < "$out") bytes of stdout"
+    refused || fail "one degree more: stderr is not one line stating a limit: $(head -c 300 "$err")"
   done
 done < tools/frontiers.txt
 echo "total wall $(seconds ${totals[0]})"

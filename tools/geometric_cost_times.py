@@ -8,7 +8,7 @@ For each n and species the degree d grows by half from 2 until one walk or
 one entry passes 1.5 s, or the weight bits pass the limit.  Each row holds
 the in-process seconds of the walk (_species_eigenvalues up to d), of one
 matrix entry (_character_sums on one pair whose parity is live) and of one
-whole matrix (_character_sums on the symmetric half, measured while it
+whole matrix (_character_sums on the upper triangle, measured while it
 stays under 1.5 s), each the best of up to three runs, next to the
 estimates _geometric_cost gives a single entry and one matrix.  The walk,
 entry and matrix terms of _geometric_cost are fitted to these seconds; an
